@@ -2,7 +2,8 @@
 # cython: boundscheck=False
 """Reduction kernel, compiled variant.
 
-Function-for-function port of _kernel_py; that module is the reference.
+Function-for-function port of _kernel_py; that module is the reference,
+including the inert-term early returns documented there.
 The term representation is shared (plain Python classes from nodes.py), so
 the speedup comes from compiled control flow, typed locals, and cheaper
 recursion, not from a different data layout.
@@ -41,6 +42,8 @@ cdef object _shift(object t, long by, long cutoff):
             return t
         return Lam(body, t.hint)
     if tt is App:
+        if t.inert:
+            return t
         return app(
             _shift(t.head, by, cutoff),
             tuple([_shift(a, by, cutoff) for a in t.args]),
@@ -68,6 +71,8 @@ cdef object _subst(object t, object value, long j):
     if tt is Lam:
         return Lam(_subst(t.body, value, j + 1), t.hint)
     if tt is App:
+        if t.inert:
+            return t
         return app(
             _subst(t.head, value, j),
             tuple([_subst(a, value, j) for a in t.args]),
@@ -114,7 +119,7 @@ cdef object _nf(object t, list fuel):
         if body is t.body:
             return t
         return Lam(body, t.hint)
-    if tt is not App:
+    if tt is not App or t.inert:
         return t
     head = deref(t.head)
     cdef list args = list(t.args)
@@ -158,6 +163,8 @@ cdef object _eta(object t):
             return t
         return Lam(body, t.hint)
     if tt is App:
+        if t.inert:
+            return t
         return app(_eta(t.head), tuple([_eta(a) for a in t.args]))
     return t
 
@@ -169,6 +176,8 @@ cdef bint _uses_index(object t, long j):
     if tt is Lam:
         return _uses_index(t.body, j + 1)
     if tt is App:
+        if t.inert:
+            return False
         if _uses_index(t.head, j):
             return True
         for a in t.args:

@@ -7,6 +7,13 @@ a property test compares their outputs on randomized terms.
 Bindings of variables are always λ-closed (the unifier abstracts pattern
 arguments before binding), so shift and subst treat every Var atomically.
 
+Inert terms (see nodes.py: Const-headed, variable-free) contain no index,
+no variable and no redex, so shift, subst, _nf, eta_contract and _uses_index
+return at an inert node without descending into it: the result is the same
+object.  This keeps the cost of passes over bound lists and numerals
+independent of their length.  The flag is fixed at construction and no
+binding can reach inside an inert node, so it never goes stale.
+
 The fuel accounting in normalize charges one unit per β-step and one per
 node visited while performing the substitution, so both reduction counts and
 intermediate term sizes stay bounded by the budget.
@@ -36,6 +43,8 @@ def shift(t, by, cutoff=0):
         body = shift(t.body, by, cutoff + 1)
         return t if body is t.body else Lam(body, t.hint)
     if tt is App:
+        if t.inert:
+            return t
         return app(
             shift(t.head, by, cutoff),
             tuple(shift(a, by, cutoff) for a in t.args),
@@ -58,6 +67,8 @@ def subst(t, value, j=0):
     if tt is Lam:
         return Lam(subst(t.body, value, j + 1), t.hint)
     if tt is App:
+        if t.inert:
+            return t
         return app(
             subst(t.head, value, j),
             tuple(subst(a, value, j) for a in t.args),
@@ -102,7 +113,7 @@ def _nf(t, fuel):
     if tt is Lam:
         body = _nf(t.body, fuel)
         return t if body is t.body else Lam(body, t.hint)
-    if tt is not App:
+    if tt is not App or t.inert:
         return t
     head = deref(t.head)
     args = list(t.args)
@@ -146,6 +157,8 @@ def eta_contract(t):
                     return shift(trunk, -1)
         return t if body is t.body else Lam(body, t.hint)
     if tt is App:
+        if t.inert:
+            return t
         return app(eta_contract(t.head), tuple(eta_contract(a) for a in t.args))
     return t
 
@@ -157,6 +170,8 @@ def _uses_index(t, j):
     if tt is Lam:
         return _uses_index(t.body, j + 1)
     if tt is App:
+        if t.inert:
+            return False
         if _uses_index(t.head, j):
             return True
         return any(_uses_index(a, j) for a in t.args)

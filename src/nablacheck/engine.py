@@ -414,6 +414,8 @@ def _reify(names, variables, budget):
         if tt is Lam:
             return Lam(snap(t.body), t.hint)
         if tt is App:
+            if t.inert:
+                return t
             head = snap(t.head)
             return App(head, tuple(snap(a) for a in t.args))
         if isinstance(t, Var):

@@ -387,6 +387,8 @@ def replace_clause_vars(t, env):
     if tt is Lam:
         return Lam(replace_clause_vars(t.body, env), t.hint)
     if tt is App:
+        if t.inert:
+            return t
         return app(
             replace_clause_vars(t.head, env),
             tuple(replace_clause_vars(a, env) for a in t.args),

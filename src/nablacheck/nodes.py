@@ -12,6 +12,19 @@ app() constructor instead of App() when the head is not known to be atomic.
 ClauseVar is a placeholder for an implicitly quantified definition-clause
 variable.  It only ever occurs inside stored definitions; unfolding replaces
 every ClauseVar with a fresh variable before a term reaches the provers.
+
+Inert terms.  Every node carries an `inert` flag, fixed when the node is
+built: a Const is inert, and an App is inert when its head is a Const and
+all of its arguments are inert.  Nothing else is: not a Var (bound or not),
+a ClauseVar, a Bound, a NablaIndex or a Lam.  An inert term therefore holds
+no variable, no λ-index, no ∇-index and no redex, so it is its own β-normal
+and η-short form, survives shifting, substitution, abstraction and clause
+renaming unchanged, and passes every occurs and level check.  Passes whose
+cost grows with term size return it as it is instead of walking it.
+
+The flag cannot go stale.  Nodes are never mutated after construction, and
+the only mutable cell, Var.binding, lives in a node that is never inert, so
+no binding made or undone later can change what an inert node contains.
 """
 
 from __future__ import annotations
@@ -19,6 +32,7 @@ from __future__ import annotations
 
 class Term:
     __slots__ = ()
+    inert = False
 
 
 class Const(Term):
@@ -26,6 +40,7 @@ class Const(Term):
 
     __slots__ = ("name",)
     __match_args__ = ("name",)
+    inert = True
 
     def __init__(self, name: str):
         self.name = name
@@ -114,12 +129,19 @@ class Lam(Term):
 
 
 class App(Term):
-    __slots__ = ("head", "args")
+    __slots__ = ("head", "args", "inert")
     __match_args__ = ("head", "args")
 
     def __init__(self, head: Term, args: tuple):
         self.head = head
         self.args = args
+        inert = type(head) is Const
+        if inert:
+            for a in args:
+                if not a.inert:
+                    inert = False
+                    break
+        self.inert = inert
 
     def __repr__(self):
         return f"App({self.head!r}, {list(self.args)!r})"

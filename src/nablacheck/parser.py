@@ -41,6 +41,7 @@ from .nodes import (
     Bound,
     ClauseVar,
     Const,
+    EigenVar,
     Lam,
     NablaIndex,
     Term,
@@ -545,14 +546,17 @@ def _fresh_name(hint, avoid):
     return f"{name}{i}"
 
 
-def print_term(t, env=None, prec=0, avoid=None) -> str:
+def print_term(t, env=None, prec=0, avoid=None, keyed=False) -> str:
     """Render a term so that it reparses to the same structure.
 
     Precedence contexts: 0 open (λ may appear bare), 1 an infix operand
     (cons fine, λ parenthesized), 2 the left side of `::`, 3 an argument
     position (only atoms bare).  env carries enclosing binder names,
     innermost last.  Unbound variables print as name_id so distinct
-    variables never collide on the page.
+    variables never collide on the page.  With keyed set they print as
+    name@E<id> (eigenvariables) or name@L<id> (logic variables) instead, a
+    form no constant can spell; table keys use it, so a variable and a
+    constant such as x_0 never share a key.
     """
     if env is None:
         env = []
@@ -573,20 +577,23 @@ def print_term(t, env=None, prec=0, avoid=None) -> str:
     if tt is ClauseVar:
         return t.name
     if isinstance(t, Var):
+        if keyed:
+            kind = "E" if isinstance(t, EigenVar) else "L"
+            return f"{t.name}@{kind}{t.id}"
         return f"{t.name}_{t.id}"
     if tt is Lam:
         name = _fresh_name(t.hint, avoid | set(env))
-        body = print_term(t.body, env + [name], 0, avoid)
+        body = print_term(t.body, env + [name], 0, avoid, keyed)
         s = f"{name}\\ {body}"
         return f"({s})" if prec >= 1 else s
     # application
     if type(t.head) is Const and t.head.name == "::" and len(t.args) == 2:
-        left = print_term(t.args[0], env, 2, avoid)
-        right = print_term(t.args[1], env, 1, avoid)
+        left = print_term(t.args[0], env, 2, avoid, keyed)
+        right = print_term(t.args[1], env, 1, avoid, keyed)
         s = f"{left}::{right}"
         return f"({s})" if prec >= 2 else s
-    head = print_term(t.head, env, 3, avoid)
-    parts = [head] + [print_term(a, env, 3, avoid) for a in t.args]
+    head = print_term(t.head, env, 3, avoid, keyed)
+    parts = [head] + [print_term(a, env, 3, avoid, keyed) for a in t.args]
     s = " ".join(parts)
     return f"({s})" if prec >= 3 else s
 

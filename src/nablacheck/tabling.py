@@ -100,13 +100,17 @@ def eligible(args, level):
 
 
 def canonical_key(pred, args, budget=None):
-    """The canonical text of a call: βη-short arguments, printed."""
+    """The canonical text of a call: βη-short arguments, printed.
+
+    Variables print by kind and id in a form no constant can spell, so a
+    call on an eigenvariable never shares a key with a call on a constant.
+    """
     from .parser import print_term
 
     if not args:
         return pred
     parts = [pred] + [
-        print_term(normalize_eta(a, budget), prec=3) for a in args
+        print_term(normalize_eta(a, budget), prec=3, keyed=True) for a in args
     ]
     return " ".join(parts)
 

@@ -171,6 +171,8 @@ def _abstract_nabla(t, k, depth):
     if tt is Lam:
         return Lam(_abstract_nabla(t.body, k, depth + 1), t.hint)
     if tt is App:
+        if t.inert:
+            return t
         return app(
             _abstract_nabla(t.head, k, depth),
             tuple(_abstract_nabla(a, k, depth) for a in t.args),
@@ -186,6 +188,8 @@ def iter_free_vars(t):
         u = deref(stack.pop())
         tu = type(u)
         if tu is App:
+            if u.inert:
+                continue
             stack.append(u.head)
             stack.extend(u.args)
         elif tu is Lam:

@@ -23,6 +23,15 @@ pattern arguments): u contains no eigenvariable with global >= g, no ∇-index
 at or above l, and no occurrence of F.  A variable H^{g',l'} inside u with
 g' > g or l' > l is not rejected but lowered: H is bound to a fresh variable
 over the arguments that survive F's horizon, the standard pruning step.
+
+Inert terms (nodes.py) contain no variable, λ-index or ∇-index, so the
+occurs, level and ∇ checks are all vacuous on them: _abstract returns an
+inert subterm as it is, and a binding to an inert term stores that very
+object, whatever its size.  Two identical inert terms unify at once.  That
+shortcut is kept to inert terms on purpose: F (s z) = F (s z) is outside
+the pattern fragment and must stay NonPattern, not become a proof.  The flag
+is fixed when a node is built and no binding can reach inside an inert
+node, so it never goes stale as bindings come and go.
 """
 
 from __future__ import annotations
@@ -175,6 +184,8 @@ def _renorm(t, st):
 def _unify(t, s, st, left):
     t = _renorm(t, st)
     s = _renorm(s, st)
+    if t is s and t.inert:
+        return
     tl, sl = type(t), type(s)
     if tl is Lam and sl is Lam:
         _unify(t.body, s.body, st, left)
@@ -308,6 +319,8 @@ def _abstract(u, f, fargs, depth, st, left, lhs, rhs):
     get pruned; anything else has no level-respecting unifier.
     """
     u = deref(u)
+    if u.inert:
+        return u
     n = len(fargs)
     tu = type(u)
     if tu is Lam:

@@ -1,6 +1,12 @@
 """The nabla-check command: batch runs, queries, the interactive loop."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import nablacheck
 
 from conftest import run_cli
 
@@ -275,3 +281,18 @@ def test_normalization_blowup_shows_the_offending_term():
     assert "% inconclusive:" in out
     assert "x\\ x x" in out
     assert "proved" not in out and "disproved" not in out
+
+
+def test_deep_list_ends_inconclusive_without_a_crash(tmp_path):
+    # Run in a child process: a C stack overflow would kill pytest itself.
+    lst = "b::" * 19999 + "a::nil"
+    path = write(tmp_path, "deep.def", MEMB + f"#assert memb a ({lst}).\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nablacheck.cli", path],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "inconclusive" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr

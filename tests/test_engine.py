@@ -247,3 +247,29 @@ def test_step_counter_counts_work():
     shallow = run(st, "memb a (a::nil)").steps
     deep = run(st, "memb a (b::b::b::b::a::nil)").steps
     assert 0 < shallow < deep
+
+
+def test_normalization_work_grows_linearly_with_list_length(monkeypatch):
+    # Counts calls of the pure kernel's normal-form walk, not time, so the
+    # bound holds on any machine.  Each step of len binds the list's tail,
+    # which must not be walked again: a pass over the tail per step would
+    # make each doubling cost about four times as much.
+    from nablacheck import _kernel_py, terms
+
+    nf = _kernel_py._nf
+    calls = [0]
+
+    def counted(t, fuel):
+        calls[0] += 1
+        return nf(t, fuel)
+
+    monkeypatch.setattr(_kernel_py, "_nf", counted)
+    monkeypatch.setattr(terms, "_kernel_normalize", _kernel_py.normalize)
+    counts = []
+    for n in (100, 200, 400):
+        st = state_from("len nil z.\nlen (X::L) (s N) := len L N.")
+        calls[0] = 0
+        assert run(st, "len (" + "a::" * n + "nil) N").proved
+        counts.append(calls[0])
+    assert counts[1] <= 2.1 * counts[0]
+    assert counts[2] <= 2.1 * counts[1]

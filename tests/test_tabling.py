@@ -46,6 +46,15 @@ def test_canonical_key_is_eta_short_printed_text():
     assert canonical_key("p", (Lam(App(f, (Bound(0),))),)) == "p f"
 
 
+def test_eigenvariable_key_never_collides_with_a_constant():
+    # The eigenvariable x prints as x_0 on the page, like the constant x_0;
+    # sharing one table entry would answer the second query wrongly.
+    st = state_from("r X := X = c => false.\n#table inductive r.")
+    assert run(st, "forall x. r x").disproved
+    assert run(st, "r x_0").proved
+    assert sorted(st.tables["r"].entries) == ["r x@E0", "r x_0"]
+
+
 # ---------------------------------------------------------------------------
 # Loops resolve by mode
 # ---------------------------------------------------------------------------

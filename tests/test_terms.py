@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from nablacheck.errors import NormalizationDepthExceeded
-from nablacheck.nodes import App, Bound, Const, Lam, NablaIndex, app
+from nablacheck.nodes import App, Bound, ClauseVar, Const, Lam, NablaIndex, app
 from nablacheck.terms import (
     Signature,
     abstract_over_nabla,
@@ -14,8 +14,11 @@ from nablacheck.terms import (
     iter_free_vars,
     normalize,
     normalize_eta,
+    shift,
     struct_eq,
+    subst,
 )
+from nablacheck.unify import SUCCESS, UnifyCtx, _abstract, unify
 
 a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
 
@@ -209,3 +212,100 @@ def test_pure_and_compiled_kernels_agree(t):
     else:
         assert struct_eq(r_py, r_c)
         assert struct_eq(kp.eta_contract(r_py), kc.eta_contract(r_c))
+
+
+# ---------------------------------------------------------------------------
+# Inert terms: Const-headed and variable-free, passed through unchanged
+# ---------------------------------------------------------------------------
+
+def _recompute_inert(t):
+    """The inert predicate, recomputed from the structure below t."""
+    if type(t) is Const:
+        return True
+    if type(t) is App:
+        return type(t.head) is Const and all(_recompute_inert(x) for x in t.args)
+    return False
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if type(u) is App:
+            stack.append(u.head)
+            stack.extend(u.args)
+        elif type(u) is Lam:
+            stack.append(u.body)
+
+
+def _var_leaf(bound):
+    v = Signature().fresh_logic("X")
+    if bound:
+        v.binding = a  # bound to an inert term, still not inert itself
+    return v
+
+
+def _mixed_terms():
+    leaf = hs.one_of(
+        hs.sampled_from([a, b, f, Bound(0), NablaIndex(0), ClauseVar("Y")]),
+        hs.builds(_var_leaf, hs.booleans()),
+    )
+    return hs.recursive(
+        leaf,
+        lambda sub: hs.one_of(
+            hs.builds(Lam, sub),
+            hs.builds(
+                lambda h, args: app(h, tuple(args)),
+                sub,
+                hs.lists(sub, min_size=1, max_size=3),
+            ),
+            hs.builds(
+                lambda h, args: App(h, tuple(args)),
+                sub,
+                hs.lists(sub, min_size=1, max_size=3),
+            ),
+        ),
+        max_leaves=16,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_terms())
+def test_inert_flag_matches_a_recomputation(t):
+    for u in _subterms(t):
+        assert u.inert == _recompute_inert(u)
+
+
+def _list(n):
+    t = Const("nil")
+    for _ in range(n):
+        t = app(Const("::"), (a, t))
+    return t
+
+
+def test_size_dependent_passes_return_inert_terms_unchanged():
+    s, z = Const("s"), Const("z")
+    num = app(s, (app(s, (z,)),))
+    for t in (_list(50), num, app(f, (num, _list(3)))):
+        assert t.inert
+        assert normalize(t) is t
+        assert normalize_eta(t) is t
+        assert shift(t, 3) is t
+        assert subst(t, b) is t
+        st = UnifyCtx(Signature())
+        v = st.sig.fresh_logic("X")
+        assert _abstract(t, v, [], 0, st, False, v, t) is t
+
+
+def test_binding_to_an_inert_list_stores_the_list_itself():
+    st = UnifyCtx(Signature())
+    v = st.sig.fresh_logic("L")
+    lst = _list(1000)
+    assert unify(v, lst, st) is SUCCESS
+    assert v.binding is lst
+    # inside a head match, the tail is bound without a copy as well
+    x = st.sig.fresh_logic("X")
+    tail = st.sig.fresh_logic("T")
+    assert unify(app(Const("::"), (x, tail)), lst, st) is SUCCESS
+    assert tail.binding is lst.args[1]

@@ -119,6 +119,14 @@ def test_constant_argument_is_non_pattern():
     assert r.lhs is not None and r.rhs is not None
 
 
+def test_identical_non_pattern_terms_stay_non_pattern():
+    # Only inert terms unify by identity; F (s z) is outside the fragment.
+    st = ctx()
+    x = st.sig.fresh_logic("F")
+    t = app(x, (app(Const("s"), (Const("z"),)),))
+    assert isinstance(unify(t, t, st), NonPattern)
+
+
 def test_repeated_argument_is_non_pattern():
     st = ctx()
     x = st.sig.fresh_logic("X")
