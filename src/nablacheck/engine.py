@@ -88,6 +88,7 @@ class State:
         "trail",
         "defs",
         "tables",
+        "tab_dependents",
         "tab_stack",
         "steps",
         "max_steps",
@@ -111,6 +112,7 @@ class State:
         self.trail = Trail()
         self.defs = defs if defs is not None else DefSet()
         self.tables = {}
+        self.tab_dependents = {}
         self.tab_stack = []
         self.steps = 0
         self.max_steps = max_steps

@@ -21,8 +21,8 @@ variables, so two unfolds never share variables.
 from __future__ import annotations
 
 from .errors import IllFormedFormula, LevelError, NonPatternError
-from .nodes import App, ClauseVar, Lam, Term, app
-from .terms import iter_free_vars, subst
+from .nodes import App, ClauseVar, Const, Lam, Term, app
+from .terms import iter_free_vars, normalize, subst
 from .unify import FAILURE, SUCCESS, unify
 
 
@@ -259,7 +259,22 @@ class Clause:
 
 
 class Definition:
-    __slots__ = ("pred", "clauses", "declared_level", "level", "table_mode")
+    """The clauses of one predicate, with a first-argument index.
+
+    A clause is keyed by the constant name c when its first head argument
+    is the constant c, or an application headed by c that contains no
+    β-redex; every other clause (first argument a clause variable, a
+    flexible application, a λ or a redex, or no argument at all) is open.
+    The index maps each key c to the clauses keyed c or open, in source
+    order, and keeps the open clauses alone for names no clause is keyed
+    by.  candidates() builds it on first use, so loading does no extra
+    work; add_clause() drops it, since the REPL can #include more clauses
+    after queries have run.
+    """
+
+    __slots__ = (
+        "pred", "clauses", "declared_level", "level", "table_mode", "_index"
+    )
 
     def __init__(self, pred):
         self.pred = pred
@@ -267,6 +282,77 @@ class Definition:
         self.declared_level = None
         self.level = 0
         self.table_mode = None  # None | "inductive" | "coinductive"
+        self._index = None  # (key -> clauses, open clauses, arities)
+
+    def add_clause(self, clause):
+        self.clauses.append(clause)
+        self._index = None
+
+    def candidates(self, args, budget):
+        """The clauses whose head can match a call with these arguments.
+
+        The first argument is normalized only when there is one, some clause
+        is keyed and some clause has the call's arity, which is exactly when
+        trying every clause would normalize it too, so a normalization error
+        surfaces where it always did.  A clause left out is keyed by a constant other
+        than the head constant of the normalized first argument.
+        """
+        if self._index is None:
+            self._index = _build_index(self.clauses)
+        keyed, open_, arities = self._index
+        if not (keyed and args) or len(args) not in arities:
+            return self.clauses
+        first = normalize(args[0], budget)
+        head = first.head if type(first) is App else first
+        if type(head) is not Const:
+            return self.clauses
+        return keyed.get(head.name, open_)
+
+
+def _clause_key(clause):
+    """The constant name a clause is keyed by, or None if it is open."""
+    if not clause.head_args:
+        return None
+    first = clause.head_args[0]
+    if type(first) is Const:
+        return first.name
+    if type(first) is App and type(first.head) is Const and _redex_free(first):
+        return first.head.name
+    return None
+
+
+def _redex_free(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        tu = type(u)
+        if tu is Lam:
+            stack.append(u.body)
+        elif tu is App and not u.inert:
+            if type(u.head) is Lam:
+                return False
+            stack.append(u.head)
+            stack.extend(u.args)
+    return True
+
+
+def _build_index(clauses):
+    keyed = {}
+    open_ = []
+    arities = set()
+    for clause in clauses:
+        arities.add(len(clause.head_args))
+        key = _clause_key(clause)
+        if key is None:
+            open_.append(clause)
+            for bucket in keyed.values():
+                bucket.append(clause)
+        else:
+            bucket = keyed.get(key)
+            if bucket is None:
+                bucket = keyed[key] = list(open_)
+            bucket.append(clause)
+    return keyed, open_, arities
 
 
 class DefSet:
@@ -301,7 +387,7 @@ class DefSet:
             self.ensure(p)
 
     def add_clause(self, pred, head_args, body, var_names, line=None):
-        self.ensure(pred).clauses.append(Clause(head_args, body, var_names, line))
+        self.ensure(pred).add_clause(Clause(head_args, body, var_names, line))
         self.register_formula(body)
         self._checked = False
 
@@ -421,12 +507,23 @@ def unfold(pred, args, st, left=False):
     premise variable reads universally.  Head unification happens in place;
     the checkpoint is rewound once the consumer moves on, or if the clause
     does not match.  A non-pattern head unification propagates as an error.
+
+    Only the candidates of the definition's first-argument index are
+    tried: the first argument is normalized as unify would see it, and if
+    its head is a constant only the clauses keyed by that name or open
+    take part.  A clause skipped this way is exactly one whose head
+    unification would return FAILURE at the rigid-rigid head-name check:
+    its first head argument is a redex-free term headed by another
+    constant, so its normalization cannot fail and unification cannot
+    raise NonPattern before that check.  Verdicts, answers, their order
+    and step counts are therefore those of trying every clause; only the
+    ids of fresh variables differ, since skipped clauses make none.
     """
     defn = st.defs.defs.get(pred)
     if defn is None:
         return
     fresh = st.sig.fresh_eigen if left else st.sig.fresh_logic
-    for clause in defn.clauses:
+    for clause in defn.candidates(args, st.norm_budget):
         if len(clause.head_args) != len(args):
             continue
         mark = st.checkpoint()

@@ -659,20 +659,6 @@ def _formula_terms(f):
     return formula_terms(f)
 
 
-def print_clause(pred, head_args, body) -> str:
-    avoid = set()
-    for a in head_args:
-        _const_names(a, avoid)
-    for t in _formula_terms(body):
-        _const_names(t, avoid)
-    head = " ".join(
-        [pred] + [print_term(a, [], 3, avoid) for a in head_args]
-    )
-    if type(body) is Top:
-        return f"{head}."
-    return f"{head} := {print_formula(body, [], 1, avoid)}."
-
-
 def print_substitution(pairs) -> str:
     """Render an answer substitution: `X = t, Y = s`, or `yes` when empty."""
     if not pairs:

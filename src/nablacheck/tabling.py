@@ -11,15 +11,18 @@ A loop is an assumption about the looped-on call, and the assumption can
 turn out wrong once that call finishes through its other branches.  Every
 production therefore tracks the assumptions it consumed.  A call that
 finishes while some of them are still open is recorded provisionally,
-conditioned on those calls; when an assumed call settles the right way the
-condition is discharged, and when it settles the wrong way the dependent
-entries are discarded (they recompute on demand) and a still-running
-production restarts.  Assumptions a call makes about itself need no
-tracking: a least fixed point always has a loop-free proof if it has any,
-and dually a greatest fixed point fails outright only if loops cannot save
-it.  That argument assumes definitions do not smuggle a predicate into its
-own negation through an implication; level checking warns about the direct
-case and the rest is the user's contract.
+conditioned on those calls, and entries that assumed it while it ran now
+rest on those calls instead; so every condition names a running call, and
+when the outermost call finishes nothing is left provisional.  When an
+assumed call settles the right way the condition is discharged, and when it
+settles the wrong way the dependent entries are discarded (they recompute
+on demand) and a still-running production restarts.  Assumptions a call
+makes about itself need no tracking: a least fixed point always has a
+loop-free proof if it has any, and dually a greatest fixed point fails
+outright only if loops cannot save it.  That argument assumes definitions
+do not smuggle a predicate into its own negation through an implication;
+level checking warns about the direct case and the rest is the user's
+contract.
 
 Entries persist across queries, so a finished table is a reusable
 certificate of everything it settled; the CLI dumps it in source syntax.
@@ -29,7 +32,7 @@ unbound variable at all (on the left of an implication eigenvariables are
 instantiable too).  ∇-indices are fine; two calls differing by an
 injective renaming of indices or eigenvariables get distinct keys, which
 costs sharing, never soundness.  A call abandoned by a resource limit
-leaves no entry behind.
+leaves no entry behind, and takes the entries that assumed it along.
 """
 
 from __future__ import annotations
@@ -116,8 +119,65 @@ def canonical_key(pred, args, budget=None):
 
 
 def _lookup(st, key):
-    table = st.tables.get(key.split(" ", 1)[0])
+    table = _table_of(st, key)
     return None if table is None else table.entries.get(key)
+
+
+def _table_of(st, key):
+    return st.tables.get(key.split(" ", 1)[0])
+
+
+def _record_cond(st, key, cond):
+    """Enter a finished call's conditional entry.
+
+    Entries that assumed the call while it ran now rest on its conditions
+    instead, or are dropped if they assumed the other outcome or a
+    condition the other way.  So every condition names a call that is
+    still running, and once the outermost call finishes nothing is left
+    conditional.
+    """
+    _table_of(st, key).entries[key] = cond
+    doomed = []
+    for _, k, v in _conditioned_on(st, key):
+        if v.deps.pop(key) is cond.status and all(
+            v.deps.get(d, s) is s for d, s in cond.deps.items()
+        ):
+            v.deps.update(cond.deps)
+            _file(st, k, cond.deps)
+        else:
+            doomed.append(k)
+    _file(st, key, cond.deps)
+    for k in doomed:
+        _discard(st, k)
+
+
+def _file(st, key, deps):
+    """File key under each call it rests on.
+
+    st.tab_dependents maps a key to the keys (an ordered set) of the
+    conditional entries resting on it, so settling or dropping a call
+    visits only those.  A filing can go stale (the dependent was settled,
+    dropped, or recorded again on other calls); readers skip every key
+    whose entry is not a _Cond still resting on the call.
+    """
+    dependents = st.tab_dependents
+    for k in deps:
+        dependents.setdefault(k, {})[key] = None
+
+
+def _conditioned_on(st, k0):
+    """Take the filings under k0: (table, key, entry) of each live one.
+
+    Once k0 finishes or is dropped, nothing is filed under it again until
+    it runs anew, so its filings are consumed here.
+    """
+    out = []
+    for k in st.tab_dependents.pop(k0, ()):
+        table = _table_of(st, k)
+        v = table.entries.get(k)
+        if type(v) is _Cond and k0 in v.deps:
+            out.append((table, k, v))
+    return out
 
 
 def _settle(st, key, status):
@@ -126,17 +186,14 @@ def _settle(st, key, status):
     while settled:
         k0, s0 = settled.pop()
         doomed = []
-        for table in st.tables.values():
-            for k, v in list(table.entries.items()):
-                if type(v) is not _Cond or k0 not in v.deps:
-                    continue
-                if v.deps[k0] is s0:
-                    del v.deps[k0]
-                    if not v.deps:
-                        table.entries[k] = v.status
-                        settled.append((k, v.status))
-                else:
-                    doomed.append(k)
+        for table, k, v in _conditioned_on(st, k0):
+            if v.deps[k0] is s0:
+                del v.deps[k0]
+                if not v.deps:
+                    table.entries[k] = v.status
+                    settled.append((k, v.status))
+            else:
+                doomed.append(k)
         for k in doomed:
             _discard(st, k)
 
@@ -146,14 +203,11 @@ def _discard(st, key):
     doomed = [key]
     while doomed:
         k0 = doomed.pop()
-        table = st.tables.get(k0.split(" ", 1)[0])
+        table = _table_of(st, k0)
         if table is None or k0 not in table.entries:
             continue
         del table.entries[k0]
-        for t in st.tables.values():
-            for k, v in t.entries.items():
-                if type(v) is _Cond and k0 in v.deps:
-                    doomed.append(k)
+        doomed.extend(k for _, k, _ in _conditioned_on(st, k0))
 
 
 def tabled_prove(st, pred, args, defn, producer):
@@ -207,7 +261,7 @@ def tabled_prove(st, pred, args, defn, producer):
                 gen.close()
         except BaseException:
             stack.pop()
-            table.entries.pop(key, None)
+            _discard(st, key)  # with every entry that assumed this call
             raise
         stack.pop()
         deps = {}
@@ -230,9 +284,12 @@ def tabled_prove(st, pred, args, defn, producer):
         if tainted:
             table.entries.pop(key, None)
             continue
+        # A merged entry may rest on this very call: that is an assumption
+        # the call made about itself, discharged like a direct one.
+        deps.pop(key, None)
         status = PROVED if found else DISPROVED
         if deps:
-            table.entries[key] = _Cond(status, deps)
+            _record_cond(st, key, _Cond(status, deps))
             if stack:
                 stack[-1].assumed.update(deps)
         else:
@@ -245,6 +302,7 @@ def tabled_prove(st, pred, args, defn, producer):
 
 def clear_tables(st):
     st.tables.clear()
+    st.tab_dependents.clear()
     del st.tab_stack[:]
 
 

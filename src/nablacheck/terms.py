@@ -36,8 +36,6 @@ __all__ = [
     "normalize_eta",
     "equal_modulo",
     "abstract_over_nabla",
-    "fresh_logic_var",
-    "fresh_eigen_var",
     "struct_eq",
     "iter_free_vars",
     "has_unbound_logic_var",
@@ -86,14 +84,6 @@ class Signature:
         """A fresh variable of the same kind with explicit levels (pruning)."""
         cls = EigenVar if isinstance(template, EigenVar) else LogicVar
         return cls(name or template.name, self._take_id(), global_level, local_level)
-
-
-def fresh_logic_var(sig, name="H"):
-    return sig.fresh_logic(name)
-
-
-def fresh_eigen_var(sig, name="h"):
-    return sig.fresh_eigen(name)
 
 
 def normalize(t, budget=None):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from .errors import NormalizationDepthExceeded
 from .nodes import App, Bound, EigenVar, Lam, LogicVar, NablaIndex, Var, app
-from .terms import DEFAULT_NORM_BUDGET, deref, normalize, struct_eq
+from .terms import DEFAULT_NORM_BUDGET, deref, normalize
 
 
 class Trail:
@@ -479,110 +479,3 @@ def _flex_flex(f, targs, h, sargs, st, lhs, rhs):
 
     bind(f, mk_binding(targs, tkeys), st.trail)
     bind(h, mk_binding(sargs, skeys), st.trail)
-
-
-def is_pattern(t, nabla_depth=None, instantiate_eigen=False):
-    """Is every flex subterm of t applied to legal pattern arguments?
-
-    With nabla_depth given, ∇-index arguments must also be live (below the
-    ambient depth).
-    """
-    t = normalize(t)
-    return _is_pattern(t, nabla_depth, instantiate_eigen)
-
-
-def _is_pattern(t, nd, left):
-    tt = type(t)
-    if tt is Lam:
-        return _is_pattern(t.body, nd, left)
-    if tt is App:
-        head = deref(t.head)
-        if _is_flex(head, left):
-            if not _pattern_args_ok(head, t.args, nd):
-                return False
-            return True
-        return _is_pattern(head, nd, left) and all(
-            _is_pattern(a, nd, left) for a in t.args
-        )
-    return True
-
-
-def _pattern_args_ok(f, args, nd):
-    seen = set()
-    for a in args:
-        a = deref(a)
-        ta = type(a)
-        if ta is Bound:
-            pass
-        elif ta is NablaIndex:
-            if a.index < f.local_level:
-                return False
-            if nd is not None and a.index >= nd:
-                return False
-        elif isinstance(a, EigenVar) and a.binding is None:
-            if a.global_level <= f.global_level:
-                return False
-        else:
-            return False
-        k = _atom_key(a)
-        if k in seen:
-            return False
-        seen.add(k)
-        if not _is_pattern(a, nd, False):
-            return False
-    return True
-
-
-class Substitution:
-    """Immutable snapshot of bindings for selected variables.
-
-    apply() rewrites a term functionally, without touching binding cells, so
-    snapshots stay valid after the trail rewinds past the bindings they
-    captured.
-    """
-
-    __slots__ = ("_map",)
-
-    def __init__(self, pairs):
-        self._map = {id(v): (v, t) for v, t in pairs}
-
-    @classmethod
-    def of_vars(cls, variables, budget=None):
-        pairs = []
-        for v in variables:
-            if v.binding is not None:
-                pairs.append((v, normalize(v, budget or DEFAULT_NORM_BUDGET)))
-        return cls(pairs)
-
-    def get(self, var, default=None):
-        entry = self._map.get(id(var))
-        return entry[1] if entry is not None else default
-
-    def items(self):
-        return [(v, t) for (v, t) in self._map.values()]
-
-    def __len__(self):
-        return len(self._map)
-
-    def __contains__(self, var):
-        return id(var) in self._map
-
-    def apply(self, t):
-        t = deref(t)
-        tt = type(t)
-        if tt is Lam:
-            return Lam(self.apply(t.body), t.hint)
-        if tt is App:
-            return app(self.apply(t.head), tuple(self.apply(a) for a in t.args))
-        if isinstance(t, Var):
-            entry = self._map.get(id(t))
-            if entry is not None:
-                return self.apply(entry[1]) if entry[1] is not t else t
-        return t
-
-
-def equal_terms(t, s, budget=None):
-    """Convenience αβη-equality used by tests."""
-    from .terms import equal_modulo
-
-    return equal_modulo(t, s, budget)

@@ -1,10 +1,13 @@
 """Formula layer: classification, level inference, unfolding."""
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
-from conftest import state_from
+from conftest import run, state_from
 
-from nablacheck.errors import IllFormedFormula, LevelError
+import nablacheck.engine as engine
+import nablacheck.logic as logic
+from nablacheck.errors import IllFormedFormula, LevelError, NonPatternError
 from nablacheck.logic import (
     And,
     Atom,
@@ -17,11 +20,14 @@ from nablacheck.logic import (
     formula_preds,
     free_vars,
     instantiate,
+    replace_clause_vars,
+    replace_clause_vars_formula,
     unfold,
 )
 from nablacheck.nodes import Bound, Const
 from nablacheck.parser import parse_file, parse_formula, print_formula
 from nablacheck.terms import deref, struct_eq
+from nablacheck.unify import FAILURE, SUCCESS, unify
 
 
 def _defs(text):
@@ -189,3 +195,126 @@ def test_clause_body_sees_head_bindings():
         assert bound.head.name == "f" and deref(bound.args[0]) is deref(y)
     assert hits == 1
     assert deref(y) is y and deref(z) is z
+
+
+# ---------------------------------------------------------------------------
+# First-argument indexing
+# ---------------------------------------------------------------------------
+
+def _every_clause(pred, args, st, left=False):
+    """Reference unfold: rename and head-unify every clause, no index."""
+    defn = st.defs.defs.get(pred)
+    if defn is None:
+        return
+    fresh = st.sig.fresh_eigen if left else st.sig.fresh_logic
+    for clause in defn.clauses:
+        if len(clause.head_args) != len(args):
+            continue
+        mark = st.checkpoint()
+        try:
+            env = {name: fresh(name) for name in clause.var_names}
+            ok = True
+            for pat, arg in zip(clause.head_args, args):
+                r = unify(replace_clause_vars(pat, env), arg, st,
+                          instantiate_eigen=left)
+                if r is FAILURE:
+                    ok = False
+                    break
+                if r is not SUCCESS:
+                    raise NonPatternError(r.lhs, r.rhs, r.reason)
+            if ok:
+                yield replace_clause_vars_formula(clause.body, env)
+        finally:
+            st.undo_to(mark)
+
+
+# First head arguments: constants, applications (one a redex, one holding a
+# λ, one holding a redex without a normal form), clause variables, a
+# flexible head, and λs.
+_HEADS = ["a", "b", "c", "f a", "f X", "g X b", "f (x\\ x)", "(x\\ f x) a",
+          "g ((x\\ x x) (x\\ x x)) a", "X", "Y", "X a", "x\\ f x", "x\\ a"]
+_SECONDS = ["a", "b", "X", "Y", "f Y"]
+_BODIES = ["", " := q X", " := q Y", " := X = Y", " := q a"]
+_QUERY_FIRSTS = ["a", "b", "d", "f", "f a", "f b", "g a b", "x\\ f x"]
+
+
+def _query_texts():
+    # On the right: every kind of first argument, answers reported for Y.
+    for first in _QUERY_FIRSTS:
+        yield f"exists Y. p ({first}) Y"
+    yield "exists X Y. p X Y"
+    yield "forall x. exists Y. p x Y"
+    yield "nabla n. exists Y. p n Y"
+    yield "exists Y. forall x. p (f x) Y"
+    # Under => false: case analysis, where eigenvariables are instantiable.
+    for first in _QUERY_FIRSTS:
+        yield f"p ({first}) b => false"
+    yield "forall x. p x b => false"
+    yield "forall x y. p x y => false"
+    yield "nabla n. p n b => false"
+    yield "forall x. p (f x) a => false"
+
+
+def _outcome(st, text):
+    r = run(st, text)
+    return r.status, [a.text() for a in r.answers], type(r.error).__name__
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    hs.lists(
+        hs.tuples(hs.sampled_from(_HEADS), hs.sampled_from(_SECONDS),
+                  hs.sampled_from(_BODIES)),
+        min_size=1, max_size=8,
+    ),
+    hs.lists(hs.sampled_from(["a", "b", "f a"]), max_size=3),
+)
+def test_indexed_unfold_answers_like_trying_every_clause(clauses, q_facts):
+    text = "".join(f"p ({h}) ({s}){b}.\n" for h, s, b in clauses)
+    text += "".join(f"q ({t}).\n" for t in q_facts)
+    indexed = state_from(text, max_steps=5000, norm_budget=500)
+    indexed.defs.ensure("q")
+    reference = state_from(text, max_steps=5000, norm_budget=500)
+    reference.defs.ensure("q")
+    for query in _query_texts():
+        want_unfold = engine.unfold
+        engine.unfold = _every_clause
+        try:
+            want = _outcome(reference, query)
+        finally:
+            engine.unfold = want_unfold
+        assert _outcome(indexed, query) == want, (text, query)
+
+
+def test_index_is_rebuilt_after_clauses_are_added():
+    st = state_from("p a.\n")
+    assert run(st, "p b").disproved
+    st.defs.add_clause("p", (Const("b"),), Top(), ())
+    assert run(st, "p b").proved
+
+
+def test_head_unifications_grow_linearly_along_a_chain(monkeypatch):
+    calls = [0]
+    real_unify = logic.unify
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real_unify(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "unify", counted)
+    counts = []
+    for n in (16, 32, 64):
+        edges = "".join(f"edge n{i} n{i + 1}.\n" for i in range(n - 1))
+        st = state_from(
+            edges
+            + "reach X Y := edge X Y.\n"
+            + "reach X Y := edge X Z /\\ reach Z Y.\n"
+            + "#table inductive reach.\n"
+        )
+        calls[0] = 0
+        assert run(st, f"reach n0 n{n - 1}").proved
+        assert run(st, f"reach n{n - 1} n0").disproved
+        counts.append(calls[0])
+    # Trying every edge clause on each call made this grow as n squared.
+    assert counts[1] <= 2.2 * counts[0], counts
+    assert counts[2] <= 2.2 * counts[1], counts

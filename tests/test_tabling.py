@@ -2,13 +2,15 @@
 
 import random
 
+from hypothesis import given, settings, strategies as hs
+
 from nablacheck.engine import State
 from nablacheck.nodes import App, Bound, Const, Lam, NablaIndex
 from nablacheck.tabling import canonical_key, clear_tables, eligible, table_report
 from nablacheck.terms import app
 
 from conftest import run, state_from
-from oracles import transitive_closure
+from oracles import gfp_bisim, gfp_sim, transitive_closure
 
 EDGES = {("a", "b"), ("b", "a"), ("a", "c")}
 
@@ -130,6 +132,130 @@ def test_settled_rows_survive_and_match_the_oracle():
         for y in "abc":
             want = "proved" if (x, y) in closure else "disproved"
             assert f"{want} reach {x} {y}." in rows
+
+
+REACH2 = """
+reach2 X Y := edge X Z /\\ reach2 Z Y.
+reach2 X Y := edge X Y.
+#table inductive reach2.
+"""
+
+
+REACH_BOTH = REACH2 + """
+reach X Y := edge X Y.
+reach X Y := edge X Z /\\ reach Z Y.
+#table inductive reach.
+"""
+
+SIM_BISIM = """
+sim P Q := forall A P1. step P A P1 => (exists Q1. step Q A Q1 /\\ sim P1 Q1).
+#level sim 1.
+#table coinductive sim.
+bisim P Q :=
+  (forall A P1. step P A P1 => (exists Q1. step Q A Q1 /\\ bisim P1 Q1)) /\\
+  (forall A Q1. step Q A Q1 => (exists P1. step P A P1 /\\ bisim Q1 P1)).
+#level bisim 1.
+#table coinductive bisim.
+"""
+
+
+def _edges(pairs):
+    return "".join(f"edge n{x} n{y}.\n" for x, y in pairs)
+
+
+def test_production_resting_on_itself_still_settles():
+    # reach2 n4 n2 finishes resting on reach2 n0 n2, itself still running,
+    # and reach2 n0 n2 then merges that condition back onto its own key.
+    # Kept as a dependency on itself, the entry stayed conditional for
+    # good, so the entries that assumed it disproved were never dropped
+    # and the second query answered disproved.
+    st = state_from(_edges([(0, 4), (0, 5), (2, 0), (2, 3), (3, 0), (3, 5),
+                            (4, 2), (5, 3)]) + REACH2)
+    assert run(st, "reach2 n4 n2").proved
+    assert run(st, "reach2 n0 n2").proved
+    assert st.tables["reach2"].counts() == (2, 0)
+
+
+def test_budget_abort_drops_entries_that_assumed_the_abandoned_call():
+    # The first query runs out of budget while reach2 n0 n1 is in progress;
+    # entries recorded on the assumption that it is disproved must go with
+    # it, or the second query reads one of them.
+    st = state_from(_edges([(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]) + REACH2,
+                    max_steps=20)
+    assert run(st, "reach2 n0 n1").inconclusive
+    assert run(st, "reach2 n1 n1").proved
+
+
+def test_entries_that_assumed_a_conditional_call_inherit_its_conditions():
+    # Proving sim n3 n0 records entries that assumed calls which themselves
+    # finished conditionally.  Left resting on those finished calls, the
+    # entries were never checked again: they fed a restart storm that ran
+    # the query out of its budget, and a "proved" entry it left answered
+    # sim n2 n0 wrongly.
+    trans = [(0, "a", 2), (0, "a", 3), (1, "a", 0), (1, "a", 1), (1, "a", 2),
+             (2, "a", 1), (3, "a", 0), (3, "b", 0)]
+    text = "".join(f"step n{p} {a} n{q}.\n" for p, a, q in trans)
+    st = state_from(text + SIM_BISIM, max_steps=2000)
+    assert run(st, "sim n3 n0").disproved
+    assert set(st.tables["sim"].entries.values()) <= {"proved", "disproved"}
+    assert run(st, "sim n2 n0").disproved
+
+
+# ---------------------------------------------------------------------------
+# Differential: verdicts against the fixed-point oracles
+# ---------------------------------------------------------------------------
+
+def _check_session(st, queries, expected, clear_at):
+    """Run queries in order; a verdict may be inconclusive, never wrong.
+
+    Between queries no call is running, so every entry left must be
+    settled: a conditional one rests on assumptions nothing will check.
+    """
+    for i, (pred, x, y) in enumerate(queries):
+        if i in clear_at:
+            clear_tables(st)
+        r = run(st, f"{pred} n{x} n{y}")
+        if not r.inconclusive:
+            assert r.proved == ((x, y) in expected[pred]), (pred, x, y, i)
+        for table in st.tables.values():
+            for key, entry in table.entries.items():
+                assert entry in ("proved", "disproved"), (key, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.data())
+def test_reach_verdicts_match_the_closure_under_any_order_and_budget(data):
+    n = data.draw(hs.integers(2, 5))
+    node = hs.integers(0, n - 1)
+    edges = data.draw(hs.sets(hs.tuples(node, node), min_size=1, max_size=2 * n))
+    budget = data.draw(hs.sampled_from([15, 30, 60, 120, 400, 2000]))
+    closure = transitive_closure(edges)
+    queries = [(p, x, y) for p in ("reach", "reach2")
+               for x in range(n) for y in range(n)]
+    data.draw(hs.randoms()).shuffle(queries)
+    clear_at = data.draw(hs.sets(hs.integers(1, len(queries) - 1), max_size=2))
+    st = state_from(_edges(sorted(edges)) + REACH_BOTH, max_steps=budget)
+    _check_session(st, queries, {"reach": closure, "reach2": closure},
+                   clear_at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.data())
+def test_sim_verdicts_match_the_greatest_fixed_points(data):
+    n = data.draw(hs.integers(2, 4))
+    state = hs.integers(0, n - 1)
+    trans = data.draw(hs.sets(hs.tuples(state, hs.sampled_from("ab"), state),
+                              min_size=1, max_size=2 * n))
+    budget = data.draw(hs.sampled_from([15, 30, 60, 120, 400, 2000]))
+    states = list(range(n))
+    expected = {"sim": gfp_sim(states, trans), "bisim": gfp_bisim(states, trans)}
+    queries = [(p, x, y) for p in ("sim", "bisim")
+               for x in range(n) for y in range(n)]
+    data.draw(hs.randoms()).shuffle(queries)
+    clear_at = data.draw(hs.sets(hs.integers(1, len(queries) - 1), max_size=2))
+    text = "".join(f"step n{p} {a} n{q}.\n" for p, a, q in sorted(trans))
+    st = state_from(text + SIM_BISIM, max_steps=budget)
+    _check_session(st, queries, expected, clear_at)
 
 
 # ---------------------------------------------------------------------------
