@@ -22,6 +22,10 @@ from __future__ import annotations
 
 import sys
 
+# Called through the module, so wrappers installed on it apply; not imported
+# inside _prove_atom, where an import statement costs time in proportion to
+# the live generator stack.
+from . import tabling
 from .errors import (
     BudgetExceeded,
     LevelError,
@@ -283,9 +287,7 @@ def _prove_atom(f, st, left, level):
             f"level-1 predicate {f.pred} reached in a level-0 context"
         )
     if st.tabling_enabled and defn.table_mode is not None:
-        from .tabling import eligible, tabled_prove
-
-        if eligible(f.args, defn.level):
+        if tabling.eligible(f.args, defn.level):
             # The producer unfolds directly; routing back through the
             # table would only meet this call's own in-progress mark.
             # Ground level-0 calls prove the same in either mode, so the
@@ -299,7 +301,8 @@ def _prove_atom(f, st, left, level):
                     for body in unfold(f.pred, f.args, st):
                         yield from prove1(body, st)
 
-            yield from tabled_prove(st, f.pred, f.args, defn, producer)
+            yield from tabling.tabled_prove(
+                st, f.pred, f.args, defn, producer)
             return
     for body in unfold(f.pred, f.args, st, left=left):
         if level == 0:

@@ -25,6 +25,14 @@ cost grows with term size return it as it is instead of walking it.
 The flag cannot go stale.  Nodes are never mutated after construction, and
 the only mutable cell, Var.binding, lives in a node that is never inert, so
 no binding made or undone later can change what an inert node contains.
+
+Canonical nodes.  An inert App may carry, in its `canon` slot, the one
+process-wide representative of its structure (built by the tabling module
+for table keys).  The slot is set lazily, the first time the node is keyed,
+so building an App costs nothing extra.  It cannot go stale for the same
+reason the flag cannot: an inert node never changes and holds no Var, so
+the structure it was canonicalised for is the structure it has for life.
+A representative never has its own slot set, so no node refers to itself.
 """
 
 from __future__ import annotations
@@ -129,7 +137,9 @@ class Lam(Term):
 
 
 class App(Term):
-    __slots__ = ("head", "args", "inert")
+    # canon (unset until keyed) and __weakref__ serve canonical nodes; see
+    # the module docstring.
+    __slots__ = ("head", "args", "inert", "canon", "__weakref__")
     __match_args__ = ("head", "args")
 
     def __init__(self, head: Term, args: tuple):

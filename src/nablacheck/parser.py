@@ -52,6 +52,13 @@ from .terms import deref
 
 KEYWORDS = {"forall", "exists", "nabla", "true"}
 
+# Deepest nesting of terms and formulas (parentheses, λs, quantifiers, `=>`)
+# the parser accepts.  Each level costs it at most five interpreter frames,
+# so a refused input fails with a ParseError well inside the recursion limit
+# a State sets (38,000 frames at the default max_depth).  Lists (`::`) do
+# not nest.
+MAX_NESTING = 5000
+
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
@@ -190,6 +197,7 @@ class _Parser:
         self.filename = filename
         self.bound: list[str] = []  # innermost binder last
         self.clause_vars: list[str] = []
+        self.depth = 0  # open term() and formula() calls
 
     # Token plumbing -------------------------------------------------------
 
@@ -216,9 +224,20 @@ class _Parser:
         t = self.peek()
         return ParseError(message, self.filename, t.line, t.col)
 
+    def descend(self):
+        """Enter one nesting level; callers step back out on return.
+
+        A ParseError leaves the count raised; funit, the one place that
+        backtracks over a failed parse, restores it.
+        """
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nested more than {MAX_NESTING} levels deep")
+
     # Terms ----------------------------------------------------------------
 
     def term(self) -> Term:
+        self.descend()
         # A binder: name followed by a backslash.
         t = self.peek()
         if t.kind in ("name", "uvar") and self.toks[self.pos + 1].kind == "punct" \
@@ -230,16 +249,22 @@ class _Parser:
                 body = self.term()
             finally:
                 self.bound.pop()
-            return Lam(body, name)
-        return self.cons_term()
+            result = Lam(body, name)
+        else:
+            result = self.cons_term()
+        self.depth -= 1
+        return result
 
     def cons_term(self) -> Term:
-        left = self.app_term()
-        if self.at("punct", "::"):
+        # `::` associates right; a loop, so list length costs no depth.
+        items = [self.app_term()]
+        while self.at("punct", "::"):
             self.next()
-            right = self.cons_term()
-            return App(Const("::"), (left, right))
-        return left
+            items.append(self.app_term())
+        t = items.pop()
+        while items:
+            t = App(Const("::"), (items.pop(), t))
+        return t
 
     def app_term(self) -> Term:
         head = self.primary()
@@ -285,11 +310,13 @@ class _Parser:
     # Formulas ---------------------------------------------------------------
 
     def formula(self) -> Formula:
-        left = self.disjunction()
+        self.descend()
+        f = self.disjunction()
         if self.at("punct", "=>"):
             self.next()
-            return Imp(left, self.formula())
-        return left
+            f = Imp(f, self.formula())
+        self.depth -= 1
+        return f
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
@@ -314,11 +341,13 @@ class _Parser:
             return self.quantified()
         # Try the term route (atom or equation); fall back to a
         # parenthesized formula, since '(' is ambiguous between the two.
-        mark = self.pos
+        mark = (self.pos, self.depth)
         try:
             return self.atom_or_eq()
         except ParseError:
-            self.pos = mark
+            if self.depth > MAX_NESTING:
+                raise
+            self.pos, self.depth = mark
             if self.at("punct", "("):
                 self.next()
                 f = self.formula()

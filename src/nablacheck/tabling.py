@@ -33,10 +33,27 @@ instantiable too).  ∇-indices are fine; two calls differing by an
 injective renaming of indices or eigenvariables get distinct keys, which
 costs sharing, never soundness.  A call abandoned by a resource limit
 leaves no entry behind, and takes the entries that assumed it along.
+
+Keys.  A call is keyed by the tuple (pred, part, ...), one part per
+βη-short argument: a constant by its name, any other variable-free
+argument by its canonical node, and an argument holding a variable, a
+∇-index or a λ by its printed text (variables spelled by kind and id).
+Canonical nodes are hash-consed: one process-wide representative per
+structure, shared by all equal terms and compared by identity, and each
+keyed App caches its representative (nodes.py).  Keying a call whose
+arguments extend already keyed terms therefore costs one lookup per new
+node, not a walk of the whole term.  No constant name contains `@`, `#`
+or a backslash, and no printed part lacks one, so parts of different kinds
+never coincide.  Row text for a table dump is printed from the parts only
+when the table is shown.
 """
 
 from __future__ import annotations
 
+import weakref
+
+from . import parser
+from .nodes import App, Const
 from .terms import has_unbound_logic_var, has_unbound_var, normalize_eta
 
 PROVED = "proved"
@@ -72,7 +89,11 @@ class _Cond:
 
 
 class Table:
-    """Entries of one tabled predicate: canonical call text -> status."""
+    """Entries of one tabled predicate: call key -> status.
+
+    A key is the tuple canonical_key builds; rows() prints it back to the
+    call's source text.
+    """
 
     __slots__ = ("pred", "mode", "entries")
 
@@ -84,7 +105,10 @@ class Table:
     def rows(self):
         """Settled entries as source-syntax lines, sorted."""
         return sorted(
-            f"{status} {key}."
+            f"{status} "
+            + " ".join(p if type(p) is str else parser.print_term(p, prec=3)
+                       for p in key)
+            + "."
             for key, status in self.entries.items()
             if status is PROVED or status is DISPROVED
         )
@@ -103,19 +127,72 @@ def eligible(args, level):
 
 
 def canonical_key(pred, args, budget=None):
-    """The canonical text of a call: βη-short arguments, printed.
+    """The key of a call: (pred, part, ...) over βη-short arguments.
 
-    Variables print by kind and id in a form no constant can spell, so a
-    call on an eigenvariable never shares a key with a call on a constant.
+    A constant argument is its name, another inert one its canonical node,
+    and any other its printed text, where variables print by kind and id in
+    a form no constant can spell; so a call on an eigenvariable never shares
+    a key with a call on a constant.  Equal keys mean structurally equal
+    arguments; the converse fails only for λs whose binder names differ,
+    which costs sharing, never soundness.
     """
-    from .parser import print_term
+    parts = [pred]
+    for a in args:
+        a = normalize_eta(a, budget)
+        if not a.inert:
+            parts.append(parser.print_term(a, prec=3, keyed=True))
+        elif type(a) is Const:
+            parts.append(a.name)
+        else:
+            parts.append(_canonical(a))
+    return tuple(parts)
 
-    if not args:
-        return pred
-    parts = [pred] + [
-        print_term(normalize_eta(a, budget), prec=3, keyed=True) for a in args
-    ]
-    return " ".join(parts)
+
+# (head name, child parts...) -> the representative App of that structure.
+# A child part is a constant's name or a child's representative, so the
+# keys of a term's representatives keep its children's alive; an entry
+# lives while anything holds its representative.  The table is a function
+# of structure alone, so every State may share it.
+_CANON = weakref.WeakValueDictionary()
+
+
+def _canonical(t):
+    """The representative of an inert App, found or built bottom-up.
+
+    Walks, with an explicit stack, only the nodes not canonicalised yet,
+    and caches each one's representative in its canon slot.
+    """
+    rep = getattr(t, "canon", None)
+    if rep is not None:
+        return rep
+    done = []  # parts of finished nodes, in walk order
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:  # all children of u are done
+            u = u[0]
+            m = len(done) - len(u.args)
+            kids = done[m:]
+            del done[m:]
+            key = (u.head.name, *kids)
+            rep = _CANON.get(key)
+            if rep is None:
+                rep = App(u.head, tuple(
+                    k if type(k) is App else a for k, a in zip(kids, u.args)))
+                _CANON[key] = rep
+            if rep is not u:  # a representative passed back in keeps none
+                u.canon = rep
+            done.append(rep)
+        elif type(u) is Const:
+            done.append(u.name)
+        else:
+            rep = getattr(u, "canon", None)
+            if rep is not None:
+                done.append(rep)
+            else:
+                todo.append((u,))
+                todo.extend(reversed(u.args))
+    return done[0]
 
 
 def _lookup(st, key):
@@ -124,7 +201,7 @@ def _lookup(st, key):
 
 
 def _table_of(st, key):
-    return st.tables.get(key.split(" ", 1)[0])
+    return st.tables.get(key[0])
 
 
 def _record_cond(st, key, cond):

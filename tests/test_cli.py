@@ -296,3 +296,21 @@ def test_deep_list_ends_inconclusive_without_a_crash(tmp_path):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "inconclusive" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_deeply_nested_input_is_a_parse_error_without_a_crash(tmp_path):
+    # 12,000 nested parentheses once overflowed the interpreter stack
+    # inside the parser; now the parser refuses them itself.
+    n = 12_000
+    num = "(s " * n + "z" + ")" * n
+    path = write(tmp_path, "nested.def",
+                 f"nat z.\nnat (s N) := nat N.\n#assert nat {num}.\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nablacheck.cli", path],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "error:" in proc.stdout and "nested more than" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr

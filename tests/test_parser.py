@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as hs
 from nablacheck.errors import ParseError
 from nablacheck.logic import And, Atom, Eq, Exists, Forall, Imp, Nabla, Or, Top
 from nablacheck.nodes import App, Bound, ClauseVar, Const, Lam
+from nablacheck.engine import State
 from nablacheck.parser import (
+    MAX_NESTING,
     AssertDirective,
     ClauseItem,
     ClearTablesDirective,
@@ -215,6 +217,25 @@ def test_parse_errors_carry_location():
         parse_term("f (a")
     with pytest.raises(ParseError):
         parse_file("p := .")
+
+
+def test_nesting_past_the_bound_is_a_parse_error():
+    State()  # raises the recursion limit to the one the CLI parses under
+    k = MAX_NESTING - 1  # parse_term's own level plus k parentheses
+    assert parse_term("(s " * k + "z" + ")" * k).inert
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_term("(s " * (k + 1) + "z" + ")" * (k + 1))
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_term("x\\ " * (k + 1) + "x")
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_formula("p => " * (k + 1) + "p")
+    # list length is not nesting
+    lst = parse_term("a::" * 3 * MAX_NESTING + "nil")
+    n = 0
+    while type(lst) is App:
+        lst = lst.args[1]
+        n += 1
+    assert n == 3 * MAX_NESTING and lst.name == "nil"
 
 
 def test_unknown_table_mode_rejected_at_registration():

@@ -1,13 +1,23 @@
 """Tables: loop handling by mode, dependency tracking, memoization, reports."""
 
+import gc
 import random
+import weakref
 
+import pytest
 from hypothesis import given, settings, strategies as hs
 
+from nablacheck import parser, tabling
 from nablacheck.engine import State
 from nablacheck.nodes import App, Bound, Const, Lam, NablaIndex
-from nablacheck.tabling import canonical_key, clear_tables, eligible, table_report
-from nablacheck.terms import app
+from nablacheck.tabling import (
+    Table,
+    canonical_key,
+    clear_tables,
+    eligible,
+    table_report,
+)
+from nablacheck.terms import Signature, app, normalize_eta, struct_eq
 
 from conftest import run, state_from
 from oracles import gfp_bisim, gfp_sim, transitive_closure
@@ -42,10 +52,16 @@ def test_eligibility_by_level(st):
 
 def test_canonical_key_is_eta_short_printed_text():
     f = Const("f")
-    assert canonical_key("p", ()) == "p"
-    assert canonical_key("p", (app(f, (Const("a"),)),)) == "p (f a)"
+    assert canonical_key("p", ()) == ("p",)
+    key = canonical_key("p", (app(f, (Const("a"),)),))
+    assert key == canonical_key("p", (app(f, (Const("a"),)),))
     # λx. f x collapses to f, so the key cannot depend on the spelling
-    assert canonical_key("p", (Lam(App(f, (Bound(0),))),)) == "p f"
+    assert canonical_key("p", (Lam(App(f, (Bound(0),))),)) == ("p", "f")
+    # the dump prints a key back as the call's text
+    table = Table("p", "inductive")
+    table.entries[key] = "proved"
+    table.entries[("p", "f")] = "disproved"
+    assert table.rows() == ["disproved p f.", "proved p (f a)."]
 
 
 def test_eigenvariable_key_never_collides_with_a_constant():
@@ -54,7 +70,132 @@ def test_eigenvariable_key_never_collides_with_a_constant():
     st = state_from("r X := X = c => false.\n#table inductive r.")
     assert run(st, "forall x. r x").disproved
     assert run(st, "r x_0").proved
-    assert sorted(st.tables["r"].entries) == ["r x@E0", "r x_0"]
+    assert len(st.tables["r"].entries) == 2
+    assert st.tables["r"].rows() == ["disproved r x@E0.", "proved r x_0."]
+
+
+# Arguments are drawn as specs and built into terms, so one spec can be
+# built fresh, with shared subterms, or behind a binding made in a State.
+_SIG = Signature()
+_EIGEN = (_SIG.fresh_eigen("x"), _SIG.fresh_eigen("x"))  # x@E0, x@E1
+
+_CONSTS = [("const", c) for c in ("a", "z", "nil", "x", "x_0", "x_1")]
+_LEAVES = _CONSTS + [("eigen", 0), ("eigen", 1), ("nabla", 0), ("nabla", 1)]
+
+
+def _specs(leaves, lam):
+    def nodes(kids):
+        out = [
+            hs.tuples(hs.just("app"), hs.sampled_from(["f", "s", "::"]),
+                      hs.lists(kids, min_size=1, max_size=3).map(tuple)),
+            hs.tuples(hs.just("eta"), kids),  # λx. t x, η-short form t
+        ]
+        if lam:
+            out.append(hs.tuples(hs.just("lam"), kids))  # λx. f x t
+        return hs.one_of(*out)
+    return hs.recursive(hs.sampled_from(leaves), nodes, max_leaves=8)
+
+
+_ARGS = hs.lists(hs.one_of(_specs(_CONSTS, False), _specs(_LEAVES, True)),
+                 min_size=1, max_size=3).map(tuple)
+
+
+def _build(spec, shared):
+    """The term of a spec; with a dict, equal specs give the same object."""
+    if shared is not None and spec in shared:
+        return shared[spec]
+    kind, x = spec[0], spec[1]
+    if kind == "const":
+        t = Const(x)
+    elif kind == "eigen":
+        t = _EIGEN[x]
+    elif kind == "nabla":
+        t = NablaIndex(x)
+    elif kind == "app":
+        t = app(Const(x), [_build(k, shared) for k in spec[2]])
+    elif kind == "eta":
+        t = Lam(app(_build(x, shared), (Bound(0),)), "x")
+    else:
+        t = Lam(app(Const("f"), (Bound(0), _build(x, shared))), "x")
+    if shared is not None:
+        shared[spec] = t
+    return t
+
+
+# Leaves that print alike on the page: eigenvariable x with id i is x_i.
+_LOOKALIKE = {("eigen", 0): ("const", "x_0"), ("eigen", 1): ("const", "x_1"),
+              ("const", "x_0"): ("eigen", 0), ("const", "x_1"): ("eigen", 1)}
+
+
+def _respell(spec, rnd, change):
+    """spec with some subterms η-expanded and, with change, a few leaves
+    swapped for look-alikes or others: a near miss."""
+    if spec[0] == "app":
+        spec = ("app", spec[1],
+                tuple(_respell(k, rnd, change) for k in spec[2]))
+    elif spec[0] in ("eta", "lam"):
+        spec = (spec[0], _respell(spec[1], rnd, change))
+    elif change and rnd.random() < 0.4:
+        spec = _LOOKALIKE.get(spec) or rnd.choice(_LEAVES)
+    return ("eta", spec) if rnd.random() < 0.3 else spec
+
+
+@pytest.fixture(scope="module")
+def two_states():
+    return State(), State()
+
+
+@settings(max_examples=400, deadline=None)
+@given(hs.data())
+def test_keys_are_equal_exactly_when_the_arguments_are(two_states, data):
+    # A collision would answer one call with another's entry: a wrong
+    # verdict.  λ binders all carry the hint x, since a key spells binder
+    # names and a differing one only costs sharing.
+    specs1 = data.draw(_ARGS)
+    rnd = data.draw(hs.randoms())
+    how2 = data.draw(hs.sampled_from(["same", "respelled", "near", "other"]))
+    if how2 == "other":
+        specs2 = data.draw(_ARGS)
+    elif how2 == "same":
+        specs2 = specs1
+    else:
+        specs2 = tuple(_respell(s, rnd, how2 == "near") for s in specs1)
+    shared = {}
+    sides = []
+    for st, specs in zip(two_states, (specs1, specs2)):
+        how = data.draw(hs.sampled_from(["fresh", "shared", "bound"]))
+        args = tuple(_build(s, shared if how == "shared" else None)
+                     for s in specs)
+        if how == "bound":  # the arguments as bindings made in a State
+            vs = tuple(st.sig.fresh_logic("X") for _ in args)
+            for v, a in zip(vs, args):
+                v.binding = a
+            args = vs
+        sides.append(args)
+    args1, args2 = sides
+    same = len(args1) == len(args2) and all(
+        struct_eq(normalize_eta(a), normalize_eta(b))
+        for a, b in zip(args1, args2))
+    assert (canonical_key("p", args1) == canonical_key("p", args2)) == same
+
+
+def test_key_of_a_50000_deep_numeral_needs_no_recursion():
+    t = Const("z")
+    for _ in range(50_000):
+        t = App(Const("s"), (t,))
+    key = canonical_key("nat", (t,))
+    # one more node is one more lookup: the part below it is reused
+    succ = canonical_key("nat", (App(Const("s"), (t,)),))
+    assert succ[1].args[0] is key[1]
+    # representatives hold no reference to themselves, so they go as soon
+    # as nothing uses them, without waiting for the cycle collector
+    rep = weakref.ref(key[1])
+    gc.disable()
+    try:
+        del t, key, succ
+        assert rep() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +205,13 @@ def test_eigenvariable_key_never_collides_with_a_constant():
 def test_inductive_self_loop_is_disproved():
     st = state_from("p := p.\n#table inductive p.")
     assert run(st, "p").disproved
-    assert st.tables["p"].entries["p"] == "disproved"
+    assert st.tables["p"].entries[("p",)] == "disproved"
 
 
 def test_coinductive_self_loop_is_proved():
     st = state_from("p := p.\n#table coinductive p.")
     assert run(st, "p").proved
-    assert st.tables["p"].entries["p"] == "proved"
+    assert st.tables["p"].entries[("p",)] == "proved"
 
 
 def test_mutual_loops():
@@ -101,7 +242,8 @@ def test_entry_conditioned_on_a_failed_assumption_is_discarded():
     # disproved" entry must go, because b reaches c through a.
     st = state_from(BACK_AND_FORTH)
     assert run(st, "reach a c").proved
-    assert st.tables["reach"].entries.get("reach b c") != "disproved"
+    key = canonical_key("reach", (Const("b"), Const("c")))
+    assert st.tables["reach"].entries.get(key) != "disproved"
     assert run(st, "reach b c").proved
 
 
@@ -291,6 +433,35 @@ def test_tabling_collapses_shared_subproblems():
     rp = run(plain, f"cost {n}")
     assert rt.proved and rp.proved
     assert rp.steps > 8 * rt.steps
+
+
+def test_tabled_fib_keys_print_nothing_and_grow_linearly(monkeypatch):
+    # Printing each key cost O(n) per call and O(n²) per fib n; canonical
+    # nodes cost a lookup per node not seen before.
+    printed = []
+    print_term = parser.print_term
+
+    def counting_print(*args, **kwargs):
+        printed.append(args[0])
+        return print_term(*args, **kwargs)
+
+    class CountingCanon(weakref.WeakValueDictionary):
+        lookups = 0
+
+        def get(self, key, default=None):
+            CountingCanon.lookups += 1
+            return super().get(key, default)
+
+    monkeypatch.setattr(parser, "print_term", counting_print)
+    lookups = []
+    for n in (100, 200, 400):
+        monkeypatch.setattr(tabling, "_CANON", CountingCanon())
+        CountingCanon.lookups = 0
+        assert run(state_from(TREE), f"cost {_peano(n)}").proved
+        lookups.append(CountingCanon.lookups)
+    assert printed == []
+    assert lookups[1] <= 2.1 * lookups[0] and lookups[2] <= 2.1 * lookups[1], \
+        lookups
 
 
 # ---------------------------------------------------------------------------
