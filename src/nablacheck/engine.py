@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import sys
 
-# Called through the module, so wrappers installed on it apply; not imported
-# inside _prove_atom, where an import statement costs time in proportion to
-# the live generator stack.
-from . import tabling
+# Called through the modules, so wrappers installed on them apply; imported
+# here, not inside the prover or the answer path, where an import statement
+# costs time in proportion to the live generator stack.
+from . import parser, tabling
 from .errors import (
     BudgetExceeded,
     LevelError,
@@ -152,10 +152,8 @@ class State:
                 f"search nesting exceeded {self.max_depth} live subgoals",
             )
         if self.trace is not None:
-            from .parser import print_formula
-
             indent = "  " * min(self.depth - 1, 40)
-            self.trace.write(f"{indent}{which} {print_formula(f)}\n")
+            self.trace.write(f"{indent}{which} {parser.print_formula(f)}\n")
 
 
 def prove0(f, st, left=False):
@@ -372,9 +370,7 @@ class Answer:
         return f"Answer({self.text()})"
 
     def text(self):
-        from .parser import print_substitution
-
-        return print_substitution(self.bindings)
+        return parser.print_substitution(self.bindings)
 
     def get(self, name):
         for n, t in self.bindings:

@@ -14,16 +14,18 @@ counting formula binders and term-level λs together.  instantiate() closes
 the outermost formula binder with a term.
 
 Clause variables (implicitly ∀-quantified at the clause head) are stored as
-ClauseVar placeholder terms; unfold() renames them apart into fresh
-variables, so two unfolds never share variables.
+ClauseVar placeholder terms; unfold() replaces them by the terms they match
+in the call or by fresh variables, so two unfolds never share variables.
 """
 
 from __future__ import annotations
 
 from .errors import IllFormedFormula, LevelError, NonPatternError
-from .nodes import App, ClauseVar, Const, Lam, Term, app
-from .terms import iter_free_vars, normalize, subst
-from .unify import FAILURE, SUCCESS, unify
+from .nodes import (
+    App, ClauseVar, Const, EigenVar, Lam, LogicVar, NablaIndex, Term, Var, app
+)
+from .terms import deref, iter_free_vars, normalize, subst
+from .unify import FAILURE, SUCCESS, bind, unify
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +251,24 @@ def classify(f, level_of=None, strict=True) -> int:
 # ---------------------------------------------------------------------------
 
 class Clause:
-    __slots__ = ("head_args", "body", "var_names", "line")
+    """One definition clause: head arguments, body and clause variables.
+
+    var_names lists the clause variables in order of first appearance,
+    head before body.  plan is the head plan unfold() walks: one step per
+    head argument, _CONST for a constant, _FIRST for the first occurrence
+    in the head of a clause variable, _OTHER for anything else.  It is
+    built with the definition's index, on the first unfold, so loading a
+    file does not pay for it.
+    """
+
+    __slots__ = ("head_args", "body", "var_names", "line", "plan")
 
     def __init__(self, head_args, body, var_names, line=None):
         self.head_args = tuple(head_args)
         self.body = body
         self.var_names = tuple(var_names)
         self.line = line
+        self.plan = None
 
 
 class Definition:
@@ -267,9 +280,10 @@ class Definition:
     flexible application, a λ or a redex, or no argument at all) is open.
     The index maps each key c to the clauses keyed c or open, in source
     order, and keeps the open clauses alone for names no clause is keyed
-    by.  candidates() builds it on first use, so loading does no extra
-    work; add_clause() drops it, since the REPL can #include more clauses
-    after queries have run.
+    by.  candidates() builds it on first use, together with the head plan
+    of every clause (see Clause), so loading does no extra work;
+    add_clause() drops it, since the REPL can #include more clauses after
+    queries have run.
     """
 
     __slots__ = (
@@ -302,7 +316,9 @@ class Definition:
         keyed, open_, arities = self._index
         if not (keyed and args) or len(args) not in arities:
             return self.clauses
-        first = normalize(args[0], budget)
+        first = deref(args[0])
+        if not first.inert:
+            first = normalize(first, budget)
         head = first.head if type(first) is App else first
         if type(head) is not Const:
             return self.clauses
@@ -336,11 +352,45 @@ def _redex_free(t):
     return True
 
 
+_CONST, _FIRST, _OTHER = "const", "first", "other"
+
+
+def _head_plan(clause):
+    seen = set()
+    plan = []
+    for pat in clause.head_args:
+        tp = type(pat)
+        if tp is Const:
+            plan.append(_CONST)
+        elif tp is ClauseVar and pat.name not in seen:
+            plan.append(_FIRST)
+        else:
+            plan.append(_OTHER)
+        seen.update(_clause_var_names(pat))
+    return tuple(plan)
+
+
+def _clause_var_names(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        tu = type(u)
+        if tu is ClauseVar:
+            yield u.name
+        elif tu is Lam:
+            stack.append(u.body)
+        elif tu is App and not u.inert:
+            stack.append(u.head)
+            stack.extend(u.args)
+
+
 def _build_index(clauses):
     keyed = {}
     open_ = []
     arities = set()
     for clause in clauses:
+        if clause.plan is None:
+            clause.plan = _head_plan(clause)
         arities.add(len(clause.head_args))
         key = _clause_key(clause)
         if key is None:
@@ -501,36 +551,79 @@ def replace_clause_vars_formula(f, env):
 def unfold(pred, args, st, left=False):
     """Yield the body instance of each clause whose head matches the atom.
 
-    Clauses are tried in source order.  Clause variables are renamed apart
-    into fresh variables at the current levels: logic variables normally,
-    eigenvariables on the left of an implication, where an unconstrained
-    premise variable reads universally.  Head unification happens in place;
-    the checkpoint is rewound once the consumer moves on, or if the clause
-    does not match.  A non-pattern head unification propagates as an error.
+    Clauses are tried in source order, only the candidates of the
+    definition's first-argument index.  The first argument is normalized
+    as unify would see it, and if its head is a constant only the clauses
+    keyed by that name or open take part.  A clause skipped this way is
+    exactly one whose head unification would return FAILURE at the
+    rigid-rigid head-name check: its first head argument is a redex-free
+    term headed by another constant, so its normalization cannot fail and
+    unification cannot raise NonPattern before that check.
 
-    Only the candidates of the definition's first-argument index are
-    tried: the first argument is normalized as unify would see it, and if
-    its head is a constant only the clauses keyed by that name or open
-    take part.  A clause skipped this way is exactly one whose head
-    unification would return FAILURE at the rigid-rigid head-name check:
-    its first head argument is a redex-free term headed by another
-    constant, so its normalization cannot fail and unification cannot
-    raise NonPattern before that check.  Verdicts, answers, their order
-    and step counts are therefore those of trying every clause; only the
-    ids of fresh variables differ, since skipped clauses make none.
+    Each clause's head plan (see Clause) is walked left to right, and each
+    step does what renaming the clause apart and unifying would do:
+
+    - a constant meets an argument that dereferences to a constant by
+      comparing names, and an unbound instantiable variable by binding it
+      on the trail;
+    - the first occurrence of a clause variable takes the dereferenced
+      argument itself as its value where unify would bind a fresh
+      variable to that very term: an inert term, a ∇-index in scope, an
+      eigenvariable introduced before (right mode), or an unbound
+      instantiable variable at or below the current levels;
+    - anything else first makes fresh variables, in var_names order, for
+      the clause variables that have no value yet, then unifies the
+      renamed argument, so NonPattern and normalization errors surface as
+      they always did and clause variables keep their relative levels.
+
+    Clause variables that occur only in the body become fresh variables
+    after the head matched.  Fresh variables are logic variables normally
+    and eigenvariables on the left of an implication, where an
+    unconstrained premise variable reads universally.  Bindings are undone
+    once the consumer moves on, or when the clause does not match.
+    Verdicts, answers, their order and step counts are those of renaming
+    every clause and unifying each head argument; only the ids of fresh
+    variables differ.
     """
     defn = st.defs.defs.get(pred)
     if defn is None:
         return
-    fresh = st.sig.fresh_eigen if left else st.sig.fresh_logic
+    sig = st.sig
+    trail = st.trail
+    fresh = sig.fresh_eigen if left else sig.fresh_logic
+    arity = len(args)
     for clause in defn.candidates(args, st.norm_budget):
-        if len(clause.head_args) != len(args):
+        if len(clause.head_args) != arity:
             continue
+        var_names = clause.var_names
         mark = st.checkpoint()
         try:
-            env = {name: fresh(name) for name in clause.var_names}
+            env = {}
             ok = True
-            for pat, arg in zip(clause.head_args, args):
+            for step, pat, arg in zip(clause.plan, clause.head_args, args):
+                if step is _CONST:
+                    a = deref(arg) if isinstance(arg, Var) else arg
+                    ta = type(a)
+                    if ta is Const:
+                        if a.name != pat.name:
+                            ok = False
+                            break
+                        continue
+                    if ta is LogicVar or (left and ta is EigenVar):
+                        bind(a, pat, trail)
+                        continue
+                    # Another constant's application, a rigid eigenvariable
+                    # or a ∇-index: unify would fail at the rigid-rigid check.
+                    if a.inert or ta is EigenVar or ta is NablaIndex:
+                        ok = False
+                        break
+                elif step is _FIRST and pat.name not in env:
+                    a = deref(arg) if isinstance(arg, Var) else arg
+                    if a.inert or _passes(a, sig, left):
+                        env[pat.name] = a
+                        continue
+                if len(env) < len(var_names):
+                    _fresh_rest(env, var_names, fresh)
                 r = unify(replace_clause_vars(pat, env), arg, st, instantiate_eigen=left)
                 if r is SUCCESS:
                     continue
@@ -539,6 +632,29 @@ def unfold(pred, args, st, left=False):
                     break
                 raise NonPatternError(r.lhs, r.rhs, r.reason)
             if ok:
+                if len(env) < len(var_names):
+                    _fresh_rest(env, var_names, fresh)
                 yield replace_clause_vars_formula(clause.body, env)
         finally:
             st.undo_to(mark)
+
+
+def _fresh_rest(env, var_names, fresh):
+    """Fresh variables, in var_names order, for the clause variables that
+    have no value yet."""
+    for name in var_names:
+        if name not in env:
+            env[name] = fresh(name)
+
+
+def _passes(a, sig, left):
+    """Would unify bind a fresh clause variable, made now, to the
+    dereferenced non-inert argument a itself?"""
+    ta = type(a)
+    if ta is NablaIndex:
+        return a.index < sig.nabla_depth
+    if ta is LogicVar or (left and ta is EigenVar):
+        return a.global_level < sig.next_global and a.local_level <= sig.nabla_depth
+    if ta is EigenVar:
+        return a.global_level < sig.next_global
+    return False

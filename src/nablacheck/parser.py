@@ -198,6 +198,9 @@ class _Parser:
         self.bound: list[str] = []  # innermost binder last
         self.clause_vars: list[str] = []
         self.depth = 0  # open term() and formula() calls
+        # Positions of '(' tokens where a parenthesized term failed to
+        # parse; funit takes the formula route there at once.
+        self.not_terms: set[int] = set()
 
     # Token plumbing -------------------------------------------------------
 
@@ -282,9 +285,14 @@ class _Parser:
     def primary(self) -> Term:
         t = self.peek()
         if t.kind == "punct" and t.text == "(":
+            start = self.pos
             self.next()
-            inner = self.term()
-            self.expect("punct", ")")
+            try:
+                inner = self.term()
+                self.expect("punct", ")")
+            except ParseError:
+                self.not_terms.add(start)
+                raise
             return inner
         if t.kind == "name":
             self.next()
@@ -341,19 +349,23 @@ class _Parser:
             return self.quantified()
         # Try the term route (atom or equation); fall back to a
         # parenthesized formula, since '(' is ambiguous between the two.
-        mark = (self.pos, self.depth)
-        try:
-            return self.atom_or_eq()
-        except ParseError:
-            if self.depth > MAX_NESTING:
-                raise
-            self.pos, self.depth = mark
-            if self.at("punct", "("):
-                self.next()
-                f = self.formula()
-                self.expect("punct", ")")
-                return f
-            raise
+        # Where a parenthesized term already failed, the term route fails
+        # again, so go straight to the formula: nested parenthesized
+        # formulas would otherwise be reparsed as terms once per level.
+        if self.pos not in self.not_terms:
+            mark = (self.pos, self.depth)
+            try:
+                return self.atom_or_eq()
+            except ParseError:
+                if self.depth > MAX_NESTING:
+                    raise
+                self.pos, self.depth = mark
+                if not self.at("punct", "("):
+                    raise
+        self.next()
+        f = self.formula()
+        self.expect("punct", ")")
+        return f
 
     def quantified(self) -> Formula:
         kw = self.next().text

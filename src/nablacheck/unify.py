@@ -32,12 +32,21 @@ shortcut is kept to inert terms on purpose: F (s z) = F (s z) is outside
 the pattern fragment and must stay NonPattern, not become a proof.  The flag
 is fixed when a node is built and no binding can reach inside an inert
 node, so it never goes stale as bindings come and go.
+
+Normalization.  unify() normalizes each side once, and not at all when
+the side is inert; two identical inert terms or two constants are answered
+without entering the unifier.  Below that, a subterm of a normal term is
+normal, so _unify only dereferences each subterm it visits (_whnf).  The
+one way a binding made by a sibling subproblem can expose a redex is by
+binding the head variable of an application, and only then is that
+application normalized again.  Pattern arguments and the terms walked by
+_abstract get the same check.
 """
 
 from __future__ import annotations
 
 from .errors import NormalizationDepthExceeded
-from .nodes import App, Bound, EigenVar, Lam, LogicVar, NablaIndex, Var, app
+from .nodes import App, Bound, Const, EigenVar, Lam, LogicVar, NablaIndex, Var, app
 from .terms import DEFAULT_NORM_BUDGET, deref, normalize
 
 
@@ -138,10 +147,20 @@ def unify(t, s, st, instantiate_eigen=False):
     level-respecting solutions.  On the other two results the trail has been
     rewound, so the state is exactly as before the call.
     """
+    if t.inert and s.inert:
+        if t is s:
+            return SUCCESS
+        if type(t) is Const and type(s) is Const:
+            return SUCCESS if t.name == s.name else FAILURE
     mark = st.trail.mark()
     budget = st.norm_budget
     try:
-        _unify(normalize(t, budget), normalize(s, budget), st, instantiate_eigen)
+        _unify(
+            t if t.inert else normalize(t, budget),
+            s if s.inert else normalize(s, budget),
+            st,
+            instantiate_eigen,
+        )
         return SUCCESS
     except _Fail:
         st.trail.undo_to(mark)
@@ -176,14 +195,20 @@ def _eta_body(u):
     return App(u, (Bound(0),))
 
 
-def _renorm(t, st):
-    """Renormalize when bindings made since may have exposed redexes."""
-    return normalize(t, st.norm_budget)
+def _whnf(t, st):
+    """t dereferenced, normalized again only if its head variable has been
+    bound since t was normalized: the one way a binding exposes a redex."""
+    t = deref(t)
+    if type(t) is App:
+        h = t.head
+        if isinstance(h, Var) and h.binding is not None:
+            return normalize(t, st.norm_budget)
+    return t
 
 
 def _unify(t, s, st, left):
-    t = _renorm(t, st)
-    s = _renorm(s, st)
+    t = _whnf(t, st)
+    s = _whnf(s, st)
     if t is s and t.inert:
         return
     tl, sl = type(t), type(s)
@@ -304,7 +329,7 @@ def _wrap_lams(body, n):
 
 
 def _bind_flex(f, fargs, rigid, st, left, flex_term):
-    fargs = [deref(a) for a in fargs]
+    fargs = [_whnf(a, st) for a in fargs]
     _check_pattern_args(f, fargs, flex_term, rigid)
     n = len(fargs)
     body = _abstract(rigid, f, fargs, 0, st, left, flex_term, rigid)
@@ -330,7 +355,7 @@ def _abstract(u, f, fargs, depth, st, left, lhs, rhs):
         if type(head) is Lam or type(head) is App:
             # A binding made while abstracting a sibling exposed a redex.
             return _abstract(
-                _renorm(u, st), f, fargs, depth, st, left, lhs, rhs
+                normalize(u, st.norm_budget), f, fargs, depth, st, left, lhs, rhs
             )
         if _is_flex(head, left):
             if head is f:
@@ -383,7 +408,7 @@ def _prune_flex(h, hargs, f, fargs, depth, st, lhs, rhs):
     f's own pattern arguments) survive; the rest force h down to a fresh
     variable over the survivors at the pointwise-minimum levels.
     """
-    hargs = [deref(a) for a in hargs]
+    hargs = [_whnf(a, st) for a in hargs]
     _check_pattern_args(h, hargs, lhs, rhs)
     n = len(fargs)
     survivors = []  # (position in hargs, translation inside f's body)
@@ -429,8 +454,8 @@ def _prune_flex(h, hargs, f, fargs, depth, st, lhs, rhs):
 def _same_var(f, targs, sargs, st, lhs, rhs):
     if len(targs) != len(sargs):
         raise _NonPat(lhs, rhs, "same variable applied at different arities")
-    targs = [deref(a) for a in targs]
-    sargs = [deref(a) for a in sargs]
+    targs = [_whnf(a, st) for a in targs]
+    sargs = [_whnf(a, st) for a in sargs]
     _check_pattern_args(f, targs, lhs, rhs)
     _check_pattern_args(f, sargs, lhs, rhs)
     n = len(targs)
@@ -445,8 +470,17 @@ def _same_var(f, targs, sargs, st, lhs, rhs):
 
 
 def _flex_flex(f, targs, h, sargs, st, lhs, rhs):
-    targs = [deref(a) for a in targs]
-    sargs = [deref(a) for a in sargs]
+    if not targs and not sargs:
+        # Bare variables: bind the one at higher levels to the other, so a
+        # variable at or below its partner's levels is left untouched.
+        if h.global_level <= f.global_level and h.local_level <= f.local_level:
+            bind(f, h, st.trail)
+            return
+        if f.global_level <= h.global_level and f.local_level <= h.local_level:
+            bind(h, f, st.trail)
+            return
+    targs = [_whnf(a, st) for a in targs]
+    sargs = [_whnf(a, st) for a in sargs]
     _check_pattern_args(f, targs, lhs, rhs)
     _check_pattern_args(h, sargs, lhs, rhs)
     g = min(f.global_level, h.global_level)

@@ -116,6 +116,21 @@ def test_consequent_may_not_pin_outer_variables():
     assert "Y" in str(r.error)
 
 
+def test_consequent_may_leave_outer_variables_free():
+    # Matching a clause variable, or an inner ∃ variable, against an outer
+    # variable must bind only the newer variable: binding both to a third
+    # one counted as instantiating the outer variable.
+    st = state_from("q Y.\nq2 (f Y).\nr a.")
+    for query in (
+        "exists X. (r a => q X)",
+        "exists X. (r a => q2 (f X))",
+        "exists X. (r a => exists Y. Y = X)",
+    ):
+        r = run(st, query)
+        assert r.proved, (query, r.error)
+        assert [a.text() for a in r.answers] == ["X = ?0"], query
+
+
 def test_nested_implication_antecedent_rejected():
     st = state_from("p. q. r.")
     r = run(st, "(p => q) => r")

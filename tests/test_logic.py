@@ -253,6 +253,15 @@ def _query_texts():
     yield "forall x y. p x y => false"
     yield "nabla n. p n b => false"
     yield "forall x. p (f x) a => false"
+    # Partially bound lists, also reached through a bound variable.
+    yield "exists Z Y. p (a::Z) Y"
+    yield "exists Y. p (f a) (b::Y)"
+    yield "exists Z Y. Z = (a::Y) /\\ p Z Z"
+    yield "exists Z Y. Z = (f Y) /\\ p Z Y"
+    # In an implication's consequent, which may not instantiate X.
+    yield "exists X. (q a => p a X)"
+    yield "exists X. (q a => exists Y. p X Y)"
+    yield "forall x. (q x => exists Y. p x Y)"
 
 
 def _outcome(st, text):
@@ -294,14 +303,17 @@ def test_index_is_rebuilt_after_clauses_are_added():
 
 
 def test_head_unifications_grow_linearly_along_a_chain(monkeypatch):
-    calls = [0]
-    real_unify = logic.unify
+    # Counts the clauses unfold tries, as head unification mostly happens
+    # without calling unify.
+    tried = [0]
+    real_candidates = logic.Definition.candidates
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return real_unify(*args, **kwargs)
+    def counted(self, args, budget):
+        clauses = real_candidates(self, args, budget)
+        tried[0] += len(clauses)
+        return clauses
 
-    monkeypatch.setattr(logic, "unify", counted)
+    monkeypatch.setattr(logic.Definition, "candidates", counted)
     counts = []
     for n in (16, 32, 64):
         edges = "".join(f"edge n{i} n{i + 1}.\n" for i in range(n - 1))
@@ -311,10 +323,71 @@ def test_head_unifications_grow_linearly_along_a_chain(monkeypatch):
             + "reach X Y := edge X Z /\\ reach Z Y.\n"
             + "#table inductive reach.\n"
         )
-        calls[0] = 0
+        tried[0] = 0
         assert run(st, f"reach n0 n{n - 1}").proved
         assert run(st, f"reach n{n - 1} n0").disproved
-        counts.append(calls[0])
+        counts.append(tried[0])
     # Trying every edge clause on each call made this grow as n squared.
+    assert counts[0] > 0
     assert counts[1] <= 2.2 * counts[0], counts
     assert counts[2] <= 2.2 * counts[1], counts
+
+
+# ---------------------------------------------------------------------------
+# Head plans: matching without renaming or unify
+# ---------------------------------------------------------------------------
+
+ADDER = """
+xor2 0 0 0.  xor2 0 1 1.  xor2 1 0 1.  xor2 1 1 0.
+and2 0 0 0.  and2 0 1 0.  and2 1 0 0.  and2 1 1 1.
+or2  0 0 0.  or2  0 1 1.  or2  1 0 1.  or2  1 1 1.
+full_adder A B Cin S Cout :=
+  exists P G H.
+    xor2 A B P /\\ xor2 P Cin S /\\
+    and2 A B G /\\ and2 P Cin H /\\ or2 G H Cout.
+adder3 A2 A1 A0 B2 B1 B0 C S2 S1 S0 :=
+  exists C0 C1.
+    full_adder A0 B0 0 S0 C0 /\\
+    full_adder A1 B1 C0 S1 C1 /\\
+    full_adder A2 B2 C1 S2 C.
+"""
+
+
+def test_constant_heads_and_first_occurrences_match_without_unify(monkeypatch):
+    calls = [0]
+    real_unify = logic.unify
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real_unify(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "unify", counted)
+    st = state_from(ADDER)
+    assert run(st, "and2 1 1 1").proved
+    assert run(st, "and2 1 0 1").disproved
+    assert run(st, "adder3 1 0 1 0 1 1 1 0 0 0").proved
+    assert run(st, "adder3 0 0 1 0 0 1 0 0 0 1").disproved
+    r = run(st, "exists C S2 S1 S0. adder3 1 1 1 0 0 1 C S2 S1 S0")
+    assert [a.text() for a in r.answers] == ["C = 1, S2 = 0, S1 = 0, S0 = 0"]
+    assert calls[0] == 0
+
+
+def test_first_occurrence_heads_make_fresh_variables_only_for_body_names():
+    st = state_from(ADDER + "tri X Y := edge X Z /\\ edge Z Y.\n")
+    st.defs.ensure("edge")
+    s = st.sig.fresh_logic("S")
+    c = st.sig.fresh_logic("C")
+    one, zero = Const("1"), Const("0")
+    before = st.sig._next_id
+    bodies = 0
+    for body in unfold("full_adder", (one, zero, one, s, c), st):
+        bodies += 1
+        assert st.sig._next_id == before
+        terms = list(logic.formula_terms(body))
+        assert any(t is c for t in terms) and any(t is one for t in terms)
+    assert bodies == 1
+    for body in unfold("tri", (one, c), st):
+        bodies += 1
+        assert st.sig._next_id == before + 1
+    assert bodies == 2
+    assert deref(s) is s and deref(c) is c

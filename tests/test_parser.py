@@ -238,6 +238,31 @@ def test_nesting_past_the_bound_is_a_parse_error():
     assert n == 3 * MAX_NESTING and lst.name == "nil"
 
 
+def test_nested_parenthesized_formulas_parse_in_linear_work(monkeypatch):
+    # '(' opens a term or a formula, and the term route is tried first.
+    # Once it failed at one '(', it is not tried again one level further
+    # in, which made each level reparse every level inside it.
+    from nablacheck import parser
+
+    calls = [0]
+    primary = parser._Parser.primary
+
+    def counted(self):
+        calls[0] += 1
+        return primary(self)
+
+    monkeypatch.setattr(parser._Parser, "primary", counted)
+    counts = []
+    for n in (25, 50, 100):
+        calls[0] = 0
+        f = parse_formula("(" * n + "p /\\ (q a) = (q a)" + ")" * n + " /\\ r")
+        assert type(f) is And and type(f.left) is And
+        assert type(f.left.right) is Eq
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0], counts
+    assert counts[2] <= 2.2 * counts[1], counts
+
+
 def test_unknown_table_mode_rejected_at_registration():
     from nablacheck.errors import NablaCheckError
     from nablacheck.logic import DefSet

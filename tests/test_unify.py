@@ -11,6 +11,7 @@ from nablacheck.terms import (
     normalize,
     struct_eq,
 )
+from nablacheck import unify as unify_mod
 from nablacheck.unify import FAILURE, SUCCESS, NonPattern, Trail, UnifyCtx, unify
 
 a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
@@ -173,6 +174,89 @@ def test_flex_flex_bare_variables_alias():
     y = st.sig.fresh_logic("Y")
     assert unify(x, y, st) is SUCCESS
     assert deref(x) is deref(y)
+
+
+def test_bare_variables_bind_only_the_one_at_higher_levels():
+    st = ctx()
+    x = st.sig.fresh_logic("X")
+    y = st.sig.fresh_logic("Y")
+    for lhs, rhs in ((x, y), (y, x)):
+        mark = st.trail.mark()
+        assert unify(lhs, rhs, st) is SUCCESS
+        assert st.trail.bound_since(mark) == [y]
+        assert deref(y) is x and x.binding is None
+        st.trail.undo_to(mark)
+    # Incomparable levels: each may see something the other may not, so
+    # both are bound to a new variable at the lower levels.
+    u = st.sig.fresh_like(x, 1, 0)
+    v = st.sig.fresh_like(x, 0, 1)
+    mark = st.trail.mark()
+    assert unify(u, v, st) is SUCCESS
+    assert len(st.trail.bound_since(mark)) == 2
+    k = deref(u)
+    assert k is deref(v) and (k.global_level, k.local_level) == (0, 0)
+
+
+def _count_normalize(monkeypatch):
+    calls = [0]
+    real = unify_mod.normalize
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(unify_mod, "normalize", counted)
+    return calls
+
+
+def test_each_side_is_normalized_at_most_once(monkeypatch):
+    calls = _count_normalize(monkeypatch)
+    st = ctx()
+    x = st.sig.fresh_logic("X")
+    y = st.sig.fresh_logic("Y")
+    z = st.sig.fresh_logic("Z")
+    lhs = app(f, (x, app(g, (y, a)), y))
+    rhs = app(f, (app(g, (b,)), app(g, (z, a)), app(g, (b,))))
+    assert unify(lhs, rhs, st) is SUCCESS
+    assert calls[0] == 2
+    assert equal_modulo(lhs, rhs)
+    # An inert side is not normalized; two constants need no normalization.
+    calls[0] = 0
+    w = st.sig.fresh_logic("W")
+    assert unify(w, app(g, (a, b)), st) is SUCCESS
+    assert calls[0] == 1
+    calls[0] = 0
+    assert unify(a, Const("a"), st) is SUCCESS
+    assert unify(a, b, st) is FAILURE
+    assert calls[0] == 0
+
+
+def test_redex_exposed_by_a_sibling_binding_is_normalized(monkeypatch):
+    calls = _count_normalize(monkeypatch)
+    st = ctx()
+    fv = st.sig.fresh_logic("F")
+    lhs = app(f, (fv, app(fv, (a,))))
+    two = Lam(app(g, (Bound(0), Bound(0))))
+    assert unify(lhs, app(f, (two, app(g, (a, b)))), st) is FAILURE
+    calls[0] = 0
+    assert unify(lhs, app(f, (two, app(g, (a, a)))), st) is SUCCESS
+    # Once per side, and once more for F a after F was bound.
+    assert calls[0] == 3
+    assert struct_eq(normalize(lhs), app(f, (two, app(g, (a, a)))))
+
+
+def test_pattern_argument_exposed_as_a_redex_is_normalized():
+    # The first argument binds X to an application K e of a new variable
+    # K, the second binds K to the identity, so F X is the pattern F e.
+    st = ctx()
+    fv = st.sig.fresh_logic("F")
+    h = st.sig.fresh_logic("H")
+    e = st.sig.fresh_eigen("e")
+    x = st.sig.fresh_logic("X")
+    lhs = app(f, (x, h, app(fv, (x,))))
+    rhs = app(f, (app(h, (e,)), Lam(Bound(0)), app(fv, (e,))))
+    assert unify(lhs, rhs, st) is SUCCESS
+    assert equal_modulo(lhs, rhs)
 
 
 def test_eigenvariables_are_rigid_unless_asked():
