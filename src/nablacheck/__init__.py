@@ -9,7 +9,6 @@ success, and exports the finished table as a certificate.
 """
 
 from .engine import Answer, Result, State, prove0, prove1, solve, solve_iter
-from .kernel import BACKEND
 from .logic import DefSet, classify
 from .parser import (
     parse_file,
@@ -19,7 +18,7 @@ from .parser import (
     print_formula,
     print_term,
 )
-from .terms import Signature, equal_modulo, normalize
+from .terms import BACKEND, Signature, equal_modulo, normalize
 
 __version__ = "0.1.0"
 

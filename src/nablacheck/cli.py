@@ -254,7 +254,7 @@ def main(argv=None):
     )
     ap.add_argument(
         "--trace", action="store_true",
-        help="log every prover dispatch to stdout",
+        help="log every prover dispatch to stderr",
     )
     args = ap.parse_args(argv)
 
@@ -267,7 +267,7 @@ def main(argv=None):
         max_steps=budget,
         norm_budget=args.norm_budget,
         tabling=not args.no_tabling,
-        trace=out if args.trace else None,
+        trace=sys.stderr if args.trace else None,
     )
     worst = OK
     warned = set()

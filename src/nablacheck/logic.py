@@ -24,7 +24,7 @@ from .errors import IllFormedFormula, LevelError, NonPatternError
 from .nodes import (
     App, ClauseVar, Const, EigenVar, Lam, LogicVar, NablaIndex, Term, Var, app
 )
-from .terms import deref, iter_free_vars, normalize, subst
+from .terms import deref, normalize, subst
 from .unify import FAILURE, SUCCESS, bind, unify
 
 
@@ -159,18 +159,6 @@ def formula_terms(f):
             stack.append(g.right)
         elif tg is Exists or tg is Forall or tg is Nabla:
             stack.append(g.body)
-
-
-def free_vars(f):
-    """Unbound variables reachable in f, deduplicated, in discovery order."""
-    seen = set()
-    out = []
-    for t in formula_terms(f):
-        for v in iter_free_vars(t):
-            if id(v) not in seen:
-                seen.add(id(v))
-                out.append(v)
-    return out
 
 
 def formula_preds(f, acc=None):

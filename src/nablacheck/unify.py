@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from .errors import NormalizationDepthExceeded
 from .nodes import App, Bound, Const, EigenVar, Lam, LogicVar, NablaIndex, Var, app
-from .terms import DEFAULT_NORM_BUDGET, deref, normalize
+from .terms import DEFAULT_NORM_BUDGET, deref, normalize, shift
 
 
 class Trail:
@@ -187,8 +187,6 @@ def _spine(t):
 
 def _eta_body(u):
     """Body of the η-expansion of a non-abstraction u."""
-    from .terms import shift
-
     u = shift(u, 1)
     if type(u) is App:
         return App(u.head, u.args + (Bound(0),))

@@ -179,11 +179,13 @@ def test_show_table_dumps_certificate(tmp_path):
     assert "disproved lose z." in out
 
 
-def test_trace_logs_dispatches(tmp_path):
+def test_trace_logs_dispatches(tmp_path, capsys):
     f = write(tmp_path, "m.def", MEMB)
     code, out = run_cli([f, "--query", "memb a (a::nil)", "--trace"])
     assert code == 0
-    assert "p0  memb a (a::nil)" in out
+    assert "p0  memb a (a::nil)" in capsys.readouterr().err
+    # the dispatch log stays off stdout, which holds the answers only
+    assert out.splitlines() == ["yes", "% proved (1 answer)"]
 
 
 # ---------------------------------------------------------------------------

@@ -265,21 +265,20 @@ def test_step_counter_counts_work():
 
 
 def test_normalization_work_grows_linearly_with_list_length(monkeypatch):
-    # Counts calls of the pure kernel's normal-form walk, not time, so the
+    # Counts calls of the kernel's normal-form walk, not time, so the
     # bound holds on any machine.  Each step of len binds the list's tail,
     # which must not be walked again: a pass over the tail per step would
     # make each doubling cost about four times as much.
-    from nablacheck import _kernel_py, terms
+    from nablacheck import terms
 
-    nf = _kernel_py._nf
+    nf = terms._nf
     calls = [0]
 
     def counted(t, fuel):
         calls[0] += 1
         return nf(t, fuel)
 
-    monkeypatch.setattr(_kernel_py, "_nf", counted)
-    monkeypatch.setattr(terms, "_kernel_normalize", _kernel_py.normalize)
+    monkeypatch.setattr(terms, "_nf", counted)
     counts = []
     for n in (100, 200, 400):
         st = state_from("len nil z.\nlen (X::L) (s N) := len L N.")

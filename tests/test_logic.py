@@ -9,7 +9,6 @@ import nablacheck.engine as engine
 import nablacheck.logic as logic
 from nablacheck.errors import IllFormedFormula, LevelError, NonPatternError
 from nablacheck.logic import (
-    And,
     Atom,
     DefSet,
     Eq,
@@ -18,7 +17,6 @@ from nablacheck.logic import (
     Top,
     classify,
     formula_preds,
-    free_vars,
     instantiate,
     replace_clause_vars,
     replace_clause_vars_formula,
@@ -112,16 +110,9 @@ def test_false_is_predeclared_and_empty():
     assert ds.defs["false"].clauses == []
 
 
-def test_formula_preds_and_free_vars():
+def test_formula_preds():
     f = parse_formula("forall X. p X a => q X \\/ r b")
     assert formula_preds(f) == {"p", "q", "r"}
-    st = state_from("p X a.")
-    u = st.sig.fresh_logic("U")
-    v = st.sig.fresh_eigen("v")
-    goal = And(Atom("p", (u,)), Eq(v, u))
-    got = free_vars(goal)
-    assert {w.name for w in got} == {"U", "v"}
-    assert len(got) == 2  # deduplicated: U occurs twice
 
 
 def test_instantiate_replaces_the_bound_variable():
