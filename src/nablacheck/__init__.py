@@ -1,14 +1,15 @@
 """nablacheck: proof search for a two-level definitional logic.
 
 The logic has definitions read as fixed points, λ-tree term syntax, a
-fresh-name quantifier ∇ alongside ∀ and ∃, and two cooperating provers: a
-Level-0 prover that enumerates answer substitutions and a Level-1 prover
-whose implication rule checks every Level-0 answer.  Tabling caches closed
+fresh-name quantifier ∇ alongside ∀ and ∃, and one prover that runs in
+three modes: Level 0 enumerates answer substitutions, Level 0 on the left
+of an implication does case analysis over them, and Level 1, whose
+implication rule checks every case, adds ∀ and =>.  Tabling caches closed
 subgoals, turns inductive loops into failure and coinductive loops into
 success, and exports the finished table as a certificate.
 """
 
-from .engine import Answer, Result, State, prove0, prove1, solve, solve_iter
+from .engine import Answer, Result, State, prove, solve, solve_iter
 from .logic import DefSet, classify
 from .parser import (
     parse_file,
@@ -39,8 +40,7 @@ __all__ = [
     "parse_term",
     "print_formula",
     "print_term",
-    "prove0",
-    "prove1",
+    "prove",
     "solve",
     "solve_iter",
 ]

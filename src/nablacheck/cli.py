@@ -20,7 +20,7 @@ import sys
 
 from .engine import DEFAULT_STEP_BUDGET, State, solve, solve_iter
 from .errors import NablaCheckError, ParseError
-from .logic import DefSet
+from .logic import DefSet, Formula
 from .parser import (
     AssertDirective,
     ClauseItem,
@@ -164,8 +164,6 @@ def run_interaction(text, st, out, inp):
     except ParseError as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE
-    from .logic import Formula
-
     if not isinstance(stmt, Formula):
         try:
             return apply_directive(stmt, st, out)

@@ -1,18 +1,18 @@
-"""The two cooperating provers and the query driver.
+"""The prover and the query driver.
 
-prove0 handles the restricted grammar (⊤, =, ∧, ∨, ∃, ∇, atoms): it is a
-backtracking enumerator whose answers are substitution states, delivered by
-yielding with the bindings in place on the shared trail.  prove1 adds ∀ and
-implication.  An implication A => B is proved by enumerating every answer of
-A with prove0 and checking B under each one; the answer stream of A is the
-case analysis, so A must not contain free logic variables when the check
-starts, and a proof of B may not instantiate variables the answers left
-free.  prove0 runs on the left of an implication in a different mode: there
-the sequent's eigenvariables are instantiable, which is what turns clause
-matching into case analysis.
+One prover, prove(), runs in three modes.  RIGHT0 handles the restricted
+grammar (⊤, =, ∧, ∨, ∃, ∇, atoms): it is a backtracking enumerator whose
+answers are substitution states, delivered by yielding with the bindings in
+place on the shared trail.  ONE adds ∀ and implication.  An implication
+A => B is proved by enumerating every answer of A in LEFT0 and checking B
+under each one; the answer stream of A is the case analysis, so A must not
+contain free logic variables when the check starts, and a proof of B may not
+instantiate variables the answers left free.  LEFT0 is the level-0 grammar
+on the left of an implication: there the sequent's eigenvariables are
+instantiable, which is what turns clause matching into case analysis.
 
-Both provers restore their bindings when a consumer stops early, so closing
-a generator always leaves the state as it was found.  Step accounting: every
+The prover restores its bindings when a consumer stops early, so closing a
+generator always leaves the state as it was found.  Step accounting: every
 prover dispatch ticks one unit against the per-query budget, and the nesting
 of live generators is capped separately so runaway descent fails as a
 budget error instead of exhausting the interpreter stack.
@@ -42,6 +42,7 @@ from .logic import (
     Eq,
     Exists,
     Forall,
+    Formula,
     Imp,
     Nabla,
     Or,
@@ -65,12 +66,19 @@ from .unify import FAILURE, SUCCESS, Trail, unify
 DEFAULT_STEP_BUDGET = 1000000
 DEFAULT_MAX_DEPTH = 6000
 
+# Prover modes: level 0 on the right, level 0 on the left of an implication
+# (case analysis), and level 1.  _LABEL holds each mode's --trace label.
+RIGHT0, LEFT0, ONE = 0, 1, 2
+_LABEL = ("p0 ", "p0<", "p1 ")
+
 __all__ = [
     "State",
     "Answer",
     "Result",
-    "prove0",
-    "prove1",
+    "prove",
+    "RIGHT0",
+    "LEFT0",
+    "ONE",
     "solve",
     "solve_iter",
     "DEFAULT_STEP_BUDGET",
@@ -156,25 +164,26 @@ class State:
             self.trace.write(f"{indent}{which} {parser.print_formula(f)}\n")
 
 
-def prove0(f, st, left=False):
-    """Enumerate the answers of a restricted formula.
+def prove(f, st, mode=ONE):
+    """Enumerate the answers of a formula in one of the three modes.
 
     Yields once per answer with the bindings in place; backtracking happens
     by resuming, and all bindings are undone when the generator is exhausted
-    or closed.  With left=True eigenvariables are instantiable (the case
-    analysis mode used inside implication antecedents) and fresh clause and
-    ∃ variables are introduced as eigenvariables, reading the antecedent's
-    own quantifiers universally.
+    or closed.  RIGHT0 and LEFT0 accept only the level-0 grammar.  In LEFT0
+    (an implication's antecedent) eigenvariables are instantiable and fresh
+    clause and ∃ variables are introduced as eigenvariables, reading the
+    antecedent's own quantifiers universally.  ONE adds ∀ and implication,
+    and hands each level-0 atom to RIGHT0 as a dispatch of its own.
     """
     st.tick()
-    st._enter(f, "p0<" if left else "p0 ")
+    st._enter(f, _LABEL[mode])
     try:
         tf = type(f)
         if tf is Top:
             yield
         elif tf is Eq:
             mark = st.trail.mark()
-            r = unify(f.lhs, f.rhs, st, instantiate_eigen=left)
+            r = unify(f.lhs, f.rhs, st, instantiate_eigen=mode == LEFT0)
             if r is SUCCESS:
                 try:
                     yield
@@ -183,17 +192,20 @@ def prove0(f, st, left=False):
             elif r is not FAILURE:
                 raise NonPatternError(r.lhs, r.rhs, r.reason)
         elif tf is And:
-            for _ in prove0(f.left, st, left):
-                yield from prove0(f.right, st, left)
+            for _ in prove(f.left, st, mode):
+                yield from prove(f.right, st, mode)
         elif tf is Or:
-            yield from prove0(f.left, st, left)
-            yield from prove0(f.right, st, left)
+            yield from prove(f.left, st, mode)
+            yield from prove(f.right, st, mode)
         elif tf is Exists:
             cp = st.checkpoint()
-            v = st.sig.fresh_eigen(f.name) if left else st.sig.fresh_logic(f.name)
+            if mode == LEFT0:
+                v = st.sig.fresh_eigen(f.name)
+            else:
+                v = st.sig.fresh_logic(f.name)
             body = instantiate(f.body, v)
             try:
-                yield from prove0(body, st, left)
+                yield from prove(body, st, mode)
             finally:
                 st.undo_to(cp)
         elif tf is Nabla:
@@ -201,112 +213,55 @@ def prove0(f, st, left=False):
             body = instantiate(f.body, NablaIndex(d))
             st.sig.nabla_depth = d + 1
             try:
-                yield from prove0(body, st, left)
+                yield from prove(body, st, mode)
             finally:
                 st.sig.nabla_depth = d
         elif tf is Atom:
-            yield from _prove_atom(f, st, left, level=0)
-        else:
-            raise LevelError(
-                f"{type(f).__name__} is not a level-0 connective"
-            )
-    finally:
-        st.depth -= 1
+            defn = st.defs.defs.get(f.pred)
+            if defn is None:
+                raise UndefinedPredicate(f.pred)
+            if defn.level == 0:
+                if mode == ONE:
+                    yield from prove(f, st, RIGHT0)
+                    return
+            elif mode != ONE:
+                raise LevelError(
+                    f"level-1 predicate {f.pred} reached in a level-0 context"
+                )
+            if (st.tabling_enabled and defn.table_mode is not None
+                    and tabling.eligible(f.args, defn.level)):
+                # The producer unfolds directly; routing back through the
+                # table would only meet this call's own in-progress mark.
+                # Ground level-0 calls prove the same in either mode, so
+                # the producer always runs on the right and the entry is
+                # shared.
+                body_mode = RIGHT0 if defn.level == 0 else ONE
 
+                def producer():
+                    for body in unfold(f.pred, f.args, st):
+                        yield from prove(body, st, body_mode)
 
-def prove1(f, st):
-    """Enumerate the answers of a full formula (adds ∀ and =>)."""
-    st.tick()
-    st._enter(f, "p1 ")
-    try:
-        tf = type(f)
-        if tf is Top:
-            yield
-        elif tf is Eq:
-            mark = st.trail.mark()
-            r = unify(f.lhs, f.rhs, st)
-            if r is SUCCESS:
-                try:
-                    yield
-                finally:
-                    st.trail.undo_to(mark)
-            elif r is not FAILURE:
-                raise NonPatternError(r.lhs, r.rhs, r.reason)
-        elif tf is And:
-            for _ in prove1(f.left, st):
-                yield from prove1(f.right, st)
-        elif tf is Or:
-            yield from prove1(f.left, st)
-            yield from prove1(f.right, st)
-        elif tf is Exists:
-            cp = st.checkpoint()
-            v = st.sig.fresh_logic(f.name)
-            body = instantiate(f.body, v)
-            try:
-                yield from prove1(body, st)
-            finally:
-                st.undo_to(cp)
+                yield from tabling.tabled_prove(
+                    st, f.pred, f.args, defn, producer)
+            else:
+                for body in unfold(f.pred, f.args, st, left=mode == LEFT0):
+                    yield from prove(body, st, mode)
+        elif mode != ONE and isinstance(f, Formula):
+            raise LevelError(f"{tf.__name__} is not a level-0 connective")
         elif tf is Forall:
             cp = st.checkpoint()
             v = st.sig.fresh_eigen(f.name)
             body = instantiate(f.body, v)
             try:
-                yield from prove1(body, st)
+                yield from prove(body, st, mode)
             finally:
                 st.undo_to(cp)
-        elif tf is Nabla:
-            d = st.sig.nabla_depth
-            body = instantiate(f.body, NablaIndex(d))
-            st.sig.nabla_depth = d + 1
-            try:
-                yield from prove1(body, st)
-            finally:
-                st.sig.nabla_depth = d
         elif tf is Imp:
             yield from _prove_imp(f, st)
-        elif tf is Atom:
-            level = st.defs.level(f.pred)
-            if level == 0:
-                yield from prove0(f, st)
-            else:
-                yield from _prove_atom(f, st, False, level=1)
         else:
             raise TypeError(f"not a formula: {f!r}")
     finally:
         st.depth -= 1
-
-
-def _prove_atom(f, st, left, level):
-    defn = st.defs.defs.get(f.pred)
-    if defn is None:
-        raise UndefinedPredicate(f.pred)
-    if level == 0 and defn.level != 0:
-        raise LevelError(
-            f"level-1 predicate {f.pred} reached in a level-0 context"
-        )
-    if st.tabling_enabled and defn.table_mode is not None:
-        if tabling.eligible(f.args, defn.level):
-            # The producer unfolds directly; routing back through the
-            # table would only meet this call's own in-progress mark.
-            # Ground level-0 calls prove the same in either mode, so the
-            # producer always runs on the right and the entry is shared.
-            if defn.level == 0:
-                def producer():
-                    for body in unfold(f.pred, f.args, st):
-                        yield from prove0(body, st)
-            else:
-                def producer():
-                    for body in unfold(f.pred, f.args, st):
-                        yield from prove1(body, st)
-
-            yield from tabling.tabled_prove(
-                st, f.pred, f.args, defn, producer)
-            return
-    for body in unfold(f.pred, f.args, st, left=left):
-        if level == 0:
-            yield from prove0(body, st, left)
-        else:
-            yield from prove1(body, st)
 
 
 def _prove_imp(f, st):
@@ -323,11 +278,11 @@ def _prove_imp(f, st):
     for t in formula_terms(a):
         if has_unbound_logic_var(t):
             raise NonGroundAntecedent(a)
-    for _ in prove0(a, st, left=True):
+    for _ in prove(a, st, LEFT0):
         id_floor = st.sig._next_id
         mark_b = st.trail.mark()
         holds = False
-        gen = prove1(b, st)
+        gen = prove(b, st)
         try:
             for _ in gen:
                 escaped = [
@@ -455,8 +410,7 @@ def solve_iter(goal, st):
             names.append(g.name)
             variables.append(v)
             g = instantiate(g.body, v)
-        prover = prove0(g, st) if level == 0 else prove1(g, st)
-        for _ in prover:
+        for _ in prove(g, st, RIGHT0 if level == 0 else ONE):
             yield _reify(names, variables, st.norm_budget)
     finally:
         st.undo_to(cp)

@@ -35,6 +35,7 @@ from .logic import (
     Nabla,
     Or,
     Top,
+    formula_terms,
 )
 from .nodes import (
     App,
@@ -649,7 +650,7 @@ def print_formula(f, env=None, prec=0, avoid=None) -> str:
         env = []
     if avoid is None:
         avoid = set()
-        for t in _formula_terms(f):
+        for t in formula_terms(f):
             _const_names(t, avoid)
     tf = type(f)
     if tf is Top:
@@ -692,12 +693,6 @@ def print_formula(f, env=None, prec=0, avoid=None) -> str:
     body = print_formula(f.body, env + [name], 1, avoid)
     s = f"{kw} {name}. {body}"
     return f"({s})" if prec > 1 else s
-
-
-def _formula_terms(f):
-    from .logic import formula_terms
-
-    return formula_terms(f)
 
 
 def print_substitution(pairs) -> str:

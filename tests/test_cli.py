@@ -1,6 +1,8 @@
 """The nabla-check command: batch runs, queries, the interactive loop."""
 
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -316,3 +318,52 @@ def test_deeply_nested_input_is_a_parse_error_without_a_crash(tmp_path):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "error:" in proc.stdout and "nested more than" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The README's first file, run as shown
+# ---------------------------------------------------------------------------
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_first_file():
+    """The code blocks of the README's "A first file" section: the file,
+    the shell transcript and the interactive session."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## A first file\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```\n")[1::2]
+
+
+def test_readme_first_file_transcript(tmp_path, monkeypatch):
+    source, transcript, _ = readme_first_file()
+    (tmp_path / "lists.def").write_text(source)
+    monkeypatch.chdir(tmp_path)
+    commands = transcript.split("$ nabla-check")[1:]
+    assert any("--max-answers 4" in c for c in commands)
+    for command in commands:
+        line, _, shown = command.partition("\n")
+        code, out = run_cli(shlex.split(line))
+        assert code == 0
+        assert out == shown.rstrip("\n") + "\n", line
+
+
+def test_readme_first_file_session(tmp_path, monkeypatch):
+    # Each prompt line shows the prompt and what was typed after it; with
+    # input from a pipe nothing is echoed, so stdout holds the prompt alone.
+    # At the end of input the loop prints one more prompt and a newline.
+    source, _, session = readme_first_file()
+    (tmp_path / "lists.def").write_text(source)
+    monkeypatch.chdir(tmp_path)
+    typed, shown = [], []
+    for line in session.splitlines()[1:]:
+        for prompt in ("?= ", "more (;) ? "):
+            if line.startswith(prompt.rstrip()):
+                typed.append(line[len(prompt):] + "\n")
+                shown.append(prompt)
+                break
+        else:
+            shown.append(line + "\n")
+    code, out = run_cli([], "".join(typed))
+    assert code == 0
+    assert out == "".join(shown) + "?= \n"

@@ -1,8 +1,10 @@
 """Proof search: both prover levels, the implication rule, budgets, answers."""
 
+import io
+
 import pytest
 
-from nablacheck.engine import State, solve, solve_iter
+from nablacheck.engine import LEFT0, ONE, RIGHT0, State, prove, solve, solve_iter
 from nablacheck.errors import (
     IllFormedFormula,
     BudgetExceeded,
@@ -11,6 +13,7 @@ from nablacheck.errors import (
     OuterVariableEscape,
     UndefinedPredicate,
 )
+from nablacheck.logic import Atom, Forall, Imp, Top
 from nablacheck.parser import parse_query, print_term
 
 from conftest import run, state_from
@@ -143,6 +146,25 @@ def test_implication_with_nabla_in_antecedent():
     assert run(st, "nabla x. memb x (a::x::nil) => memb x (x::nil)").proved
 
 
+def test_level_zero_atoms_run_in_the_mode_of_their_side():
+    # A level-1 predicate reaches memb on both sides of an implication:
+    # the antecedent's memb runs in case-analysis mode (p0<), the
+    # consequent's is handed from level-1 mode (p1) to level-0 mode (p0),
+    # and that handoff costs a step and a trace line of its own.
+    trace = io.StringIO()
+    st = state_from(
+        MEMB + "sub := forall x. memb x (a::nil) => memb x (b::a::nil).",
+        trace=trace,
+    )
+    r = run(st, "sub")
+    assert r.proved
+    labels = [line.lstrip()[:3] for line in trace.getvalue().splitlines()]
+    assert labels == [
+        "p1 ", "p1 ", "p1 ", "p0<", "p0<", "p1 ", "p0 ", "p0 ", "p0 ", "p0<",
+    ]
+    assert r.steps == 10
+
+
 # ---------------------------------------------------------------------------
 # Level bookkeeping
 # ---------------------------------------------------------------------------
@@ -157,6 +179,21 @@ def test_level_one_predicate_cannot_appear_in_antecedent():
     )
     r = run(st, "(win (s z)) => false")
     assert r.inconclusive and isinstance(r.error, IllFormedFormula)
+
+
+def test_level_zero_modes_refuse_level_one_goals():
+    # solve() classifies a query before proving it, so only a direct call
+    # can hand a level-0 mode a ∀, an implication or a level-1 atom.
+    st = state_from("p := forall x. x = x.")
+    st.defs.check()
+    for mode in (RIGHT0, LEFT0):
+        for f in (Forall("x", Top()), Imp(Top(), Top()), Atom("p", ())):
+            with pytest.raises(LevelError):
+                next(prove(f, st, mode))
+    for mode in (RIGHT0, LEFT0, ONE):
+        with pytest.raises(TypeError):
+            next(prove("p", st, mode))
+    assert st.depth == 0 and len(st.trail) == 0
 
 
 def test_undefined_predicate_detected_without_registration(st):
