@@ -31,7 +31,6 @@ from .errors import (
     LevelError,
     NablaCheckError,
     NonGroundAntecedent,
-    NonPatternError,
     OuterVariableEscape,
     UndefinedPredicate,
 )
@@ -61,7 +60,7 @@ from .terms import (
     has_unbound_logic_var,
     normalize_eta,
 )
-from .unify import FAILURE, SUCCESS, Trail, unify
+from .unify import SUCCESS, Trail, unify
 
 DEFAULT_STEP_BUDGET = 1000000
 DEFAULT_MAX_DEPTH = 6000
@@ -183,14 +182,12 @@ def prove(f, st, mode=ONE):
             yield
         elif tf is Eq:
             mark = st.trail.mark()
-            r = unify(f.lhs, f.rhs, st, instantiate_eigen=mode == LEFT0)
-            if r is SUCCESS:
+            if unify(f.lhs, f.rhs, st,
+                     instantiate_eigen=mode == LEFT0) is SUCCESS:
                 try:
                     yield
                 finally:
                     st.trail.undo_to(mark)
-            elif r is not FAILURE:
-                raise NonPatternError(r.lhs, r.rhs, r.reason)
         elif tf is And:
             for _ in prove(f.left, st, mode):
                 yield from prove(f.right, st, mode)

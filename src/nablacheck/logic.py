@@ -20,12 +20,12 @@ in the call or by fresh variables, so two unfolds never share variables.
 
 from __future__ import annotations
 
-from .errors import IllFormedFormula, LevelError, NonPatternError
+from .errors import IllFormedFormula, LevelError
 from .nodes import (
     App, ClauseVar, Const, EigenVar, Lam, LogicVar, NablaIndex, Term, Var, app
 )
 from .terms import deref, normalize, subst
-from .unify import FAILURE, SUCCESS, bind, unify
+from .unify import SUCCESS, bind, unify
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +205,14 @@ def classify(f, level_of=None, strict=True) -> int:
     IllFormedFormula; with strict off it is tolerated so level inference can
     iterate to its fixed point before complaining.
     """
-    if level_of is None:
-        level_of = {}
-    getter = level_of.get if hasattr(level_of, "get") else None
+    getter = {}.get if level_of is None else level_of.get
 
     def level(g):
         tg = type(g)
         if tg is Top or tg is Eq:
             return 0
         if tg is Atom:
-            return getter(g.pred, 0) if getter else level_of(g.pred)
+            return getter(g.pred, 0)
         if tg is And or tg is Or:
             return max(level(g.left), level(g.right))
         if tg is Exists or tg is Nabla:
@@ -546,7 +544,7 @@ def unfold(pred, args, st, left=False):
     exactly one whose head unification would return FAILURE at the
     rigid-rigid head-name check: its first head argument is a redex-free
     term headed by another constant, so its normalization cannot fail and
-    unification cannot raise NonPattern before that check.
+    unification cannot raise NonPatternError before that check.
 
     Each clause's head plan (see Clause) is walked left to right, and each
     step does what renaming the clause apart and unifying would do:
@@ -561,7 +559,7 @@ def unfold(pred, args, st, left=False):
       instantiable variable at or below the current levels;
     - anything else first makes fresh variables, in var_names order, for
       the clause variables that have no value yet, then unifies the
-      renamed argument, so NonPattern and normalization errors surface as
+      renamed argument, so pattern and normalization errors surface as
       they always did and clause variables keep their relative levels.
 
     Clause variables that occur only in the body become fresh variables
@@ -612,13 +610,10 @@ def unfold(pred, args, st, left=False):
                         continue
                 if len(env) < len(var_names):
                     _fresh_rest(env, var_names, fresh)
-                r = unify(replace_clause_vars(pat, env), arg, st, instantiate_eigen=left)
-                if r is SUCCESS:
-                    continue
-                if r is FAILURE:
+                if unify(replace_clause_vars(pat, env), arg, st,
+                         instantiate_eigen=left) is not SUCCESS:
                     ok = False
                     break
-                raise NonPatternError(r.lhs, r.rhs, r.reason)
             if ok:
                 if len(env) < len(var_names):
                     _fresh_rest(env, var_names, fresh)

@@ -28,10 +28,10 @@ no binding made or undone later can change what an inert node contains.
 
 Canonical nodes.  An inert App may carry, in its `canon` slot, the one
 process-wide representative of its structure (built by the tabling module
-for table keys).  The slot is set lazily, the first time the node is keyed,
-so building an App costs nothing extra.  It cannot go stale for the same
-reason the flag cannot: an inert node never changes and holds no Var, so
-the structure it was canonicalised for is the structure it has for life.
+for table keys); the slot is None until the node is first keyed.  It
+cannot go stale for the same reason the flag cannot: an inert node never
+changes and holds no Var, so the structure it was canonicalised for is the
+structure it has for life.
 A representative never has its own slot set, so no node refers to itself.
 """
 
@@ -137,7 +137,7 @@ class Lam(Term):
 
 
 class App(Term):
-    # canon (unset until keyed) and __weakref__ serve canonical nodes; see
+    # canon (None until keyed) and __weakref__ serve canonical nodes; see
     # the module docstring.
     __slots__ = ("head", "args", "inert", "canon", "__weakref__")
     __match_args__ = ("head", "args")
@@ -152,6 +152,7 @@ class App(Term):
                     inert = False
                     break
         self.inert = inert
+        self.canon = None
 
     def __repr__(self):
         return f"App({self.head!r}, {list(self.args)!r})"

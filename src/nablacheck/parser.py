@@ -55,9 +55,11 @@ KEYWORDS = {"forall", "exists", "nabla", "true"}
 
 # Deepest nesting of terms and formulas (parentheses, λs, quantifiers, `=>`)
 # the parser accepts.  Each level costs it at most five interpreter frames,
-# so a refused input fails with a ParseError well inside the recursion limit
-# a State sets (38,000 frames at the default max_depth).  Lists (`::`) do
-# not nest.
+# so a refused input fails with a ParseError only under a recursion limit
+# above 25,000 frames, such as the one a State sets (38,000 at the default
+# max_depth).  Under the interpreter's default limit, parsing before any
+# State exists raises RecursionError at 248 nested parentheses (a known
+# defect, see ROADMAP).  Lists (`::`) do not nest.
 MAX_NESTING = 5000
 
 _TOKEN_RE = re.compile(

@@ -16,13 +16,23 @@ rest on those calls instead; so every condition names a running call, and
 when the outermost call finishes nothing is left provisional.  When an
 assumed call settles the right way the condition is discharged, and when it
 settles the wrong way the dependent entries are discarded (they recompute
-on demand) and a still-running production restarts.  Assumptions a call
-makes about itself need no tracking: a least fixed point always has a
-loop-free proof if it has any, and dually a greatest fixed point fails
-outright only if loops cannot save it.  That argument assumes definitions
-do not smuggle a predicate into its own negation through an implication;
-level checking warns about the direct case and the rest is the user's
-contract.
+on demand).  Assumptions a call makes about itself need no tracking: a
+least fixed point always has a loop-free proof if it has any, and dually a
+greatest fixed point fails outright only if loops cannot save it.  That
+argument assumes definitions do not smuggle a predicate into its own
+negation through an implication; level checking warns about the direct case
+and the rest is the user's contract.
+
+Productions nest, so each runs once.  A call drains its producer to the
+first answer before its only yield, so st.tab_stack holds exactly the
+running productions, innermost last, and a running call's entry is its
+frame.  A frame gains assumptions only while on top, each naming itself or
+a call below: a loop hit names a running call, and a consumed conditional
+entry's or finished child's conditions name running calls (by induction).
+The calls below are still running when the frame finishes, so its
+conditions are its assumptions other than its own key; none can have
+settled, and nothing reruns.  No code inside a production catches an
+exception, so an abandoned call takes every enclosing production with it.
 
 Entries persist across queries, so a finished table is a reusable
 certificate of everything it settled; the CLI dumps it in source syntax.
@@ -61,21 +71,12 @@ DISPROVED = "disproved"
 
 
 class _Frame:
-    """One running production: its key and the loop assumptions it used."""
+    """A running call's table entry: the assumptions its production used."""
 
-    __slots__ = ("key", "assumed")
+    __slots__ = ("assumed",)
 
-    def __init__(self, key):
-        self.key = key
+    def __init__(self):
         self.assumed = {}  # key -> assumed status
-
-
-class _InProgress:
-    __slots__ = ("frame", "mode")
-
-    def __init__(self, frame, mode):
-        self.frame = frame
-        self.mode = mode
 
 
 class _Cond:
@@ -162,7 +163,7 @@ def _canonical(t):
     Walks, with an explicit stack, only the nodes not canonicalised yet,
     and caches each one's representative in its canon slot.
     """
-    rep = getattr(t, "canon", None)
+    rep = t.canon
     if rep is not None:
         return rep
     done = []  # parts of finished nodes, in walk order
@@ -186,18 +187,13 @@ def _canonical(t):
         elif type(u) is Const:
             done.append(u.name)
         else:
-            rep = getattr(u, "canon", None)
+            rep = u.canon
             if rep is not None:
                 done.append(rep)
             else:
                 todo.append((u,))
                 todo.extend(reversed(u.args))
     return done[0]
-
-
-def _lookup(st, key):
-    table = _table_of(st, key)
-    return None if table is None else table.entries.get(key)
 
 
 def _table_of(st, key):
@@ -292,11 +288,11 @@ def tabled_prove(st, pred, args, defn, producer):
 
     producer is a zero-argument callable returning a fresh answer generator
     for the call's unfolding (it must not route back through the table).  A
-    settled entry answers immediately; an in-progress entry is a loop and
-    answers by mode.  Otherwise the producer runs for at most one answer
-    and the outcome is recorded before this call becomes the one answer
-    itself.  The call binds nothing: its arguments carry no instantiable
-    variable.
+    settled entry answers immediately; a running call's frame is a loop and
+    answers by the table's mode.  Otherwise the producer runs once, for at
+    most one answer, and the outcome is recorded before this call becomes
+    the one answer itself.  The call binds nothing: its arguments carry no
+    instantiable variable.
     """
     table = st.tables.get(pred)
     if table is None:
@@ -304,77 +300,46 @@ def tabled_prove(st, pred, args, defn, producer):
     stack = st.tab_stack
     key = canonical_key(pred, args, st.norm_budget)
     entry = table.entries.get(key)
-    if entry is PROVED:
-        yield
-        return
-    if entry is DISPROVED:
-        return
-    if type(entry) is _InProgress:
-        assumed = PROVED if entry.mode == "coinductive" else DISPROVED
-        if stack:
-            stack[-1].assumed[key] = assumed
-        if assumed is PROVED:
-            yield
-        return
-    if type(entry) is _Cond:
-        if stack:
-            stack[-1].assumed.update(entry.deps)
-        if entry.status is PROVED:
+    if type(entry) is _Frame:  # a loop, which the table's mode decides
+        entry = PROVED if table.mode == "coinductive" else DISPROVED
+        stack[-1].assumed[key] = entry
+    elif type(entry) is _Cond:
+        stack[-1].assumed.update(entry.deps)
+        entry = entry.status
+    if entry is not None:
+        if entry is PROVED:
             yield
         return
 
-    while True:  # restarts when a consumed assumption settles the wrong way
-        frame = _Frame(key)
-        stack.append(frame)
-        table.entries[key] = _InProgress(frame, table.mode)
+    frame = _Frame()
+    stack.append(frame)
+    table.entries[key] = frame
+    try:
+        found = False
+        gen = producer()
         try:
-            found = False
-            gen = producer()
-            try:
-                for _ in gen:
-                    found = True
-                    break
-            finally:
-                gen.close()
-        except BaseException:
-            stack.pop()
-            _discard(st, key)  # with every entry that assumed this call
-            raise
-        stack.pop()
-        deps = {}
-        tainted = False
-        for k, s in frame.assumed.items():
-            if k == key:
-                continue  # self-assumptions discharge themselves
-            cur = _lookup(st, k)
-            if type(cur) is _InProgress:
-                deps[k] = s
-            elif type(cur) is _Cond:
-                if cur.status is s:
-                    deps.update(cur.deps)
-                else:
-                    tainted = True
-                    break
-            elif cur is not s:  # settled the other way, or discarded
-                tainted = True
+            for _ in gen:
+                found = True
                 break
-        if tainted:
-            table.entries.pop(key, None)
-            continue
-        # A merged entry may rest on this very call: that is an assumption
-        # the call made about itself, discharged like a direct one.
-        deps.pop(key, None)
-        status = PROVED if found else DISPROVED
-        if deps:
-            _record_cond(st, key, _Cond(status, deps))
-            if stack:
-                stack[-1].assumed.update(deps)
-        else:
-            table.entries[key] = status
-            _settle(st, key, status)
-        if found:
-            yield
-        return
+        finally:
+            gen.close()
+    except BaseException:
+        stack.pop()
+        _discard(st, key)  # with every entry that assumed this call
+        raise
+    stack.pop()
+    # Every other assumption names a call still running below this one.
+    deps = frame.assumed
+    deps.pop(key, None)  # self-assumptions discharge themselves
+    status = PROVED if found else DISPROVED
+    if deps:
+        _record_cond(st, key, _Cond(status, deps))
+        stack[-1].assumed.update(deps)
+    else:
+        table.entries[key] = status
+        _settle(st, key, status)
+    if found:
+        yield
 
 
 def clear_tables(st):

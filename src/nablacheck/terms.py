@@ -29,7 +29,7 @@ intermediate term sizes stay bounded by the budget.
 
 from __future__ import annotations
 
-from .errors import NablaCheckError, NormalizationDepthExceeded
+from .errors import NormalizationDepthExceeded
 from .nodes import (
     App,
     Bound,
@@ -49,7 +49,6 @@ __all__ = [
     "normalize",
     "normalize_eta",
     "equal_modulo",
-    "abstract_over_nabla",
     "struct_eq",
     "iter_free_vars",
     "has_unbound_logic_var",
@@ -297,40 +296,6 @@ def struct_eq(t, s):
     if tt is ClauseVar:
         return t.name == s.name
     return False  # distinct Var objects
-
-
-def abstract_over_nabla(t, k):
-    """λ-abstract every occurrence of ∇-index k in t.
-
-    Callers must ensure no unbound variable in t has a local level above k,
-    otherwise a later binding could smuggle #k past the new binder.
-    """
-    for v in iter_free_vars(t):
-        if v.local_level > k:
-            raise NablaCheckError(
-                "abstract_over_nabla: live variable could still capture the index"
-            )
-    return Lam(_abstract_nabla(t, k, 0))
-
-
-def _abstract_nabla(t, k, depth):
-    t = deref(t)
-    tt = type(t)
-    if tt is NablaIndex:
-        return Bound(depth) if t.index == k else t
-    if tt is Bound:
-        # A λ-index free in t crosses the new binder.
-        return Bound(t.index + 1) if t.index >= depth else t
-    if tt is Lam:
-        return Lam(_abstract_nabla(t.body, k, depth + 1), t.hint)
-    if tt is App:
-        if t.inert:
-            return t
-        return app(
-            _abstract_nabla(t.head, k, depth),
-            tuple(_abstract_nabla(a, k, depth) for a in t.args),
-        )
-    return t
 
 
 def iter_free_vars(t):

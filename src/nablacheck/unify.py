@@ -4,7 +4,7 @@ The solvable fragment: every occurrence of an instantiable variable F^{g,l}
 is applied to pairwise-distinct arguments, each one an atom F cannot already
 depend on — a λ-bound variable of an enclosing binder, an eigenvariable with
 global level above g, or a ∇-index at or above l.  Problems outside the
-fragment come back as NonPattern, an error surfaced to the caller, never a
+fragment raise NonPatternError, an error surfaced to the caller, never a
 silent failure.
 
 Which variables are instantiable depends on the caller.  Everywhere except
@@ -15,8 +15,8 @@ sequent's eigenvariables, so there both kinds bend with the same level side
 conditions.
 
 Bindings happen in place and are logged on a trail; undo_to rewinds them in
-LIFO order.  On Failure and NonPattern the trail is already rewound to the
-state at the unify() call.
+LIFO order.  On FAILURE, and when unify() raises, the trail is already
+rewound to the state at the call.
 
 Level side conditions when binding F^{g,l} := u (after abstracting F's
 pattern arguments): u contains no eigenvariable with global >= g, no ∇-index
@@ -29,7 +29,7 @@ occurs, level and ∇ checks are all vacuous on them: _abstract returns an
 inert subterm as it is, and a binding to an inert term stores that very
 object, whatever its size.  Two identical inert terms unify at once.  That
 shortcut is kept to inert terms on purpose: F (s z) = F (s z) is outside
-the pattern fragment and must stay NonPattern, not become a proof.  The flag
+the pattern fragment and must stay an error, not become a proof.  The flag
 is fixed when a node is built and no binding can reach inside an inert
 node, so it never goes stale as bindings come and go.
 
@@ -45,7 +45,7 @@ _abstract get the same check.
 
 from __future__ import annotations
 
-from .errors import NormalizationDepthExceeded
+from .errors import NonPatternError
 from .nodes import App, Bound, Const, EigenVar, Lam, LogicVar, NablaIndex, Var, app
 from .terms import DEFAULT_NORM_BUDGET, deref, normalize, shift
 
@@ -95,29 +95,8 @@ SUCCESS = _SuccessType()
 FAILURE = _FailureType()
 
 
-class NonPattern:
-    """Unify result for problems outside the pattern fragment."""
-
-    __slots__ = ("lhs", "rhs", "reason")
-
-    def __init__(self, lhs, rhs, reason):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.reason = reason
-
-    def __repr__(self):
-        return f"NonPattern({self.reason})"
-
-
 class _Fail(Exception):
     pass
-
-
-class _NonPat(Exception):
-    def __init__(self, lhs, rhs, reason):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.reason = reason
 
 
 class UnifyCtx:
@@ -141,11 +120,13 @@ def bind(var, value, trail):
 
 
 def unify(t, s, st, instantiate_eigen=False):
-    """Unify two terms in place; returns SUCCESS, FAILURE, or a NonPattern.
+    """Unify two terms in place; returns SUCCESS or FAILURE.
 
     On SUCCESS the accumulated bindings form a most general unifier of the
-    level-respecting solutions.  On the other two results the trail has been
-    rewound, so the state is exactly as before the call.
+    level-respecting solutions.  On FAILURE, and when a problem outside the
+    pattern fragment raises NonPatternError or normalization runs out of
+    budget, the trail has been rewound, so the state is exactly as before
+    the call.
     """
     if t.inert and s.inert:
         if t is s:
@@ -165,10 +146,7 @@ def unify(t, s, st, instantiate_eigen=False):
     except _Fail:
         st.trail.undo_to(mark)
         return FAILURE
-    except _NonPat as e:
-        st.trail.undo_to(mark)
-        return NonPattern(e.lhs, e.rhs, e.reason)
-    except NormalizationDepthExceeded:
+    except BaseException:
         st.trail.undo_to(mark)
         raise
 
@@ -266,7 +244,7 @@ def _atom_key(a):
 
 
 def _check_pattern_args(f, args, lhs, rhs):
-    """Raise _NonPat unless args satisfy the pattern condition for f."""
+    """Raise NonPatternError unless args meet the pattern condition for f."""
     seen = set()
     for a in args:
         a = deref(a)
@@ -275,7 +253,7 @@ def _check_pattern_args(f, args, lhs, rhs):
             pass
         elif ta is NablaIndex:
             if a.index < f.local_level:
-                raise _NonPat(
+                raise NonPatternError(
                     lhs,
                     rhs,
                     "argument #%d is already visible to %s (local level %d)"
@@ -283,14 +261,14 @@ def _check_pattern_args(f, args, lhs, rhs):
                 )
         elif isinstance(a, EigenVar) and a.binding is None:
             if a.global_level <= f.global_level:
-                raise _NonPat(
+                raise NonPatternError(
                     lhs,
                     rhs,
                     "argument %s is already visible to %s (global level)"
                     % (a.name, f.name),
                 )
         else:
-            raise _NonPat(
+            raise NonPatternError(
                 lhs,
                 rhs,
                 "argument of %s is not a λ-bound variable, eigenvariable, "
@@ -298,7 +276,7 @@ def _check_pattern_args(f, args, lhs, rhs):
             )
         k = _atom_key(a)
         if k in seen:
-            raise _NonPat(lhs, rhs, "repeated argument of %s" % f.name)
+            raise NonPatternError(lhs, rhs, "repeated argument of %s" % f.name)
         seen.add(k)
 
 
@@ -341,62 +319,43 @@ def _abstract(u, f, fargs, depth, st, left, lhs, rhs):
     atoms f can see pass through; instantiable variables beyond f's horizon
     get pruned; anything else has no level-respecting unifier.
     """
-    u = deref(u)
+    u = _whnf(u, st)
     if u.inert:
         return u
-    n = len(fargs)
     tu = type(u)
     if tu is Lam:
         return Lam(_abstract(u.body, f, fargs, depth + 1, st, left, lhs, rhs), u.hint)
-    if tu is App:
-        head = deref(u.head)
-        if type(head) is Lam or type(head) is App:
-            # A binding made while abstracting a sibling exposed a redex.
-            return _abstract(
-                normalize(u, st.norm_budget), f, fargs, depth, st, left, lhs, rhs
-            )
-        if _is_flex(head, left):
-            if head is f:
-                raise _Fail  # occurs check
-            return _prune_flex(head, u.args, f, fargs, depth, st, lhs, rhs)
-        h = _abstract_atom(head, f, fargs, depth, n, left, st, lhs, rhs)
-        return app(
-            h,
-            tuple(
-                _abstract(a, f, fargs, depth, st, left, lhs, rhs) for a in u.args
-            ),
-        )
-    if _is_flex(u, left):
-        if u is f:
-            raise _Fail
-        return _prune_flex(u, (), f, fargs, depth, st, lhs, rhs)
-    return _abstract_atom(u, f, fargs, depth, n, left, st, lhs, rhs)
+    head, args = _spine(u)
+    if _is_flex(head, left):
+        if head is f:
+            raise _Fail  # occurs check
+        return _prune_flex(head, args, f, fargs, depth, st, lhs, rhs)
+    h = _cross(head, f, fargs, depth)
+    if h is None:
+        raise _Fail
+    if tu is not App:
+        return h
+    return app(
+        h, tuple(_abstract(a, f, fargs, depth, st, left, lhs, rhs)
+                 for a in args))
 
 
-def _abstract_atom(a, f, fargs, depth, n, left, st, lhs, rhs):
+def _cross(a, f, fargs, depth):
+    """Atom a, met under depth λs, as it reads inside f's binding body.
+
+    a itself if f can see it (a constant, a λ bound inside the body, or an
+    atom visible at f's levels), the λ-index of the pattern argument it is,
+    or None when f can reach it neither way.
+    """
     ta = type(a)
     if ta is Bound:
         if a.index < depth:
             return a
-        pos = _position(Bound(a.index - depth), fargs)
-        if pos is None:
-            raise _Fail
-        return Bound(depth + n - 1 - pos)
-    if ta is NablaIndex:
-        if a.index < f.local_level:
-            return a
-        pos = _position(a, fargs)
-        if pos is None:
-            raise _Fail
-        return Bound(depth + n - 1 - pos)
-    if isinstance(a, Var):  # rigid eigenvariable (right mode)
-        if a.global_level < f.global_level:
-            return a
-        pos = _position(a, fargs)
-        if pos is None:
-            raise _Fail
-        return Bound(depth + n - 1 - pos)
-    return a  # Const
+        a = Bound(a.index - depth)
+    elif ta is Const or _visible_to(f, a):
+        return a
+    pos = _position(a, fargs)
+    return None if pos is None else Bound(depth + len(fargs) - 1 - pos)
 
 
 def _prune_flex(h, hargs, f, fargs, depth, st, lhs, rhs):
@@ -408,31 +367,11 @@ def _prune_flex(h, hargs, f, fargs, depth, st, lhs, rhs):
     """
     hargs = [_whnf(a, st) for a in hargs]
     _check_pattern_args(h, hargs, lhs, rhs)
-    n = len(fargs)
     survivors = []  # (position in hargs, translation inside f's body)
     for i, z in enumerate(hargs):
-        tz = type(z)
-        if tz is Bound:
-            if z.index < depth:
-                survivors.append((i, z))
-            else:
-                pos = _position(Bound(z.index - depth), fargs)
-                if pos is not None:
-                    survivors.append((i, Bound(depth + n - 1 - pos)))
-        elif tz is NablaIndex:
-            if z.index < f.local_level:
-                survivors.append((i, z))
-            else:
-                pos = _position(z, fargs)
-                if pos is not None:
-                    survivors.append((i, Bound(depth + n - 1 - pos)))
-        else:  # eigenvariable, unbound
-            if z.global_level < f.global_level:
-                survivors.append((i, z))
-            else:
-                pos = _position(z, fargs)
-                if pos is not None:
-                    survivors.append((i, Bound(depth + n - 1 - pos)))
+        tr = _cross(z, f, fargs, depth)
+        if tr is not None:
+            survivors.append((i, tr))
     within_levels = (
         h.global_level <= f.global_level and h.local_level <= f.local_level
     )
@@ -451,7 +390,8 @@ def _prune_flex(h, hargs, f, fargs, depth, st, lhs, rhs):
 
 def _same_var(f, targs, sargs, st, lhs, rhs):
     if len(targs) != len(sargs):
-        raise _NonPat(lhs, rhs, "same variable applied at different arities")
+        raise NonPatternError(
+            lhs, rhs, "same variable applied at different arities")
     targs = [_whnf(a, st) for a in targs]
     sargs = [_whnf(a, st) for a in sargs]
     _check_pattern_args(f, targs, lhs, rhs)

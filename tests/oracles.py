@@ -273,6 +273,26 @@ def transitive_closure(edges):
     return closure
 
 
+def parity_walks(nodes, edges):
+    """(odd, even): the (x, y) joined by a walk of odd, resp. even, length.
+
+    Breadth-first search over (node, parity) states from each start; the
+    empty walk makes every (x, x) even.
+    """
+    succ = {x: [y for (x2, y) in edges if x2 == x] for x in nodes}
+    odd, even = set(), set()
+    for x in nodes:
+        seen = {(x, 0)}
+        queue = [(x, 0)]
+        for y, parity in queue:
+            (odd if parity else even).add((x, y))
+            for z in succ[y]:
+                if (z, 1 - parity) not in seen:
+                    seen.add((z, 1 - parity))
+                    queue.append((z, 1 - parity))
+    return odd, even
+
+
 def win_set(moves, positions):
     """Least fixed point of: win(x) iff some move reaches a position all of
     whose moves land in win."""

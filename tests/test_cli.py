@@ -277,6 +277,15 @@ def test_nonpattern_shows_the_offending_subproblem():
     assert "% inconclusive:" in out
     assert "(s z)" in out and "= s z" in out
     assert "proved" not in out and "disproved" not in out
+    # An argument F may already depend on is outside the fragment too.
+    for query, message in [
+        ("nabla n. exists F. F n = n",
+         "argument #0 is already visible to F (local level 1): F_0 #0 = #0"),
+        ("forall x. exists F. F x = x",
+         "argument x is already visible to F (global level): F_1 x_0 = x_0"),
+    ]:
+        assert run_cli(["--query", query]) == (
+            2, f"% inconclusive: {message}\n")
 
 
 def test_normalization_blowup_shows_the_offending_term():
@@ -321,49 +330,52 @@ def test_deeply_nested_input_is_a_parse_error_without_a_crash(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The README's first file, run as shown
+# The first file of README.md and PAPER.md, run as shown
 # ---------------------------------------------------------------------------
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+DOCS = [pathlib.Path(__file__).resolve().parents[1] / name
+        for name in ("README.md", "PAPER.md")]
 
 
-def readme_first_file():
-    """The code blocks of the README's "A first file" section: the file,
-    the shell transcript and the interactive session."""
-    text = README.read_text(encoding="utf-8")
+def readme_first_file(doc):
+    """The code blocks of doc's "A first file" section: the file, the shell
+    transcript and the interactive session."""
+    text = doc.read_text(encoding="utf-8")
     section = text.split("## A first file\n", 1)[1].split("\n## ", 1)[0]
     return section.split("```\n")[1::2]
 
 
 def test_readme_first_file_transcript(tmp_path, monkeypatch):
-    source, transcript, _ = readme_first_file()
-    (tmp_path / "lists.def").write_text(source)
     monkeypatch.chdir(tmp_path)
-    commands = transcript.split("$ nabla-check")[1:]
-    assert any("--max-answers 4" in c for c in commands)
-    for command in commands:
-        line, _, shown = command.partition("\n")
-        code, out = run_cli(shlex.split(line))
-        assert code == 0
-        assert out == shown.rstrip("\n") + "\n", line
+    for doc in DOCS:
+        source, transcript, _ = readme_first_file(doc)
+        (tmp_path / "lists.def").write_text(source)
+        commands = transcript.split("$ nabla-check")[1:]
+        assert any("--max-answers 4" in c for c in commands), doc.name
+        for command in commands:
+            line, _, shown = command.partition("\n")
+            code, out = run_cli(shlex.split(line))
+            assert code == 0
+            assert out == shown.rstrip("\n") + "\n", (doc.name, line)
 
 
 def test_readme_first_file_session(tmp_path, monkeypatch):
     # Each prompt line shows the prompt and what was typed after it; with
     # input from a pipe nothing is echoed, so stdout holds the prompt alone.
     # At the end of input the loop prints one more prompt and a newline.
-    source, _, session = readme_first_file()
-    (tmp_path / "lists.def").write_text(source)
     monkeypatch.chdir(tmp_path)
-    typed, shown = [], []
-    for line in session.splitlines()[1:]:
-        for prompt in ("?= ", "more (;) ? "):
-            if line.startswith(prompt.rstrip()):
-                typed.append(line[len(prompt):] + "\n")
-                shown.append(prompt)
-                break
-        else:
-            shown.append(line + "\n")
-    code, out = run_cli([], "".join(typed))
-    assert code == 0
-    assert out == "".join(shown) + "?= \n"
+    for doc in DOCS:
+        source, _, session = readme_first_file(doc)
+        (tmp_path / "lists.def").write_text(source)
+        typed, shown = [], []
+        for line in session.splitlines()[1:]:
+            for prompt in ("?= ", "more (;) ? "):
+                if line.startswith(prompt.rstrip()):
+                    typed.append(line[len(prompt):] + "\n")
+                    shown.append(prompt)
+                    break
+            else:
+                shown.append(line + "\n")
+        code, out = run_cli([], "".join(typed))
+        assert code == 0
+        assert out == "".join(shown) + "?= \n", doc.name

@@ -146,6 +146,15 @@ def test_implication_with_nabla_in_antecedent():
     assert run(st, "nabla x. memb x (a::x::nil) => memb x (x::nil)").proved
 
 
+def test_exists_in_an_antecedent_reads_universally():
+    # The antecedent's ∃ introduces an eigenvariable that case analysis on
+    # memb instantiates: once to a, once to the eigenvariable z.
+    st = state_from(MEMB)
+    assert run(st, "forall z. (exists Y. memb Y (a::z::nil)) => true").proved
+    r = run(st, "(exists Y. memb Y (a::b::nil)) => memb c (a::b::nil)")
+    assert r.disproved
+
+
 def test_level_zero_atoms_run_in_the_mode_of_their_side():
     # A level-1 predicate reaches memb on both sides of an implication:
     # the antecedent's memb runs in case-analysis mode (p0<), the
@@ -245,6 +254,14 @@ def test_unconstrained_variables_print_as_shared_placeholders(st):
     assert print_term(a.get("X")) == "?0"
     assert print_term(a.get("Y")) == "?0"
     assert "X = ?0" in a.text() and "Y = ?0" in a.text()
+
+
+def test_query_variable_under_a_lambda_and_a_quantifier(st):
+    # F occurs under both the query's ∃ Y and the λ; closing it over the
+    # query must index past both binders.
+    r = run(st, "exists Y. Y = (x\\ F x)")
+    assert r.proved
+    assert [a.text() for a in r.answers] == ["F = ?0, Y = ?0"]
 
 
 def test_distinct_free_variables_get_distinct_placeholders(st):

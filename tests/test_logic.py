@@ -7,7 +7,7 @@ from conftest import run, state_from
 
 import nablacheck.engine as engine
 import nablacheck.logic as logic
-from nablacheck.errors import IllFormedFormula, LevelError, NonPatternError
+from nablacheck.errors import IllFormedFormula, LevelError
 from nablacheck.logic import (
     Atom,
     DefSet,
@@ -25,7 +25,7 @@ from nablacheck.logic import (
 from nablacheck.nodes import Bound, Const
 from nablacheck.parser import parse_file, parse_formula, print_formula
 from nablacheck.terms import deref, struct_eq
-from nablacheck.unify import FAILURE, SUCCESS, unify
+from nablacheck.unify import FAILURE, unify
 
 
 def _defs(text):
@@ -206,13 +206,10 @@ def _every_clause(pred, args, st, left=False):
             env = {name: fresh(name) for name in clause.var_names}
             ok = True
             for pat, arg in zip(clause.head_args, args):
-                r = unify(replace_clause_vars(pat, env), arg, st,
-                          instantiate_eigen=left)
-                if r is FAILURE:
+                if unify(replace_clause_vars(pat, env), arg, st,
+                         instantiate_eigen=left) is FAILURE:
                     ok = False
                     break
-                if r is not SUCCESS:
-                    raise NonPatternError(r.lhs, r.rhs, r.reason)
             if ok:
                 yield replace_clause_vars_formula(clause.body, env)
         finally:

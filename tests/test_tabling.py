@@ -20,7 +20,7 @@ from nablacheck.tabling import (
 from nablacheck.terms import Signature, app, normalize_eta, struct_eq
 
 from conftest import run, state_from
-from oracles import gfp_bisim, gfp_sim, transitive_closure
+from oracles import gfp_bisim, gfp_sim, parity_walks, transitive_closure
 
 EDGES = {("a", "b"), ("b", "a"), ("a", "c")}
 
@@ -289,6 +289,17 @@ reach X Y := edge X Z /\\ reach Z Y.
 #table inductive reach.
 """
 
+# Walks of odd and of even length: two inductive tables, each production
+# looping through the other.
+PARITY = """
+odd X Y := edge X Y.
+odd X Y := edge X Z /\\ even Z Y.
+even X X.
+even X Y := edge X Z /\\ odd Z Y.
+#table inductive odd.
+#table inductive even.
+"""
+
 SIM_BISIM = """
 sim P Q := forall A P1. step P A P1 => (exists Q1. step Q A Q1 /\\ sim P1 Q1).
 #level sim 1.
@@ -372,13 +383,15 @@ def test_reach_verdicts_match_the_closure_under_any_order_and_budget(data):
     edges = data.draw(hs.sets(hs.tuples(node, node), min_size=1, max_size=2 * n))
     budget = data.draw(hs.sampled_from([15, 30, 60, 120, 400, 2000]))
     closure = transitive_closure(edges)
-    queries = [(p, x, y) for p in ("reach", "reach2")
+    odd, even = parity_walks(range(n), edges)
+    queries = [(p, x, y) for p in ("reach", "reach2", "odd", "even")
                for x in range(n) for y in range(n)]
     data.draw(hs.randoms()).shuffle(queries)
     clear_at = data.draw(hs.sets(hs.integers(1, len(queries) - 1), max_size=2))
-    st = state_from(_edges(sorted(edges)) + REACH_BOTH, max_steps=budget)
-    _check_session(st, queries, {"reach": closure, "reach2": closure},
-                   clear_at)
+    st = state_from(_edges(sorted(edges)) + REACH_BOTH + PARITY,
+                    max_steps=budget)
+    _check_session(st, queries, {"reach": closure, "reach2": closure,
+                                 "odd": odd, "even": even}, clear_at)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,6 @@ from nablacheck.errors import NormalizationDepthExceeded
 from nablacheck.nodes import App, Bound, ClauseVar, Const, Lam, NablaIndex, app
 from nablacheck.terms import (
     Signature,
-    abstract_over_nabla,
     equal_modulo,
     has_unbound_logic_var,
     has_unbound_var,
@@ -105,20 +104,6 @@ def test_struct_eq_variables_by_identity():
     x2 = sig.fresh_logic("X")
     assert struct_eq(x1, x1)
     assert not struct_eq(x1, x2)
-
-
-def test_abstract_over_nabla_roundtrip():
-    t = app(f, (NablaIndex(0), a, NablaIndex(1)))
-    lam = abstract_over_nabla(t, 1)
-    assert struct_eq(lam, Lam(app(f, (NablaIndex(0), a, Bound(0)))))
-    back = normalize(app(lam, (NablaIndex(1),)))
-    assert struct_eq(back, t)
-
-
-def test_abstract_over_nabla_under_existing_binder():
-    t = Lam(app(f, (Bound(0), NablaIndex(0))))
-    lam = abstract_over_nabla(t, 0)
-    assert struct_eq(lam, Lam(Lam(app(f, (Bound(0), Bound(1))))))
 
 
 def test_unbound_variable_queries():

@@ -1,7 +1,9 @@
 """Pattern unification: level side conditions, abstraction, pruning, trail."""
 
+import pytest
 from hypothesis import given, settings, strategies as hs
 
+from nablacheck.errors import NonPatternError
 from nablacheck.nodes import App, Bound, Const, Lam, LogicVar, NablaIndex, app
 from nablacheck.terms import (
     Signature,
@@ -12,7 +14,7 @@ from nablacheck.terms import (
     struct_eq,
 )
 from nablacheck import unify as unify_mod
-from nablacheck.unify import FAILURE, SUCCESS, NonPattern, Trail, UnifyCtx, unify
+from nablacheck.unify import FAILURE, SUCCESS, Trail, UnifyCtx, unify
 
 a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
 
@@ -108,16 +110,16 @@ def test_same_var_arity_mismatch_is_non_pattern():
     st = ctx()
     x = st.sig.fresh_logic("X")
     st.sig.nabla_depth = 2
-    r = unify(app(x, (NablaIndex(0), NablaIndex(1))), app(x, (NablaIndex(0),)), st)
-    assert isinstance(r, NonPattern)
+    with pytest.raises(NonPatternError):
+        unify(app(x, (NablaIndex(0), NablaIndex(1))), app(x, (NablaIndex(0),)), st)
 
 
 def test_constant_argument_is_non_pattern():
     st = ctx()
     x = st.sig.fresh_logic("X")
-    r = unify(app(x, (a,)), a, st)
-    assert isinstance(r, NonPattern)
-    assert r.lhs is not None and r.rhs is not None
+    with pytest.raises(NonPatternError) as e:
+        unify(app(x, (a,)), a, st)
+    assert e.value.lhs is not None and e.value.rhs is not None
 
 
 def test_identical_non_pattern_terms_stay_non_pattern():
@@ -125,15 +127,16 @@ def test_identical_non_pattern_terms_stay_non_pattern():
     st = ctx()
     x = st.sig.fresh_logic("F")
     t = app(x, (app(Const("s"), (Const("z"),)),))
-    assert isinstance(unify(t, t, st), NonPattern)
+    with pytest.raises(NonPatternError):
+        unify(t, t, st)
 
 
 def test_repeated_argument_is_non_pattern():
     st = ctx()
     x = st.sig.fresh_logic("X")
     st.sig.nabla_depth = 1
-    r = unify(app(x, (NablaIndex(0), NablaIndex(0))), a, st)
-    assert isinstance(r, NonPattern)
+    with pytest.raises(NonPatternError):
+        unify(app(x, (NablaIndex(0), NablaIndex(0))), a, st)
 
 
 def test_same_var_positional_intersection():
@@ -302,8 +305,8 @@ def test_non_pattern_leaves_no_bindings():
     x = st.sig.fresh_logic("X")
     y = st.sig.fresh_logic("Y")
     mark = st.trail.mark()
-    r = unify(app(f, (x, app(y, (a,)))), app(f, (b, b)), st)
-    assert isinstance(r, NonPattern)
+    with pytest.raises(NonPatternError):
+        unify(app(f, (x, app(y, (a,)))), app(f, (b, b)), st)
     assert len(st.trail) == mark
     assert deref(x) is x
 
