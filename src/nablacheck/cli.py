@@ -218,6 +218,18 @@ def repl(st, out, inp):
     return worst
 
 
+def _positive_int(text):
+    """argparse type: a positive decimal integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return n
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="nabla-check",
@@ -230,16 +242,18 @@ def main(argv=None):
         help="goal to run after loading (repeatable)",
     )
     ap.add_argument(
-        "--max-answers", type=int, default=None, metavar="N",
+        "--max-answers", type=_positive_int, default=None, metavar="N",
         help="stop each --query after N answers",
     )
     ap.add_argument(
-        "--budget", type=int, default=None, metavar="N",
+        "--budget", type=_positive_int, metavar="N",
+        default=os.environ.get("NABLA_CHECK_BUDGET", str(DEFAULT_STEP_BUDGET)),
         help="per-query step budget (default %d, or NABLA_CHECK_BUDGET)"
         % DEFAULT_STEP_BUDGET,
     )
     ap.add_argument(
-        "--norm-budget", type=int, default=DEFAULT_NORM_BUDGET, metavar="N",
+        "--norm-budget", type=_positive_int, default=DEFAULT_NORM_BUDGET,
+        metavar="N",
         help="work budget for normalizing one term (default %(default)s)",
     )
     ap.add_argument(
@@ -256,13 +270,10 @@ def main(argv=None):
     )
     args = ap.parse_args(argv)
 
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("NABLA_CHECK_BUDGET", DEFAULT_STEP_BUDGET))
     out = sys.stdout
     st = State(
         defs=DefSet(),
-        max_steps=budget,
+        max_steps=args.budget,
         norm_budget=args.norm_budget,
         tabling=not args.no_tabling,
         trace=sys.stderr if args.trace else None,

@@ -99,7 +99,6 @@ class State:
         "trail",
         "defs",
         "tables",
-        "tab_dependents",
         "tab_stack",
         "steps",
         "max_steps",
@@ -123,7 +122,6 @@ class State:
         self.trail = Trail()
         self.defs = defs if defs is not None else DefSet()
         self.tables = {}
-        self.tab_dependents = {}
         self.tab_stack = []
         self.steps = 0
         self.max_steps = max_steps

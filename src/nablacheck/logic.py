@@ -38,7 +38,6 @@ class Formula:
 
 class Top(Formula):
     __slots__ = ()
-    __match_args__ = ()
 
     def __repr__(self):
         return "Top"
@@ -46,7 +45,6 @@ class Top(Formula):
 
 class Atom(Formula):
     __slots__ = ("pred", "args")
-    __match_args__ = ("pred", "args")
 
     def __init__(self, pred: str, args=()):
         self.pred = pred
@@ -58,7 +56,6 @@ class Atom(Formula):
 
 class Eq(Formula):
     __slots__ = ("lhs", "rhs")
-    __match_args__ = ("lhs", "rhs")
 
     def __init__(self, lhs: Term, rhs: Term):
         self.lhs = lhs
@@ -70,7 +67,6 @@ class Eq(Formula):
 
 class And(Formula):
     __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
 
     def __init__(self, left, right):
         self.left = left
@@ -82,7 +78,6 @@ class And(Formula):
 
 class Or(Formula):
     __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
 
     def __init__(self, left, right):
         self.left = left
@@ -94,7 +89,6 @@ class Or(Formula):
 
 class Imp(Formula):
     __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
 
     def __init__(self, left, right):
         self.left = left
@@ -106,7 +100,6 @@ class Imp(Formula):
 
 class _Binder(Formula):
     __slots__ = ("name", "body")
-    __match_args__ = ("name", "body")
 
     def __init__(self, name: str, body: Formula):
         self.name = name

@@ -47,7 +47,6 @@ class Const(Term):
     """A constant (object-level constructor or defined-predicate symbol)."""
 
     __slots__ = ("name",)
-    __match_args__ = ("name",)
     inert = True
 
     def __init__(self, name: str):
@@ -61,7 +60,6 @@ class Bound(Term):
     """A λ-bound variable as a de Bruijn index (0 = innermost binder)."""
 
     __slots__ = ("index",)
-    __match_args__ = ("index",)
 
     def __init__(self, index: int):
         self.index = index
@@ -74,7 +72,6 @@ class NablaIndex(Term):
     """The index-th ∇-bound name, counted from the outside in (0-based)."""
 
     __slots__ = ("index",)
-    __match_args__ = ("index",)
 
     def __init__(self, index: int):
         self.index = index
@@ -126,7 +123,6 @@ class Lam(Term):
     """λ-abstraction.  hint is a printing name only; equality ignores it."""
 
     __slots__ = ("body", "hint")
-    __match_args__ = ("body",)
 
     def __init__(self, body: Term, hint: str | None = None):
         self.body = body
@@ -140,7 +136,6 @@ class App(Term):
     # canon (None until keyed) and __weakref__ serve canonical nodes; see
     # the module docstring.
     __slots__ = ("head", "args", "inert", "canon", "__weakref__")
-    __match_args__ = ("head", "args")
 
     def __init__(self, head: Term, args: tuple):
         self.head = head
@@ -160,7 +155,6 @@ class App(Term):
 
 class ClauseVar(Term):
     __slots__ = ("name",)
-    __match_args__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name

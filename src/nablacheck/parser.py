@@ -394,13 +394,10 @@ class _Parser:
             self.next()
             rhs = self.cons_term()
             return Eq(lhs, rhs)
-        head = lhs
-        args = ()
-        if type(head) is App:
-            head, args = head.head, head.args
-        if type(head) is Const:
-            return Atom(head.name, args)
-        raise self.error("expected a formula")
+        name, args = _atom_parts(lhs)
+        if name is None:
+            raise self.error("expected a formula")
+        return Atom(name, args)
 
     # Items ------------------------------------------------------------------
 
@@ -517,9 +514,8 @@ def parse_term(text, filename=None) -> Term:
     return t
 
 
-def parse_formula(text, filename=None) -> Formula:
-    """Parse one formula; uppercase names stay ClauseVar placeholders."""
-    p = _Parser(tokenize(text, filename), filename)
+def _formula_to_eof(p):
+    """A formula, an optional closing dot, and nothing after it."""
     f = p.formula()
     if p.at("punct", "."):
         p.next()
@@ -527,15 +523,15 @@ def parse_formula(text, filename=None) -> Formula:
     return f
 
 
+def parse_formula(text, filename=None) -> Formula:
+    """Parse one formula; uppercase names stay ClauseVar placeholders."""
+    return _formula_to_eof(_Parser(tokenize(text, filename), filename))
+
+
 def parse_query(text, filename=None) -> Formula:
     """Parse a query: free uppercase names become a top-level ∃ prefix."""
     p = _Parser(tokenize(text, filename), filename)
-    p.clause_vars = []
-    f = p.formula()
-    if p.at("punct", "."):
-        p.next()
-    p.expect("eof")
-    return close_query_vars(f, p.clause_vars)
+    return close_query_vars(_formula_to_eof(p), p.clause_vars)
 
 
 def parse_file(text, filename=None):
@@ -554,12 +550,7 @@ def parse_interaction(text, filename=None):
         d = p.directive()
         p.expect("eof")
         return d
-    p.clause_vars = []
-    f = p.formula()
-    if p.at("punct", "."):
-        p.next()
-    p.expect("eof")
-    return close_query_vars(f, p.clause_vars)
+    return close_query_vars(_formula_to_eof(p), p.clause_vars)
 
 
 # ---------------------------------------------------------------------------

@@ -7,32 +7,39 @@ decides what a loop means: an inductive loop fails the branch (a least
 fixed point admits no self-supporting proof), a coinductive loop succeeds
 (the infinite unfolding is itself the witness).
 
-A loop is an assumption about the looped-on call, and the assumption can
-turn out wrong once that call finishes through its other branches.  Every
-production therefore tracks the assumptions it consumed.  A call that
-finishes while some of them are still open is recorded provisionally,
-conditioned on those calls, and entries that assumed it while it ran now
-rest on those calls instead; so every condition names a running call, and
-when the outermost call finishes nothing is left provisional.  When an
-assumed call settles the right way the condition is discharged, and when it
-settles the wrong way the dependent entries are discarded (they recompute
-on demand).  Assumptions a call makes about itself need no tracking: a
-least fixed point always has a loop-free proof if it has any, and dually a
-greatest fixed point fails outright only if loops cannot save it.  That
-argument assumes definitions do not smuggle a predicate into its own
-negation through an implication; level checking warns about the direct case
-and the rest is the user's contract.
-
 Productions nest, so each runs once.  A call drains its producer to the
 first answer before its only yield, so st.tab_stack holds exactly the
-running productions, innermost last, and a running call's entry is its
-frame.  A frame gains assumptions only while on top, each naming itself or
-a call below: a loop hit names a running call, and a consumed conditional
-entry's or finished child's conditions name running calls (by induction).
-The calls below are still running when the frame finishes, so its
-conditions are its assumptions other than its own key; none can have
-settled, and nothing reruns.  No code inside a production catches an
-exception, so an abandoned call takes every enclosing production with it.
+running productions, innermost last, and a running call's table entry is
+its frame.  A loop is an assumption about a running call, which can turn
+out wrong once that call finishes through its other branches, so every
+production records the assumptions it consumed: a loop hit names the
+running call, and a consumed conditional entry or a finished child passes
+on its conditions.  A frame gains assumptions only while on top, so each
+names the frame itself or a call below it, which is still running when the
+frame finishes: no condition can have settled before the entry resting on
+it is recorded, and nothing reruns.  Assumptions a call makes about itself
+need no tracking: a least fixed point always has a loop-free proof if it
+has any, and dually a greatest fixed point fails outright only if loops
+cannot save it.  That argument assumes definitions do not smuggle a
+predicate into its own negation through an implication; level checking
+warns about the direct case and the rest is the user's contract.
+
+A call that finishes with other assumptions still open is recorded
+conditionally on them.  Every condition names a running call, so each
+conditional entry waits on the frame of its innermost condition, and when
+that call finishes one pass over the frame's waiting list resolves them: an
+entry that assumed the other outcome is dropped (it recomputes on demand),
+one with no condition left is settled, and any other takes over the
+finished call's conditions and waits on the innermost call it now rests on,
+further down the stack.  Every assumption about a call is its table's mode,
+so the conditions taken over never contradict the entry's own.  A finished
+entry has nothing waiting on it, and when the outermost call finishes
+nothing is left conditional.  Waiting on the innermost condition rather
+than on the frame just below, an entry moves only when a call it rests on
+finishes: on a cycle of n calls that is n moves, not n²/2.  No code inside
+a production catches an exception, so a call abandoned by a resource limit
+takes every enclosing production with it; each drops its own entry and its
+waiting list on the way out, and only settled entries remain.
 
 Entries persist across queries, so a finished table is a reusable
 certificate of everything it settled; the CLI dumps it in source syntax.
@@ -41,8 +48,7 @@ logic variable may remain in the arguments, and for a level-0 predicate no
 unbound variable at all (on the left of an implication eigenvariables are
 instantiable too).  ∇-indices are fine; two calls differing by an
 injective renaming of indices or eigenvariables get distinct keys, which
-costs sharing, never soundness.  A call abandoned by a resource limit
-leaves no entry behind, and takes the entries that assumed it along.
+costs sharing, never soundness.
 
 Keys.  A call is keyed by the tuple (pred, part, ...), one part per
 βη-short argument: a constant by its name, any other variable-free
@@ -61,6 +67,7 @@ when the table is shown.
 from __future__ import annotations
 
 import weakref
+from operator import attrgetter
 
 from . import parser
 from .nodes import App, Const
@@ -71,12 +78,20 @@ DISPROVED = "disproved"
 
 
 class _Frame:
-    """A running call's table entry: the assumptions its production used."""
+    """A running call's table entry.
 
-    __slots__ = ("assumed",)
+    depth is its index in st.tab_stack, assumed maps each call its
+    production assumed to the status assumed, and waiting lists the
+    conditional entries whose innermost condition is this call, each as
+    (its table's entries, its key, the entry).
+    """
 
-    def __init__(self):
-        self.assumed = {}  # key -> assumed status
+    __slots__ = ("depth", "assumed", "waiting")
+
+    def __init__(self, depth):
+        self.depth = depth
+        self.assumed = {}
+        self.waiting = []
 
 
 class _Cond:
@@ -196,91 +211,12 @@ def _canonical(t):
     return done[0]
 
 
-def _table_of(st, key):
-    return st.tables.get(key[0])
-
-
-def _record_cond(st, key, cond):
-    """Enter a finished call's conditional entry.
-
-    Entries that assumed the call while it ran now rest on its conditions
-    instead, or are dropped if they assumed the other outcome or a
-    condition the other way.  So every condition names a call that is
-    still running, and once the outermost call finishes nothing is left
-    conditional.
-    """
-    _table_of(st, key).entries[key] = cond
-    doomed = []
-    for _, k, v in _conditioned_on(st, key):
-        if v.deps.pop(key) is cond.status and all(
-            v.deps.get(d, s) is s for d, s in cond.deps.items()
-        ):
-            v.deps.update(cond.deps)
-            _file(st, k, cond.deps)
-        else:
-            doomed.append(k)
-    _file(st, key, cond.deps)
-    for k in doomed:
-        _discard(st, k)
-
-
-def _file(st, key, deps):
-    """File key under each call it rests on.
-
-    st.tab_dependents maps a key to the keys (an ordered set) of the
-    conditional entries resting on it, so settling or dropping a call
-    visits only those.  A filing can go stale (the dependent was settled,
-    dropped, or recorded again on other calls); readers skip every key
-    whose entry is not a _Cond still resting on the call.
-    """
-    dependents = st.tab_dependents
-    for k in deps:
-        dependents.setdefault(k, {})[key] = None
-
-
-def _conditioned_on(st, k0):
-    """Take the filings under k0: (table, key, entry) of each live one.
-
-    Once k0 finishes or is dropped, nothing is filed under it again until
-    it runs anew, so its filings are consumed here.
-    """
-    out = []
-    for k in st.tab_dependents.pop(k0, ()):
-        table = _table_of(st, k)
-        v = table.entries.get(k)
-        if type(v) is _Cond and k0 in v.deps:
-            out.append((table, k, v))
-    return out
-
-
-def _settle(st, key, status):
-    """Propagate a plain settlement through conditional entries."""
-    settled = [(key, status)]
-    while settled:
-        k0, s0 = settled.pop()
-        doomed = []
-        for table, k, v in _conditioned_on(st, k0):
-            if v.deps[k0] is s0:
-                del v.deps[k0]
-                if not v.deps:
-                    table.entries[k] = v.status
-                    settled.append((k, v.status))
-            else:
-                doomed.append(k)
-        for k in doomed:
-            _discard(st, k)
-
-
-def _discard(st, key):
-    """Drop an entry whose support failed, and everything resting on it."""
-    doomed = [key]
-    while doomed:
-        k0 = doomed.pop()
-        table = _table_of(st, k0)
-        if table is None or k0 not in table.entries:
-            continue
-        del table.entries[k0]
-        doomed.extend(k for _, k, _ in _conditioned_on(st, k0))
+def _wait(st, home, key, cond):
+    """File the conditional entry home[key] under its innermost condition."""
+    tables = st.tables
+    inner = max((tables[k[0]].entries[k] for k in cond.deps),
+                key=attrgetter("depth"))
+    inner.waiting.append((home, key, cond))
 
 
 def tabled_prove(st, pred, args, defn, producer):
@@ -298,8 +234,9 @@ def tabled_prove(st, pred, args, defn, producer):
     if table is None:
         table = st.tables[pred] = Table(pred, defn.table_mode)
     stack = st.tab_stack
+    entries = table.entries
     key = canonical_key(pred, args, st.norm_budget)
-    entry = table.entries.get(key)
+    entry = entries.get(key)
     if type(entry) is _Frame:  # a loop, which the table's mode decides
         entry = PROVED if table.mode == "coinductive" else DISPROVED
         stack[-1].assumed[key] = entry
@@ -311,9 +248,9 @@ def tabled_prove(st, pred, args, defn, producer):
             yield
         return
 
-    frame = _Frame()
+    frame = _Frame(len(stack))
     stack.append(frame)
-    table.entries[key] = frame
+    entries[key] = frame
     try:
         found = False
         gen = producer()
@@ -324,27 +261,38 @@ def tabled_prove(st, pred, args, defn, producer):
         finally:
             gen.close()
     except BaseException:
+        # Every production above this one has dropped its entries already.
         stack.pop()
-        _discard(st, key)  # with every entry that assumed this call
+        del entries[key]
+        for home, k, _ in frame.waiting:
+            del home[k]
         raise
     stack.pop()
     # Every other assumption names a call still running below this one.
     deps = frame.assumed
     deps.pop(key, None)  # self-assumptions discharge themselves
     status = PROVED if found else DISPROVED
+    for home, k, v in frame.waiting:
+        if v.deps.pop(key) is status:
+            v.deps.update(deps)
+            if v.deps:
+                _wait(st, home, k, v)
+            else:
+                home[k] = v.status
+        else:
+            del home[k]
     if deps:
-        _record_cond(st, key, _Cond(status, deps))
+        entries[key] = cond = _Cond(status, deps)
+        _wait(st, entries, key, cond)
         stack[-1].assumed.update(deps)
     else:
-        table.entries[key] = status
-        _settle(st, key, status)
+        entries[key] = status
     if found:
         yield
 
 
 def clear_tables(st):
     st.tables.clear()
-    st.tab_dependents.clear()
     del st.tab_stack[:]
 
 

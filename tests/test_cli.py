@@ -155,6 +155,29 @@ def test_budget_env_variable_is_the_default(tmp_path, monkeypatch):
     assert "% inconclusive:" in out and "400" in out
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--max-answers", "0"], {}),
+    (["--max-answers", "-3"], {}),
+    (["--budget", "-1"], {}),
+    (["--budget", "0"], {}),
+    (["--norm-budget", "ten"], {}),
+    ([], {"NABLA_CHECK_BUDGET": "abc"}),
+    ([], {"NABLA_CHECK_BUDGET": "-5"}),
+])
+def test_numeric_options_must_be_positive_integers(argv, env):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nablacheck.cli", "-q", "true", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: nabla-check")
+    assert "expected a positive integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_no_tabling_flag_disables_tables(tmp_path):
     f = write(
         tmp_path, "cyc.def",

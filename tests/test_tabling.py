@@ -24,14 +24,17 @@ from oracles import gfp_bisim, gfp_sim, parity_walks, transitive_closure
 
 EDGES = {("a", "b"), ("b", "a"), ("a", "c")}
 
-BACK_AND_FORTH = """
-edge a b.
-edge b a.
-edge a c.
+REACH = """
 reach X Y := edge X Z /\\ reach Z Y.
 reach X Y := edge X Y.
 #table inductive reach.
 """
+
+BACK_AND_FORTH = """
+edge a b.
+edge b a.
+edge a c.
+""" + REACH
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +355,94 @@ def test_entries_that_assumed_a_conditional_call_inherit_its_conditions():
     assert run(st, "sim n3 n0").disproved
     assert set(st.tables["sim"].entries.values()) <= {"proved", "disproved"}
     assert run(st, "sim n2 n0").disproved
+
+
+def _record_filings(monkeypatch):
+    """Log (key, conditions) of each conditional entry as it is filed."""
+    filings = []
+    wait = tabling._wait
+
+    def recording_wait(st, home, key, cond):
+        filings.append((key, dict(cond.deps)))
+        return wait(st, home, key, cond)
+
+    monkeypatch.setattr(tabling, "_wait", recording_wait)
+    return filings
+
+
+# p c loops into both p a and p b while they run, so its entry rests on
+# two running calls and waits on the inner one, p b.  p b then finishes
+# disproved as assumed, resting on p a, and p c moves down to wait on p a.
+TWO_CONDITIONS = """
+p a := p b.
+p a := {rescue}.
+p b := p c.
+p c := p a \\/ p b.
+#table inductive p.
+"""
+
+
+@pytest.mark.parametrize("rescue, status, rows", [
+    # p a succeeds through its second clause, against the assumption, so
+    # the entries of p b and p c are dropped.
+    ("true", "proved", ["proved p a."]),
+    # p a fails too, as assumed: every entry settles.
+    ("false", "disproved",
+     ["disproved p a.", "disproved p b.", "disproved p c."]),
+])
+def test_entry_resting_on_two_running_calls(monkeypatch, rescue, status,
+                                            rows):
+    filings = _record_filings(monkeypatch)
+    st = state_from(TWO_CONDITIONS.format(rescue=rescue))
+    assert run(st, "p a").status == status
+    assert filings == [
+        (("p", "c"), {("p", "a"): "disproved", ("p", "b"): "disproved"}),
+        (("p", "c"), {("p", "a"): "disproved"}),
+        (("p", "b"), {("p", "a"): "disproved"}),
+    ]
+    assert st.tables["p"].rows() == rows
+    assert set(st.tables["p"].entries.values()) <= {"proved", "disproved"}
+    assert st.tab_stack == []
+    assert run(st, "p b").status == run(st, "p c").status == status
+
+
+def test_budget_abort_drops_the_entries_an_outer_call_holds(monkeypatch):
+    # p b finishes disproved on the assumption that p a is, and waits on
+    # p a; p a's second clause then runs out of budget.  p a and p b go,
+    # and the settled p d stays.
+    filings = _record_filings(monkeypatch)
+    st = state_from(
+        """
+        p a := p b.
+        p a := p d /\\ grow z.
+        p b := p a.
+        p d.
+        grow X := grow (s X).
+        #table inductive p.
+        """,
+        max_steps=300,
+    )
+    assert run(st, "p a").inconclusive
+    assert filings == [(("p", "b"), {("p", "a"): "disproved"})]
+    assert st.tab_stack == []
+    assert st.tables["p"].entries == {("p", "d"): "proved"}
+
+
+def test_conditional_entries_are_filed_a_linear_number_of_times(monkeypatch):
+    # On an n-cycle every reach ni zz rests on reach n0 zz.  Filed under
+    # the innermost call they rest on, the entries wait on reach n0 zz at
+    # once; handed to the frame just below instead, each would be filed
+    # once per frame between, n²/2 filings in all.
+    filings = _record_filings(monkeypatch)
+    counts = []
+    for n in (250, 500, 1000):
+        del filings[:]
+        st = state_from(_edges((i, (i + 1) % n) for i in range(n)) + REACH)
+        assert run(st, "reach n0 zz").disproved
+        assert st.tables["reach"].counts() == (0, n)
+        counts.append(len(filings))
+    assert counts[1] <= 2.1 * counts[0] and counts[2] <= 2.1 * counts[1], \
+        counts
 
 
 # ---------------------------------------------------------------------------
