@@ -1,0 +1,8 @@
+"""python -m nablacheck: the nabla-check command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -234,10 +234,20 @@ class Clause:
 
     var_names lists the clause variables in order of first appearance,
     head before body.  plan is the head plan unfold() walks: one step per
-    head argument, _CONST for a constant, _FIRST for the first occurrence
-    in the head of a clause variable, _OTHER for anything else.  It is
-    built with the definition's index, on the first unfold, so loading a
-    file does not pay for it.
+    head argument, each one of
+
+    - _CONST, a constant;
+    - _FIRST, the first occurrence in the head of a clause variable;
+    - _VALUE, a later occurrence of a clause variable;
+    - a _Struct step, a redex-free application c P1 … Pn with a constant
+      head, holding one step per field, built the same way, so s (s N)
+      and X::Y::L nest;
+    - _OTHER, anything else (a λ, an application with a variable head, a
+      term with a β-redex).
+
+    Occurrences are counted left to right and depth first, the order the
+    walk visits them.  The plan is built with the definition's index, on
+    the first unfold, so loading a file does not pay for it.
     """
 
     __slots__ = ("head_args", "body", "var_names", "line", "plan")
@@ -282,26 +292,28 @@ class Definition:
         self._index = None
 
     def candidates(self, args, budget):
-        """The clauses whose head can match a call with these arguments.
+        """The clauses whose head can match a call with these arguments,
+        and the first argument normalized, or None if it was not.
 
         The first argument is normalized only when there is one, some clause
         is keyed and some clause has the call's arity, which is exactly when
         trying every clause would normalize it too, so a normalization error
-        surfaces where it always did.  A clause left out is keyed by a constant other
-        than the head constant of the normalized first argument.
+        surfaces where it always did.  A clause left out is keyed by a
+        constant other than the head constant of the normalized first
+        argument.
         """
         if self._index is None:
             self._index = _build_index(self.clauses)
         keyed, open_, arities = self._index
         if not (keyed and args) or len(args) not in arities:
-            return self.clauses
+            return self.clauses, None
         first = deref(args[0])
         if not first.inert:
             first = normalize(first, budget)
         head = first.head if type(first) is App else first
         if type(head) is not Const:
-            return self.clauses
-        return keyed.get(head.name, open_)
+            return self.clauses, first
+        return keyed.get(head.name, open_), first
 
 
 def _clause_key(clause):
@@ -331,22 +343,46 @@ def _redex_free(t):
     return True
 
 
-_CONST, _FIRST, _OTHER = "const", "first", "other"
+_CONST, _FIRST, _VALUE, _OTHER = "const", "first", "value", "other"
+
+
+class _Struct:
+    """Head-plan step for a redex-free application c P1 … Pn: one step per
+    field.  writable says the fields hold only constants, first
+    occurrences and such applications, so the pattern can be built for an
+    unbound variable without unify."""
+
+    __slots__ = ("steps", "writable")
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.writable = all(
+            s is _CONST or s is _FIRST or (type(s) is _Struct and s.writable)
+            for s in steps
+        )
 
 
 def _head_plan(clause):
+    """One step per head argument (see Clause).  seen collects the clause
+    variables met so far in the order unfold walks the plan, so a _FIRST
+    step is the first occurrence that walk meets."""
     seen = set()
-    plan = []
-    for pat in clause.head_args:
-        tp = type(pat)
-        if tp is Const:
-            plan.append(_CONST)
-        elif tp is ClauseVar and pat.name not in seen:
-            plan.append(_FIRST)
-        else:
-            plan.append(_OTHER)
-        seen.update(_clause_var_names(pat))
-    return tuple(plan)
+    return tuple(_step(pat, seen) for pat in clause.head_args)
+
+
+def _step(pat, seen):
+    tp = type(pat)
+    if tp is Const:
+        return _CONST
+    if tp is ClauseVar:
+        if pat.name in seen:
+            return _VALUE
+        seen.add(pat.name)
+        return _FIRST
+    if tp is App and type(pat.head) is Const and _redex_free(pat):
+        return _Struct(tuple(_step(field, seen) for field in pat.args))
+    seen.update(_clause_var_names(pat))
+    return _OTHER
 
 
 def _clause_var_names(t):
@@ -537,10 +573,13 @@ def unfold(pred, args, st, left=False):
     exactly one whose head unification would return FAILURE at the
     rigid-rigid head-name check: its first head argument is a redex-free
     term headed by another constant, so its normalization cannot fail and
-    unification cannot raise NonPatternError before that check.
+    unification cannot raise NonPatternError before that check.  Every
+    clause is matched against that normalized first argument, so it is
+    normalized once per unfold, not once per clause.
 
-    Each clause's head plan (see Clause) is walked left to right, and each
-    step does what renaming the clause apart and unifying would do:
+    Each clause's head plan (see Clause) is walked left to right, fields
+    depth first, and each step does what renaming the clause apart and
+    unifying would do:
 
     - a constant meets an argument that dereferences to a constant by
       comparing names, and an unbound instantiable variable by binding it
@@ -550,10 +589,28 @@ def unfold(pred, args, st, left=False):
       variable to that very term: an inert term, a ∇-index in scope, an
       eigenvariable introduced before (right mode), or an unbound
       instantiable variable at or below the current levels;
-    - anything else first makes fresh variables, in var_names order, for
-      the clause variables that have no value yet, then unifies the
-      renamed argument, so pattern and normalization errors surface as
-      they always did and clause variables keep their relative levels.
+    - a later occurrence meets the value taken before: two inert terms
+      by comparing their structure, an inert term and an unbound
+      instantiable variable, on either side, by binding the variable;
+    - c P1 … Pn, in read mode, meets an application, normalized as unify
+      would, by comparing the head constant and the arity and then
+      matching the fields in order with the field steps: the order of
+      unify._rigid_rigid, so the first failure and any error come from
+      the same field as before.  In write mode it meets an unbound
+      instantiable variable a, if the fields hold only constants, first
+      occurrences and such applications, by binding a to c Y1 … Yn, with
+      a new variable, of the kind fresh variables have, for each first
+      occurrence, at a's global level and the lesser of a's local level
+      and the ∇ depth: the levels unify's pruning step gives.  A
+      constant, a rigid eigenvariable, a ∇-index or an application with
+      a rigid head other than c fails the clause;
+    - anything else (a λ, a flexible application, a later occurrence or
+      a first occurrence that meets any other term, a pattern that is not
+      writable) first makes fresh variables, in var_names order, for the
+      clause variables that have no value yet, then unifies the renamed
+      pattern with that argument or field, so pattern and normalization
+      errors surface as they always did and clause variables keep their
+      relative levels.
 
     Clause variables that occur only in the body become fresh variables
     after the head matched.  Fresh variables are logic variables normally
@@ -567,52 +624,146 @@ def unfold(pred, args, st, left=False):
     defn = st.defs.defs.get(pred)
     if defn is None:
         return
-    sig = st.sig
-    trail = st.trail
-    fresh = sig.fresh_eigen if left else sig.fresh_logic
+    fresh = st.sig.fresh_eigen if left else st.sig.fresh_logic
     arity = len(args)
-    for clause in defn.candidates(args, st.norm_budget):
+    clauses, first = defn.candidates(args, st.norm_budget)
+    if first is not None:
+        args = (first, *args[1:])
+    for clause in clauses:
         if len(clause.head_args) != arity:
             continue
         var_names = clause.var_names
         mark = st.checkpoint()
         try:
             env = {}
-            ok = True
-            for step, pat, arg in zip(clause.plan, clause.head_args, args):
-                if step is _CONST:
-                    a = deref(arg) if isinstance(arg, Var) else arg
-                    ta = type(a)
-                    if ta is Const:
-                        if a.name != pat.name:
-                            ok = False
-                            break
-                        continue
-                    if ta is LogicVar or (left and ta is EigenVar):
-                        bind(a, pat, trail)
-                        continue
-                    # Another constant's application, a rigid eigenvariable
-                    # or a ∇-index: unify would fail at the rigid-rigid check.
-                    if a.inert or ta is EigenVar or ta is NablaIndex:
-                        ok = False
-                        break
-                elif step is _FIRST and pat.name not in env:
-                    a = deref(arg) if isinstance(arg, Var) else arg
-                    if a.inert or _passes(a, sig, left):
-                        env[pat.name] = a
-                        continue
-                if len(env) < len(var_names):
-                    _fresh_rest(env, var_names, fresh)
-                if unify(replace_clause_vars(pat, env), arg, st,
-                         instantiate_eigen=left) is not SUCCESS:
-                    ok = False
-                    break
-            if ok:
+            if _match(clause.plan, clause.head_args, args, first, env, st,
+                      left, var_names):
                 if len(env) < len(var_names):
                     _fresh_rest(env, var_names, fresh)
                 yield replace_clause_vars_formula(clause.body, env)
         finally:
             st.undo_to(mark)
+
+
+def _match(steps, pats, values, normal, env, st, left, var_names):
+    """Walk plan steps over head patterns and the values they meet,
+    binding on the trail and filling env; False when the clause fails.
+
+    At the top the values are the atom's arguments and normal is the one
+    of them candidates() normalized, or None: a _Struct step normalizes
+    any other application that is not inert, as unify would.  For fields
+    normal is True: they belong to an application this walk normalized,
+    and a binding made since can have exposed a redex only at the head of
+    a field whose head variable it bound, which is the case unify's _whnf
+    normalizes again.
+    """
+    sig = st.sig
+    trail = st.trail
+    for step, pat, value in zip(steps, pats, values):
+        a = deref(value) if isinstance(value, Var) else value
+        ta = type(a)
+        if step is _CONST:
+            if ta is Const:
+                if a.name != pat.name:
+                    return False
+                continue
+            if ta is LogicVar or (left and ta is EigenVar):
+                bind(a, pat, trail)
+                continue
+            # Another constant's application, a rigid eigenvariable or a
+            # ∇-index: unify would fail at the rigid-rigid check.
+            if a.inert or ta is EigenVar or ta is NablaIndex:
+                return False
+        elif step is _FIRST:
+            if pat.name not in env and (a.inert or _passes(a, sig, left)):
+                env[pat.name] = a
+                continue
+        elif step is _VALUE:
+            v = deref(env[pat.name])
+            if a.inert:
+                if v.inert:
+                    if v is a or _same_inert(v, a):
+                        continue
+                    return False
+                tv = type(v)
+                if tv is LogicVar or (left and tv is EigenVar):
+                    bind(v, a, trail)
+                    continue
+            elif v.inert and (ta is LogicVar or (left and ta is EigenVar)):
+                bind(a, v, trail)
+                continue
+        elif step is not _OTHER:  # a _Struct step
+            if ta is App and not a.inert and a is not normal and (
+                normal is not True
+                or isinstance(a.head, Var) and a.head.binding is not None
+            ):
+                a = normalize(a, st.norm_budget)
+                ta = type(a)
+            if ta is App:
+                head = a.head
+                if type(head) is Const:
+                    if (head.name != pat.head.name
+                            or len(a.args) != len(pat.args)):
+                        return False
+                    if not _match(step.steps, pat.args, a.args, True, env, st,
+                                  left, var_names):
+                        return False
+                    continue
+                if not (type(head) is LogicVar
+                        or (left and type(head) is EigenVar)):
+                    return False
+            elif ta is LogicVar or (left and ta is EigenVar):
+                if step.writable:
+                    g = a.global_level
+                    l = min(a.local_level, sig.nabla_depth)
+                    kind = EigenVar if left else LogicVar
+                    bind(a, _build(step, pat, env, sig, kind, g, l), trail)
+                    continue
+            elif ta is not Lam:
+                return False
+        if len(env) < len(var_names):
+            _fresh_rest(env, var_names,
+                        sig.fresh_eigen if left else sig.fresh_logic)
+        if unify(replace_clause_vars(pat, env), a, st,
+                 instantiate_eigen=left) is not SUCCESS:
+            return False
+    return True
+
+
+def _same_inert(t, s):
+    """Do two inert terms have one structure?  This is unify's verdict on
+    them, reached without recursion or trail."""
+    stack = [(t, s)]
+    while stack:
+        t, s = stack.pop()
+        if t is s:
+            continue
+        if type(t) is Const or type(s) is Const:
+            if type(t) is not type(s) or t.name != s.name:
+                return False
+        elif t.head.name != s.head.name or len(t.args) != len(s.args):
+            return False
+        else:
+            stack.extend(zip(t.args, s.args))
+    return True
+
+
+def _build(step, pat, env, sig, kind, g, l):
+    """The term unify binds an unbound variable to when it meets the
+    pattern of a writable _Struct step: pat with a new variable of class
+    kind at levels (g, l) for each first occurrence.  Such a name has no
+    other occurrence yet, so a fresh variable made for it before is
+    referenced by env alone and is replaced."""
+    if pat.inert:
+        return pat
+    fields = []
+    for sub, p in zip(step.steps, pat.args):
+        if sub is _FIRST:
+            p = env[p.name] = sig.fresh_at(kind, p.name, g, l)
+        elif sub is not _CONST:
+            p = _build(sub, p, env, sig, kind, g, l)
+        fields.append(p)
+    return App(pat.head, tuple(fields))
 
 
 def _fresh_rest(env, var_names, fresh):

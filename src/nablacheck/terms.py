@@ -20,7 +20,11 @@ no variable and no redex, so shift, subst, _nf, eta_contract and _uses_index
 return at an inert node without descending into it: the result is the same
 object.  This keeps the cost of passes over bound lists and numerals
 independent of their length.  The flag is fixed at construction and no
-binding can reach inside an inert node, so it never goes stale.
+binding can reach inside an inert node, so it never goes stale.  _nf also
+returns an application or λ whose parts all come back unchanged as the
+same object, so normalizing a normal term builds nothing: logic.unfold
+keeps the first argument it normalized for every clause it tries, and
+that costs no copy of a long list with a variable tail.
 
 The fuel accounting in normalize charges one unit per β-step and one per
 node visited while performing the substitution, so both reduction counts and
@@ -28,6 +32,8 @@ intermediate term sizes stay bounded by the budget.
 """
 
 from __future__ import annotations
+
+from operator import is_
 
 from .errors import NormalizationDepthExceeded
 from .nodes import (
@@ -97,7 +103,11 @@ class Signature:
     def fresh_like(self, template, global_level, local_level, name=None):
         """A fresh variable of the same kind with explicit levels (pruning)."""
         cls = EigenVar if isinstance(template, EigenVar) else LogicVar
-        return cls(name or template.name, self._take_id(), global_level, local_level)
+        return self.fresh_at(cls, name or template.name, global_level, local_level)
+
+    def fresh_at(self, cls, name, global_level, local_level):
+        """A fresh variable of class cls with explicit levels."""
+        return cls(name, self._take_id(), global_level, local_level)
 
 
 def deref(t):
@@ -195,7 +205,10 @@ def _nf(t, fuel):
     if not args:
         return _nf(head, fuel)
     # head is a non-App, non-Lam atom here: the spine is rigid or flex.
-    return App(head, tuple(_nf(a, fuel) for a in args))
+    nf_args = tuple(_nf(a, fuel) for a in args)
+    if head is t.head and all(map(is_, nf_args, t.args)):
+        return t  # already normal, like an unchanged λ above
+    return App(head, nf_args)
 
 
 def eta_contract(t):

@@ -120,6 +120,22 @@ def test_query_singular_answer_count(tmp_path):
     assert code == 0 and "% proved (1 answer)" in out
 
 
+def test_python_dash_m_nablacheck_runs_the_command(tmp_path):
+    f = write(tmp_path, "m.def", MEMB + "#assert memb b (a::b::nil).\n")
+    argv = [f, "-q", "memb X (a::b::nil)", "-q", "memb c (a::nil)"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nablacheck", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    code, out = run_cli(argv)
+    assert proc.returncode == code == 1
+    assert proc.stdout == out
+    assert "X = b" in out and "% disproved" in out
+    assert proc.stderr == ""
+
+
 def test_disproved_query_is_exit_one(tmp_path):
     f = write(tmp_path, "m.def", MEMB)
     code, out = run_cli([f, "--query", "memb c (a::b::nil)"])

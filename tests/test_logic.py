@@ -7,6 +7,7 @@ from conftest import run, state_from
 
 import nablacheck.engine as engine
 import nablacheck.logic as logic
+import nablacheck.unify as unify_mod
 from nablacheck.errors import IllFormedFormula, LevelError
 from nablacheck.logic import (
     Atom,
@@ -216,12 +217,16 @@ def _every_clause(pred, args, st, left=False):
             st.undo_to(mark)
 
 
+# Nested constructor patterns, some repeating a clause variable inside one
+# argument or across the two, and one holding a λ.
+_NESTED = ["X::L", "X::X::L", "s (s X)", "f (g X) X", "f X (g Y)", "f (x\\ X)"]
 # First head arguments: constants, applications (one a redex, one holding a
 # λ, one holding a redex without a normal form), clause variables, a
-# flexible head, and λs.
+# flexible head, λs and the nested patterns.
 _HEADS = ["a", "b", "c", "f a", "f X", "g X b", "f (x\\ x)", "(x\\ f x) a",
-          "g ((x\\ x x) (x\\ x x)) a", "X", "Y", "X a", "x\\ f x", "x\\ a"]
-_SECONDS = ["a", "b", "X", "Y", "f Y"]
+          "g ((x\\ x x) (x\\ x x)) a", "X", "Y", "X a", "x\\ f x",
+          "x\\ a"] + _NESTED
+_SECONDS = ["a", "b", "X", "Y", "f Y"] + _NESTED
 _BODIES = ["", " := q X", " := q Y", " := X = Y", " := q a"]
 _QUERY_FIRSTS = ["a", "b", "d", "f", "f a", "f b", "g a b", "x\\ f x"]
 
@@ -250,6 +255,38 @@ def _query_texts():
     yield "exists X. (q a => p a X)"
     yield "exists X. (q a => exists Y. p X Y)"
     yield "forall x. (q x => exists Y. p x Y)"
+    yield "exists X. (q a => p (a::X) X)"
+    # Fields holding eigenvariables, ∇-indices, λs, partially bound lists
+    # and variables at lower levels than the names around them.
+    yield "forall x. exists Y. p (x::Y) Y"
+    yield "forall x. exists Y. p (f (g x) x) Y"
+    yield "forall x. exists Y. p (x::x::nil) (s (s x))"
+    yield "nabla n. exists Y. p (n::n::nil) Y"
+    yield "nabla n. exists Y. p (f n (g n)) (s (s n))"
+    yield "exists Y. p (f (x\\ a)) Y"
+    yield "exists Y. p (f (x\\ x)) (f (x\\ b))"
+    yield "exists Y. p (a::a::nil) (s (s Y))"
+    yield "exists Z Y. p (a::b::Z) Y"
+    yield "exists Z Y. p (s (s Z)) (Z::Y)"
+    yield "exists Z. forall x. exists Y. p (x::Z) Y"
+    yield "exists Z. forall x. p Z (x::nil)"
+    yield "exists Z. forall x. p (f (g x) Z) Z"
+    yield "exists Z. nabla n. exists Y. p (f n (g Z)) Y"
+    yield "exists Z. nabla n. p (n::Z) Z"
+    yield "exists Z. nabla n. p Z (s (s n))"
+    yield "forall x. exists Z. p Z (x::nil)"
+    yield "nabla n. exists Z. p (s (s Z)) (n::Z)"
+    # The same shapes under => false, where eigenvariables bend too.
+    yield "forall x. p (x::nil) b => false"
+    yield "forall x y. p (x::y) y => false"
+    yield "forall x. p (f (g x) x) a => false"
+    yield "forall x. p (s (s x)) (x::nil) => false"
+    yield "forall x. nabla n. p (x::n::nil) x => false"
+    yield "nabla n. p (n::n::nil) (f n (g n)) => false"
+    yield "exists Z. forall x. p (x::Z) Z => false"
+    yield "exists Z. forall x. p Z (x::x::nil) => false"
+    yield "exists Z. nabla n. p (f n (g Z)) a => false"
+    yield "forall x. exists Z. p (a::Z) (f (x\\ x)) => false"
 
 
 def _outcome(st, text):
@@ -297,9 +334,9 @@ def test_head_unifications_grow_linearly_along_a_chain(monkeypatch):
     real_candidates = logic.Definition.candidates
 
     def counted(self, args, budget):
-        clauses = real_candidates(self, args, budget)
+        clauses, first = real_candidates(self, args, budget)
         tried[0] += len(clauses)
-        return clauses
+        return clauses, first
 
     monkeypatch.setattr(logic.Definition, "candidates", counted)
     counts = []
@@ -341,7 +378,8 @@ adder3 A2 A1 A0 B2 B1 B0 C S2 S1 S0 :=
 """
 
 
-def test_constant_heads_and_first_occurrences_match_without_unify(monkeypatch):
+def _count_head_unify(monkeypatch):
+    """A one-element list counting unfold's calls to unify from now on."""
     calls = [0]
     real_unify = logic.unify
 
@@ -350,6 +388,11 @@ def test_constant_heads_and_first_occurrences_match_without_unify(monkeypatch):
         return real_unify(*args, **kwargs)
 
     monkeypatch.setattr(logic, "unify", counted)
+    return calls
+
+
+def test_constant_heads_and_first_occurrences_match_without_unify(monkeypatch):
+    calls = _count_head_unify(monkeypatch)
     st = state_from(ADDER)
     assert run(st, "and2 1 1 1").proved
     assert run(st, "and2 1 0 1").disproved
@@ -379,3 +422,98 @@ def test_first_occurrence_heads_make_fresh_variables_only_for_body_names():
         assert st.sig._next_id == before + 1
     assert bodies == 2
     assert deref(s) is s and deref(c) is c
+
+
+LISTS = """
+len nil z.
+len (X::L) (s N) := len L N.
+memb X (X::L).
+memb X (Y::L) := memb X L.
+append nil L L.
+append (X::L) M (X::N) := append L M N.
+select X (X::L) L.
+select X (Y::L) (Y::M) := select X L M.
+plus z N N.
+plus (s M) N (s K) := plus M N K.
+fibtree z.
+fibtree (s z).
+fibtree (s (s N)) := fibtree (s N) /\\ fibtree N.
+rev L R := rev_acc L nil R.
+rev_acc nil A A.
+rev_acc (X::L) A R := rev_acc L (X::A) R.
+"""
+
+
+def test_constructor_heads_match_field_by_field_without_unify(monkeypatch):
+    calls = _count_head_unify(monkeypatch)
+    st = state_from(LISTS)
+    # Every argument inert.
+    assert run(st, "len (a::b::c::nil) (s (s (s z)))").proved
+    assert run(st, "len (a::b::nil) (s z)").disproved
+    assert run(st, "memb c (a::b::c::nil)").proved
+    assert run(st, "memb d (a::b::c::nil)").disproved
+    assert run(st, "append (a::nil) (b::c::nil) (a::b::c::nil)").proved
+    assert run(st, "append (a::nil) (b::nil) (b::a::nil)").disproved
+    assert run(st, "select b (a::b::c::nil) (a::c::nil)").proved
+    assert run(st, "select b (a::b::c::nil) (a::b::nil)").disproved
+    assert run(st, "plus (s (s z)) (s z) (s (s (s z)))").proved
+    assert run(st, "plus (s z) (s z) (s z)").disproved
+    assert run(st, "fibtree (s (s (s (s z))))").proved
+    assert run(st, "rev (a::b::c::nil) (c::b::a::nil)").proved
+    assert run(st, "rev (a::b::nil) (a::b::nil)").disproved
+    # Outputs built in write mode.
+
+    def answers(query):
+        return [a.text() for a in run(st, query).answers]
+
+    assert answers("exists N. len (a::b::nil) N") == ["N = s (s z)"]
+    assert answers("exists A B. append A B (a::b::nil)") == [
+        "A = nil, B = a::b::nil",
+        "A = a::nil, B = b::nil",
+        "A = a::b::nil, B = nil",
+    ]
+    assert answers("exists K. plus (s z) (s (s z)) K") == [
+        "K = s (s (s z))"]
+    assert answers("exists R. rev (a::b::c::nil) R") == ["R = c::b::a::nil"]
+    assert answers("exists X. memb X (a::b::nil)") == ["X = a", "X = b"]
+    assert calls[0] == 0
+
+
+def test_write_mode_builds_at_the_variables_levels():
+    st = state_from(LISTS)
+    # Y is introduced before x, so no instance of Y may mention x.
+    assert run(st, "exists Y. forall x. append Y nil (x::nil)").disproved
+    assert run(st, "exists Y. nabla x. append Y nil (x::nil)").disproved
+    assert run(st, "forall x. exists Y. append Y nil (x::nil)").proved
+    assert run(st, "nabla x. exists Y. append Y nil (x::nil)").proved
+
+
+def test_first_argument_is_normalized_once_per_unfold(monkeypatch):
+    firsts = []  # the dereferenced first argument of each len unfold
+    normalized = []  # every term normalized, dereferenced
+
+    real_unfold = engine.unfold
+
+    def unfold_len(pred, args, st, left=False):
+        if pred == "len":
+            firsts.append(deref(args[0]))
+        return real_unfold(pred, args, st, left)
+
+    def counting(real):
+        def normalize(t, budget=None):
+            normalized.append(deref(t))
+            return real(t, budget)
+        return normalize
+
+    monkeypatch.setattr(engine, "unfold", unfold_len)
+    monkeypatch.setattr(logic, "normalize", counting(logic.normalize))
+    monkeypatch.setattr(unify_mod, "normalize", counting(unify_mod.normalize))
+    st = state_from(LISTS)
+    r = run(st, "exists N T. len (a::b::T) N", max_answers=3)
+    assert [a.text() for a in r.answers] == [
+        "N = s (s z), T = nil",
+        "N = s (s (s z)), T = ?0::nil",
+        "N = s (s (s (s z))), T = ?0::?1::nil",
+    ]
+    assert len(firsts) >= 5
+    assert [sum(t is a for t in normalized) for a in firsts] == [1] * len(firsts)
