@@ -29,9 +29,9 @@ class ParseError(NablaCheckError):
 def _show_term(t, limit=160):
     """Render a term for an error message; must never raise."""
     try:
-        from .parser import print_term
+        from .parser import CONS, print_term
 
-        s = print_term(t, prec=1)
+        s = print_term(t, prec=CONS)
     except Exception:
         s = repr(t)
     if len(s) > limit:

@@ -236,12 +236,13 @@ class Clause:
     head before body.  plan is the head plan unfold() walks: one step per
     head argument, each one of
 
-    - _CONST, a constant;
+    - _CONST, an inert term: a constant, or a constant applied to inert
+      terms;
     - _FIRST, the first occurrence in the head of a clause variable;
     - _VALUE, a later occurrence of a clause variable;
-    - a _Struct step, a redex-free application c P1 … Pn with a constant
-      head, holding one step per field, built the same way, so s (s N)
-      and X::Y::L nest;
+    - a _Struct step, any other redex-free application c P1 … Pn with a
+      constant head, holding one step per field, built the same way, so
+      s (s N) and X::Y::L nest;
     - _OTHER, anything else (a λ, an application with a variable head, a
       term with a β-redex).
 
@@ -348,7 +349,7 @@ _CONST, _FIRST, _VALUE, _OTHER = "const", "first", "value", "other"
 
 class _Struct:
     """Head-plan step for a redex-free application c P1 … Pn: one step per
-    field.  writable says the fields hold only constants, first
+    field.  writable says the fields hold only inert terms, first
     occurrences and such applications, so the pattern can be built for an
     unbound variable without unify."""
 
@@ -371,9 +372,9 @@ def _head_plan(clause):
 
 
 def _step(pat, seen):
-    tp = type(pat)
-    if tp is Const:
+    if pat.inert:
         return _CONST
+    tp = type(pat)
     if tp is ClauseVar:
         if pat.name in seen:
             return _VALUE
@@ -581,9 +582,9 @@ def unfold(pred, args, st, left=False):
     depth first, and each step does what renaming the clause apart and
     unifying would do:
 
-    - a constant meets an argument that dereferences to a constant by
-      comparing names, and an unbound instantiable variable by binding it
-      on the trail;
+    - an inert pattern meets an inert argument by comparing structure,
+      and an unbound instantiable variable by binding it to the pattern
+      itself on the trail;
     - the first occurrence of a clause variable takes the dereferenced
       argument itself as its value where unify would bind a fresh
       variable to that very term: an inert term, a ∇-index in scope, an
@@ -664,15 +665,19 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
         ta = type(a)
         if step is _CONST:
             if ta is Const:
-                if a.name != pat.name:
+                if type(pat) is not Const or a.name != pat.name:
                     return False
                 continue
             if ta is LogicVar or (left and ta is EigenVar):
                 bind(a, pat, trail)
                 continue
-            # Another constant's application, a rigid eigenvariable or a
-            # ∇-index: unify would fail at the rigid-rigid check.
-            if a.inert or ta is EigenVar or ta is NablaIndex:
+            if a.inert:
+                if a is pat or _same_inert(a, pat):
+                    continue
+                return False
+            # A rigid eigenvariable or a ∇-index: unify would fail at the
+            # rigid-rigid check.
+            if ta is EigenVar or ta is NablaIndex:
                 return False
         elif step is _FIRST:
             if pat.name not in env and (a.inert or _passes(a, sig, left)):
@@ -754,8 +759,6 @@ def _build(step, pat, env, sig, kind, g, l):
     kind at levels (g, l) for each first occurrence.  Such a name has no
     other occurrence yet, so a fresh variable made for it before is
     referenced by env alone and is replaced."""
-    if pat.inert:
-        return pat
     fields = []
     for sub, p in zip(step.steps, pat.args):
         if sub is _FIRST:

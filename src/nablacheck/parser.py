@@ -8,11 +8,31 @@
 
 Tokens starting with an uppercase letter (or underscore) are clause or query
 variables; lowercase tokens are constants or predicate names, except when
-bound by forall/exists/nabla or a λ (written `x\\ body`).  Application is
-juxtaposition; `::` is the list constructor; `=` builds an equation between
-terms; `/\\`, `\\/`, `=>` are the connectives in decreasing binding strength
-with `=>` associating right; quantifier bodies extend as far right as
-possible.  `%` starts a comment.
+bound by forall/exists/nabla or a λ (written `x\\ body`).  `%` starts a
+comment.
+
+Clauses, formulas and terms are one expression language, with one operator
+table (loosest first):
+
+    level  operator            assoc   operand levels
+    0      head := body        none    7, 2          a clause
+    1      x\\ body             prefix  1             λ
+    2      forall x y. body    prefix  2             also exists, nabla
+    2      =>                  right   3, 2
+    3      \\/                  left    3, 4
+    4      /\\                  left    4, 5
+    5      =                   none    6, 6
+    6      ::                  right   7, 6
+    7      f a b               left    8, 8          application
+    8      names, numbers, true, ( )
+
+A node of level L stands bare where its context asks for level L or less
+and in parentheses elsewhere.  A prefix body extends as far right as it
+can; a λ may open only a level-1 context (a whole term, the inside of
+parentheses, a λ body), a quantifier any context up to level 5.  The
+parser builds a raw tree by this table; the reader turns it into a Formula
+or a Term, refusing a node where its sort cannot stand (a λ as a formula,
+`/\\` inside a term); the printer parenthesizes by the same table.
 
 Query variables (free uppercase names in a query or assertion) desugar into
 a top-level existential prefix in first-occurrence order, which is how the
@@ -25,42 +45,45 @@ import re
 
 from .errors import ParseError
 from .logic import (
-    And,
-    Atom,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    Imp,
-    Nabla,
-    Or,
-    Top,
-    formula_terms,
+    And, Atom, Eq, Exists, Forall, Formula, Imp, Nabla, Or, Top, formula_terms,
 )
 from .nodes import (
-    App,
-    Bound,
-    ClauseVar,
-    Const,
-    EigenVar,
-    Lam,
-    NablaIndex,
-    Term,
-    Var,
-    app,
+    App, Bound, ClauseVar, Const, EigenVar, Lam, NablaIndex, Term, Var, app,
 )
 from .terms import deref
 
 KEYWORDS = {"forall", "exists", "nabla", "true"}
 
-# Deepest nesting of terms and formulas (parentheses, λs, quantifiers, `=>`)
-# the parser accepts.  Each level costs it at most five interpreter frames,
-# so a refused input fails with a ParseError only under a recursion limit
-# above 25,000 frames, such as the one a State sets (38,000 at the default
-# max_depth).  Under the interpreter's default limit, parsing before any
-# State exists raises RecursionError at 248 nested parentheses (a known
-# defect, see ROADMAP).  Lists (`::`) do not nest.
+# Deepest nesting the parser accepts, counted on its own stack: each open
+# parenthesis, λ, quantifier and right operand of `=>` is a level, and so
+# is a clause body; list length and chains of `/\` or `\/` are not.  The
+# engine still recurses once per level, so the bound stays.
 MAX_NESTING = 5000
+
+# The levels of the operator table, loosest first.
+CLAUSE, OPEN, IMP, OR, AND, EQ, CONS, APP, ATOM = range(9)
+
+# Infix operator -> (level, left operand level, right operand level).
+# Application is juxtaposition; " " names it in raw trees.
+_INFIX = {
+    ":=": (CLAUSE, APP, IMP),
+    "=>": (IMP, OR, IMP),
+    "\\/": (OR, OR, AND),
+    "/\\": (AND, AND, EQ),
+    "=": (EQ, CONS, CONS),
+    "::": (CONS, APP, CONS),
+    " ": (APP, ATOM, ATOM),
+}
+# Prefix binder -> (level, which is its body's, highest level it may open).
+_BINDERS = {"\\": (OPEN, OPEN),
+            "forall": (IMP, EQ), "exists": (IMP, EQ), "nabla": (IMP, EQ)}
+# What opens a nesting level.
+_NESTS = {"(", "=>", *_BINDERS}
+# The operators that build formulas, and their names for the printer.
+_FORMULAS = {"/\\": And, "\\/": Or, "=>": Imp, "=": Eq,
+             "forall": Forall, "exists": Exists, "nabla": Nabla}
+_NAMES = {cls: op for op, cls in _FORMULAS.items()}
+_LEAVES = {"name", "uvar", "int"}  # token kinds that are operands
 
 _TOKEN_RE = re.compile(
     r"""
@@ -92,30 +115,28 @@ class Token:
 
 def tokenize(text, filename=None):
     tokens = []
-    pos = 0
     line = 1
-    bol = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                filename,
-                line,
-                pos - bol + 1,
-            )
+    bol = 0  # where the current line starts
+    pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
+        pos = m.end()
         kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
+        if kind == "ws":
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                bol = text.rindex("\n", start, pos) + 1
+        elif kind != "comment":
+            tok = m.group()
             if kind == "name" and tok in KEYWORDS:
                 kind = "kw"
-            tokens.append(Token(kind, tok, line, pos - bol + 1))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            bol = pos + tok.rfind("\n") + 1
-        pos = m.end()
+            tokens.append(Token(kind, tok, line, start - bol + 1))
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", filename,
+                         line, pos - bol + 1)
     tokens.append(Token("eof", "", line, pos - bol + 1))
     return tokens
 
@@ -193,22 +214,21 @@ class ClauseItem:
 # Parser
 # ---------------------------------------------------------------------------
 
+# What the reader is asked for, and, offset by _BUILD, the step that builds
+# a node once its operands are read.
+_TERM, _FORMULA, _BUILD = 0, 1, 2
+
+
 class _Parser:
     def __init__(self, tokens, filename=None):
         self.toks = tokens
         self.pos = 0
         self.filename = filename
         self.bound: list[str] = []  # innermost binder last
-        self.clause_vars: list[str] = []
-        self.depth = 0  # open term() and formula() calls
-        # Positions of '(' tokens where a parenthesized term failed to
-        # parse; funit takes the formula route there at once.
-        self.not_terms: set[int] = set()
+        self.clause_vars: dict[str, int] = {}  # name -> first-occurrence rank
+        self.query_vars = None  # [(Bound, rank)] while closing a query
 
     # Token plumbing -------------------------------------------------------
-
-    def peek(self):
-        return self.toks[self.pos]
 
     def next(self):
         t = self.toks[self.pos]
@@ -216,209 +236,238 @@ class _Parser:
         return t
 
     def expect(self, kind, text=None):
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise self.error(f"expected {want!r}, found {t.text!r}")
+            raise self.error(f"expected {text or kind!r}, found {t.text!r}")
         return self.next()
 
     def at(self, kind, text=None):
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
-    def error(self, message):
-        t = self.peek()
+    def error(self, message, tok=None):
+        t = self.toks[self.pos] if tok is None else tok
         return ParseError(message, self.filename, t.line, t.col)
 
-    def descend(self):
-        """Enter one nesting level; callers step back out on return.
+    # One expression -------------------------------------------------------
 
-        A ParseError leaves the count raised; funit, the one place that
-        backtracks over a failed parse, restores it.
-        """
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error(f"nested more than {MAX_NESTING} levels deep")
+    def expr(self, level, depth):
+        """The raw tree of the expression at the current token, in a
+        context of the given level and nesting depth.
 
-    # Terms ----------------------------------------------------------------
-
-    def term(self) -> Term:
-        self.descend()
-        # A binder: name followed by a backslash.
-        t = self.peek()
-        if t.kind in ("name", "uvar") and self.toks[self.pos + 1].kind == "punct" \
-                and self.toks[self.pos + 1].text == "\\":
-            name = self.next().text
-            self.next()  # backslash
-            self.bound.append(name)
-            try:
-                body = self.term()
-            finally:
-                self.bound.pop()
-            result = Lam(body, name)
-        else:
-            result = self.cons_term()
-        self.depth -= 1
-        return result
-
-    def cons_term(self) -> Term:
-        # `::` associates right; a loop, so list length costs no depth.
-        items = [self.app_term()]
-        while self.at("punct", "::"):
-            self.next()
-            items.append(self.app_term())
-        t = items.pop()
-        while items:
-            t = App(Const("::"), (items.pop(), t))
-        return t
-
-    def app_term(self) -> Term:
-        head = self.primary()
-        args = []
+        A leaf is its Token; any other node is a tuple (operator, token,
+        left, right): (" ", head's token, head, [arguments]) for an
+        application, (binder, token, [names], body) for a λ or quantifier.
+        Parentheses leave no node.  Each open operator waits on the stack
+        for its right operand."""
+        toks = self.toks
+        pos = self.pos
+        stack = []  # (operator, token, left, the context's level)
         while True:
-            t = self.peek()
-            if t.kind in ("name", "uvar", "int") or (
-                t.kind == "punct" and t.text == "("
-            ):
-                args.append(self.primary())
+            # An operand starts at pos.
+            if depth > MAX_NESTING:
+                raise self.error(f"nested more than {MAX_NESTING} levels deep",
+                                 toks[pos])
+            t = toks[pos]
+            kind = t.kind
+            pos += 1
+            if t.text == "(":
+                op, left, inner = "(", None, OPEN
+            elif kind == "kw" and t.text != "true" \
+                    and _BINDERS[t.text][1] >= level:
+                op, left, inner = t.text, [], _BINDERS[t.text][0]
+                while toks[pos].kind == "name" or toks[pos].kind == "uvar":
+                    left.append(toks[pos].text)
+                    pos += 1
+                self.pos = pos
+                if not left:
+                    raise self.error(f"{op} needs at least one variable name")
+                self.expect("punct", ".")
+                pos = self.pos
+            elif (kind == "name" or kind == "uvar") and toks[pos].text == "\\" \
+                    and _BINDERS["\\"][1] >= level:
+                op, left, inner = "\\", [t.text], OPEN
+                pos += 1
+            elif kind in _LEAVES or kind == "kw" and t.text == "true":
+                node, op = t, None
             else:
-                break
-        return app(head, args)
+                raise self.error(f"expected a term, found {t.text!r}", t)
+            if op is not None:
+                stack.append((op, t, left, level))
+                level = inner
+                depth += 1
+                continue
+            # The operand so far is node: extend it by what binds at level or
+            # tighter, and close what waits for it.
+            while True:
+                t = toks[pos]
+                kind = t.kind
+                if (kind in _LEAVES or t.text == "(") and level <= APP:
+                    if type(node) is Token:
+                        node = (" ", node, node, [])
+                    elif node[0] != " ":
+                        node = (" ", node[1], node, [])
+                    if kind in _LEAVES:
+                        node[3].append(t)
+                        pos += 1
+                        continue
+                    stack.append((" ", t, node, level))
+                    level = ATOM
+                    break
+                if t.text in _INFIX:
+                    op = t.text
+                    row = _INFIX[op]
+                    if row[0] >= level:
+                        stack.append((op, t, node, level))
+                        level = row[2]
+                        pos += 1
+                        if op in _NESTS:
+                            depth += 1
+                        break
+                if not stack:
+                    self.pos = pos
+                    return node
+                op, tok, left, level = stack.pop()
+                if op == " ":
+                    left[3].append(node)
+                    node = left
+                    continue
+                if op != "(":
+                    node = (op, tok, left, node)
+                elif t.text != ")":
+                    raise self.error(f"expected ')', found {t.text!r}", t)
+                else:
+                    pos += 1
+                if op in _NESTS:
+                    depth -= 1
 
-    def primary(self) -> Term:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "(":
-            start = self.pos
-            self.next()
-            try:
-                inner = self.term()
-                self.expect("punct", ")")
-            except ParseError:
-                self.not_terms.add(start)
-                raise
-            return inner
-        if t.kind == "name":
-            self.next()
-            return self.resolve(t.text)
-        if t.kind == "uvar":
-            self.next()
-            return self.resolve(t.text)
-        if t.kind == "int":
-            self.next()
-            return Const(t.text)
-        raise self.error(f"expected a term, found {t.text!r}")
+    # Reading a raw tree ---------------------------------------------------
+
+    def read(self, root, want):
+        """The Term (want _TERM) or Formula (want _FORMULA) a raw tree
+        stands for, read left to right on an explicit stack: binder names
+        are resolved in scope and each node is built once, after its
+        operands."""
+        bound = self.bound
+        out = []
+        todo = [(root, want)]
+        while todo:
+            node, want = todo.pop()
+            if type(node) is Token:
+                kind = node.kind
+                if kind == "kw":  # true
+                    if want == _TERM:
+                        raise self.error("expected a term, found 'true'", node)
+                    out.append(Top())
+                    continue
+                if kind == "int" or kind == "name" and node.text not in bound:
+                    t = Const(node.text)
+                else:
+                    t = self.resolve(node.text)
+            elif want < _BUILD:
+                op = node[0]
+                if want == _TERM and op in _FORMULAS:
+                    raise self.error(f"expected a term, found {op!r}", node[1])
+                if want == _FORMULA and op == "\\":
+                    raise self.error("expected a formula", node[1])
+                todo.append((node, want + _BUILD))
+                if op == " ":
+                    for a in reversed(node[3]):
+                        todo.append((a, _TERM))
+                    todo.append((node[2], _TERM))
+                elif op in _BINDERS:
+                    bound.extend(node[2])
+                    todo.append((node[3], want))
+                else:
+                    sub = _TERM if op == "=" or op == "::" else _FORMULA
+                    todo.append((node[3], sub))
+                    todo.append((node[2], sub))
+                continue
+            else:
+                want -= _BUILD
+                op = node[0]
+                if op in _BINDERS:
+                    names = node[2]
+                    del bound[len(bound) - len(names):]
+                    t = out.pop()
+                    if op == "\\":
+                        t = Lam(t, names[0])
+                    else:
+                        for name in reversed(names):
+                            t = _FORMULAS[op](name, t)
+                    out.append(t)
+                    continue
+                if op == " ":
+                    n = len(node[3]) + 1
+                    head, args = out[-n], out[1 - n:]
+                    del out[-n:]
+                    if want == _FORMULA and type(head) is Const:
+                        out.append(Atom(head.name, args))
+                        continue
+                    t = app(head, args)
+                else:
+                    right = out.pop()
+                    left = out.pop()
+                    if op != "::":
+                        out.append(_FORMULAS[op](left, right))
+                        continue
+                    t = App(Const("::"), (left, right))
+                node = node[1]
+            if want == _FORMULA:  # a term in a formula's place: an atom
+                name, args = _atom_parts(t)
+                if name is None:
+                    raise self.error("expected a formula", node)
+                t = Atom(name, args)
+            out.append(t)
+        return out[0]
 
     def resolve(self, name) -> Term:
-        for i in range(len(self.bound) - 1, -1, -1):
-            if self.bound[i] == name:
-                return Bound(len(self.bound) - 1 - i)
+        bound = self.bound
+        if name in bound:
+            return Bound(bound[::-1].index(name))
         if name[0].isupper() or name[0] == "_":
-            if name not in self.clause_vars:
-                self.clause_vars.append(name)
-            return ClauseVar(name)
+            rank = self.clause_vars.setdefault(name, len(self.clause_vars))
+            if self.query_vars is None:
+                return ClauseVar(name)
+            b = Bound(len(bound))
+            self.query_vars.append((b, rank))
+            return b
         return Const(name)
 
-    # Formulas ---------------------------------------------------------------
-
-    def formula(self) -> Formula:
-        self.descend()
-        f = self.disjunction()
-        if self.at("punct", "=>"):
-            self.next()
-            f = Imp(f, self.formula())
-        self.depth -= 1
+    def query(self, node):
+        """Read a formula and close its free query variables into a top-level
+        ∃ prefix: each occurrence is read as a Bound at its binder depth,
+        then raised by the number of later query variables, whose ∃ the
+        prefix puts inside its own."""
+        self.clause_vars = {}
+        self.query_vars = []
+        f = self.read(node, _FORMULA)
+        k = len(self.clause_vars)
+        for b, rank in self.query_vars:
+            b.index += k - 1 - rank
+        self.query_vars = None
+        for name in reversed(list(self.clause_vars)):
+            f = Exists(name, f)
         return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.at("punct", "\\/"):
-            self.next()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.funit()
-        while self.at("punct", "/\\"):
-            self.next()
-            f = And(f, self.funit())
-        return f
-
-    def funit(self) -> Formula:
-        t = self.peek()
-        if t.kind == "kw":
-            if t.text == "true":
-                self.next()
-                return Top()
-            return self.quantified()
-        # Try the term route (atom or equation); fall back to a
-        # parenthesized formula, since '(' is ambiguous between the two.
-        # Where a parenthesized term already failed, the term route fails
-        # again, so go straight to the formula: nested parenthesized
-        # formulas would otherwise be reparsed as terms once per level.
-        if self.pos not in self.not_terms:
-            mark = (self.pos, self.depth)
-            try:
-                return self.atom_or_eq()
-            except ParseError:
-                if self.depth > MAX_NESTING:
-                    raise
-                self.pos, self.depth = mark
-                if not self.at("punct", "("):
-                    raise
-        self.next()
-        f = self.formula()
-        self.expect("punct", ")")
-        return f
-
-    def quantified(self) -> Formula:
-        kw = self.next().text
-        ctor = {"forall": Forall, "exists": Exists, "nabla": Nabla}[kw]
-        names = []
-        while self.peek().kind in ("name", "uvar"):
-            names.append(self.next().text)
-        if not names:
-            raise self.error(f"{kw} needs at least one variable name")
-        self.expect("punct", ".")
-        self.bound.extend(names)
-        try:
-            body = self.formula()
-        finally:
-            del self.bound[len(self.bound) - len(names):]
-        for name in reversed(names):
-            body = ctor(name, body)
-        return body
-
-    def atom_or_eq(self) -> Formula:
-        lhs = self.cons_term()
-        if self.at("punct", "="):
-            self.next()
-            rhs = self.cons_term()
-            return Eq(lhs, rhs)
-        name, args = _atom_parts(lhs)
-        if name is None:
-            raise self.error("expected a formula")
-        return Atom(name, args)
 
     # Items ------------------------------------------------------------------
 
     def item(self):
         """One clause, directive, or query, consuming the closing dot."""
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind == "directive":
             return self.directive()
-        self.clause_vars = []
-        line = t.line
-        head = self.app_term()
-        hname, hargs = _atom_parts(head)
+        self.clause_vars = {}
+        _, head_level, body_level = _INFIX[":="]
+        hname, hargs = _atom_parts(self.read(self.expr(head_level, 0), _TERM))
         if hname is None:
             raise self.error("a clause head must be a predicate applied to terms")
+        body = Top()
         if self.at("punct", ":="):
             self.next()
-            body = self.formula()
-        else:
-            body = Top()
+            body = self.read(self.expr(body_level, 1), _FORMULA)
         self.expect("punct", ".")
-        return ClauseItem(hname, hargs, body, tuple(self.clause_vars), line)
+        return ClauseItem(hname, hargs, body, tuple(self.clause_vars), t.line)
 
     def directive(self):
         t = self.next()
@@ -435,11 +484,9 @@ class _Parser:
             self.expect("punct", ".")
             return TableDirective(mode, pred, line)
         if name in ("#assert", "#assert_not"):
-            self.clause_vars = []
-            f = self.formula()
+            node = self.expr(IMP, 1)
             self.expect("punct", ".")
-            f = close_query_vars(f, self.clause_vars)
-            return AssertDirective(f, name == "#assert", line)
+            return AssertDirective(self.query(node), name == "#assert", line)
         if name == "#include":
             path = self.expect("string").text[1:-1]
             self.expect("punct", ".")
@@ -453,53 +500,20 @@ class _Parser:
             return ShowTableDirective(pred, line)
         raise self.error(f"unknown directive {name}")
 
+    def formula_to_eof(self):
+        """A formula's raw tree, an optional closing dot, and nothing else."""
+        node = self.expr(IMP, 1)
+        if self.at("punct", "."):
+            self.next()
+        self.expect("eof")
+        return node
+
 
 def _atom_parts(t):
-    head = t
-    args = ()
-    if type(head) is App:
-        head, args = head.head, head.args
+    head, args = (t.head, t.args) if type(t) is App else (t, ())
     if type(head) is Const:
         return head.name, args
     return None, ()
-
-
-def close_query_vars(f, names):
-    """Wrap free query variables into a top-level existential prefix."""
-    if not names:
-        return f
-    k = len(names)
-
-    def walk_term(t, depth):
-        tt = type(t)
-        if tt is ClauseVar:
-            i = names.index(t.name)
-            return Bound(depth + (k - 1 - i))
-        if tt is Lam:
-            return Lam(walk_term(t.body, depth + 1), t.hint)
-        if tt is App:
-            return app(
-                walk_term(t.head, depth),
-                tuple(walk_term(a, depth) for a in t.args),
-            )
-        return t
-
-    def walk(g, depth):
-        tg = type(g)
-        if tg is Atom:
-            return Atom(g.pred, tuple(walk_term(a, depth) for a in g.args))
-        if tg is Eq:
-            return Eq(walk_term(g.lhs, depth), walk_term(g.rhs, depth))
-        if tg is And or tg is Or or tg is Imp:
-            return tg(walk(g.left, depth), walk(g.right, depth))
-        if tg is Exists or tg is Forall or tg is Nabla:
-            return tg(g.name, walk(g.body, depth + 1))
-        return g
-
-    out = walk(f, 0)
-    for name in reversed(names):
-        out = Exists(name, out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,29 +523,21 @@ def close_query_vars(f, names):
 def parse_term(text, filename=None) -> Term:
     """Parse one term.  Uppercase names become ClauseVar placeholders."""
     p = _Parser(tokenize(text, filename), filename)
-    t = p.term()
+    node = p.expr(OPEN, 1)
     p.expect("eof")
-    return t
-
-
-def _formula_to_eof(p):
-    """A formula, an optional closing dot, and nothing after it."""
-    f = p.formula()
-    if p.at("punct", "."):
-        p.next()
-    p.expect("eof")
-    return f
+    return p.read(node, _TERM)
 
 
 def parse_formula(text, filename=None) -> Formula:
     """Parse one formula; uppercase names stay ClauseVar placeholders."""
-    return _formula_to_eof(_Parser(tokenize(text, filename), filename))
+    p = _Parser(tokenize(text, filename), filename)
+    return p.read(p.formula_to_eof(), _FORMULA)
 
 
 def parse_query(text, filename=None) -> Formula:
     """Parse a query: free uppercase names become a top-level ∃ prefix."""
     p = _Parser(tokenize(text, filename), filename)
-    return close_query_vars(_formula_to_eof(p), p.clause_vars)
+    return p.query(p.formula_to_eof())
 
 
 def parse_file(text, filename=None):
@@ -550,142 +556,123 @@ def parse_interaction(text, filename=None):
         d = p.directive()
         p.expect("eof")
         return d
-    return close_query_vars(_formula_to_eof(p), p.clause_vars)
+    return p.query(p.formula_to_eof())
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printer
 # ---------------------------------------------------------------------------
 
-def _const_names(t, acc):
-    tt = type(t)
-    if tt is Const:
-        acc.add(t.name)
-    elif tt is Lam:
-        _const_names(t.body, acc)
-    elif tt is App:
-        _const_names(t.head, acc)
-        for a in t.args:
-            _const_names(a, acc)
-    elif isinstance(t, Var) and t.binding is not None:
-        _const_names(t.binding, acc)
+def _const_names(roots):
+    acc = set()
+    stack = list(roots)
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is Const:
+            acc.add(t.name)
+        elif tt is Lam:
+            stack.append(t.body)
+        elif tt is App:
+            stack.append(t.head)
+            stack.extend(t.args)
+        elif isinstance(t, Var) and t.binding is not None:
+            stack.append(t.binding)
+    return acc
 
 
-def _fresh_name(hint, avoid):
-    name = hint or "x"
-    if name not in avoid:
-        return name
-    i = 1
-    while f"{name}{i}" in avoid:
+def _fresh_name(hint, avoid, used):
+    name = fresh = hint or "x"
+    i = 0
+    while fresh in avoid or fresh in used:
         i += 1
-    return f"{name}{i}"
+        fresh = f"{name}{i}"
+    return fresh
 
 
-def print_term(t, env=None, prec=0, avoid=None, keyed=False) -> str:
-    """Render a term so that it reparses to the same structure.
+def _render(root, level, avoid, keyed=False):
+    """Render a term or formula in a context of the given level, with the
+    parentheses the operator table asks for, on an explicit stack.  A string
+    on the stack is output, None leaves a binder's scope."""
+    out = []
+    env = []  # binder names in scope, innermost last; all distinct
+    names = set()
+    todo = [(root, level)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if item is None:
+            names.remove(env.pop())
+            continue
+        t, level = item
+        if isinstance(t, Var):
+            t = deref(t)
+        tt = type(t)
+        if tt is App and type(t.head) is Const and t.head.name == "::" \
+                and len(t.args) == 2:
+            own, left, right = _INFIX["::"]
+            parts = [(t.args[1], right), "::", (t.args[0], left)]
+        elif tt is App or tt is Atom:
+            own, left, right = _INFIX[" "]
+            parts = []
+            for a in reversed(t.args):
+                parts += ((a, right), " ")
+            parts.append(t.pred if tt is Atom else (t.head, left))
+        elif tt is Lam or tt is Exists or tt is Forall or tt is Nabla:
+            kw = "\\" if tt is Lam else _NAMES[tt]
+            own = _BINDERS[kw][0]
+            name = _fresh_name(t.hint if tt is Lam else t.name, avoid, names)
+            head = f"{name}\\ " if tt is Lam else f"{kw} {name}. "
+            parts = [None, (t.body, own), head]
+            env.append(name)
+            names.add(name)
+        elif tt in _NAMES:  # =, /\, \/, =>
+            op = _NAMES[tt]
+            own, left, right = _INFIX[op]
+            l, r = (t.lhs, t.rhs) if tt is Eq else (t.left, t.right)
+            parts = [(r, right), f" {op} ", (l, left)]
+        else:
+            out.append(_leaf(t, env, keyed))
+            continue
+        todo += [")", *parts, "("] if level > own else parts
+    return "".join(out)
 
-    Precedence contexts: 0 open (λ may appear bare), 1 an infix operand
-    (cons fine, λ parenthesized), 2 the left side of `::`, 3 an argument
-    position (only atoms bare).  env carries enclosing binder names,
-    innermost last.  Unbound variables print as name_id so distinct
-    variables never collide on the page.  With keyed set they print as
-    name@E<id> (eigenvariables) or name@L<id> (logic variables) instead, a
-    form no constant can spell; table keys use it, so a variable and a
-    constant such as x_0 never share a key.
-    """
-    if env is None:
-        env = []
-    if avoid is None:
-        avoid = set()
-        _const_names(t, avoid)
-    t = deref(t)
+
+def _leaf(t, env, keyed):
     tt = type(t)
-    if tt is Const:
+    if tt is Const or tt is ClauseVar:
         return t.name
     if tt is Bound:
         i = t.index
-        if i < len(env):
-            return env[len(env) - 1 - i]
-        return f"_b{i - len(env)}"
+        return env[len(env) - 1 - i] if i < len(env) else f"_b{i - len(env)}"
     if tt is NablaIndex:
         return f"#{t.index}"
-    if tt is ClauseVar:
-        return t.name
-    if isinstance(t, Var):
-        if keyed:
-            kind = "E" if isinstance(t, EigenVar) else "L"
-            return f"{t.name}@{kind}{t.id}"
-        return f"{t.name}_{t.id}"
-    if tt is Lam:
-        name = _fresh_name(t.hint, avoid | set(env))
-        body = print_term(t.body, env + [name], 0, avoid, keyed)
-        s = f"{name}\\ {body}"
-        return f"({s})" if prec >= 1 else s
-    # application
-    if type(t.head) is Const and t.head.name == "::" and len(t.args) == 2:
-        left = print_term(t.args[0], env, 2, avoid, keyed)
-        right = print_term(t.args[1], env, 1, avoid, keyed)
-        s = f"{left}::{right}"
-        return f"({s})" if prec >= 2 else s
-    head = print_term(t.head, env, 3, avoid, keyed)
-    parts = [head] + [print_term(a, env, 3, avoid, keyed) for a in t.args]
-    s = " ".join(parts)
-    return f"({s})" if prec >= 3 else s
-
-
-def print_formula(f, env=None, prec=0, avoid=None) -> str:
-    """Render a formula with minimal parentheses.
-
-    Precedence: => (1, right-assoc) < \\/ (2) < /\\ (3) < atoms.
-    Quantifiers extend maximally right, so they parenthesize like prec 1.
-    """
-    if env is None:
-        env = []
-    if avoid is None:
-        avoid = set()
-        for t in formula_terms(f):
-            _const_names(t, avoid)
-    tf = type(f)
-    if tf is Top:
+    if tt is Top:
         return "true"
-    if tf is Atom:
-        if not f.args:
-            return f.pred
-        parts = [f.pred] + [print_term(a, env, 3, avoid) for a in f.args]
-        return " ".join(parts)
-    if tf is Eq:
-        return (
-            print_term(f.lhs, env, 1, avoid)
-            + " = "
-            + print_term(f.rhs, env, 1, avoid)
-        )
-    if tf is Imp:
-        s = (
-            print_formula(f.left, env, 2, avoid)
-            + " => "
-            + print_formula(f.right, env, 1, avoid)
-        )
-        return f"({s})" if prec > 1 else s
-    if tf is Or:
-        s = (
-            print_formula(f.left, env, 2, avoid)
-            + " \\/ "
-            + print_formula(f.right, env, 3, avoid)
-        )
-        return f"({s})" if prec > 2 else s
-    if tf is And:
-        s = (
-            print_formula(f.left, env, 3, avoid)
-            + " /\\ "
-            + print_formula(f.right, env, 4, avoid)
-        )
-        return f"({s})" if prec > 3 else s
-    # quantifier
-    kw = {Exists: "exists", Forall: "forall", Nabla: "nabla"}[tf]
-    name = _fresh_name(f.name, avoid | set(env))
-    body = print_formula(f.body, env + [name], 1, avoid)
-    s = f"{kw} {name}. {body}"
-    return f"({s})" if prec > 1 else s
+    if keyed:
+        return f"{t.name}@{'E' if isinstance(t, EigenVar) else 'L'}{t.id}"
+    return f"{t.name}_{t.id}"
+
+
+def print_term(t, prec=OPEN, keyed=False) -> str:
+    """Render a term so that it reparses to the same structure, in a
+    context of level prec of the operator table.  Unbound variables print
+    as name_id so distinct variables never collide on the page.  With keyed
+    set they print as name@E<id> (eigenvariables) or name@L<id> (logic
+    variables) instead, a form no constant can spell; table keys use it, so
+    a variable and a constant such as x_0 never share a key.
+    """
+    t = deref(t)
+    if type(t) is Const:
+        return t.name
+    return _render(t, prec, _const_names((t,)), keyed)
+
+
+def print_formula(f) -> str:
+    """Render a formula with the parentheses the operator table asks for."""
+    return _render(f, OPEN, _const_names(formula_terms(f)))
 
 
 def print_substitution(pairs) -> str:

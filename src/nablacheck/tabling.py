@@ -122,8 +122,8 @@ class Table:
         """Settled entries as source-syntax lines, sorted."""
         return sorted(
             f"{status} "
-            + " ".join(p if type(p) is str else parser.print_term(p, prec=3)
-                       for p in key)
+            + " ".join(p if type(p) is str
+                       else parser.print_term(p, prec=parser.ATOM) for p in key)
             + "."
             for key, status in self.entries.items()
             if status is PROVED or status is DISPROVED
@@ -156,7 +156,7 @@ def canonical_key(pred, args, budget=None):
     for a in args:
         a = normalize_eta(a, budget)
         if not a.inert:
-            parts.append(parser.print_term(a, prec=3, keyed=True))
+            parts.append(parser.print_term(a, prec=parser.ATOM, keyed=True))
         elif type(a) is Const:
             parts.append(a.name)
         else:

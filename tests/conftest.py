@@ -5,10 +5,13 @@ from __future__ import annotations
 import contextlib
 import importlib.resources
 import io
+import os
+import subprocess
 import sys
 
 import pytest
 
+import nablacheck
 from nablacheck.engine import State, solve
 from nablacheck.parser import (
     ClauseItem,
@@ -72,6 +75,18 @@ def run_cli(argv, stdin_text=""):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue()
+
+
+def run_child(argv):
+    """Run `python argv...` in a child process that imports this
+    nablacheck, under the interpreter's default recursion limit; a crash
+    there cannot take pytest down.  Returns the CompletedProcess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env,
+        timeout=300,
+    )
 
 
 def corpus_path(name):

@@ -10,7 +10,7 @@ import pytest
 
 import nablacheck
 
-from conftest import run_cli
+from conftest import run_child, run_cli
 
 MEMB = "memb X (X::L).\nmemb X (Y::L) := memb X L.\n"
 
@@ -339,12 +339,7 @@ def test_deep_list_ends_inconclusive_without_a_crash(tmp_path):
     # Run in a child process: a C stack overflow would kill pytest itself.
     lst = "b::" * 19999 + "a::nil"
     path = write(tmp_path, "deep.def", MEMB + f"#assert memb a ({lst}).\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "nablacheck.cli", path],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_child(["-m", "nablacheck.cli", path])
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "inconclusive" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
@@ -357,15 +352,32 @@ def test_deeply_nested_input_is_a_parse_error_without_a_crash(tmp_path):
     num = "(s " * n + "z" + ")" * n
     path = write(tmp_path, "nested.def",
                  f"nat z.\nnat (s N) := nat N.\n#assert nat {num}.\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "nablacheck.cli", path],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_child(["-m", "nablacheck.cli", path])
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "error:" in proc.stdout and "nested more than" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_query_over_a_long_list_ends_without_a_crash(tmp_path):
+    # The query's 20,000 cells are read and closed without recursion; the
+    # proof itself is 20,000 unfolds deep, so it may end inconclusive.
+    lst = "a::" * 20_000 + "nil"
+    path = write(tmp_path, "len.def",
+                 "len nil z.\nlen (X::L) (s N) := len L N.\n")
+    proc = run_child(["-m", "nablacheck.cli", path, "-q", f"len ({lst}) N"])
+    assert proc.returncode in (0, 2), proc.stderr[-2000:]
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_fact_over_a_long_list_matches_and_prints(tmp_path):
+    # An inert clause-head argument is matched whole, and the answer is
+    # printed, without recursion through its 40,000 cells.
+    lst = "a::" * 40_000 + "nil"
+    path = write(tmp_path, "big.def", f"big ({lst}).\n")
+    proc = run_child(["-m", "nablacheck.cli", path, "-q", "big L"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == f"L = {lst}\n% proved (1 answer)\n"
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as hs
 from nablacheck.errors import ParseError
 from nablacheck.logic import And, Atom, Eq, Exists, Forall, Imp, Nabla, Or, Top
 from nablacheck.nodes import App, Bound, ClauseVar, Const, Lam
-from nablacheck.engine import State
 from nablacheck.parser import (
     MAX_NESTING,
     AssertDirective,
@@ -27,6 +26,8 @@ from nablacheck.parser import (
     print_term,
 )
 from nablacheck.terms import struct_eq
+
+from conftest import run_child
 
 
 def formula_eq(f, g):
@@ -94,6 +95,10 @@ def test_connective_precedence_chain():
     assert type(f) is Imp
     assert type(f.left) is Or
     assert type(f.left.left) is And
+    # parentheses around a formula and around terms inside it
+    f = parse_formula("(" * 100 + "p /\\ (q a) = (q a)" + ")" * 100 + " /\\ r")
+    assert type(f) is And and type(f.left) is And
+    assert type(f.left.right) is Eq
 
 
 def test_implication_associates_right():
@@ -220,7 +225,6 @@ def test_parse_errors_carry_location():
 
 
 def test_nesting_past_the_bound_is_a_parse_error():
-    State()  # raises the recursion limit to the one the CLI parses under
     k = MAX_NESTING - 1  # parse_term's own level plus k parentheses
     assert parse_term("(s " * k + "z" + ")" * k).inert
     with pytest.raises(ParseError, match="nested more than"):
@@ -238,29 +242,39 @@ def test_nesting_past_the_bound_is_a_parse_error():
     assert n == 3 * MAX_NESTING and lst.name == "nil"
 
 
-def test_nested_parenthesized_formulas_parse_in_linear_work(monkeypatch):
-    # '(' opens a term or a formula, and the term route is tried first.
-    # Once it failed at one '(', it is not tried again one level further
-    # in, which made each level reparse every level inside it.
-    from nablacheck import parser
+DEEP_SCRIPT = """
+from nablacheck.errors import ParseError
+from nablacheck.logic import Exists
+from nablacheck.nodes import App, Const
+from nablacheck.parser import parse_query, parse_term, print_term
 
-    calls = [0]
-    primary = parser._Parser.primary
+n = 100_000
+try:
+    parse_term("(" * n + "z" + ")" * n)
+except ParseError as e:
+    assert "nested more than" in str(e), e
+else:
+    raise AssertionError("no ParseError")
+goal = parse_query("len (" + "a::" * 20_000 + "nil) N")
+assert type(goal) is Exists and goal.name == "N"
+num = Const("z")
+for _ in range(20_000):
+    num = App(Const("s"), (num,))
+assert print_term(num) == "s (" * 19_999 + "s z" + ")" * 19_999
+lst = Const("nil")
+for _ in range(40_000):
+    lst = App(Const("::"), (Const("a"), lst))
+assert print_term(lst) == "a::" * 40_000 + "nil"
+print("ok")
+"""
 
-    def counted(self):
-        calls[0] += 1
-        return primary(self)
 
-    monkeypatch.setattr(parser._Parser, "primary", counted)
-    counts = []
-    for n in (25, 50, 100):
-        calls[0] = 0
-        f = parse_formula("(" * n + "p /\\ (q a) = (q a)" + ")" * n + " /\\ r")
-        assert type(f) is And and type(f.left) is And
-        assert type(f.left.right) is Eq
-        counts.append(calls[0])
-    assert counts[1] <= 2.2 * counts[0], counts
-    assert counts[2] <= 2.2 * counts[1], counts
+def test_deep_input_parses_and_prints_under_the_default_recursion_limit():
+    # A child process with no State, so the interpreter's default limit
+    # holds: parsing, closing query variables and printing do not recurse
+    # once per level.
+    proc = run_child(["-c", DEEP_SCRIPT])
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr[-2000:]
 
 
 def test_unknown_table_mode_rejected_at_registration():
