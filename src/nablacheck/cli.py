@@ -188,9 +188,6 @@ def run_interaction(text, st, out, inp):
     except NablaCheckError as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE
-    except RecursionError:
-        out.write("error: interpreter recursion limit hit\n")
-        return INCONCLUSIVE
     finally:
         gen.close()
 

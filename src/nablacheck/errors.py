@@ -82,7 +82,14 @@ class NonPatternError(NablaCheckError):
 
 
 class BudgetExceeded(NablaCheckError):
-    """A proof-search resource limit ran out (steps or live nesting)."""
+    """A proof-search resource limit ran out.
+
+    The limits are the per-query step budget, the bound on choice points
+    open at once (engine.MAX_CHOICE_POINTS), and the interpreter's
+    recursion limit, met only by a term nested hundreds of levels deep
+    through arguments other than an application's last.  budget is the
+    step budget in force; the message names the limit.
+    """
 
     def __init__(self, budget, detail=None):
         self.budget = budget

@@ -121,18 +121,53 @@ class Nabla(_Binder):
     __slots__ = ()
 
 
+# The formula walkers below follow, in a loop, the child the grammar
+# nests on: a binder's body, the left side of the left-associative /\ and
+# \/, the right side of the right-associative =>.  They recurse only into
+# the other side, so a long prefix of binders or a long chain of one
+# connective costs no interpreter stack.  A frame records the node passed
+# and, for a connective, its other side's result.
+
+
 def instantiate(f: Formula, value: Term, depth: int = 0) -> Formula:
     """Close the formula binder at the given depth with a term."""
-    tf = type(f)
-    if tf is Atom:
-        return Atom(f.pred, tuple(subst(a, value, depth) for a in f.args))
-    if tf is Eq:
-        return Eq(subst(f.lhs, value, depth), subst(f.rhs, value, depth))
-    if tf is And or tf is Or or tf is Imp:
-        return tf(instantiate(f.left, value, depth), instantiate(f.right, value, depth))
-    if tf is Exists or tf is Forall or tf is Nabla:
-        return tf(f.name, instantiate(f.body, value, depth + 1))
-    return f  # Top
+    frames = None
+    while True:
+        tf = type(f)
+        if tf is Atom:
+            f = Atom(f.pred, tuple([subst(a, value, depth) for a in f.args]))
+            break
+        if frames is None:
+            frames = []
+        if tf is And or tf is Or:
+            frames.append((tf, instantiate(f.right, value, depth)))
+            f = f.left
+        elif tf is Exists or tf is Forall or tf is Nabla:
+            frames.append((tf, f.name))
+            depth += 1
+            f = f.body
+        elif tf is Eq:
+            f = Eq(subst(f.lhs, value, depth), subst(f.rhs, value, depth))
+            break
+        elif tf is Imp:
+            frames.append((Imp, instantiate(f.left, value, depth)))
+            f = f.right
+        else:
+            break  # Top stays
+    return f if frames is None else _rebuild(f, frames)
+
+
+def _rebuild(f, frames):
+    """Put the nodes a formula walker passed back around its result f."""
+    while frames:
+        tf, other = frames.pop()
+        if tf is And or tf is Or:
+            f = tf(f, other)
+        elif tf is Imp:
+            f = Imp(other, f)
+        else:
+            f = tf(other, f)
+    return f
 
 
 def formula_terms(f):
@@ -174,15 +209,18 @@ def formula_preds(f, acc=None):
 def antecedent_preds(f, acc=None):
     """Predicate names occurring inside some implication antecedent of f."""
     acc = set() if acc is None else acc
-    tf = type(f)
-    if tf is Imp:
-        formula_preds(f.left, acc)
-        antecedent_preds(f.right, acc)
-    elif tf is And or tf is Or:
-        antecedent_preds(f.left, acc)
-        antecedent_preds(f.right, acc)
-    elif tf is Exists or tf is Forall or tf is Nabla:
-        antecedent_preds(f.body, acc)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        tg = type(g)
+        if tg is Imp:
+            formula_preds(g.left, acc)
+            stack.append(g.right)
+        elif tg is And or tg is Or:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif tg is Exists or tg is Forall or tg is Nabla:
+            stack.append(g.body)
     return acc
 
 
@@ -199,30 +237,43 @@ def classify(f, level_of=None, strict=True) -> int:
     iterate to its fixed point before complaining.
     """
     getter = {}.get if level_of is None else level_of.get
-
-    def level(g):
+    if type(f) is Atom:
+        return getter(f.pred, 0)
+    # Walked in the order of a left-to-right recursion, on a stack whose
+    # entries are a formula, or an implication whose antecedent's level
+    # is the last entry of levels.
+    levels = [0]  # levels[-1]: the level of the antecedent being walked
+    stack = [f]
+    while stack:
+        g = stack.pop()
         tg = type(g)
-        if tg is Top or tg is Eq:
-            return 0
-        if tg is Atom:
-            return getter(g.pred, 0)
-        if tg is And or tg is Or:
-            return max(level(g.left), level(g.right))
-        if tg is Exists or tg is Nabla:
-            return level(g.body)
-        if tg is Forall:
-            level(g.body)
-            return 1
-        if tg is Imp:
-            if level(g.left) != 0 and strict:
+        if tg is tuple:  # an antecedent was walked
+            if levels.pop() != 0 and strict:
                 raise IllFormedFormula(
                     "the antecedent of an implication must be a level-0 formula"
                 )
-            level(g.right)
-            return 1
-        raise TypeError(f"not a formula: {g!r}")
-
-    return level(f)
+            levels[-1] = 1
+            stack.append(g[0].right)
+        elif tg is Top or tg is Eq:
+            pass
+        elif tg is Atom:
+            if getter(g.pred, 0):
+                levels[-1] = 1
+        elif tg is And or tg is Or:
+            stack.append(g.right)
+            stack.append(g.left)
+        elif tg is Exists or tg is Nabla:
+            stack.append(g.body)
+        elif tg is Forall:
+            levels[-1] = 1
+            stack.append(g.body)
+        elif tg is Imp:
+            stack.append((g,))
+            stack.append(g.left)
+            levels.append(0)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return levels[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +299,15 @@ class Clause:
 
     Occurrences are counted left to right and depth first, the order the
     walk visits them.  The plan is built with the definition's index, on
-    the first unfold, so loading a file does not pay for it.
+    the first unfold, so loading a file does not pay for it.  So is sieve:
+    the first head argument is a _Struct step whose fields meet a _CONST or
+    _Struct step before any _VALUE or _OTHER one.  The index tells clauses
+    apart by the first argument's head constant only, and sieve marks the
+    ones an inert first argument can still rule out below it (_rules_out),
+    as s z rules out fib (s (s N)).
     """
 
-    __slots__ = ("head_args", "body", "var_names", "line", "plan")
+    __slots__ = ("head_args", "body", "var_names", "line", "plan", "sieve")
 
     def __init__(self, head_args, body, var_names, line=None):
         self.head_args = tuple(head_args)
@@ -259,6 +315,7 @@ class Clause:
         self.var_names = tuple(var_names)
         self.line = line
         self.plan = None
+        self.sieve = False
 
 
 class Definition:
@@ -371,19 +428,38 @@ def _head_plan(clause):
     return tuple(_step(pat, seen) for pat in clause.head_args)
 
 
-def _step(pat, seen):
-    if pat.inert:
-        return _CONST
-    tp = type(pat)
-    if tp is ClauseVar:
-        if pat.name in seen:
-            return _VALUE
-        seen.add(pat.name)
-        return _FIRST
-    if tp is App and type(pat.head) is Const and _redex_free(pat):
-        return _Struct(tuple(_step(field, seen) for field in pat.args))
-    seen.update(_clause_var_names(pat))
-    return _OTHER
+def _step(pat, seen, redex_free=False):
+    """The plan step of one pattern; redex_free says pat lies inside an
+    application already found redex-free.  The last field of a _Struct is
+    walked in a loop, the others recursively, in order."""
+    fields = []  # the steps of all fields but the last, per _Struct passed
+    while True:
+        if pat.inert:
+            step = _CONST
+            break
+        tp = type(pat)
+        if tp is ClauseVar:
+            if pat.name in seen:
+                step = _VALUE
+            else:
+                seen.add(pat.name)
+                step = _FIRST
+            break
+        if tp is App and type(pat.head) is Const and (
+                redex_free or _redex_free(pat)):
+            redex_free = True
+            args = pat.args
+            fields.append([_step(field, seen, True) for field in args[:-1]])
+            pat = args[-1]
+            continue
+        seen.update(_clause_var_names(pat))
+        step = _OTHER
+        break
+    while fields:
+        steps = fields.pop()
+        steps.append(step)
+        step = _Struct(tuple(steps))
+    return step
 
 
 def _clause_var_names(t):
@@ -407,6 +483,11 @@ def _build_index(clauses):
     for clause in clauses:
         if clause.plan is None:
             clause.plan = _head_plan(clause)
+            if clause.plan and type(clause.plan[0]) is _Struct:
+                for step in clause.plan[0].steps:
+                    if step is not _FIRST:
+                        clause.sieve = step is not _VALUE and step is not _OTHER
+                        break
         arities.add(len(clause.head_args))
         key = _clause_key(clause)
         if key is None:
@@ -532,40 +613,85 @@ class DefSet:
 
 def replace_clause_vars(t, env):
     """Substitute clause-variable placeholders; fresh vars are λ-closed, so
-    no index shifting is needed."""
+    no index shifting is needed.  λ bodies and last arguments are walked in
+    a loop."""
     tt = type(t)
     if tt is ClauseVar:
         return env[t.name]
-    if tt is Lam:
-        return Lam(replace_clause_vars(t.body, env), t.hint)
-    if tt is App:
-        if t.inert:
-            return t
-        return app(
-            replace_clause_vars(t.head, env),
-            tuple(replace_clause_vars(a, env) for a in t.args),
-        )
+    frames = None
+    while True:
+        if tt is App:
+            if t.inert:
+                break
+            args = t.args
+            head = t.head
+            if type(head) is ClauseVar:
+                head = env[head.name]
+            elif type(head) is Lam:
+                head = replace_clause_vars(head, env)
+            if frames is None:
+                frames = []
+            frames.append(
+                (head, [replace_clause_vars(a, env) for a in args[:-1]]))
+            t = args[-1]
+        elif tt is Lam:
+            if frames is None:
+                frames = []
+            frames.append(t.hint)
+            t = t.body
+        else:
+            if tt is ClauseVar:
+                t = env[t.name]
+            break
+        tt = type(t)
+    if frames is None:
+        return t
+    while frames:
+        fr = frames.pop()
+        if type(fr) is tuple:
+            head, args = fr
+            args.append(t)
+            t = app(head, args)
+        else:
+            t = Lam(t, fr)
     return t
 
 
 def replace_clause_vars_formula(f, env):
-    tf = type(f)
-    if tf is Atom:
-        return Atom(f.pred, tuple(replace_clause_vars(a, env) for a in f.args))
-    if tf is Eq:
-        return Eq(replace_clause_vars(f.lhs, env), replace_clause_vars(f.rhs, env))
-    if tf is And or tf is Or or tf is Imp:
-        return tf(
-            replace_clause_vars_formula(f.left, env),
-            replace_clause_vars_formula(f.right, env),
-        )
-    if tf is Exists or tf is Forall or tf is Nabla:
-        return tf(f.name, replace_clause_vars_formula(f.body, env))
-    return f
+    frames = None
+    while True:
+        tf = type(f)
+        if tf is Atom:
+            f = Atom(f.pred,
+                     tuple([replace_clause_vars(a, env) for a in f.args]))
+            break
+        if frames is None:
+            frames = []
+        if tf is And or tf is Or:
+            frames.append((tf, replace_clause_vars_formula(f.right, env)))
+            f = f.left
+        elif tf is Exists or tf is Forall or tf is Nabla:
+            frames.append((tf, f.name))
+            f = f.body
+        elif tf is Eq:
+            f = Eq(replace_clause_vars(f.lhs, env),
+                   replace_clause_vars(f.rhs, env))
+            break
+        elif tf is Imp:
+            frames.append((Imp, replace_clause_vars_formula(f.left, env)))
+            f = f.right
+        else:
+            break
+    return f if frames is None else _rebuild(f, frames)
 
 
 def unfold(pred, args, st, left=False):
-    """Yield the body instance of each clause whose head matches the atom.
+    """Yield the body instance of each clause whose head matches the atom,
+    paired with whether the clause is the last candidate, so that no later
+    clause of the call's arity is left to try.  Trailing clauses that the
+    call's inert arguments rule out before anything is bound (_rules_out,
+    tried on the clauses Clause.sieve marks) do not count and are not
+    tried: they would fail without a trace.
 
     Clauses are tried in source order, only the candidates of the
     definition's first-argument index.  The first argument is normalized
@@ -617,7 +743,10 @@ def unfold(pred, args, st, left=False):
     after the head matched.  Fresh variables are logic variables normally
     and eigenvariables on the left of an implication, where an
     unconstrained premise variable reads universally.  Bindings are undone
-    once the consumer moves on, or when the clause does not match.
+    when the clause does not match and when the consumer moves on to the
+    next clause, not when the generator is dropped: a consumer that stops
+    early restores its own checkpoint, so the prover may drop the
+    generator once the last candidate is yielded.
     Verdicts, answers, their order and step counts are those of renaming
     every clause and unifying each head argument; only the ids of fresh
     variables differ.
@@ -630,20 +759,30 @@ def unfold(pred, args, st, left=False):
     clauses, first = defn.candidates(args, st.norm_budget)
     if first is not None:
         args = (first, *args[1:])
+    # The first clause needs no check: none comes before it to be the last.
+    last = len(clauses) - 1
+    while last > 0:
+        clause = clauses[last]
+        if len(clause.head_args) == arity and not (
+                clause.sieve
+                and _rules_out(clause.plan, clause.head_args, args)):
+            break
+        last -= 1
+    final = clauses[last] if clauses else None
+    mark = st.checkpoint()
     for clause in clauses:
-        if len(clause.head_args) != arity:
-            continue
-        var_names = clause.var_names
-        mark = st.checkpoint()
-        try:
+        if len(clause.head_args) == arity:
+            var_names = clause.var_names
             env = {}
             if _match(clause.plan, clause.head_args, args, first, env, st,
                       left, var_names):
                 if len(env) < len(var_names):
                     _fresh_rest(env, var_names, fresh)
-                yield replace_clause_vars_formula(clause.body, env)
-        finally:
+                yield (replace_clause_vars_formula(clause.body, env),
+                       clause is final)
             st.undo_to(mark)
+        if clause is final:
+            return
 
 
 def _match(steps, pats, values, normal, env, st, left, var_names):
@@ -656,83 +795,132 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
     normal is True: they belong to an application this walk normalized,
     and a binding made since can have exposed a redex only at the head of
     a field whose head variable it bound, which is the case unify's _whnf
-    normalizes again.
+    normalizes again.  The fields of a last _Struct step are walked by the
+    loop, those of any other recursively.
     """
     sig = st.sig
     trail = st.trail
-    for step, pat, value in zip(steps, pats, values):
-        a = deref(value) if isinstance(value, Var) else value
-        ta = type(a)
-        if step is _CONST:
-            if ta is Const:
-                if type(pat) is not Const or a.name != pat.name:
-                    return False
-                continue
-            if ta is LogicVar or (left and ta is EigenVar):
-                bind(a, pat, trail)
-                continue
-            if a.inert:
-                if a is pat or _same_inert(a, pat):
+    while True:
+        for step, pat, value in zip(steps, pats, values):
+            a = deref(value) if isinstance(value, Var) else value
+            ta = type(a)
+            if step is _CONST:
+                if ta is Const:
+                    if type(pat) is not Const or a.name != pat.name:
+                        return False
                     continue
-                return False
-            # A rigid eigenvariable or a ∇-index: unify would fail at the
-            # rigid-rigid check.
-            if ta is EigenVar or ta is NablaIndex:
-                return False
-        elif step is _FIRST:
-            if pat.name not in env and (a.inert or _passes(a, sig, left)):
-                env[pat.name] = a
-                continue
-        elif step is _VALUE:
-            v = deref(env[pat.name])
-            if a.inert:
-                if v.inert:
-                    if v is a or _same_inert(v, a):
+                if ta is LogicVar or (left and ta is EigenVar):
+                    bind(a, pat, trail)
+                    continue
+                if a.inert:
+                    if a is pat or _same_inert(a, pat):
                         continue
                     return False
-                tv = type(v)
-                if tv is LogicVar or (left and tv is EigenVar):
-                    bind(v, a, trail)
-                    continue
-            elif v.inert and (ta is LogicVar or (left and ta is EigenVar)):
-                bind(a, v, trail)
-                continue
-        elif step is not _OTHER:  # a _Struct step
-            if ta is App and not a.inert and a is not normal and (
-                normal is not True
-                or isinstance(a.head, Var) and a.head.binding is not None
-            ):
-                a = normalize(a, st.norm_budget)
-                ta = type(a)
-            if ta is App:
-                head = a.head
-                if type(head) is Const:
-                    if (head.name != pat.head.name
-                            or len(a.args) != len(pat.args)):
-                        return False
-                    if not _match(step.steps, pat.args, a.args, True, env, st,
-                                  left, var_names):
-                        return False
-                    continue
-                if not (type(head) is LogicVar
-                        or (left and type(head) is EigenVar)):
+                # A rigid eigenvariable or a ∇-index: unify would fail at
+                # the rigid-rigid check.
+                if ta is EigenVar or ta is NablaIndex:
                     return False
-            elif ta is LogicVar or (left and ta is EigenVar):
-                if step.writable:
-                    g = a.global_level
-                    l = min(a.local_level, sig.nabla_depth)
-                    kind = EigenVar if left else LogicVar
-                    bind(a, _build(step, pat, env, sig, kind, g, l), trail)
+                # An application, normalized as a _Struct step would: if
+                # that leaves it inert, its structure decides.
+                if ta is App and a is not normal and (
+                    normal is not True
+                    or isinstance(a.head, Var) and a.head.binding is not None
+                ):
+                    a = normalize(a, st.norm_budget)
+                    if a.inert:
+                        if _same_inert(a, pat):
+                            continue
+                        return False
+            elif step is _FIRST:
+                if pat.name not in env and (a.inert or _passes(a, sig, left)):
+                    env[pat.name] = a
                     continue
-            elif ta is not Lam:
+            elif step is _VALUE:
+                v = deref(env[pat.name])
+                if a.inert:
+                    if v.inert:
+                        if v is a or _same_inert(v, a):
+                            continue
+                        return False
+                    tv = type(v)
+                    if tv is LogicVar or (left and tv is EigenVar):
+                        bind(v, a, trail)
+                        continue
+                elif v.inert and (ta is LogicVar or (left and ta is EigenVar)):
+                    bind(a, v, trail)
+                    continue
+            elif step is not _OTHER:  # a _Struct step
+                if ta is App and not a.inert and a is not normal and (
+                    normal is not True
+                    or isinstance(a.head, Var) and a.head.binding is not None
+                ):
+                    a = normalize(a, st.norm_budget)
+                    ta = type(a)
+                if ta is App:
+                    head = a.head
+                    if type(head) is Const:
+                        if (head.name != pat.head.name
+                                or len(a.args) != len(pat.args)):
+                            return False
+                        if step is steps[-1]:
+                            break
+                        if not _match(step.steps, pat.args, a.args, True, env,
+                                      st, left, var_names):
+                            return False
+                        continue
+                    if not (type(head) is LogicVar
+                            or (left and type(head) is EigenVar)):
+                        return False
+                elif ta is LogicVar or (left and ta is EigenVar):
+                    if step.writable:
+                        g = a.global_level
+                        l = min(a.local_level, sig.nabla_depth)
+                        kind = EigenVar if left else LogicVar
+                        bind(a, _build(step, pat, env, sig, kind, g, l), trail)
+                        continue
+                elif ta is not Lam:
+                    return False
+            if len(env) < len(var_names):
+                _fresh_rest(env, var_names,
+                            sig.fresh_eigen if left else sig.fresh_logic)
+            if unify(replace_clause_vars(pat, env), a, st,
+                     instantiate_eigen=left) is not SUCCESS:
                 return False
-        if len(env) < len(var_names):
-            _fresh_rest(env, var_names,
-                        sig.fresh_eigen if left else sig.fresh_logic)
-        if unify(replace_clause_vars(pat, env), a, st,
-                 instantiate_eigen=left) is not SUCCESS:
+        else:
+            return True
+        # The last step is a _Struct met by an application: its fields next.
+        steps, pats, values, normal = step.steps, pat.args, a.args, True
+
+
+def _rules_out(steps, pats, values):
+    """Would _match fail on these values before it normalizes, unifies or
+    binds anything?  True if so; None when the walk reaches a step that
+    could do any of that, so only inert values are read; False when it
+    passes every step.  A clause ruled out may be skipped with nothing
+    lost, and the prover keeps no choice point for it."""
+    while True:
+        for step, pat, value in zip(steps, pats, values):
+            a = deref(value) if isinstance(value, Var) else value
+            if not a.inert or step is _VALUE or step is _OTHER:
+                return None
+            if step is _CONST:
+                if type(a) is Const:
+                    if type(pat) is not Const or a.name != pat.name:
+                        return True
+                elif a is not pat and not _same_inert(a, pat):
+                    return True
+            elif step is not _FIRST:  # a _Struct step
+                if (type(a) is not App or a.head.name != pat.head.name
+                        or len(a.args) != len(pat.args)):
+                    return True
+                if step is steps[-1]:
+                    break
+                out = _rules_out(step.steps, pat.args, a.args)
+                if out is not False:
+                    return out
+        else:
             return False
-    return True
+        steps, pats, values = step.steps, pat.args, a.args
 
 
 def _same_inert(t, s):
@@ -758,15 +946,33 @@ def _build(step, pat, env, sig, kind, g, l):
     pattern of a writable _Struct step: pat with a new variable of class
     kind at levels (g, l) for each first occurrence.  Such a name has no
     other occurrence yet, so a fresh variable made for it before is
-    referenced by env alone and is replaced."""
-    fields = []
-    for sub, p in zip(step.steps, pat.args):
-        if sub is _FIRST:
-            p = env[p.name] = sig.fresh_at(kind, p.name, g, l)
-        elif sub is not _CONST:
-            p = _build(sub, p, env, sig, kind, g, l)
-        fields.append(p)
-    return App(pat.head, tuple(fields))
+    referenced by env alone and is replaced.  Fields are built in order,
+    the last one's _Struct in a loop."""
+    frames = None  # (head, built fields but the last) per _Struct passed
+    while True:
+        fields = []
+        steps = step.steps
+        for sub, p in zip(steps, pat.args):
+            if sub is _FIRST:
+                p = env[p.name] = sig.fresh_at(kind, p.name, g, l)
+            elif sub is not _CONST:
+                if sub is steps[-1]:
+                    break
+                p = _build(sub, p, env, sig, kind, g, l)
+            fields.append(p)
+        else:
+            t = App(pat.head, tuple(fields))
+            break
+        if frames is None:
+            frames = []
+        frames.append((pat.head, fields))
+        step, pat = sub, p
+    if frames is not None:
+        while frames:
+            head, fields = frames.pop()
+            fields.append(t)
+            t = App(head, tuple(fields))
+    return t
 
 
 def _fresh_rest(env, var_names, fresh):

@@ -581,13 +581,14 @@ def _const_names(roots):
     return acc
 
 
-def _fresh_name(hint, avoid, used):
-    name = fresh = hint or "x"
-    i = 0
+def _fresh_name(base, avoid, used, i):
+    """The first of base, base1, base2, ... from suffix i on that is in
+    neither avoid nor used, and its suffix."""
+    fresh = f"{base}{i}" if i else base
     while fresh in avoid or fresh in used:
         i += 1
-        fresh = f"{name}{i}"
-    return fresh
+        fresh = f"{base}{i}"
+    return fresh, i
 
 
 def _render(root, level, avoid, keyed=False):
@@ -597,6 +598,13 @@ def _render(root, level, avoid, keyed=False):
     out = []
     env = []  # binder names in scope, innermost last; all distinct
     names = set()
+    # A binder takes the first name its base spells, base, base1, ..., that
+    # is neither in scope nor to be avoided.  low[base] is a suffix below
+    # which every candidate is one of those, so the search starts there;
+    # saved holds, per binder in scope, its base and the low[base] its
+    # entry found, which is right again once the binder leaves its scope.
+    low = {}
+    saved = []
     todo = [(root, level)]
     while todo:
         item = todo.pop()
@@ -605,6 +613,8 @@ def _render(root, level, avoid, keyed=False):
             continue
         if item is None:
             names.remove(env.pop())
+            base, start = saved.pop()
+            low[base] = start
             continue
         t, level = item
         if isinstance(t, Var):
@@ -623,7 +633,11 @@ def _render(root, level, avoid, keyed=False):
         elif tt is Lam or tt is Exists or tt is Forall or tt is Nabla:
             kw = "\\" if tt is Lam else _NAMES[tt]
             own = _BINDERS[kw][0]
-            name = _fresh_name(t.hint if tt is Lam else t.name, avoid, names)
+            base = (t.hint if tt is Lam else t.name) or "x"
+            start = low.get(base, 0)
+            name, i = _fresh_name(base, avoid, names, start)
+            low[base] = i + 1
+            saved.append((base, start))
             head = f"{name}\\ " if tt is Lam else f"{kw} {name}. "
             parts = [None, (t.body, own), head]
             env.append(name)

@@ -7,20 +7,24 @@ decides what a loop means: an inductive loop fails the branch (a least
 fixed point admits no self-supporting proof), a coinductive loop succeeds
 (the infinite unfolding is itself the witness).
 
-Productions nest, so each runs once.  A call drains its producer to the
-first answer before its only yield, so st.tab_stack holds exactly the
-running productions, innermost last, and a running call's table entry is
-its frame.  A loop is an assumption about a running call, which can turn
-out wrong once that call finishes through its other branches, so every
-production records the assumptions it consumed: a loop hit names the
-running call, and a consumed conditional entry or a finished child passes
-on its conditions.  A frame gains assumptions only while on top, so each
-names the frame itself or a call below it, which is still running when the
-frame finishes: no condition can have settled before the entry resting on
-it is recorded, and nothing reruns.  Assumptions a call makes about itself
-need no tracking: a least fixed point always has a loop-free proof if it
-has any, and dually a greatest fixed point fails outright only if loops
-cannot save it.  That argument assumes definitions do not smuggle a
+A production is a frame of the prover's loop (engine.py), not a nested
+search.  tabled_prove is two-phase: it opens the call's frame and yields a
+Production, the prover runs the bodies above a barrier until the first
+proof or until none is left, and on resumption tabled_prove records the
+outcome and yields the call's one answer, if any.  A production opened
+inside another finishes before it does, so each runs once, st.tab_stack
+holds exactly the running productions, innermost last, and a running
+call's table entry is its frame.  A loop is an assumption about a running
+call, which can turn out wrong once that call finishes through its other
+branches, so every production records the assumptions it consumed: a loop
+hit names the running call, and a consumed conditional entry or a finished
+child passes on its conditions.  A frame gains assumptions only while on
+top, so each names the frame itself or a call below it, which is still
+running when the frame finishes: no condition can have settled before the
+entry resting on it is recorded, and nothing reruns.  Assumptions a call
+makes about itself need no tracking: a least fixed point always has a
+loop-free proof if it has any, and dually a greatest fixed point fails
+outright only if loops cannot save it.  That argument assumes definitions do not smuggle a
 predicate into its own negation through an implication; level checking
 warns about the direct case and the rest is the user's contract.
 
@@ -36,10 +40,10 @@ so the conditions taken over never contradict the entry's own.  A finished
 entry has nothing waiting on it, and when the outermost call finishes
 nothing is left conditional.  Waiting on the innermost condition rather
 than on the frame just below, an entry moves only when a call it rests on
-finishes: on a cycle of n calls that is n moves, not n²/2.  No code inside
-a production catches an exception, so a call abandoned by a resource limit
-takes every enclosing production with it; each drops its own entry and its
-waiting list on the way out, and only settled entries remain.
+finishes: on a cycle of n calls that is n moves, not n²/2.  A call abandoned
+by a resource limit takes every enclosing production with it: the prover
+closes their generators innermost first, each drops its own entry and its
+waiting list, and only settled entries remain.
 
 Entries persist across queries, so a finished table is a reusable
 certificate of everything it settled; the CLI dumps it in source syntax.
@@ -219,16 +223,35 @@ def _wait(st, home, key, cond):
     inner.waiting.append((home, key, cond))
 
 
+class Production:
+    """A request, yielded by tabled_prove, to run a call's production.
+
+    bodies is the iterator producer() returned.  The prover tries the
+    bodies as the call's alternatives above a barrier, sets found when one
+    is proved, and resumes tabled_prove.
+    """
+
+    __slots__ = ("bodies", "found")
+
+    def __init__(self, bodies):
+        self.bodies = bodies
+        self.found = False
+
+
 def tabled_prove(st, pred, args, defn, producer):
     """Prove an eligible call through its table.
 
-    producer is a zero-argument callable returning a fresh answer generator
-    for the call's unfolding (it must not route back through the table).  A
-    settled entry answers immediately; a running call's frame is a loop and
-    answers by the table's mode.  Otherwise the producer runs once, for at
-    most one answer, and the outcome is recorded before this call becomes
-    the one answer itself.  The call binds nothing: its arguments carry no
-    instantiable variable.
+    producer is a zero-argument callable returning an iterator over the
+    call's unfolding, in unfold's items (it must not route back through
+    the table).  A settled entry answers immediately; a running call's
+    frame is a loop and answers by the table's mode: either way this
+    generator yields None once if the call holds and nothing otherwise.
+    Otherwise the production runs once, in two phases: the generator
+    yields a Production, the prover looks for one proof of its bodies and
+    resumes it, and the outcome is recorded before the call yields its one
+    answer, if it has one.  Closing the generator at the Production
+    abandons the production.  The call binds nothing: its arguments carry
+    no instantiable variable.
     """
     table = st.tables.get(pred)
     if table is None:
@@ -252,14 +275,8 @@ def tabled_prove(st, pred, args, defn, producer):
     stack.append(frame)
     entries[key] = frame
     try:
-        found = False
-        gen = producer()
-        try:
-            for _ in gen:
-                found = True
-                break
-        finally:
-            gen.close()
+        production = Production(producer())
+        yield production
     except BaseException:
         # Every production above this one has dropped its entries already.
         stack.pop()
@@ -271,6 +288,7 @@ def tabled_prove(st, pred, args, defn, producer):
     # Every other assumption names a call still running below this one.
     deps = frame.assumed
     deps.pop(key, None)  # self-assumptions discharge themselves
+    found = production.found
     status = PROVED if found else DISPROVED
     for home, k, v in frame.waiting:
         if v.deps.pop(key) is status:

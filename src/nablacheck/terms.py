@@ -117,21 +117,53 @@ def deref(t):
     return t
 
 
+# The walkers below follow a term's last child (a λ's body, an
+# application's last argument: a list's tail, a numeral's predecessor) in a
+# loop and recurse only into the other children, so a long list, numeral
+# or λ chain costs no interpreter stack.  The loop records one frame per
+# node it passes, a Lam or a (head, arguments before the last) pair, and
+# rebuilds the result from them bottom-up.
+
+
 def shift(t, by, cutoff=0):
     """Add `by` to every λ-index in t that is >= cutoff."""
-    tt = type(t)
-    if tt is Bound:
-        return Bound(t.index + by) if t.index >= cutoff else t
-    if tt is Lam:
-        body = shift(t.body, by, cutoff + 1)
-        return t if body is t.body else Lam(body, t.hint)
-    if tt is App:
-        if t.inert:
-            return t
-        return app(
-            shift(t.head, by, cutoff),
-            tuple(shift(a, by, cutoff) for a in t.args),
-        )
+    frames = None
+    while True:
+        tt = type(t)
+        if tt is App:
+            if t.inert:
+                break
+            args = t.args
+            head = t.head
+            if type(head) is Bound or type(head) is Lam:
+                head = shift(head, by, cutoff)
+            if frames is None:
+                frames = []
+            frames.append((head, [shift(a, by, cutoff) for a in args[:-1]]))
+            t = args[-1]
+        elif tt is Lam:
+            if frames is None:
+                frames = []
+            frames.append(t)
+            cutoff += 1
+            t = t.body
+        else:
+            if tt is Bound and t.index >= cutoff:
+                t = Bound(t.index + by)
+            break
+    if frames is None:
+        return t
+    while frames:
+        fr = frames.pop()
+        if type(fr) is Lam:
+            if t is not fr.body:
+                t = Lam(t, fr.hint)
+            else:
+                t = fr
+        else:
+            head, args = fr
+            args.append(t)
+            t = app(head, args)
     return t
 
 
@@ -141,74 +173,143 @@ def subst(t, value, j=0):
     Indices above j step down by one; value is shifted as it crosses the
     binders inside t.
     """
-    tt = type(t)
-    if tt is Bound:
-        k = t.index
-        if k == j:
-            return shift(value, j) if j else value
-        return Bound(k - 1) if k > j else t
-    if tt is Lam:
-        return Lam(subst(t.body, value, j + 1), t.hint)
-    if tt is App:
-        if t.inert:
-            return t
-        return app(
-            subst(t.head, value, j),
-            tuple(subst(a, value, j) for a in t.args),
-        )
+    frames = None
+    while True:
+        tt = type(t)
+        if tt is App:
+            if t.inert:
+                break
+            args = t.args
+            head = t.head
+            if type(head) is Bound or type(head) is Lam:
+                head = subst(head, value, j)
+            if frames is None:
+                frames = []
+            frames.append((head, [subst(a, value, j) for a in args[:-1]]))
+            t = args[-1]
+        elif tt is Lam:
+            if frames is None:
+                frames = []
+            frames.append(t.hint)
+            j += 1
+            t = t.body
+        else:
+            if tt is Bound:
+                k = t.index
+                if k == j:
+                    t = shift(value, j) if j else value
+                elif k > j:
+                    t = Bound(k - 1)
+            break
+    if frames is None:
+        return t
+    while frames:
+        fr = frames.pop()
+        if type(fr) is tuple:
+            head, args = fr
+            args.append(t)
+            t = app(head, args)
+        else:
+            t = Lam(t, fr)
     return t
 
 
 def _subst_fuel(t, value, j, fuel):
-    """subst with work charged against the normalization budget."""
-    fuel[0] -= 1
-    if fuel[0] < 0:
-        raise NormalizationDepthExceeded(fuel[1])
-    tt = type(t)
-    if tt is Bound:
-        k = t.index
-        if k == j:
-            return shift(value, j) if j else value
-        return Bound(k - 1) if k > j else t
-    if tt is Lam:
-        return Lam(_subst_fuel(t.body, value, j + 1, fuel), t.hint)
-    if tt is App:
-        return app(
-            _subst_fuel(t.head, value, j, fuel),
-            tuple(_subst_fuel(a, value, j, fuel) for a in t.args),
-        )
+    """subst with work charged against the normalization budget: one unit
+    per node visited, inert ones included."""
+    frames = []
+    while True:
+        fuel[0] -= 1
+        if fuel[0] < 0:
+            raise NormalizationDepthExceeded(fuel[1])
+        tt = type(t)
+        if tt is Lam:
+            frames.append(t.hint)
+            j += 1
+            t = t.body
+        elif tt is App:
+            args = t.args
+            head = _subst_fuel(t.head, value, j, fuel)
+            frames.append(
+                (head, [_subst_fuel(a, value, j, fuel) for a in args[:-1]]))
+            t = args[-1]
+        else:
+            if tt is Bound:
+                k = t.index
+                if k == j:
+                    t = shift(value, j) if j else value
+                elif k > j:
+                    t = Bound(k - 1)
+            break
+    while frames:
+        fr = frames.pop()
+        if type(fr) is tuple:
+            head, args = fr
+            args.append(t)
+            t = app(head, args)
+        else:
+            t = Lam(t, fr)
     return t
 
 
 def _nf(t, fuel):
-    t = deref(t)
-    tt = type(t)
-    if tt is Lam:
-        body = _nf(t.body, fuel)
-        return t if body is t.body else Lam(body, t.hint)
-    if tt is not App or t.inert:
-        return t
-    head = deref(t.head)
-    args = list(t.args)
+    """β-normal form of t, bindings followed.  A λ, or an application
+    whose parts all come back as the same objects, is returned itself."""
+    frames = None  # a Lam, or (application, normal head, normal args but last)
     while True:
-        th = type(head)
-        if th is Lam and args:
-            fuel[0] -= 1
-            if fuel[0] < 0:
-                raise NormalizationDepthExceeded(fuel[1])
-            head = deref(_subst_fuel(head.body, args.pop(0), 0, fuel))
-        elif th is App:
-            args = list(head.args) + args
-            head = deref(head.head)
-        else:
+        if isinstance(t, Var):
+            t = deref(t)
+        tt = type(t)
+        if tt is Lam:
+            if frames is None:
+                frames = []
+            frames.append(t)
+            t = t.body
+            continue
+        if tt is not App or t.inert:
             break
-    if not args:
-        return _nf(head, fuel)
-    # head is a non-App, non-Lam atom here: the spine is rigid or flex.
-    nf_args = tuple(_nf(a, fuel) for a in args)
-    if head is t.head and all(map(is_, nf_args, t.args)):
-        return t  # already normal, like an unchanged λ above
-    return App(head, nf_args)
+        head = deref(t.head)
+        args = list(t.args)
+        while True:
+            th = type(head)
+            if th is Lam and args:
+                fuel[0] -= 1
+                if fuel[0] < 0:
+                    raise NormalizationDepthExceeded(fuel[1])
+                head = deref(_subst_fuel(head.body, args.pop(0), 0, fuel))
+            elif th is App:
+                args = list(head.args) + args
+                head = deref(head.head)
+            else:
+                break
+        if not args:
+            t = head
+            continue
+        # head is a non-App, non-Lam atom here: the spine is rigid or flex.
+        last = args.pop()
+        for i in range(len(args)):
+            args[i] = _nf(args[i], fuel)
+        if frames is None:
+            frames = []
+        frames.append((t, head, args))
+        t = last
+    if frames is None:
+        return t
+    while frames:
+        fr = frames.pop()
+        if type(fr) is Lam:
+            if t is not fr.body:
+                t = Lam(t, fr.hint)
+            else:
+                t = fr
+        else:
+            u, head, nf_args = fr
+            nf_args.append(t)
+            if head is u.head and all(map(is_, nf_args, u.args)):
+                t = u  # already normal, like an unchanged λ above
+            else:
+                t = App(head, tuple(nf_args))
+    return t
 
 
 def eta_contract(t):
@@ -217,10 +318,38 @@ def eta_contract(t):
     β-normal input stays β-normal (the dropped argument leaves an atomic
     head), so normalize-then-eta_contract yields a canonical βη form.
     """
-    t = deref(t)
-    tt = type(t)
-    if tt is Lam:
-        body = eta_contract(t.body)
+    frames = None
+    while True:
+        if isinstance(t, Var):
+            t = deref(t)
+        tt = type(t)
+        if tt is Lam:
+            if frames is None:
+                frames = []
+            frames.append(t)
+            t = t.body
+        elif tt is App and not t.inert:
+            args = t.args
+            head = t.head
+            if isinstance(head, Var) or type(head) is Lam:
+                head = eta_contract(head)
+            if frames is None:
+                frames = []
+            frames.append((head, [eta_contract(a) for a in args[:-1]]))
+            t = args[-1]
+        else:
+            break
+    if frames is None:
+        return t
+    while frames:
+        fr = frames.pop()
+        if type(fr) is not Lam:
+            head, args = fr
+            args.append(t)
+            t = app(head, args)
+            continue
+        body = t
+        t = fr if body is fr.body else Lam(body, fr.hint)
         if type(body) is App:
             last = body.args[-1]
             if type(last) is Bound and last.index == 0:
@@ -230,28 +359,28 @@ def eta_contract(t):
                     else body.head
                 )
                 if not _uses_index(trunk, 0):
-                    return shift(trunk, -1)
-        return t if body is t.body else Lam(body, t.hint)
-    if tt is App:
-        if t.inert:
-            return t
-        return app(eta_contract(t.head), tuple(eta_contract(a) for a in t.args))
+                    t = shift(trunk, -1)
     return t
 
 
 def _uses_index(t, j):
-    tt = type(t)
-    if tt is Bound:
-        return t.index == j
-    if tt is Lam:
-        return _uses_index(t.body, j + 1)
-    if tt is App:
-        if t.inert:
+    while True:
+        tt = type(t)
+        if tt is Bound:
+            return t.index == j
+        if tt is Lam:
+            j += 1
+            t = t.body
+        elif tt is App and not t.inert:
+            args = t.args
+            if _uses_index(t.head, j):
+                return True
+            for a in args[:-1]:
+                if _uses_index(a, j):
+                    return True
+            t = args[-1]
+        else:
             return False
-        if _uses_index(t.head, j):
-            return True
-        return any(_uses_index(a, j) for a in t.args)
-    return False
 
 
 def normalize(t, budget=None):
@@ -287,28 +416,35 @@ def struct_eq(t, s):
     Binder hints are ignored.  Bindings are dereferenced, but the terms are
     not normalized here; normalize first if β-redexes may differ.
     """
-    t = deref(t)
-    s = deref(s)
-    if t is s:
-        return True
-    tt = type(t)
-    if tt is not type(s):
-        return False
-    if tt is Const:
-        return t.name == s.name
-    if tt is Bound or tt is NablaIndex:
-        return t.index == s.index
-    if tt is Lam:
-        return struct_eq(t.body, s.body)
-    if tt is App:
-        if len(t.args) != len(s.args):
+    while True:
+        t = deref(t)
+        s = deref(s)
+        if t is s:
+            return True
+        tt = type(t)
+        if tt is not type(s):
             return False
-        if not struct_eq(t.head, s.head):
-            return False
-        return all(struct_eq(a, b) for a, b in zip(t.args, s.args))
-    if tt is ClauseVar:
-        return t.name == s.name
-    return False  # distinct Var objects
+        if tt is Const:
+            return t.name == s.name
+        if tt is Bound or tt is NablaIndex:
+            return t.index == s.index
+        if tt is Lam:
+            t = t.body
+            s = s.body
+        elif tt is App:
+            targs = t.args
+            sargs = s.args
+            if len(targs) != len(sargs) or not struct_eq(t.head, s.head):
+                return False
+            for a, b in zip(targs[:-1], sargs):
+                if not struct_eq(a, b):
+                    return False
+            t = targs[-1]
+            s = sargs[-1]
+        elif tt is ClauseVar:
+            return t.name == s.name
+        else:
+            return False  # distinct Var objects
 
 
 def iter_free_vars(t):

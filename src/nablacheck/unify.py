@@ -183,38 +183,48 @@ def _whnf(t, st):
 
 
 def _unify(t, s, st, left):
-    t = _whnf(t, st)
-    s = _whnf(s, st)
-    if t is s and t.inert:
-        return
-    tl, sl = type(t), type(s)
-    if tl is Lam and sl is Lam:
-        _unify(t.body, s.body, st, left)
-        return
-    if tl is Lam:
-        _unify(t.body, _eta_body(s), st, left)
-        return
-    if sl is Lam:
-        _unify(_eta_body(t), s.body, st, left)
-        return
-    th, targs = _spine(t)
-    sh, sargs = _spine(s)
-    tflex = _is_flex(th, left)
-    sflex = _is_flex(sh, left)
-    if tflex and sflex:
-        if th is sh:
-            _same_var(th, targs, sargs, st, t, s)
+    """Unify two normal terms, raising _Fail.  Rigid applications unify
+    their arguments in order; the last pair, and the bodies of λs, are
+    taken in this loop rather than by recursion."""
+    while True:
+        t = _whnf(t, st)
+        s = _whnf(s, st)
+        if t is s and t.inert:
+            return
+        tl, sl = type(t), type(s)
+        if tl is Lam and sl is Lam:
+            t, s = t.body, s.body
+            continue
+        if tl is Lam:
+            t, s = t.body, _eta_body(s)
+            continue
+        if sl is Lam:
+            t, s = _eta_body(t), s.body
+            continue
+        th, targs = _spine(t)
+        sh, sargs = _spine(s)
+        tflex = _is_flex(th, left)
+        sflex = _is_flex(sh, left)
+        if tflex and sflex:
+            if th is sh:
+                _same_var(th, targs, sargs, st, t, s)
+            else:
+                _flex_flex(th, targs, sh, sargs, st, t, s)
+        elif tflex:
+            _bind_flex(th, targs, s, st, left, t)
+        elif sflex:
+            _bind_flex(sh, sargs, t, st, left, s)
         else:
-            _flex_flex(th, targs, sh, sargs, st, t, s)
-    elif tflex:
-        _bind_flex(th, targs, s, st, left, t)
-    elif sflex:
-        _bind_flex(sh, sargs, t, st, left, s)
-    else:
-        _rigid_rigid(th, targs, sh, sargs, st, left)
+            _rigid_rigid(th, targs, sh, sargs, st, left)
+            if targs:
+                t, s = targs[-1], sargs[-1]
+                continue
+        return
 
 
 def _rigid_rigid(th, targs, sh, sargs, st, left):
+    """Check two rigid heads and arities, and unify all arguments but the
+    last, which _unify takes next."""
     tt, ts = type(th), type(sh)
     if tt is not ts:
         raise _Fail
@@ -229,7 +239,7 @@ def _rigid_rigid(th, targs, sh, sargs, st, left):
             raise _Fail
     if len(targs) != len(sargs):
         raise _Fail
-    for a, b in zip(targs, sargs):
+    for a, b in zip(targs[:-1], sargs):
         _unify(a, b, st, left)
 
 
@@ -317,27 +327,45 @@ def _abstract(u, f, fargs, depth, st, left, lhs, rhs):
 
     Occurrences of f's pattern arguments become λ-indices of the new binding;
     atoms f can see pass through; instantiable variables beyond f's horizon
-    get pruned; anything else has no level-respecting unifier.
+    get pruned; anything else has no level-respecting unifier.  λ bodies and
+    last arguments are walked in a loop, the other arguments recursively,
+    in order.
     """
-    u = _whnf(u, st)
-    if u.inert:
-        return u
-    tu = type(u)
-    if tu is Lam:
-        return Lam(_abstract(u.body, f, fargs, depth + 1, st, left, lhs, rhs), u.hint)
-    head, args = _spine(u)
-    if _is_flex(head, left):
-        if head is f:
-            raise _Fail  # occurs check
-        return _prune_flex(head, args, f, fargs, depth, st, lhs, rhs)
-    h = _cross(head, f, fargs, depth)
-    if h is None:
-        raise _Fail
-    if tu is not App:
-        return h
-    return app(
-        h, tuple(_abstract(a, f, fargs, depth, st, left, lhs, rhs)
-                 for a in args))
+    frames = []  # a Lam, or (head, arguments but the last) of an application
+    while True:
+        u = _whnf(u, st)
+        if u.inert:
+            break
+        tu = type(u)
+        if tu is Lam:
+            frames.append(u)
+            depth += 1
+            u = u.body
+            continue
+        head, args = _spine(u)
+        if _is_flex(head, left):
+            if head is f:
+                raise _Fail  # occurs check
+            u = _prune_flex(head, args, f, fargs, depth, st, lhs, rhs)
+            break
+        h = _cross(head, f, fargs, depth)
+        if h is None:
+            raise _Fail
+        if tu is not App:
+            u = h
+            break
+        frames.append((h, [_abstract(a, f, fargs, depth, st, left, lhs, rhs)
+                           for a in args[:-1]]))
+        u = args[-1]
+    while frames:
+        fr = frames.pop()
+        if type(fr) is Lam:
+            u = Lam(u, fr.hint)
+        else:
+            h, done = fr
+            done.append(u)
+            u = app(h, done)
+    return u
 
 
 def _cross(a, f, fargs, depth):

@@ -447,9 +447,7 @@ def test_criterion_6_tabling_collapses_repeated_subproblems():
     n = _peano(24)
     tabled = state_from(FIB)
     rt = run(tabled, f"fib {n}")
-    # The untabled search keeps every suspended subproof live, so it needs
-    # room well past the defaults to run to completion and be counted.
-    untabled = state_from(FIB, max_steps=10**7, max_depth=10**6)
+    untabled = state_from(FIB, max_steps=10**7)
     untabled.tabling_enabled = False
     ru = run(untabled, f"fib {n}")
     assert rt.proved and ru.proved

@@ -335,13 +335,15 @@ def test_normalization_blowup_shows_the_offending_term():
     assert "proved" not in out and "disproved" not in out
 
 
-def test_deep_list_ends_inconclusive_without_a_crash(tmp_path):
+def test_deep_list_proves_without_a_crash(tmp_path):
     # Run in a child process: a C stack overflow would kill pytest itself.
+    # Each step but the last has one candidate clause left, so the 20,000
+    # steps keep no choice point open.
     lst = "b::" * 19999 + "a::nil"
     path = write(tmp_path, "deep.def", MEMB + f"#assert memb a ({lst}).\n")
     proc = run_child(["-m", "nablacheck.cli", path])
-    assert proc.returncode == 2, proc.stderr[-2000:]
-    assert "inconclusive" in proc.stdout
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "inconclusive" not in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
@@ -359,14 +361,17 @@ def test_deeply_nested_input_is_a_parse_error_without_a_crash(tmp_path):
 
 
 def test_query_over_a_long_list_ends_without_a_crash(tmp_path):
-    # The query's 20,000 cells are read and closed without recursion; the
-    # proof itself is 20,000 unfolds deep, so it may end inconclusive.
+    # The query's 20,000 cells are read and closed without recursion, the
+    # proof is 20,000 deterministic unfolds, and the answer's 20,000-deep
+    # numeral is normalized and printed without recursion either.
     lst = "a::" * 20_000 + "nil"
     path = write(tmp_path, "len.def",
                  "len nil z.\nlen (X::L) (s N) := len L N.\n")
     proc = run_child(["-m", "nablacheck.cli", path, "-q", f"len ({lst}) N"])
-    assert proc.returncode in (0, 2), proc.stderr[-2000:]
-    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    num = "s (" * 19_999 + "s z" + ")" * 19_999
+    assert proc.stdout == f"N = {num}\n% proved (1 answer)\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_fact_over_a_long_list_matches_and_prints(tmp_path):

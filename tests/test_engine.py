@@ -1,9 +1,12 @@
 """Proof search: both prover levels, the implication rule, budgets, answers."""
 
 import io
+import os
+import sys
 
 import pytest
 
+from nablacheck import engine
 from nablacheck.engine import LEFT0, ONE, RIGHT0, State, prove, solve, solve_iter
 from nablacheck.errors import (
     IllFormedFormula,
@@ -16,7 +19,7 @@ from nablacheck.errors import (
 from nablacheck.logic import Atom, Forall, Imp, Top
 from nablacheck.parser import parse_query, print_term
 
-from conftest import run, state_from
+from conftest import load_corpus, run, run_child, state_from
 
 MEMB = """
 memb X (X::L).
@@ -174,6 +177,26 @@ def test_level_zero_atoms_run_in_the_mode_of_their_side():
     assert r.steps == 10
 
 
+def test_trace_indents_by_open_choice_points():
+    # The disjunction keeps its right side open, and p X its second clause
+    # while the first one's body runs; the last clause leaves none.
+    trace = io.StringIO()
+    st = state_from("p a.\np b.\nq X := p X \\/ X = c.", trace=trace)
+    assert run(st, "exists X. q X /\\ X = b").proved
+    assert trace.getvalue().splitlines() == [
+        "p0  q X_0 /\\ X_0 = b",
+        "p0  q X_0",
+        "p0  p X_0 \\/ X_0 = c",
+        "  p0  p X_0",
+        "    p0  true",
+        "    p0  a = b",
+        "  p0  true",
+        "  p0  b = b",
+        "p0  X_0 = c",
+        "p0  c = b",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Level bookkeeping
 # ---------------------------------------------------------------------------
@@ -195,6 +218,7 @@ def test_level_zero_modes_refuse_level_one_goals():
     # can hand a level-0 mode a ∀, an implication or a level-1 atom.
     st = state_from("p := forall x. x = x.")
     st.defs.check()
+    before = st.checkpoint()
     for mode in (RIGHT0, LEFT0):
         for f in (Forall("x", Top()), Imp(Top(), Top()), Atom("p", ())):
             with pytest.raises(LevelError):
@@ -202,7 +226,8 @@ def test_level_zero_modes_refuse_level_one_goals():
     for mode in (RIGHT0, LEFT0, ONE):
         with pytest.raises(TypeError):
             next(prove("p", st, mode))
-    assert st.depth == 0 and len(st.trail) == 0
+    # The trail and the signature are restored after each error.
+    assert st.checkpoint() == before == (0, 0, 0)
 
 
 def test_undefined_predicate_detected_without_registration(st):
@@ -228,12 +253,161 @@ def test_step_budget_reported_as_inconclusive():
     assert r.steps >= 2000
 
 
-def test_depth_cap_reported_as_inconclusive():
-    st = state_from("deep X := deep (f X).", max_depth=80)
+def test_open_choice_points_are_bounded():
+    # Each call of r leaves its second clause open, so the search keeps one
+    # more choice point per step and meets the bound long before the step
+    # budget.
+    st = state_from("r := r.\nr := r.")
+    r = run(st, "r")
+    assert r.inconclusive
+    assert isinstance(r.error, BudgetExceeded)
+    assert "choice points" in str(r.error)
+    assert r.steps <= engine.MAX_CHOICE_POINTS + 2
+
+
+def test_deterministic_descent_keeps_no_choice_point_and_ends_at_the_budget():
+    # One clause: every call is deterministic, so the descent is bounded by
+    # the step budget alone, however deep it goes.
+    st = state_from("deep X := deep (f X).", max_steps=80)
     r = run(st, "deep a")
     assert r.inconclusive
     assert isinstance(r.error, BudgetExceeded)
-    assert "nesting" in str(r.error)
+    assert "step budget" in str(r.error)
+    assert r.steps == 81
+
+
+# Long proofs and deep terms.  Each runs in a child process under the
+# interpreter's default recursion limit, so a crash cannot take pytest down
+# and nothing here leans on a limit raised by an earlier test.
+
+_CHILD_HELPERS = f"""
+import sys
+sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+from conftest import run, state_from
+
+LIMIT = sys.getrecursionlimit()
+
+def num(n):
+    return "s (" * (n - 1) + "s z" + ")" * (n - 1) if n else "z"
+"""
+
+
+def _child(script):
+    """Run a script after _CHILD_HELPERS in a child process; its stdout
+    lines, after checking it exited cleanly."""
+    proc = run_child(["-c", _CHILD_HELPERS + script])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_long_untabled_proofs_prove_under_the_default_state():
+    # Untabled fib 20 is 135,772 steps; a conjunction's continuation no
+    # longer nests, so proof length is bounded by the step budget alone.
+    out = _child("""
+st = state_from(
+    "plus z N N.\\n"
+    "plus (s M) N (s K) := plus M N K.\\n"
+    "fib z z.\\n"
+    "fib (s z) (s z).\\n"
+    "fib (s (s N)) F := fib (s N) A /\\\\ fib N B /\\\\ plus A B F.\\n")
+for n, want in ((16, 987), (18, 2584), (20, 6765)):
+    r = run(st, f"exists F. fib ({num(n)}) F")
+    print(n, r.status, r.answers[0].text() == "F = " + num(want))
+print(sys.getrecursionlimit() == LIMIT)
+""")
+    assert out == ["16 proved True", "18 proved True", "20 proved True",
+                   "True"]
+
+
+def test_productions_do_not_nest_on_the_interpreter_stack():
+    # The Python stack seen when a call is keyed is the same at n = 1,000
+    # and n = 4,000, whatever the machine: productions are frames of the
+    # prover's loop, not nested generators.
+    out = _child("""
+from nablacheck import tabling
+real_key = tabling.canonical_key
+deepest = [0]
+
+def key(*args):
+    f, n = sys._getframe(), 0
+    while f is not None:
+        n += 1
+        f = f.f_back
+    deepest[0] = max(deepest[0], n)
+    return real_key(*args)
+
+tabling.canonical_key = key
+FT = ("fibtree z.\\nfibtree (s z).\\n"
+      "fibtree (s (s N)) := fibtree (s N) /\\\\ fibtree N.\\n"
+      "#table inductive fibtree.\\n")
+for n in (1000, 4000):
+    deepest[0] = 0
+    r = run(state_from(FT), f"fibtree ({num(n)})")
+    print(n, r.status, r.steps == 3 * n, deepest[0])
+print(sys.getrecursionlimit() == LIMIT)
+""")
+    (a, status_a, steps_a, depth_a), (b, status_b, steps_b, depth_b) = [
+        line.split() for line in out[:2]]
+    assert (status_a, steps_a, status_b, steps_b) == ("proved", "True") * 2
+    assert depth_a == depth_b
+    assert out[2] == "True"
+
+
+def test_tabled_reach_around_a_long_cycle_is_disproved():
+    out = _child("""
+n = 2000
+st = state_from(
+    "".join(f"edge n{i} n{(i + 1) % n}.\\n" for i in range(n))
+    + "reach X Y := edge X Y.\\n"
+    + "reach X Y := edge X Z /\\\\ reach Z Y.\\n"
+    + "#table inductive reach.\\nnode zz.\\n")
+print(run(st, "reach n0 zz").status, run(st, "reach n0 n1999").status)
+print(sys.getrecursionlimit() == LIMIT)
+""")
+    assert out == ["disproved proved", "True"]
+
+
+def test_deep_terms_answer_without_a_traceback():
+    out = _child("""
+st = state_from("p.\\n")
+cells = "a::" * 20000
+r = run(st, f"exists T U. ({cells}T) = ({cells}U)")
+print(r.status, [a.text() for a in r.answers])
+lams = "x\\\\ " * 2000 + "a"
+r = run(st, f"exists F. F = ({lams})")
+want = "F = " + " ".join(f"x{i}\\\\" if i else "x\\\\" for i in range(2000)) + " a"
+print(r.status, r.answers[0].text() == want)
+names = " ".join(f"X{i}" for i in range(1000))
+r = run(st, f"exists {names}. X0 = a /\\\\ X999 = X0")
+print(r.status, r.answers[0].get("X999").name)
+print(sys.getrecursionlimit() == LIMIT)
+""")
+    assert out == ["proved ['T = ?0, U = ?0']", "proved True", "proved a",
+                   "True"]
+
+
+def test_a_term_nested_through_first_arguments_ends_inconclusive(tmp_path):
+    # Walkers recurse into an application's arguments before its last, so
+    # 4,000 levels through first arguments meet the recursion limit; the
+    # query ends inconclusive, with exit 2 and no traceback.
+    n = 4000
+    deep = "g (" * (n - 1) + "g Y b" + " b)" * (n - 1) + " b"
+    path = tmp_path / "p.def"
+    path.write_text("p.\n")
+    proc = run_child(["-m", "nablacheck.cli", str(path), "-q",
+                      f"exists X Y. X = ({deep})"])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == "% inconclusive: interpreter recursion limit hit\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_recursion_limit_is_left_alone():
+    limit = sys.getrecursionlimit()
+    st = load_corpus("graph.def")
+    assert run(st, "reach a d").proved
+    assert run(State(), "exists X. X = a").proved
+    assert sys.getrecursionlimit() == limit
 
 
 def test_state_survives_a_budget_error():

@@ -23,7 +23,7 @@ from nablacheck.logic import (
     replace_clause_vars_formula,
     unfold,
 )
-from nablacheck.nodes import Bound, Const
+from nablacheck.nodes import App, Bound, Const
 from nablacheck.parser import parse_file, parse_formula, print_formula
 from nablacheck.terms import deref, struct_eq
 from nablacheck.unify import FAILURE, unify
@@ -137,11 +137,28 @@ def test_unfold_binds_and_unbinds_across_alternatives():
     st = state_from("p a.\np b.")
     x = st.sig.fresh_logic("X")
     seen = []
-    for body in unfold("p", (x,), st):
+    for body, _ in unfold("p", (x,), st):
         assert isinstance(body, Top)
         seen.append(deref(x))
     assert [t.name for t in seen] == ["a", "b"]
     assert deref(x) is x  # fully undone after exhaustion
+
+
+def test_unfold_marks_the_last_candidate_clause():
+    # After the last clause that can still match, the prover keeps no
+    # choice point.  A trailing clause whose head an inert argument rules
+    # out before anything is bound does not count, and is not tried.
+    st = state_from("fib z.\nfib (s z).\nfib (s (s N)) := fib (s N) /\\ fib N.\n"
+                    "p a.\np b.")
+    one = App(Const("s"), (Const("z"),))
+    assert [last for _, last in unfold("fib", (one,), st)] == [True]
+    x = st.sig.fresh_logic("X")
+    assert [last for _, last in unfold("fib", (App(Const("s"), (x,)),), st)] \
+        == [False, True]
+    assert [last for _, last in unfold("p", (x,), st)] == [False, True]
+    assert [last for _, last in unfold("p", (Const("a"),), st)] == [True]
+    assert list(unfold("p", (Const("c"),), st)) == []
+    assert deref(x) is x
 
 
 def test_unfold_shares_one_fresh_var_per_clause_variable():
@@ -179,7 +196,7 @@ def test_clause_body_sees_head_bindings():
     z = st.sig.fresh_logic("Z")
     st.defs.ensure("r")
     hits = 0
-    for body in unfold("q", (y, z), st):
+    for body, _ in unfold("q", (y, z), st):
         hits += 1
         assert isinstance(body, Atom) and body.pred == "r"
         assert deref(body.args[0]) is deref(y)
@@ -199,22 +216,21 @@ def _every_clause(pred, args, st, left=False):
     if defn is None:
         return
     fresh = st.sig.fresh_eigen if left else st.sig.fresh_logic
+    mark = st.checkpoint()
     for clause in defn.clauses:
         if len(clause.head_args) != len(args):
             continue
-        mark = st.checkpoint()
-        try:
-            env = {name: fresh(name) for name in clause.var_names}
-            ok = True
-            for pat, arg in zip(clause.head_args, args):
-                if unify(replace_clause_vars(pat, env), arg, st,
-                         instantiate_eigen=left) is FAILURE:
-                    ok = False
-                    break
-            if ok:
-                yield replace_clause_vars_formula(clause.body, env)
-        finally:
-            st.undo_to(mark)
+        env = {name: fresh(name) for name in clause.var_names}
+        ok = True
+        for pat, arg in zip(clause.head_args, args):
+            if unify(replace_clause_vars(pat, env), arg, st,
+                     instantiate_eigen=left) is FAILURE:
+                ok = False
+                break
+        if ok:
+            # Never claims to be the last clause, so every clause is tried.
+            yield replace_clause_vars_formula(clause.body, env), False
+        st.undo_to(mark)
 
 
 # Nested constructor patterns, some repeating a clause variable inside one
@@ -327,6 +343,25 @@ def test_index_is_rebuilt_after_clauses_are_added():
     assert run(st, "p b").proved
 
 
+def test_inert_head_argument_meets_a_bound_application_without_unify(
+        monkeypatch):
+    # s X, with X bound to s z, is normalized as a structure step would and
+    # then compared with the fact's inert s (s z): no head unification.
+    calls = []
+    real = logic.unify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "unify", counted)
+    st = state_from("q a (s (s z)).\n")
+    r = run(st, "exists X. X = s z /\\ q a (s X)")
+    assert [a.text() for a in r.answers] == ["X = s z"]
+    assert run(st, "exists X. X = z /\\ q a (s X)").disproved
+    assert calls == []
+
+
 def test_head_unifications_grow_linearly_along_a_chain(monkeypatch):
     # Counts the clauses unfold tries, as head unification mostly happens
     # without calling unify.
@@ -411,13 +446,13 @@ def test_first_occurrence_heads_make_fresh_variables_only_for_body_names():
     one, zero = Const("1"), Const("0")
     before = st.sig._next_id
     bodies = 0
-    for body in unfold("full_adder", (one, zero, one, s, c), st):
+    for body, _ in unfold("full_adder", (one, zero, one, s, c), st):
         bodies += 1
         assert st.sig._next_id == before
         terms = list(logic.formula_terms(body))
         assert any(t is c for t in terms) and any(t is one for t in terms)
     assert bodies == 1
-    for body in unfold("tri", (one, c), st):
+    for body, _ in unfold("tri", (one, c), st):
         bodies += 1
         assert st.sig._next_id == before + 1
     assert bodies == 2

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from nablacheck import parser
 from nablacheck.errors import ParseError
 from nablacheck.logic import And, Atom, Eq, Exists, Forall, Imp, Nabla, Or, Top
 from nablacheck.nodes import App, Bound, ClauseVar, Const, Lam
@@ -383,3 +384,43 @@ def test_print_parse_roundtrip(seed):
     again = parse_formula(printed)
     assert formula_eq(f, again)
     assert print_formula(again) == printed
+
+
+def test_nested_binders_sharing_a_hint_are_named_in_linear_time(monkeypatch):
+    # Counts the names tried against the avoid set, not time, so the bound
+    # holds on any machine: a search from suffix 0 at every binder would
+    # make each doubling cost four times as much.
+    tries = [0]
+
+    class Counting(set):
+        def __contains__(self, name):
+            tries[0] += 1
+            return set.__contains__(self, name)
+
+    real = parser._const_names
+    monkeypatch.setattr(parser, "_const_names",
+                        lambda roots: Counting(real(roots)))
+    counts = []
+    for n in (1000, 2000, 4000):
+        t = parse_term("x\\ " * n + "a")
+        tries[0] = 0
+        printed = print_term(t)
+        assert printed.endswith(f"x{n - 2}\\ x{n - 1}\\ a")
+        counts.append(tries[0])
+    assert counts[1] <= 2.1 * counts[0]
+    assert counts[2] <= 2.1 * counts[1]
+
+
+@pytest.mark.parametrize("src, want", [
+    # Siblings reuse a name once its scope has closed.
+    ("f (x\\ x) (x\\ x\\ x) (x\\ x)", "f (x\\ x) (x\\ x1\\ x1) (x\\ x)"),
+    ("x\\ f (x\\ x\\ x) (x\\ x)", "x\\ f (x1\\ x2\\ x2) (x1\\ x1)"),
+    # A hint with a digit, or a constant, takes a suffix another hint
+    # would have used, and the next binder skips it.
+    ("x1\\ x\\ x\\ f x x1", "x1\\ x\\ x2\\ f x2 x1"),
+    ("x\\ x1\\ x\\ x1\\ g x x1", "x\\ x1\\ x2\\ x11\\ g x2 x11"),
+    ("x\\ x\\ f x1 (y\\ x\\ x) (x\\ x)", "x\\ x2\\ f x1 (y\\ x3\\ x3) (x3\\ x3)"),
+    ("x\\ y\\ x\\ y\\ x\\ g x y", "x\\ y\\ x1\\ y1\\ x2\\ g x2 y1"),
+])
+def test_binder_names_are_the_smallest_free_suffix(src, want):
+    assert print_term(parse_term(src)) == want
