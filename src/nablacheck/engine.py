@@ -12,24 +12,30 @@ on the left of an implication: there the sequent's eigenvariables are
 instantiable, which is what turns clause matching into case analysis.
 
 The prover is one loop over two stacks.  The goal list holds what is left
-to prove, each goal a formula with its mode; a conjunction pushes both
-sides and an atom pushes the body of the clause it unfolds to.  The
-choice-point stack holds what to try on backtracking, each entry with the
-checkpoint it restores: the remaining clauses of a call, the right side of
-a disjunction, an implication's barrier (reached once every case of its
-antecedent held), the barrier of the case being checked (reached when its
-consequent fails) and a tabled call's production barrier (reached when no
-body of the production was proved).  A call whose last candidate clause
-is being tried leaves no choice point, so a deterministic proof of any
-length holds none open.  An implication enumerates its antecedent's
-answers above its barrier, and each answer opens a case whose consequent
-runs above the case's barrier: the consequent's first proof cuts back
-below that barrier and backtracks into the antecedent for the next case,
-and failing into the case's barrier fails the implication.  A production
-runs its bodies above its barrier the same way (see tabling.py): the
-first proof cuts back below the barrier and hands the outcome to the
-table.  Since nothing nests, neither a long proof nor a long production
-uses the interpreter stack.
+to prove, each goal a stored formula with its environment and its mode; a
+conjunction pushes both sides and an atom pushes the body of the clause it
+unfolds to, uncopied.  A goal's environment is the clause-variable map
+unfold filled for the clause the formula belongs to, and the values of the
+formula binders entered on the way down from the clause body (or the
+query) to the formula, innermost first: ∃, ∀ and ∇ add a slot and copy
+nothing.  Only when an atom or an equation is dispatched are its arguments
+built, in one walk that closes the stored terms over the environment
+(logic.replace_clause_vars).  The choice-point stack holds what to try on
+backtracking, each entry with the checkpoint it restores: the remaining
+clauses of a call, the right side of a disjunction, an implication's
+barrier (reached once every case of its antecedent held), the barrier of
+the case being checked (reached when its consequent fails) and a tabled
+call's production barrier (reached when no body of the production was
+proved).  A call whose last candidate clause is being tried leaves no
+choice point, so a deterministic proof of any length holds none open.  An
+implication enumerates its antecedent's answers above its barrier, and
+each answer opens a case whose consequent runs above the case's barrier:
+the consequent's first proof cuts back below that barrier and backtracks
+into the antecedent for the next case, and failing into the case's barrier
+fails the implication.  A production runs its bodies above its barrier the
+same way (see tabling.py): the first proof cuts back below the barrier and
+hands the outcome to the table.  Since nothing nests, neither a long proof
+nor a long production uses the interpreter stack.
 
 The prover restores its bindings when a consumer stops early, so closing a
 generator always leaves the state as it was found.  Resource limits: every
@@ -37,13 +43,14 @@ dispatch of a goal ticks one unit against the per-query step budget, and at
 most MAX_CHOICE_POINTS choice points may be open at once, so a search that
 keeps an unbounded frontier of alternatives ends as a budget error rather
 than exhausting memory.  Both raise BudgetExceeded.  --trace writes one line
-per dispatch, indented by the number of choice points open at the time.
+per dispatch, indented by the number of choice points open at the time;
+the line shows the goal closed over its environment.
 """
 
 from __future__ import annotations
 
 # Called through the modules, so wrappers installed on them apply.
-from . import parser, tabling
+from . import logic, parser, tabling
 from .errors import (
     BudgetExceeded,
     LevelError,
@@ -67,7 +74,6 @@ from .logic import (
     classify,
     formula_preds,
     formula_terms,
-    instantiate,
     unfold,
 )
 from .nodes import Const, NablaIndex, Lam, App, Var
@@ -92,18 +98,23 @@ MAX_CHOICE_POINTS = 10000
 # (case analysis), and level 1.  _LABEL holds each mode's --trace label.
 RIGHT0, LEFT0, ONE = 0, 1, 2
 _LABEL = ("p0 ", "p0<", "p1 ")
-# Markers on the goal list, in a goal's mode slot: an antecedent answer
-# opens its case, a consequent held in its case, a production's body was
-# proved.  The formula slot holds the consequent and the position of the
-# implication's barrier, or the position of the barrier the marker closes.
+# A goal-list entry is (formula, env, slots, mode, rest): env maps the
+# clause variables to their values, slots holds the values of the formula
+# binders around the formula, innermost first.  Markers on the goal list,
+# in a goal's mode slot: an antecedent answer opens its case, a consequent
+# held in its case, a production's body was proved.  The formula slot holds
+# the consequent and the position of the implication's barrier (env and
+# slots are the consequent's), or the position of the barrier the marker
+# closes.
 _CASE, _HELD, _PRODUCED = 3, 4, 5
 # Choice-point kinds.  An entry is (kind, checkpoint, x, y, goals): the
-# clause alternatives (unfold's generator, their mode) of a call, the right
-# side of a disjunction (it, its mode), an implication's barrier, a case
-# barrier (the position of the implication's barrier, the first variable id
-# the case did not know), or a production barrier (the tabled call's
-# generator, its Production); goals is what follows on success.
-_CLAUSES, _OR, _IMP, _CASE_BARRIER, _PRODUCTION = range(5)
+# clause alternatives (unfold's generator, their mode) of a call, a goal
+# list to resume (a disjunction's right side with what follows it, or what
+# follows an implication, reached once every case of its antecedent held),
+# a case barrier (the position of the implication's barrier, the first
+# variable id the case did not know), or a production barrier (the tabled
+# call's generator, its Production); goals is what follows on success.
+_CLAUSES, _GOALS, _CASE_BARRIER, _PRODUCTION = range(4)
 
 __all__ = [
     "State",
@@ -179,8 +190,11 @@ def _too_many(st):
     )
 
 
-def prove(f, st, mode=ONE):
+def prove(f, st, mode=ONE, slots=()):
     """Enumerate the answers of a formula in one of the three modes.
+
+    slots holds the values of the formula binders f lies under, innermost
+    first: solve_iter proves a query's body under its ∃ prefix this way.
 
     Yields once per answer with the bindings in place; backtracking happens
     by resuming, and all bindings are undone when the generator is exhausted
@@ -195,8 +209,9 @@ def prove(f, st, mode=ONE):
     trace = st.trace
     max_steps = st.max_steps
     steps = st.steps  # counted here, stored back at each yield and exit
+    close = logic.replace_clause_vars  # read here, so a wrapper applies
     base = (len(trail), sig.next_global, sig.nabla_depth)
-    goals = (f, mode, None)
+    goals = (f, {}, slots, mode, None)
     cps = []
     try:
         # Each pass dispatches one goal; a goal that succeeds continues with
@@ -207,15 +222,16 @@ def prove(f, st, mode=ONE):
                 st.steps = steps
                 yield
                 steps = st.steps
-            elif goals[1] > ONE:  # a marker
-                f, mode, goals = goals
+            elif goals[3] > ONE:  # a marker
+                f, env, slots, mode, goals = goals
                 if mode == _CASE:
                     b, imp = f
                     cps.append((_CASE_BARRIER, st.checkpoint(), imp,
                                 sig._next_id, None))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
-                    goals = (b, ONE, (len(cps) - 1, _HELD, None))
+                    goals = (b, env, slots, ONE,
+                             (len(cps) - 1, None, None, _HELD, None))
                     continue
                 barrier = cps[f]
                 if mode == _HELD:
@@ -237,14 +253,15 @@ def prove(f, st, mode=ONE):
                         goals = barrier[4]
                         continue
             else:
-                f, mode, goals = goals
+                f, env, slots, mode, goals = goals
                 steps += 1
                 if steps > max_steps:
                     st.steps = steps
                     raise BudgetExceeded(max_steps)
                 if trace is not None:
+                    f_closed = logic.replace_clause_vars_formula(f, env, slots)
                     trace.write(f"{'  ' * min(len(cps), 40)}{_LABEL[mode]}"
-                                f" {parser.print_formula(f)}\n")
+                                f" {parser.print_formula(f_closed)}\n")
                 tf = type(f)
                 if tf is Atom:
                     defn = st.defs.defs.get(f.pred)
@@ -252,21 +269,24 @@ def prove(f, st, mode=ONE):
                         raise UndefinedPredicate(f.pred)
                     if defn.level == 0:
                         if mode == ONE:
-                            goals = (f, RIGHT0, goals)
+                            goals = (f, env, slots, RIGHT0, goals)
                             continue
                     elif mode != ONE:
                         raise LevelError(
                             f"level-1 predicate {f.pred} reached in a "
                             "level-0 context"
                         )
+                    args = f.args
+                    if env or slots:  # else the stored atom is closed
+                        args = tuple([close(a, env, slots) for a in args])
                     if (st.tabling_enabled and defn.table_mode is not None
-                            and tabling.eligible(f.args, defn.level)):
+                            and tabling.eligible(args, defn.level)):
                         # The producer unfolds directly; routing back
                         # through the table would only meet this call's own
                         # frame.
                         call = tabling.tabled_prove(
-                            st, f.pred, f.args, defn,
-                            lambda p=f.pred, a=f.args: unfold(p, a, st))
+                            st, f.pred, args, defn,
+                            lambda p=f.pred, a=args: unfold(p, a, st))
                         item = next(call, False)
                         if item is None:  # settled, or a loop: it holds
                             continue
@@ -274,21 +294,23 @@ def prove(f, st, mode=ONE):
                             _open_production(call, item, defn, st, cps, goals)
                     else:
                         cp = (len(trail), sig.next_global, sig.nabla_depth)
-                        alts = unfold(f.pred, f.args, st, mode == LEFT0)
+                        alts = unfold(f.pred, args, st, mode == LEFT0)
                         item = next(alts, None)
                         if item is not None:
-                            body, last = item
+                            body, env, last = item
                             if not last:
                                 cps.append((_CLAUSES, cp, alts, mode, goals))
                                 if len(cps) > MAX_CHOICE_POINTS:
                                     raise _too_many(st)
-                            goals = (body, mode, goals)
+                            goals = (body, env, (), mode, goals)
                             continue
                 elif tf is And:
-                    goals = (f.left, mode, (f.right, mode, goals))
+                    goals = (f.left, env, slots, mode,
+                             (f.right, env, slots, mode, goals))
                     continue
                 elif tf is Eq:
-                    if unify(f.lhs, f.rhs, st,
+                    lhs = close(f.lhs, env, slots)
+                    if unify(lhs, close(f.rhs, env, slots), st,
                              instantiate_eigen=mode == LEFT0) is SUCCESS:
                         continue
                 elif tf is Exists:
@@ -296,40 +318,44 @@ def prove(f, st, mode=ONE):
                         v = sig.fresh_eigen(f.name)
                     else:
                         v = sig.fresh_logic(f.name)
-                    goals = (instantiate(f.body, v), mode, goals)
+                    goals = (f.body, env, (v,) + slots, mode, goals)
                     continue
                 elif tf is Or:
-                    cps.append((_OR, st.checkpoint(), f.right, mode, goals))
+                    cps.append((_GOALS, st.checkpoint(), None, None,
+                                (f.right, env, slots, mode, goals)))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
-                    goals = (f.left, mode, goals)
+                    goals = (f.left, env, slots, mode, goals)
                     continue
                 elif tf is Top:
                     continue
                 elif tf is Nabla:
                     d = sig.nabla_depth
-                    body = instantiate(f.body, NablaIndex(d))
                     sig.nabla_depth = d + 1
-                    goals = (body, mode, goals)
+                    slots = (NablaIndex(d),) + slots
+                    goals = (f.body, env, slots, mode, goals)
                     continue
                 elif mode != ONE and isinstance(f, Formula):
                     raise LevelError(
                         f"{tf.__name__} is not a level-0 connective")
                 elif tf is Forall:
                     v = sig.fresh_eigen(f.name)
-                    goals = (instantiate(f.body, v), mode, goals)
+                    goals = (f.body, env, (v,) + slots, mode, goals)
                     continue
                 elif tf is Imp:
-                    a = f.left
+                    # Closed for the check alone; the cases run on the
+                    # stored antecedent and its environment.
+                    a = logic.replace_clause_vars_formula(f.left, env, slots)
                     for t in formula_terms(a):
                         if has_unbound_logic_var(t):
                             raise NonGroundAntecedent(a)
                     # Every answer of the antecedent opens a case; the
                     # barrier is reached once all of them held.
-                    cps.append((_IMP, st.checkpoint(), None, None, goals))
+                    cps.append((_GOALS, st.checkpoint(), None, None, goals))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
-                    goals = (a, LEFT0, ((f.right, len(cps) - 1), _CASE, None))
+                    case = ((f.right, len(cps) - 1), env, slots, _CASE, None)
+                    goals = (f.left, env, slots, LEFT0, case)
                     continue
                 else:
                     raise TypeError(f"not a formula: {f!r}")
@@ -344,13 +370,11 @@ def prove(f, st, mode=ONE):
                     item = next(cp[2], None)
                     if item is None:
                         continue
-                    body, last = item
+                    body, env, last = item
                     if not last:
                         cps.append(cp)
-                    goals = (body, cp[3], cp[4])
-                elif kind == _OR:
-                    goals = (cp[2], cp[3], cp[4])
-                elif kind == _IMP:  # every case held
+                    goals = (body, env, (), cp[3], cp[4])
+                elif kind == _GOALS:
                     goals = cp[4]
                 elif kind == _CASE_BARRIER:  # the consequent failed a case
                     del cps[cp[2]:]
@@ -381,7 +405,7 @@ def _open_production(call, production, defn, st, cps, goals):
     cps.append((_PRODUCTION, cp, call, production, goals))
     body_mode = RIGHT0 if defn.level == 0 else ONE
     cps.append((_CLAUSES, cp, production.bodies, body_mode,
-                (len(cps) - 1, _PRODUCED, None)))
+                (len(cps) - 1, None, None, _PRODUCED, None)))
     if len(cps) > MAX_CHOICE_POINTS:
         raise _too_many(st)
 
@@ -512,8 +536,9 @@ def solve_iter(goal, st):
             v = st.sig.fresh_logic(g.name)
             names.append(g.name)
             variables.append(v)
-            g = instantiate(g.body, v)
-        for _ in prove(g, st, RIGHT0 if level == 0 else ONE):
+            g = g.body
+        slots = tuple(reversed(variables))  # innermost first
+        for _ in prove(g, st, RIGHT0 if level == 0 else ONE, slots):
             yield _reify(names, variables, st.norm_budget)
     except RecursionError:
         raise BudgetExceeded(

@@ -10,21 +10,25 @@ predicate, so Level-0 goals never grow an implication or a ∀ by unfolding.
 
 Quantifier bodies share the term language's de Bruijn indices: the variable
 bound by ∃/∀/∇ occurs as Bound(k) inside the argument terms of the body,
-counting formula binders and term-level λs together.  instantiate() closes
-the outermost formula binder with a term.
+counting formula binders and term-level λs together.
 
 Clause variables (implicitly ∀-quantified at the clause head) are stored as
-ClauseVar placeholder terms; unfold() replaces them by the terms they match
-in the call or by fresh variables, so two unfolds never share variables.
+ClauseVar placeholder terms.  unfold() maps each one to the term it matches
+in the call or to a fresh variable, so two unfolds never share variables,
+and yields the clause's stored body with that map, copying nothing.  The
+prover keeps such an environment with each goal, together with the values
+of the formula binders it entered, and replace_clause_vars() builds the
+arguments of an atom or an equation from them when it is dispatched.
 """
 
 from __future__ import annotations
 
 from .errors import IllFormedFormula, LevelError
 from .nodes import (
-    App, ClauseVar, Const, EigenVar, Lam, LogicVar, NablaIndex, Term, Var, app
+    App, Bound, ClauseVar, Const, EigenVar, Lam, LogicVar, NablaIndex, Term,
+    Var, app,
 )
-from .terms import deref, normalize, subst
+from .terms import deref, normalize
 from .unify import SUCCESS, bind, unify
 
 
@@ -119,55 +123,6 @@ class Forall(_Binder):
 
 class Nabla(_Binder):
     __slots__ = ()
-
-
-# The formula walkers below follow, in a loop, the child the grammar
-# nests on: a binder's body, the left side of the left-associative /\ and
-# \/, the right side of the right-associative =>.  They recurse only into
-# the other side, so a long prefix of binders or a long chain of one
-# connective costs no interpreter stack.  A frame records the node passed
-# and, for a connective, its other side's result.
-
-
-def instantiate(f: Formula, value: Term, depth: int = 0) -> Formula:
-    """Close the formula binder at the given depth with a term."""
-    frames = None
-    while True:
-        tf = type(f)
-        if tf is Atom:
-            f = Atom(f.pred, tuple([subst(a, value, depth) for a in f.args]))
-            break
-        if frames is None:
-            frames = []
-        if tf is And or tf is Or:
-            frames.append((tf, instantiate(f.right, value, depth)))
-            f = f.left
-        elif tf is Exists or tf is Forall or tf is Nabla:
-            frames.append((tf, f.name))
-            depth += 1
-            f = f.body
-        elif tf is Eq:
-            f = Eq(subst(f.lhs, value, depth), subst(f.rhs, value, depth))
-            break
-        elif tf is Imp:
-            frames.append((Imp, instantiate(f.left, value, depth)))
-            f = f.right
-        else:
-            break  # Top stays
-    return f if frames is None else _rebuild(f, frames)
-
-
-def _rebuild(f, frames):
-    """Put the nodes a formula walker passed back around its result f."""
-    while frames:
-        tf, other = frames.pop()
-        if tf is And or tf is Or:
-            f = tf(f, other)
-        elif tf is Imp:
-            f = Imp(other, f)
-        else:
-            f = tf(other, f)
-    return f
 
 
 def formula_terms(f):
@@ -611,10 +566,12 @@ class DefSet:
 # Unfolding
 # ---------------------------------------------------------------------------
 
-def replace_clause_vars(t, env):
-    """Substitute clause-variable placeholders; fresh vars are λ-closed, so
-    no index shifting is needed.  λ bodies and last arguments are walked in
-    a loop."""
+def replace_clause_vars(t, env, slots=(), depth=0):
+    """Close a stored term: each clause variable becomes its value in env,
+    and Bound(k) with k >= depth, an index that passes the depth binders
+    enclosing t and reaches a formula binder, becomes that binder's value
+    slots[k - depth] (slots are innermost first).  Values are closed, so
+    nothing is shifted.  λ bodies and last arguments are walked in a loop."""
     tt = type(t)
     if tt is ClauseVar:
         return env[t.name]
@@ -625,23 +582,30 @@ def replace_clause_vars(t, env):
                 break
             args = t.args
             head = t.head
-            if type(head) is ClauseVar:
+            th = type(head)
+            if th is ClauseVar:
                 head = env[head.name]
-            elif type(head) is Lam:
-                head = replace_clause_vars(head, env)
+            elif th is Bound:
+                if head.index >= depth:
+                    head = slots[head.index - depth]
+            elif th is Lam:
+                head = replace_clause_vars(head, env, slots, depth)
             if frames is None:
                 frames = []
-            frames.append(
-                (head, [replace_clause_vars(a, env) for a in args[:-1]]))
+            frames.append((head, [replace_clause_vars(a, env, slots, depth)
+                                  for a in args[:-1]]))
             t = args[-1]
         elif tt is Lam:
             if frames is None:
                 frames = []
             frames.append(t.hint)
+            depth += 1
             t = t.body
         else:
             if tt is ClauseVar:
                 t = env[t.name]
+            elif tt is Bound and t.index >= depth:
+                t = slots[t.index - depth]
             break
         tt = type(t)
     if frames is None:
@@ -657,41 +621,64 @@ def replace_clause_vars(t, env):
     return t
 
 
-def replace_clause_vars_formula(f, env):
+def replace_clause_vars_formula(f, env, slots=(), depth=0):
+    """Close a stored formula as replace_clause_vars closes a term, each
+    formula binder inside f counting in depth.  The prover closes only an
+    implication's antecedent this way, and each --trace line.
+
+    The walk follows, in a loop, the child the grammar nests on: a binder's
+    body, the left side of the left-associative /\\ and \\/, the right side
+    of the right-associative =>.  It recurses only into the other side, so
+    a long prefix of binders or a long chain of one connective costs no
+    interpreter stack.  A frame records the node passed and, for a
+    connective, its other side's result.
+    """
     frames = None
     while True:
         tf = type(f)
         if tf is Atom:
-            f = Atom(f.pred,
-                     tuple([replace_clause_vars(a, env) for a in f.args]))
+            f = Atom(f.pred, tuple([replace_clause_vars(a, env, slots, depth)
+                                    for a in f.args]))
             break
         if frames is None:
             frames = []
         if tf is And or tf is Or:
-            frames.append((tf, replace_clause_vars_formula(f.right, env)))
+            frames.append(
+                (tf, replace_clause_vars_formula(f.right, env, slots, depth)))
             f = f.left
         elif tf is Exists or tf is Forall or tf is Nabla:
             frames.append((tf, f.name))
+            depth += 1
             f = f.body
         elif tf is Eq:
-            f = Eq(replace_clause_vars(f.lhs, env),
-                   replace_clause_vars(f.rhs, env))
+            f = Eq(replace_clause_vars(f.lhs, env, slots, depth),
+                   replace_clause_vars(f.rhs, env, slots, depth))
             break
         elif tf is Imp:
-            frames.append((Imp, replace_clause_vars_formula(f.left, env)))
+            frames.append(
+                (Imp, replace_clause_vars_formula(f.left, env, slots, depth)))
             f = f.right
         else:
             break
-    return f if frames is None else _rebuild(f, frames)
+    while frames:
+        tf, other = frames.pop()
+        if tf is And or tf is Or:
+            f = tf(f, other)
+        elif tf is Imp:
+            f = Imp(other, f)
+        else:
+            f = tf(other, f)
+    return f
 
 
 def unfold(pred, args, st, left=False):
-    """Yield the body instance of each clause whose head matches the atom,
-    paired with whether the clause is the last candidate, so that no later
-    clause of the call's arity is left to try.  Trailing clauses that the
-    call's inert arguments rule out before anything is bound (_rules_out,
-    tried on the clauses Clause.sieve marks) do not count and are not
-    tried: they would fail without a trace.
+    """Yield (body, env, last) for each clause whose head matches the atom:
+    the clause's stored body itself, uncopied, the environment mapping each
+    of its clause variables to its value, and whether the clause is the
+    last candidate, so that no later clause of the call's arity is left to
+    try.  Trailing clauses that the call's inert arguments rule out before
+    anything is bound (_rules_out, tried on the clauses Clause.sieve marks)
+    do not count and are not tried: they would fail without a trace.
 
     Clauses are tried in source order, only the candidates of the
     definition's first-argument index.  The first argument is normalized
@@ -778,8 +765,7 @@ def unfold(pred, args, st, left=False):
                       left, var_names):
                 if len(env) < len(var_names):
                     _fresh_rest(env, var_names, fresh)
-                yield (replace_clause_vars_formula(clause.body, env),
-                       clause is final)
+                yield clause.body, env, clause is final
             st.undo_to(mark)
         if clause is final:
             return

@@ -10,8 +10,10 @@ Application is kept in spine form: App.head is never itself an App.  Use the
 app() constructor instead of App() when the head is not known to be atomic.
 
 ClauseVar is a placeholder for an implicitly quantified definition-clause
-variable.  It only ever occurs inside stored definitions; unfolding replaces
-every ClauseVar with a fresh variable before a term reaches the provers.
+variable.  It only ever occurs inside stored definitions.  The prover runs
+a clause's stored body together with the values unfolding gave its clause
+variables, and replaces every ClauseVar with its value when it builds the
+arguments of a dispatched atom or equation, so none reaches unification.
 
 Inert terms.  Every node carries an `inert` flag, fixed when the node is
 built: a Const is inert, and an App is inert when its head is a Const and

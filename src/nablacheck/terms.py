@@ -10,13 +10,13 @@ unifier enforces this.
 So under the prefix ∀x.∃Y.∇n.∀z the introductions are
 x^{0,0}, Y^{1,0}, #0, z^{2,1}.
 
-This module is also the reduction kernel (deref, shift, subst, _nf,
-eta_contract).  Bindings of variables are always λ-closed (the unifier
-abstracts pattern arguments before binding), so shift and subst treat every
-Var atomically.
+This module is also the reduction kernel (deref, shift, _nf, eta_contract).
+Bindings of variables are always λ-closed (the unifier abstracts pattern
+arguments before binding), so shift and _subst_fuel treat every Var
+atomically.
 
 Inert terms (see nodes.py: Const-headed, variable-free) contain no index,
-no variable and no redex, so shift, subst, _nf, eta_contract and _uses_index
+no variable and no redex, so shift, _nf, eta_contract and _uses_index
 return at an inert node without descending into it: the result is the same
 object.  This keeps the cost of passes over bound lists and numerals
 independent of their length.  The flag is fixed at construction and no
@@ -60,7 +60,6 @@ __all__ = [
     "has_unbound_logic_var",
     "has_unbound_var",
     "shift",
-    "subst",
     "deref",
 ]
 
@@ -167,56 +166,11 @@ def shift(t, by, cutoff=0):
     return t
 
 
-def subst(t, value, j=0):
-    """Replace Bound(j) by value in t, closing that binder.
-
-    Indices above j step down by one; value is shifted as it crosses the
-    binders inside t.
-    """
-    frames = None
-    while True:
-        tt = type(t)
-        if tt is App:
-            if t.inert:
-                break
-            args = t.args
-            head = t.head
-            if type(head) is Bound or type(head) is Lam:
-                head = subst(head, value, j)
-            if frames is None:
-                frames = []
-            frames.append((head, [subst(a, value, j) for a in args[:-1]]))
-            t = args[-1]
-        elif tt is Lam:
-            if frames is None:
-                frames = []
-            frames.append(t.hint)
-            j += 1
-            t = t.body
-        else:
-            if tt is Bound:
-                k = t.index
-                if k == j:
-                    t = shift(value, j) if j else value
-                elif k > j:
-                    t = Bound(k - 1)
-            break
-    if frames is None:
-        return t
-    while frames:
-        fr = frames.pop()
-        if type(fr) is tuple:
-            head, args = fr
-            args.append(t)
-            t = app(head, args)
-        else:
-            t = Lam(t, fr)
-    return t
-
-
 def _subst_fuel(t, value, j, fuel):
-    """subst with work charged against the normalization budget: one unit
-    per node visited, inert ones included."""
+    """Replace Bound(j) by value in t, closing that binder, with work
+    charged against the normalization budget: one unit per node visited,
+    inert ones included.  Indices above j step down by one; value is
+    shifted as it crosses the binders inside t."""
     frames = []
     while True:
         fuel[0] -= 1

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nablacheck import engine
+from nablacheck import engine, logic
 from nablacheck.engine import LEFT0, ONE, RIGHT0, State, prove, solve, solve_iter
 from nablacheck.errors import (
     IllFormedFormula,
@@ -195,6 +195,70 @@ def test_trace_indents_by_open_choice_points():
         "p0  X_0 = c",
         "p0  c = b",
     ]
+
+
+def test_trace_lines_show_goals_closed_over_their_environment():
+    # Clause bodies under ∃, ∇ and ∀, with a λ argument, printed as the
+    # prover sees them: binders it entered read their values, its own
+    # binders stay bound.  The lines are those the prover wrote when it
+    # copied each clause body and quantifier body instead.
+    trace = io.StringIO()
+    st = state_from(
+        "r F a.\n"
+        "r F b := F = (x\\ f x x).\n"
+        "q X := exists Y. nabla n. r (x\\ f x (g n Y)) X \\/ Y = n.\n"
+        "top := forall z. exists X. q X /\\ X = b.\n", trace=trace)
+    r = run(st, "exists W. q W")
+    assert [a.text() for a in r.answers] == ["W = a"] and r.steps == 8
+    r = run(st, "top")
+    assert r.disproved and r.steps == 14
+    assert trace.getvalue().splitlines() == [
+        "p0  q W_0",
+        "p0  exists Y. nabla n. r (x\\ f x (g n Y)) W_0 \\/ Y = n",
+        "p0  nabla n. r (x\\ f x (g n Y_1)) W_0 \\/ Y_1 = n",
+        "p0  r (x\\ f x (g #0 Y_1)) W_0 \\/ Y_1 = #0",
+        "  p0  r (x\\ f x (g #0 Y_1)) W_0",
+        "    p0  true",
+        "  p0  (x\\ f x (g #0 Y_1)) = (x\\ f x x)",
+        "p0  Y_1 = #0",
+        "p1  top",
+        "p1  forall z. exists X. q X /\\ X = b",
+        "p1  exists X. q X /\\ X = b",
+        "p1  q X_5 /\\ X_5 = b",
+        "p1  q X_5",
+        "p0  q X_5",
+        "p0  exists Y. nabla n. r (x\\ f x (g n Y)) X_5 \\/ Y = n",
+        "p0  nabla n. r (x\\ f x (g n Y_6)) X_5 \\/ Y_6 = n",
+        "p0  r (x\\ f x (g #0 Y_6)) X_5 \\/ Y_6 = #0",
+        "  p0  r (x\\ f x (g #0 Y_6)) X_5",
+        "    p0  true",
+        "    p1  a = b",
+        "  p0  (x\\ f x (g #0 Y_6)) = (x\\ f x x)",
+        "p0  Y_6 = #0",
+    ]
+
+
+def test_an_exists_prefix_costs_one_closing_walk_per_equation_side(
+        monkeypatch):
+    # The query's ∃ prefix reaches the prover as its binders' values, so
+    # no name copies the rest of the query: the closing walk runs once per
+    # side of the equation, whatever the prefix's length.
+    calls = [0]
+    real = logic.replace_clause_vars
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(logic, "replace_clause_vars", counted)
+    counts = []
+    for n in (10, 4000):
+        calls[0] = 0
+        names = " ".join(f"X{i}" for i in range(n))
+        r = run(State(), f"exists {names}. X0 = a")
+        assert r.answers[0].text().startswith("X0 = a, X1 = ?0, X2 = ?1")
+        counts.append(calls[0])
+    assert counts == [2, 2]
 
 
 # ---------------------------------------------------------------------------

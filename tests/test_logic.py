@@ -18,7 +18,6 @@ from nablacheck.logic import (
     Top,
     classify,
     formula_preds,
-    instantiate,
     replace_clause_vars,
     replace_clause_vars_formula,
     unfold,
@@ -116,10 +115,33 @@ def test_formula_preds():
     assert formula_preds(f) == {"p", "q", "r"}
 
 
-def test_instantiate_replaces_the_bound_variable():
-    f = parse_formula("forall x. p x (f x)")
-    inner = instantiate(f.body, Const("c"))
-    assert print_formula(inner) == "p c (f c)"
+# Closing a stored clause body: (body of `c Y := ...`, how many of its
+# outer binders to enter, their values innermost first, the closed body).
+# Indices under the body's own λs and formula binders stay bound; those
+# that pass them reach the entered binders' values.
+_CLOSINGS = [
+    ("forall x. p x (f x)", 1, ("c",), "p c (f c)"),
+    ("forall x. exists y. p (z\\ f z x y) Y", 0, (),
+     "forall x. exists y. p (z\\ f z x y) d"),
+    ("exists u. forall x. exists y. p (z\\ f z x y u) Y", 1, ("c",),
+     "forall x. exists y. p (z\\ f z x y c) d"),
+    ("exists u. exists v. nabla n. q (x\\ y\\ g y x n v u) /\\ v = (w\\ u)",
+     2, ("b", "a"), "nabla n. q (x\\ y\\ g y x n b a) /\\ b = (w\\ a)"),
+    ("exists u. p (u a) ((x\\ u x) a) (x\\ Y x)", 1, ("f",),
+     "p (f a) ((x\\ f x) a) (x\\ d x)"),
+    ("exists u. q u => (forall x. q x \\/ q u)", 1, ("c",),
+     "q c => forall x. q x \\/ q c"),
+]
+
+
+def test_closing_reads_binder_slots_and_keeps_inner_indices():
+    for text, entered, values, closed in _CLOSINGS:
+        body = _defs(f"c Y := {text}.").defs["c"].clauses[0].body
+        for _ in range(entered):
+            body = body.body
+        slots = tuple(Const(v) for v in values)
+        got = replace_clause_vars_formula(body, {"Y": Const("d")}, slots)
+        assert print_formula(got) == closed, text
 
 
 def test_unfold_enumerates_clauses_in_source_order():
@@ -137,7 +159,7 @@ def test_unfold_binds_and_unbinds_across_alternatives():
     st = state_from("p a.\np b.")
     x = st.sig.fresh_logic("X")
     seen = []
-    for body, _ in unfold("p", (x,), st):
+    for body, _, _ in unfold("p", (x,), st):
         assert isinstance(body, Top)
         seen.append(deref(x))
     assert [t.name for t in seen] == ["a", "b"]
@@ -151,12 +173,12 @@ def test_unfold_marks_the_last_candidate_clause():
     st = state_from("fib z.\nfib (s z).\nfib (s (s N)) := fib (s N) /\\ fib N.\n"
                     "p a.\np b.")
     one = App(Const("s"), (Const("z"),))
-    assert [last for _, last in unfold("fib", (one,), st)] == [True]
+    assert [last for _, _, last in unfold("fib", (one,), st)] == [True]
     x = st.sig.fresh_logic("X")
-    assert [last for _, last in unfold("fib", (App(Const("s"), (x,)),), st)] \
-        == [False, True]
-    assert [last for _, last in unfold("p", (x,), st)] == [False, True]
-    assert [last for _, last in unfold("p", (Const("a"),), st)] == [True]
+    sx = App(Const("s"), (x,))
+    assert [last for _, _, last in unfold("fib", (sx,), st)] == [False, True]
+    assert [last for _, _, last in unfold("p", (x,), st)] == [False, True]
+    assert [last for _, _, last in unfold("p", (Const("a"),), st)] == [True]
     assert list(unfold("p", (Const("c"),), st)) == []
     assert deref(x) is x
 
@@ -196,14 +218,26 @@ def test_clause_body_sees_head_bindings():
     z = st.sig.fresh_logic("Z")
     st.defs.ensure("r")
     hits = 0
-    for body, _ in unfold("q", (y, z), st):
+    for body, env, _ in unfold("q", (y, z), st):
         hits += 1
+        body = replace_clause_vars_formula(body, env)
         assert isinstance(body, Atom) and body.pred == "r"
         assert deref(body.args[0]) is deref(y)
         bound = deref(z)
         assert bound.head.name == "f" and deref(bound.args[0]) is deref(y)
     assert hits == 1
     assert deref(y) is y and deref(z) is z
+
+
+def test_unfold_yields_the_stored_body_uncopied():
+    # However large the body, unfolding builds nothing of it: the prover
+    # closes each atom's arguments when it dispatches the atom.
+    conjuncts = " /\\ ".join(["q X"] * 200)
+    st = state_from(f"big X := {conjuncts}.\nq a.")
+    x = st.sig.fresh_logic("X")
+    (body, env, last), = unfold("big", (x,), st)
+    assert body is st.defs.defs["big"].clauses[0].body
+    assert env == {"X": x} and last
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +263,7 @@ def _every_clause(pred, args, st, left=False):
                 break
         if ok:
             # Never claims to be the last clause, so every clause is tried.
-            yield replace_clause_vars_formula(clause.body, env), False
+            yield replace_clause_vars_formula(clause.body, env), {}, False
         st.undo_to(mark)
 
 
@@ -446,13 +480,14 @@ def test_first_occurrence_heads_make_fresh_variables_only_for_body_names():
     one, zero = Const("1"), Const("0")
     before = st.sig._next_id
     bodies = 0
-    for body, _ in unfold("full_adder", (one, zero, one, s, c), st):
+    for body, env, _ in unfold("full_adder", (one, zero, one, s, c), st):
         bodies += 1
         assert st.sig._next_id == before
+        body = replace_clause_vars_formula(body, env)
         terms = list(logic.formula_terms(body))
         assert any(t is c for t in terms) and any(t is one for t in terms)
     assert bodies == 1
-    for body, _ in unfold("tri", (one, c), st):
+    for body, _, _ in unfold("tri", (one, c), st):
         bodies += 1
         assert st.sig._next_id == before + 1
     assert bodies == 2

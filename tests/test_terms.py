@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from nablacheck.errors import NormalizationDepthExceeded
+from nablacheck.logic import replace_clause_vars
 from nablacheck.nodes import App, Bound, ClauseVar, Const, Lam, NablaIndex, app
 from nablacheck.terms import (
     Signature,
@@ -15,7 +16,6 @@ from nablacheck.terms import (
     normalize_eta,
     shift,
     struct_eq,
-    subst,
 )
 from nablacheck.unify import SUCCESS, UnifyCtx, _abstract, unify
 
@@ -255,7 +255,7 @@ def test_size_dependent_passes_return_inert_terms_unchanged():
         assert normalize(t) is t
         assert normalize_eta(t) is t
         assert shift(t, 3) is t
-        assert subst(t, b) is t
+        assert replace_clause_vars(t, {}, (b,)) is t
         st = UnifyCtx(Signature())
         v = st.sig.fresh_logic("X")
         assert _abstract(t, v, [], 0, st, False, v, t) is t
