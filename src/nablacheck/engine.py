@@ -80,6 +80,7 @@ from .nodes import Const, NablaIndex, Lam, App, Var
 from .terms import (
     DEFAULT_NORM_BUDGET,
     Signature,
+    _rebuild,
     deref,
     has_unbound_logic_var,
     normalize_eta,
@@ -478,21 +479,13 @@ def _reify(names, variables, budget):
 def _snap(t, placeholders):
     """t with bindings followed and each unbound variable replaced by its
     placeholder constant, numbered in discovery order; built bottom-up on
-    an explicit stack, where a 1-tuple rebuilds its node from the parts
-    finished last."""
-    done = []
+    the term walkers' stacks (terms.py)."""
     todo = [t]
+    done = []
     while todo:
         t = todo.pop()
         if type(t) is tuple:
-            t = t[0]
-            if type(t) is Lam:
-                done.append(Lam(done.pop(), t.hint))
-            else:
-                m = len(done) - len(t.args)
-                args = tuple(done[m:])
-                del done[m:]
-                done[-1] = App(done[-1], args)
+            done.append(_rebuild(t[0], done))
             continue
         t = deref(t)
         tt = type(t)
@@ -501,7 +494,7 @@ def _snap(t, placeholders):
             todo.append(t.body)
         elif tt is App and not t.inert:
             todo.append((t,))
-            todo.extend(reversed(t.args))
+            todo.extend(t.args[::-1])
             todo.append(t.head)
         elif isinstance(t, Var):
             c = placeholders.get(t.id)
@@ -518,9 +511,9 @@ def solve_iter(goal, st):
 
     The top-level ∃ prefix names the query variables reported in each
     answer.  Closing the generator restores the state.  Errors propagate;
-    solve() below folds them into a Result.  A term walker that still
-    recurses may meet the interpreter's recursion limit on a deep enough
-    term; that ends the query here as a budget error.
+    solve() below folds them into a Result.  Neither the prover nor any
+    term walker recurses, so no term or proof is too deep for the
+    interpreter's stack.
     """
     st.defs.check()
     for p in sorted(formula_preds(goal)):
@@ -540,9 +533,6 @@ def solve_iter(goal, st):
         slots = tuple(reversed(variables))  # innermost first
         for _ in prove(g, st, RIGHT0 if level == 0 else ONE, slots):
             yield _reify(names, variables, st.norm_budget)
-    except RecursionError:
-        raise BudgetExceeded(
-            st.max_steps, "interpreter recursion limit hit") from None
     finally:
         st.undo_to(cp)
 

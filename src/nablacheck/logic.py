@@ -254,12 +254,14 @@ class Clause:
 
     Occurrences are counted left to right and depth first, the order the
     walk visits them.  The plan is built with the definition's index, on
-    the first unfold, so loading a file does not pay for it.  So is sieve:
-    the first head argument is a _Struct step whose fields meet a _CONST or
-    _Struct step before any _VALUE or _OTHER one.  The index tells clauses
-    apart by the first argument's head constant only, and sieve marks the
-    ones an inert first argument can still rule out below it (_rules_out),
-    as s z rules out fib (s (s N)).
+    the first unfold, so loading a file does not pay for it; a clause whose
+    first step is _CONST or a _Struct is keyed by that argument's head
+    constant.  So is sieve: the first head argument is a _Struct step whose
+    fields meet a _CONST or _Struct step before any _VALUE or _OTHER one.
+    The index tells clauses apart by the first argument's head constant
+    only, and sieve marks the ones an inert first argument can still rule
+    out below it (_rules_out), as s z rules out fib (s (s N)).  The plan
+    and every walk over it keep their place on explicit stacks.
     """
 
     __slots__ = ("head_args", "body", "var_names", "line", "plan", "sieve")
@@ -329,18 +331,6 @@ class Definition:
         return keyed.get(head.name, open_), first
 
 
-def _clause_key(clause):
-    """The constant name a clause is keyed by, or None if it is open."""
-    if not clause.head_args:
-        return None
-    first = clause.head_args[0]
-    if type(first) is Const:
-        return first.name
-    if type(first) is App and type(first.head) is Const and _redex_free(first):
-        return first.head.name
-    return None
-
-
 def _redex_free(t):
     stack = [t]
     while stack:
@@ -376,45 +366,39 @@ class _Struct:
 
 
 def _head_plan(clause):
-    """One step per head argument (see Clause).  seen collects the clause
-    variables met so far in the order unfold walks the plan, so a _FIRST
-    step is the first occurrence that walk meets."""
+    """One step per head argument (see Clause), built as terms.py's walkers
+    build a term.  seen collects the clause variables met so far in the
+    order unfold walks the plan, so a _FIRST step is the first occurrence
+    that walk meets."""
     seen = set()
-    return tuple(_step(pat, seen) for pat in clause.head_args)
-
-
-def _step(pat, seen, redex_free=False):
-    """The plan step of one pattern; redex_free says pat lies inside an
-    application already found redex-free.  The last field of a _Struct is
-    walked in a loop, the others recursively, in order."""
-    fields = []  # the steps of all fields but the last, per _Struct passed
-    while True:
-        if pat.inert:
-            step = _CONST
-            break
+    todo = list(clause.head_args[::-1])
+    done = []
+    inside = 0  # the _Struct steps open around the pattern visited
+    while todo:
+        pat = todo.pop()
         tp = type(pat)
-        if tp is ClauseVar:
+        if tp is tuple:  # the fields of pat[0] are done
+            m = len(done) - len(pat[0].args)
+            done[m:] = [_Struct(tuple(done[m:]))]
+            inside -= 1
+        elif pat.inert:
+            done.append(_CONST)
+        elif tp is ClauseVar:
             if pat.name in seen:
-                step = _VALUE
+                done.append(_VALUE)
             else:
                 seen.add(pat.name)
-                step = _FIRST
-            break
-        if tp is App and type(pat.head) is Const and (
-                redex_free or _redex_free(pat)):
-            redex_free = True
-            args = pat.args
-            fields.append([_step(field, seen, True) for field in args[:-1]])
-            pat = args[-1]
-            continue
-        seen.update(_clause_var_names(pat))
-        step = _OTHER
-        break
-    while fields:
-        steps = fields.pop()
-        steps.append(step)
-        step = _Struct(tuple(steps))
-    return step
+                done.append(_FIRST)
+        elif tp is App and type(pat.head) is Const and (
+                inside or _redex_free(pat)):
+            # The fields of a redex-free application are redex-free too.
+            inside += 1
+            todo.append((pat,))
+            todo.extend(pat.args[::-1])
+        else:
+            seen.update(_clause_var_names(pat))
+            done.append(_OTHER)
+    return tuple(done)
 
 
 def _clause_var_names(t):
@@ -444,7 +428,11 @@ def _build_index(clauses):
                         clause.sieve = step is not _VALUE and step is not _OTHER
                         break
         arities.add(len(clause.head_args))
-        key = _clause_key(clause)
+        key = None
+        if clause.plan and (
+                clause.plan[0] is _CONST or type(clause.plan[0]) is _Struct):
+            first = clause.head_args[0]
+            key = first.name if type(first) is Const else first.head.name
         if key is None:
             open_.append(clause)
             for bucket in keyed.values():
@@ -571,104 +559,83 @@ def replace_clause_vars(t, env, slots=(), depth=0):
     and Bound(k) with k >= depth, an index that passes the depth binders
     enclosing t and reaches a formula binder, becomes that binder's value
     slots[k - depth] (slots are innermost first).  Values are closed, so
-    nothing is shifted.  λ bodies and last arguments are walked in a loop."""
+    nothing is shifted.  The walk is terms.py's, but builds every node that
+    is not inert anew: nearly all hold a clause variable or an index."""
     tt = type(t)
     if tt is ClauseVar:
         return env[t.name]
-    frames = None
-    while True:
-        if tt is App:
-            if t.inert:
-                break
-            args = t.args
-            head = t.head
-            th = type(head)
-            if th is ClauseVar:
-                head = env[head.name]
-            elif th is Bound:
-                if head.index >= depth:
-                    head = slots[head.index - depth]
-            elif th is Lam:
-                head = replace_clause_vars(head, env, slots, depth)
-            if frames is None:
-                frames = []
-            frames.append((head, [replace_clause_vars(a, env, slots, depth)
-                                  for a in args[:-1]]))
-            t = args[-1]
-        elif tt is Lam:
-            if frames is None:
-                frames = []
-            frames.append(t.hint)
-            depth += 1
-            t = t.body
-        else:
-            if tt is ClauseVar:
-                t = env[t.name]
-            elif tt is Bound and t.index >= depth:
-                t = slots[t.index - depth]
-            break
-        tt = type(t)
-    if frames is None:
+    if tt is Bound:
+        return slots[t.index - depth] if t.index >= depth else t
+    if t.inert:
         return t
-    while frames:
-        fr = frames.pop()
-        if type(fr) is tuple:
-            head, args = fr
-            args.append(t)
-            t = app(head, args)
+    todo = [t]
+    done = []
+    while todo:
+        t = todo.pop()
+        tt = type(t)
+        if tt is tuple:
+            t = t[0]
+            if type(t) is Lam:
+                depth -= 1
+                done[-1] = Lam(done[-1], t.hint)
+            else:
+                m = len(done) - len(t.args)  # the head is done[m - 1]
+                done[m - 1:] = [app(done[m - 1], done[m:])]
+        elif tt is App and not t.inert:
+            todo.append((t,))
+            todo.extend(t.args[::-1])
+            todo.append(t.head)
+        elif tt is ClauseVar:
+            done.append(env[t.name])
+        elif tt is Lam:
+            todo.append((t,))
+            depth += 1
+            todo.append(t.body)
+        elif tt is Bound and t.index >= depth:
+            done.append(slots[t.index - depth])
         else:
-            t = Lam(t, fr)
-    return t
+            done.append(t)
+    return done[0]
 
 
 def replace_clause_vars_formula(f, env, slots=(), depth=0):
     """Close a stored formula as replace_clause_vars closes a term, each
     formula binder inside f counting in depth.  The prover closes only an
-    implication's antecedent this way, and each --trace line.
-
-    The walk follows, in a loop, the child the grammar nests on: a binder's
-    body, the left side of the left-associative /\\ and \\/, the right side
-    of the right-associative =>.  It recurses only into the other side, so
-    a long prefix of binders or a long chain of one connective costs no
-    interpreter stack.  A frame records the node passed and, for a
-    connective, its other side's result.
+    implication's antecedent this way, and each --trace line.  The walk is
+    the term walkers' (terms.py), each connective and binder rebuilt at its
+    marker, so no binder prefix or connective chain costs interpreter stack.
     """
-    frames = None
-    while True:
+    todo = [f]
+    done = []
+    while todo:
+        f = todo.pop()
         tf = type(f)
-        if tf is Atom:
-            f = Atom(f.pred, tuple([replace_clause_vars(a, env, slots, depth)
-                                    for a in f.args]))
-            break
-        if frames is None:
-            frames = []
-        if tf is And or tf is Or:
-            frames.append(
-                (tf, replace_clause_vars_formula(f.right, env, slots, depth)))
-            f = f.left
-        elif tf is Exists or tf is Forall or tf is Nabla:
-            frames.append((tf, f.name))
-            depth += 1
-            f = f.body
+        if tf is tuple:
+            f = f[0]
+            tf = type(f)
+            if tf is And or tf is Or or tf is Imp:
+                right = done.pop()
+                done[-1] = tf(done[-1], right)
+            else:
+                depth -= 1
+                done[-1] = tf(f.name, done[-1])
+        elif tf is Atom:
+            done.append(Atom(f.pred, tuple(
+                [replace_clause_vars(a, env, slots, depth) for a in f.args])))
         elif tf is Eq:
-            f = Eq(replace_clause_vars(f.lhs, env, slots, depth),
-                   replace_clause_vars(f.rhs, env, slots, depth))
-            break
-        elif tf is Imp:
-            frames.append(
-                (Imp, replace_clause_vars_formula(f.left, env, slots, depth)))
-            f = f.right
+            done.append(Eq(replace_clause_vars(f.lhs, env, slots, depth),
+                           replace_clause_vars(f.rhs, env, slots, depth)))
+        elif tf is And or tf is Or or tf is Imp:
+            todo.append((f,))
+            todo.append(f.right)
+            todo.append(f.left)
+        elif tf is Exists or tf is Forall or tf is Nabla:
+            todo.append((f,))
+            depth += 1
+            todo.append(f.body)
         else:
-            break
-    while frames:
-        tf, other = frames.pop()
-        if tf is And or tf is Or:
-            f = tf(f, other)
-        elif tf is Imp:
-            f = Imp(other, f)
-        else:
-            f = tf(other, f)
-    return f
+            done.append(f)
+    return done[0]
 
 
 def unfold(pred, args, st, left=False):
@@ -708,9 +675,9 @@ def unfold(pred, args, st, left=False):
       instantiable variable, on either side, by binding the variable;
     - c P1 … Pn, in read mode, meets an application, normalized as unify
       would, by comparing the head constant and the arity and then
-      matching the fields in order with the field steps: the order of
-      unify._rigid_rigid, so the first failure and any error come from
-      the same field as before.  In write mode it meets an unbound
+      matching the fields in order with the field steps: the order in
+      which unify._unify takes two rigid applications' arguments, so the
+      first failure and any error come from the same field as before.  In write mode it meets an unbound
       instantiable variable a, if the fields hold only constants, first
       occurrences and such applications, by binding a to c Y1 … Yn, with
       a new variable, of the kind fresh variables have, for each first
@@ -781,13 +748,16 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
     normal is True: they belong to an application this walk normalized,
     and a binding made since can have exposed a redex only at the head of
     a field whose head variable it bound, which is the case unify's _whnf
-    normalizes again.  The fields of a last _Struct step are walked by the
-    loop, those of any other recursively.
+    normalizes again.  The walk keeps a stack of zip iterators, one per
+    application being matched: a _Struct step met by an application starts
+    on its fields, and an exhausted iterator resumes the one below it.
     """
     sig = st.sig
     trail = st.trail
+    its = []  # (iterator, normal) of the applications suspended
+    it = zip(steps, pats, values)
     while True:
-        for step, pat, value in zip(steps, pats, values):
+        for step, pat, value in it:
             a = deref(value) if isinstance(value, Var) else value
             ta = type(a)
             if step is _CONST:
@@ -848,12 +818,10 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
                         if (head.name != pat.head.name
                                 or len(a.args) != len(pat.args)):
                             return False
-                        if step is steps[-1]:
-                            break
-                        if not _match(step.steps, pat.args, a.args, True, env,
-                                      st, left, var_names):
-                            return False
-                        continue
+                        its.append((it, normal))
+                        it = zip(step.steps, pat.args, a.args)
+                        normal = True
+                        break
                     if not (type(head) is LogicVar
                             or (left and type(head) is EigenVar)):
                         return False
@@ -873,9 +841,9 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
                      instantiate_eigen=left) is not SUCCESS:
                 return False
         else:
-            return True
-        # The last step is a _Struct met by an application: its fields next.
-        steps, pats, values, normal = step.steps, pat.args, a.args, True
+            if not its:
+                return True
+            it, normal = its.pop()
 
 
 def _rules_out(steps, pats, values):
@@ -883,9 +851,12 @@ def _rules_out(steps, pats, values):
     binds anything?  True if so; None when the walk reaches a step that
     could do any of that, so only inert values are read; False when it
     passes every step.  A clause ruled out may be skipped with nothing
-    lost, and the prover keeps no choice point for it."""
+    lost, and the prover keeps no choice point for it.  The walk is
+    _match's, on a stack of zip iterators."""
+    its = []
+    it = zip(steps, pats, values)
     while True:
-        for step, pat, value in zip(steps, pats, values):
+        for step, pat, value in it:
             a = deref(value) if isinstance(value, Var) else value
             if not a.inert or step is _VALUE or step is _OTHER:
                 return None
@@ -899,14 +870,13 @@ def _rules_out(steps, pats, values):
                 if (type(a) is not App or a.head.name != pat.head.name
                         or len(a.args) != len(pat.args)):
                     return True
-                if step is steps[-1]:
-                    break
-                out = _rules_out(step.steps, pat.args, a.args)
-                if out is not False:
-                    return out
+                its.append(it)
+                it = zip(step.steps, pat.args, a.args)
+                break
         else:
-            return False
-        steps, pats, values = step.steps, pat.args, a.args
+            if not its:
+                return False
+            it = its.pop()
 
 
 def _same_inert(t, s):
@@ -932,33 +902,27 @@ def _build(step, pat, env, sig, kind, g, l):
     pattern of a writable _Struct step: pat with a new variable of class
     kind at levels (g, l) for each first occurrence.  Such a name has no
     other occurrence yet, so a fresh variable made for it before is
-    referenced by env alone and is replaced.  Fields are built in order,
-    the last one's _Struct in a loop."""
-    frames = None  # (head, built fields but the last) per _Struct passed
+    referenced by env alone and is replaced.  Fields are built left to
+    right on _match's stack of zip iterators."""
+    its = []  # (iterator, pattern) of the applications suspended
+    it = zip(step.steps, pat.args)
+    done = []
     while True:
-        fields = []
-        steps = step.steps
-        for sub, p in zip(steps, pat.args):
+        for sub, p in it:
             if sub is _FIRST:
                 p = env[p.name] = sig.fresh_at(kind, p.name, g, l)
             elif sub is not _CONST:
-                if sub is steps[-1]:
-                    break
-                p = _build(sub, p, env, sig, kind, g, l)
-            fields.append(p)
+                its.append((it, pat))
+                it = zip(sub.steps, p.args)
+                pat = p
+                break
+            done.append(p)
         else:
-            t = App(pat.head, tuple(fields))
-            break
-        if frames is None:
-            frames = []
-        frames.append((pat.head, fields))
-        step, pat = sub, p
-    if frames is not None:
-        while frames:
-            head, fields = frames.pop()
-            fields.append(t)
-            t = App(head, tuple(fields))
-    return t
+            m = len(done) - len(pat.args)
+            done[m:] = [App(pat.head, tuple(done[m:]))]
+            if not its:
+                return done[0]
+            it, pat = its.pop()
 
 
 def _fresh_rest(env, var_names, fresh):

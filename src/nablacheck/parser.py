@@ -56,8 +56,9 @@ KEYWORDS = {"forall", "exists", "nabla", "true"}
 
 # Deepest nesting the parser accepts, counted on its own stack: each open
 # parenthesis, λ, quantifier and right operand of `=>` is a level, and so
-# is a clause body; list length and chains of `/\` or `\/` are not.  The
-# engine still recurses once per level, so the bound stays.
+# is a clause body; list length and chains of `/\` or `\/` are not.  No
+# part of the parser or the engine recurses once per level; the bound is a
+# plain limit on how deeply input may nest.
 MAX_NESTING = 5000
 
 # The levels of the operator table, loosest first.

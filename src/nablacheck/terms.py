@@ -20,11 +20,12 @@ no variable and no redex, so shift, _nf, eta_contract and _uses_index
 return at an inert node without descending into it: the result is the same
 object.  This keeps the cost of passes over bound lists and numerals
 independent of their length.  The flag is fixed at construction and no
-binding can reach inside an inert node, so it never goes stale.  _nf also
-returns an application or λ whose parts all come back unchanged as the
-same object, so normalizing a normal term builds nothing: logic.unfold
-keeps the first argument it normalized for every clause it tries, and
-that costs no copy of a long list with a variable tail.
+binding can reach inside an inert node, so it never goes stale.  Every
+walker also returns an application or λ whose parts all come back
+unchanged as the same object (_rebuild), so normalizing a normal term
+builds nothing: logic.unfold keeps the first argument it normalized for
+every clause it tries, and that costs no copy of a long list with a
+variable tail.
 
 The fuel accounting in normalize charges one unit per β-step and one per
 node visited while performing the substitution, so both reduction counts and
@@ -32,8 +33,6 @@ intermediate term sizes stay bounded by the budget.
 """
 
 from __future__ import annotations
-
-from operator import is_
 
 from .errors import NormalizationDepthExceeded
 from .nodes import (
@@ -116,54 +115,63 @@ def deref(t):
     return t
 
 
-# The walkers below follow a term's last child (a λ's body, an
-# application's last argument: a list's tail, a numeral's predecessor) in a
-# loop and recurse only into the other children, so a long list, numeral
-# or λ chain costs no interpreter stack.  The loop records one frame per
-# node it passes, a Lam or a (head, arguments before the last) pair, and
-# rebuilds the result from them bottom-up.
+# Every walker below has one shape and no recursion.  A todo stack holds
+# what is left to visit, each node's children pushed in reverse so that
+# they are visited left to right, and a done stack holds the results.  A
+# node to be rebuilt leaves a marker, the 1-tuple (node,), under its
+# children; when the marker comes back up, _rebuild takes the children's
+# results off done.  A walker that counts the λs around the node it visits
+# (shift's cutoff, the index _subst_fuel replaces) adds one when it enters
+# a λ and takes it off at the λ's marker.  So a term of any depth, through
+# any argument, costs no interpreter stack.  The walkers of logic.py,
+# unify.py and engine.py have the same shape, and the hot ones return a
+# leaf or an inert term before they make any stack.
+
+
+def _rebuild(u, done):
+    """u rebuilt from its parts' results, taken off the end of done: a λ's
+    body, or an application's head and then its arguments.  u itself when
+    every part came back as the same object, so a walk that changes
+    nothing builds nothing."""
+    if type(u) is Lam:
+        body = done.pop()
+        return u if body is u.body else Lam(body, u.hint)
+    args = u.args
+    m = len(done) - len(args)
+    parts = tuple(done[m:])
+    del done[m:]
+    head = done.pop()
+    # Terms define no __eq__, so == compares the parts by identity.
+    if head is u.head and parts == args:
+        return u
+    return app(head, parts)
 
 
 def shift(t, by, cutoff=0):
     """Add `by` to every λ-index in t that is >= cutoff."""
-    frames = None
-    while True:
+    todo = [t]
+    done = []
+    while todo:
+        t = todo.pop()
         tt = type(t)
-        if tt is App:
-            if t.inert:
-                break
-            args = t.args
-            head = t.head
-            if type(head) is Bound or type(head) is Lam:
-                head = shift(head, by, cutoff)
-            if frames is None:
-                frames = []
-            frames.append((head, [shift(a, by, cutoff) for a in args[:-1]]))
-            t = args[-1]
+        if tt is tuple:
+            t = t[0]
+            if type(t) is Lam:
+                cutoff -= 1
+            done.append(_rebuild(t, done))
+        elif tt is App and not t.inert:
+            todo.append((t,))
+            todo.extend(t.args[::-1])
+            todo.append(t.head)
         elif tt is Lam:
-            if frames is None:
-                frames = []
-            frames.append(t)
+            todo.append((t,))
             cutoff += 1
-            t = t.body
+            todo.append(t.body)
+        elif tt is Bound and t.index >= cutoff:
+            done.append(Bound(t.index + by))
         else:
-            if tt is Bound and t.index >= cutoff:
-                t = Bound(t.index + by)
-            break
-    if frames is None:
-        return t
-    while frames:
-        fr = frames.pop()
-        if type(fr) is Lam:
-            if t is not fr.body:
-                t = Lam(t, fr.hint)
-            else:
-                t = fr
-        else:
-            head, args = fr
-            args.append(t)
-            t = app(head, args)
-    return t
+            done.append(t)
+    return done[0]
 
 
 def _subst_fuel(t, value, j, fuel):
@@ -171,99 +179,87 @@ def _subst_fuel(t, value, j, fuel):
     charged against the normalization budget: one unit per node visited,
     inert ones included.  Indices above j step down by one; value is
     shifted as it crosses the binders inside t."""
-    frames = []
-    while True:
+    todo = [t]
+    done = []
+    while todo:
+        t = todo.pop()
+        tt = type(t)
+        if tt is tuple:
+            t = t[0]
+            if type(t) is Lam:
+                j -= 1
+            done.append(_rebuild(t, done))
+            continue
         fuel[0] -= 1
         if fuel[0] < 0:
             raise NormalizationDepthExceeded(fuel[1])
-        tt = type(t)
-        if tt is Lam:
-            frames.append(t.hint)
+        if tt is App:
+            todo.append((t,))
+            todo.extend(t.args[::-1])
+            todo.append(t.head)
+        elif tt is Lam:
+            todo.append((t,))
             j += 1
-            t = t.body
-        elif tt is App:
-            args = t.args
-            head = _subst_fuel(t.head, value, j, fuel)
-            frames.append(
-                (head, [_subst_fuel(a, value, j, fuel) for a in args[:-1]]))
-            t = args[-1]
+            todo.append(t.body)
+        elif tt is Bound and t.index >= j:
+            k = t.index
+            if k == j:
+                done.append(shift(value, j) if j else value)
+            else:
+                done.append(Bound(k - 1))
         else:
-            if tt is Bound:
-                k = t.index
-                if k == j:
-                    t = shift(value, j) if j else value
-                elif k > j:
-                    t = Bound(k - 1)
-            break
-    while frames:
-        fr = frames.pop()
-        if type(fr) is tuple:
-            head, args = fr
-            args.append(t)
-            t = app(head, args)
-        else:
-            t = Lam(t, fr)
-    return t
+            done.append(t)
+    return done[0]
 
 
 def _nf(t, fuel):
-    """β-normal form of t, bindings followed.  A λ, or an application
-    whose parts all come back as the same objects, is returned itself."""
-    frames = None  # a Lam, or (application, normal head, normal args but last)
-    while True:
+    """β-normal form of t, bindings followed.  A λ or an application whose
+    parts all come back as the same objects is returned itself."""
+    if isinstance(t, Var):
+        t = deref(t)
+    if t.inert or type(t) is not App and type(t) is not Lam:
+        return t  # no walk for a leaf or an inert term
+    todo = [t]
+    done = []
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            done.append(_rebuild(t[0], done))
+            continue
         if isinstance(t, Var):
             t = deref(t)
         tt = type(t)
         if tt is Lam:
-            if frames is None:
-                frames = []
-            frames.append(t)
-            t = t.body
+            todo.append((t,))
+            todo.append(t.body)
             continue
         if tt is not App or t.inert:
-            break
-        head = deref(t.head)
-        args = list(t.args)
-        while True:
-            th = type(head)
-            if th is Lam and args:
-                fuel[0] -= 1
-                if fuel[0] < 0:
-                    raise NormalizationDepthExceeded(fuel[1])
-                head = deref(_subst_fuel(head.body, args.pop(0), 0, fuel))
-            elif th is App:
-                args = list(head.args) + args
-                head = deref(head.head)
-            else:
-                break
-        if not args:
-            t = head
+            done.append(t)
             continue
-        # head is a non-App, non-Lam atom here: the spine is rigid or flex.
-        last = args.pop()
-        for i in range(len(args)):
-            args[i] = _nf(args[i], fuel)
-        if frames is None:
-            frames = []
-        frames.append((t, head, args))
-        t = last
-    if frames is None:
-        return t
-    while frames:
-        fr = frames.pop()
-        if type(fr) is Lam:
-            if t is not fr.body:
-                t = Lam(t, fr.hint)
-            else:
-                t = fr
-        else:
-            u, head, nf_args = fr
-            nf_args.append(t)
-            if head is u.head and all(map(is_, nf_args, u.args)):
-                t = u  # already normal, like an unchanged λ above
-            else:
-                t = App(head, tuple(nf_args))
-    return t
+        head = deref(t.head)
+        if head is not t.head or type(head) is Lam:
+            args = list(t.args)
+            while True:
+                th = type(head)
+                if th is Lam and args:
+                    fuel[0] -= 1
+                    if fuel[0] < 0:
+                        raise NormalizationDepthExceeded(fuel[1])
+                    head = deref(_subst_fuel(head.body, args.pop(0), 0, fuel))
+                elif th is App:
+                    args = list(head.args) + args
+                    head = deref(head.head)
+                else:
+                    break
+            if not args:
+                todo.append(head)
+                continue
+            # The spine is rigid or flex now; its arguments are next.
+            t = App(head, tuple(args))
+        todo.append((t,))
+        todo.extend(t.args[::-1])
+        done.append(head)
+    return done[0]
 
 
 def eta_contract(t):
@@ -272,69 +268,58 @@ def eta_contract(t):
     β-normal input stays β-normal (the dropped argument leaves an atomic
     head), so normalize-then-eta_contract yields a canonical βη form.
     """
-    frames = None
-    while True:
+    if isinstance(t, Var):
+        t = deref(t)
+    if t.inert or type(t) is not App and type(t) is not Lam:
+        return t
+    todo = [t]
+    done = []
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            u = _rebuild(t[0], done)
+            if type(u) is Lam and type(u.body) is App:
+                body = u.body
+                last = body.args[-1]
+                if type(last) is Bound and last.index == 0:
+                    trunk = app(body.head, body.args[:-1])
+                    if not _uses_index(trunk, 0):
+                        u = shift(trunk, -1)
+            done.append(u)
+            continue
         if isinstance(t, Var):
             t = deref(t)
         tt = type(t)
         if tt is Lam:
-            if frames is None:
-                frames = []
-            frames.append(t)
-            t = t.body
+            todo.append((t,))
+            todo.append(t.body)
         elif tt is App and not t.inert:
-            args = t.args
-            head = t.head
-            if isinstance(head, Var) or type(head) is Lam:
-                head = eta_contract(head)
-            if frames is None:
-                frames = []
-            frames.append((head, [eta_contract(a) for a in args[:-1]]))
-            t = args[-1]
+            todo.append((t,))
+            todo.extend(t.args[::-1])
+            todo.append(t.head)
         else:
-            break
-    if frames is None:
-        return t
-    while frames:
-        fr = frames.pop()
-        if type(fr) is not Lam:
-            head, args = fr
-            args.append(t)
-            t = app(head, args)
-            continue
-        body = t
-        t = fr if body is fr.body else Lam(body, fr.hint)
-        if type(body) is App:
-            last = body.args[-1]
-            if type(last) is Bound and last.index == 0:
-                trunk = (
-                    App(body.head, body.args[:-1])
-                    if len(body.args) > 1
-                    else body.head
-                )
-                if not _uses_index(trunk, 0):
-                    t = shift(trunk, -1)
-    return t
+            done.append(t)
+    return done[0]
 
 
 def _uses_index(t, j):
-    while True:
+    todo = [t]
+    while todo:
+        t = todo.pop()
         tt = type(t)
-        if tt is Bound:
-            return t.index == j
-        if tt is Lam:
-            j += 1
-            t = t.body
-        elif tt is App and not t.inert:
-            args = t.args
-            if _uses_index(t.head, j):
+        if tt is tuple:  # a λ's marker
+            j -= 1
+        elif tt is Bound:
+            if t.index == j:
                 return True
-            for a in args[:-1]:
-                if _uses_index(a, j):
-                    return True
-            t = args[-1]
-        else:
-            return False
+        elif tt is Lam:
+            todo.append((t,))
+            j += 1
+            todo.append(t.body)
+        elif tt is App and not t.inert:
+            todo.extend(t.args[::-1])
+            todo.append(t.head)
+    return False
 
 
 def normalize(t, budget=None):
@@ -370,35 +355,34 @@ def struct_eq(t, s):
     Binder hints are ignored.  Bindings are dereferenced, but the terms are
     not normalized here; normalize first if β-redexes may differ.
     """
-    while True:
+    todo = [(t, s)]
+    while todo:
+        t, s = todo.pop()
         t = deref(t)
         s = deref(s)
         if t is s:
-            return True
+            continue
         tt = type(t)
         if tt is not type(s):
             return False
-        if tt is Const:
-            return t.name == s.name
-        if tt is Bound or tt is NablaIndex:
-            return t.index == s.index
-        if tt is Lam:
-            t = t.body
-            s = s.body
+        if tt is Const or tt is ClauseVar:
+            if t.name != s.name:
+                return False
+        elif tt is Bound or tt is NablaIndex:
+            if t.index != s.index:
+                return False
+        elif tt is Lam:
+            todo.append((t.body, s.body))
         elif tt is App:
             targs = t.args
             sargs = s.args
-            if len(targs) != len(sargs) or not struct_eq(t.head, s.head):
+            if len(targs) != len(sargs):
                 return False
-            for a, b in zip(targs[:-1], sargs):
-                if not struct_eq(a, b):
-                    return False
-            t = targs[-1]
-            s = sargs[-1]
-        elif tt is ClauseVar:
-            return t.name == s.name
+            todo.extend(zip(reversed(targs), reversed(sargs)))
+            todo.append((t.head, s.head))
         else:
             return False  # distinct Var objects
+    return True
 
 
 def iter_free_vars(t):

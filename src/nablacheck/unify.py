@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from .errors import NonPatternError
 from .nodes import App, Bound, Const, EigenVar, Lam, LogicVar, NablaIndex, Var, app
-from .terms import DEFAULT_NORM_BUDGET, deref, normalize, shift
+from .terms import DEFAULT_NORM_BUDGET, _rebuild, deref, normalize, shift
 
 
 class Trail:
@@ -163,12 +163,15 @@ def _spine(t):
     return t, ()
 
 
-def _eta_body(u):
-    """Body of the η-expansion of a non-abstraction u."""
-    u = shift(u, 1)
-    if type(u) is App:
-        return App(u.head, u.args + (Bound(0),))
-    return App(u, (Bound(0),))
+def _eta_expand(lam, u, st):
+    """The pair k η-steps make of the abstraction lam and a term u that is
+    not one: lam's body under its k leading λs, each through _whnf, and u
+    shifted once by k and applied to Bound(k-1) … Bound(0)."""
+    k = 0
+    while type(lam) is Lam:
+        lam = _whnf(lam.body, st)
+        k += 1
+    return lam, app(shift(u, k), tuple(map(Bound, range(k - 1, -1, -1))))
 
 
 def _whnf(t, st):
@@ -183,23 +186,26 @@ def _whnf(t, st):
 
 
 def _unify(t, s, st, left):
-    """Unify two normal terms, raising _Fail.  Rigid applications unify
-    their arguments in order; the last pair, and the bodies of λs, are
-    taken in this loop rather than by recursion."""
-    while True:
+    """Unify two normal terms, raising _Fail.  Pairs wait on a stack, and
+    two rigid applications push their argument pairs in reverse, so each
+    pair is unified, subproblems and all, before the next."""
+    todo = [(t, s)]
+    while todo:
+        t, s = todo.pop()
         t = _whnf(t, st)
         s = _whnf(s, st)
         if t is s and t.inert:
-            return
+            continue
         tl, sl = type(t), type(s)
         if tl is Lam and sl is Lam:
-            t, s = t.body, s.body
+            todo.append((t.body, s.body))
             continue
         if tl is Lam:
-            t, s = t.body, _eta_body(s)
+            todo.append(_eta_expand(t, s, st))
             continue
         if sl is Lam:
-            t, s = _eta_body(t), s.body
+            s, t = _eta_expand(s, t, st)
+            todo.append((t, s))
             continue
         th, targs = _spine(t)
         sh, sargs = _spine(s)
@@ -215,32 +221,18 @@ def _unify(t, s, st, left):
         elif sflex:
             _bind_flex(sh, sargs, t, st, left, s)
         else:
-            _rigid_rigid(th, targs, sh, sargs, st, left)
-            if targs:
-                t, s = targs[-1], sargs[-1]
-                continue
-        return
-
-
-def _rigid_rigid(th, targs, sh, sargs, st, left):
-    """Check two rigid heads and arities, and unify all arguments but the
-    last, which _unify takes next."""
-    tt, ts = type(th), type(sh)
-    if tt is not ts:
-        raise _Fail
-    if tt is Bound or tt is NablaIndex:
-        if th.index != sh.index:
-            raise _Fail
-    elif isinstance(th, Var):
-        if th is not sh:
-            raise _Fail
-    else:  # Const
-        if th.name != sh.name:
-            raise _Fail
-    if len(targs) != len(sargs):
-        raise _Fail
-    for a, b in zip(targs[:-1], sargs):
-        _unify(a, b, st, left)
+            tt = type(th)
+            if tt is not type(sh) or len(targs) != len(sargs):
+                raise _Fail
+            if tt is Bound or tt is NablaIndex:
+                if th.index != sh.index:
+                    raise _Fail
+            elif isinstance(th, Var):
+                if th is not sh:
+                    raise _Fail
+            elif th.name != sh.name:  # Const
+                raise _Fail
+            todo.extend(zip(reversed(targs), reversed(sargs)))
 
 
 def _atom_key(a):
@@ -327,45 +319,43 @@ def _abstract(u, f, fargs, depth, st, left, lhs, rhs):
 
     Occurrences of f's pattern arguments become λ-indices of the new binding;
     atoms f can see pass through; instantiable variables beyond f's horizon
-    get pruned; anything else has no level-respecting unifier.  λ bodies and
-    last arguments are walked in a loop, the other arguments recursively,
-    in order.
+    get pruned; anything else has no level-respecting unifier.  The walk is
+    terms.py's; depth counts the λs entered.
     """
-    frames = []  # a Lam, or (head, arguments but the last) of an application
-    while True:
+    todo = [u]
+    done = []
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:
+            u = u[0]
+            if type(u) is Lam:
+                depth -= 1
+            done.append(_rebuild(u, done))
+            continue
         u = _whnf(u, st)
         if u.inert:
-            break
+            done.append(u)
+            continue
         tu = type(u)
         if tu is Lam:
-            frames.append(u)
+            todo.append((u,))
             depth += 1
-            u = u.body
+            todo.append(u.body)
             continue
         head, args = _spine(u)
         if _is_flex(head, left):
             if head is f:
                 raise _Fail  # occurs check
-            u = _prune_flex(head, args, f, fargs, depth, st, lhs, rhs)
-            break
+            done.append(_prune_flex(head, args, f, fargs, depth, st, lhs, rhs))
+            continue
         h = _cross(head, f, fargs, depth)
         if h is None:
             raise _Fail
-        if tu is not App:
-            u = h
-            break
-        frames.append((h, [_abstract(a, f, fargs, depth, st, left, lhs, rhs)
-                           for a in args[:-1]]))
-        u = args[-1]
-    while frames:
-        fr = frames.pop()
-        if type(fr) is Lam:
-            u = Lam(u, fr.hint)
-        else:
-            h, done = fr
-            done.append(u)
-            u = app(h, done)
-    return u
+        done.append(h)
+        if tu is App:
+            todo.append((u,))
+            todo.extend(args[::-1])
+    return done[0]
 
 
 def _cross(a, f, fargs, depth):

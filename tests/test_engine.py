@@ -1,5 +1,6 @@
 """Proof search: both prover levels, the implication rule, budgets, answers."""
 
+import ast
 import io
 import os
 import sys
@@ -451,19 +452,77 @@ print(sys.getrecursionlimit() == LIMIT)
                    "True"]
 
 
-def test_a_term_nested_through_first_arguments_ends_inconclusive(tmp_path):
-    # Walkers recurse into an application's arguments before its last, so
-    # 4,000 levels through first arguments meet the recursion limit; the
-    # query ends inconclusive, with exit 2 and no traceback.
-    n = 4000
-    deep = "g (" * (n - 1) + "g Y b" + " b)" * (n - 1) + " b"
-    path = tmp_path / "p.def"
-    path.write_text("p.\n")
-    proc = run_child(["-m", "nablacheck.cli", str(path), "-q",
-                      f"exists X Y. X = ({deep})"])
-    assert proc.returncode == 2, proc.stderr[-2000:]
-    assert proc.stdout == "% inconclusive: interpreter recursion limit hit\n"
-    assert "Traceback" not in proc.stderr
+def test_terms_nested_through_first_arguments_prove():
+    # g (g (… (x) …) b) b, 4,000 levels deep through first arguments, goes
+    # through every walker: parsing, head plans, matching and building
+    # heads, unification and abstraction, β-reduction, table keys, answers
+    # and printing.  Every shape proves at the default recursion limit and
+    # again at 200, so no walker's depth follows the term's.
+    out = _child("""
+n = 4000
+
+def deep(x):
+    return "g (" * n + x + ") b" * n
+
+st = state_from(
+    "p X.\\n"
+    "t X.\\n"
+    "#table inductive t.\\n"
+    f"h ({deep('X')}).\\n")
+queries = [
+    f"exists X Y. X = ({deep('Y')})",
+    f"exists Y. ({deep('Y')}) = ({deep('a')})",
+    f"exists Y. p ({deep('Y')})",
+    f"exists F Z. F = (x\\\\ {deep('x')}) /\\\\ Z = F c /\\\\ Z = ({deep('c')})",
+    f"exists F. F = (x\\\\ {deep('x')}) /\\\\ t (F c)",
+    "exists Y. h Y",
+    f"h ({deep('a')})",
+]
+for limit in (LIMIT, 200):
+    sys.setrecursionlimit(limit)
+    print(" ".join(run(st, q).status for q in queries),
+          sys.getrecursionlimit() == limit)
+print(run(st, queries[1]).answers[0].text())
+""")
+    shapes = " ".join(["proved"] * 7)
+    assert out == [f"{shapes} True", f"{shapes} True", "Y = a"]
+
+
+def test_no_function_in_the_package_recurses():
+    # Depth independence by construction: no module-level function reaches
+    # itself through calls by name, and no method through calls on self,
+    # directly or through other functions of its module or class.  The
+    # CLI is left out: its #include nests once per included file, not per
+    # level of a term or formula.
+    pkg = os.path.dirname(os.path.abspath(engine.__file__))
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "cli.py":
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        scopes = [(tree.body, ast.Name, "id")] + [
+            (node.body, ast.Attribute, "attr")
+            for node in tree.body if isinstance(node, ast.ClassDef)]
+        for body, kind, field in scopes:
+            funcs = {f.name: f for f in body if isinstance(f, ast.FunctionDef)}
+            calls = {
+                fname: {getattr(c.func, field) for c in ast.walk(f)
+                        if isinstance(c, ast.Call)
+                        and isinstance(c.func, kind)
+                        and (kind is ast.Name
+                             or isinstance(c.func.value, ast.Name)
+                             and c.func.value.id == "self")
+                        and getattr(c.func, field) in funcs}
+                for fname, f in funcs.items()}
+            for start in funcs:
+                seen = set()
+                todo = list(calls[start])
+                while todo:
+                    g = todo.pop()
+                    assert g != start, f"{name}: {start} reaches itself"
+                    if g not in seen:
+                        seen.add(g)
+                        todo.extend(calls[g])
 
 
 def test_the_recursion_limit_is_left_alone():

@@ -559,19 +559,24 @@ def test_write_mode_builds_at_the_variables_levels():
 
 
 def test_first_argument_is_normalized_once_per_unfold(monkeypatch):
-    firsts = []  # the dereferenced first argument of each len unfold
-    normalized = []  # every term normalized, dereferenced
+    # One timeline of unfold starts and normalizations.  A normal term
+    # comes back from normalization as itself, so the first argument one
+    # unfold normalized can reach the next unfold as the same object
+    # (through a binding that _abstract stores uncopied); each unfold is
+    # therefore charged only the normalizations of its own first argument
+    # made between its start and the next unfold's.
+    events = []  # ("unfold", dereferenced first argument) or ("norm", term)
 
     real_unfold = engine.unfold
 
     def unfold_len(pred, args, st, left=False):
         if pred == "len":
-            firsts.append(deref(args[0]))
+            events.append(("unfold", deref(args[0])))
         return real_unfold(pred, args, st, left)
 
     def counting(real):
         def normalize(t, budget=None):
-            normalized.append(deref(t))
+            events.append(("norm", deref(t)))
             return real(t, budget)
         return normalize
 
@@ -585,5 +590,10 @@ def test_first_argument_is_normalized_once_per_unfold(monkeypatch):
         "N = s (s (s z)), T = ?0::nil",
         "N = s (s (s (s z))), T = ?0::?1::nil",
     ]
-    assert len(firsts) >= 5
-    assert [sum(t is a for t in normalized) for a in firsts] == [1] * len(firsts)
+    starts = [i for i, (kind, _) in enumerate(events) if kind == "unfold"]
+    assert len(starts) >= 5
+    counts = [
+        sum(kind == "norm" and t is events[i][1] for kind, t in events[i:j])
+        for i, j in zip(starts, starts[1:] + [len(events)])
+    ]
+    assert counts == [1] * len(starts)

@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from conftest import run
+
+from nablacheck.engine import State
 from nablacheck.errors import NonPatternError
 from nablacheck.nodes import App, Bound, Const, Lam, LogicVar, NablaIndex, app
 from nablacheck.terms import (
@@ -350,3 +353,22 @@ def test_unify_postconditions(lhs_g, rhs_g, nvars):
     else:
         assert len(st.trail) == mark
     st.trail.undo_to(mark)
+
+
+@pytest.mark.parametrize("n", [10, 2000])
+def test_a_variable_meets_a_chain_of_lambdas_with_one_shift(monkeypatch, n):
+    # The flexible side is η-expanded once for the whole chain, shifted by
+    # n in one walk, where one η-step per λ made the work quadratic in n.
+    shifts = []
+    real_shift = unify_mod.shift
+
+    def counting(t, by, cutoff=0):
+        shifts.append(by)
+        return real_shift(t, by, cutoff)
+
+    monkeypatch.setattr(unify_mod, "shift", counting)
+    r = run(State(), "exists F. F = (" + "x\\ " * n + "a)")
+    assert r.proved and len(r.answers) == 1
+    assert shifts == [n]
+    # The η case stays: a variable equals its own η-expansion.
+    assert run(State(), "exists X. X = (y\\ X y)").proved
