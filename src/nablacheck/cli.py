@@ -61,7 +61,8 @@ def run_assertion(directive, st, out, filename):
     return code
 
 
-def apply_directive(d, st, out, filename=None, include_stack=()):
+def apply_directive(d, st, out, filename=None):
+    """Run a directive other than #include, which loads a file."""
     td = type(d)
     if td is LevelDirective:
         st.defs.declare_level(d.pred, d.level)
@@ -71,9 +72,6 @@ def apply_directive(d, st, out, filename=None, include_stack=()):
         return OK
     if td is AssertDirective:
         return run_assertion(d, st, out, filename)
-    if td is IncludeDirective:
-        base = os.path.dirname(filename) if filename else "."
-        return load_file(os.path.join(base, d.path), st, out, include_stack)
     if td is ClearTablesDirective:
         clear_tables(st)
         return OK
@@ -83,37 +81,57 @@ def apply_directive(d, st, out, filename=None, include_stack=()):
     raise TypeError(f"not a directive: {d!r}")
 
 
-def load_file(path, st, out, include_stack=()):
-    """Load one definition file, running directives in order."""
+def _open(path, paths, files, out):
+    """Push the file at path: its path on paths, its items on files.  OK
+    once it is pushed, INCONCLUSIVE once an error is reported."""
     path = os.path.normpath(path)
-    if path in include_stack:
+    if path in paths:
         out.write(f"error: {path}: include cycle\n")
         return INCONCLUSIVE
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
+            items = parse_file(fh.read(), filename=path)
+    except (OSError, ParseError) as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE
-    try:
-        items = parse_file(text, filename=path)
-    except ParseError as e:
-        out.write(f"error: {e}\n")
-        return INCONCLUSIVE
-    worst = OK
-    stack = include_stack + (path,)
-    for item in items:
+    paths.append(path)
+    files.append(iter(items))
+    return OK
+
+
+def load_file(path, st, out, include_stack=()):
+    """Load one definition file, running directives in order.
+
+    An #include loads the named file where it stands.  The files being
+    loaded wait on a stack, so a chain of includes of any length uses no
+    interpreter stack; a file already on it or in include_stack is an
+    include cycle.  An error ends the file it occurs in alone.  Each file's
+    code folds into its includer's by max, so one worst code serves all.
+    """
+    paths = list(include_stack)
+    files = []
+    worst = _open(path, paths, files, out)
+    while files:
+        item = next(files[-1], None)
+        path = paths[-1]
         try:
-            if type(item) is ClauseItem:
+            if item is None:  # the file is done
+                del files[-1], paths[-1]
+            elif type(item) is ClauseItem:
                 st.defs.add_clause(
                     item.pred, item.head_args, item.body,
                     item.var_names, item.line,
                 )
+            elif type(item) is IncludeDirective:
+                base = os.path.dirname(path)
+                code = _open(os.path.join(base, item.path), paths, files, out)
+                worst = max(worst, code)
             else:
-                worst = max(worst, apply_directive(item, st, out, path, stack))
+                worst = max(worst, apply_directive(item, st, out, path))
         except NablaCheckError as e:
             out.write(f"error: {path}:{item.line}: {e}\n")
-            return INCONCLUSIVE
+            worst = INCONCLUSIVE
+            del files[-1], paths[-1]
     return worst
 
 
@@ -164,6 +182,8 @@ def run_interaction(text, st, out, inp):
     except ParseError as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE
+    if type(stmt) is IncludeDirective:
+        return load_file(stmt.path, st, out)
     if not isinstance(stmt, Formula):
         try:
             return apply_directive(stmt, st, out)

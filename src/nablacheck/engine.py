@@ -85,7 +85,7 @@ from .terms import (
     has_unbound_logic_var,
     normalize_eta,
 )
-from .unify import SUCCESS, Trail, unify
+from .unify import undo_to, unify
 
 DEFAULT_STEP_BUDGET = 1000000
 # The most choice points a search may hold open.  A tabled call that waits
@@ -114,7 +114,7 @@ _CASE, _HELD, _PRODUCED = 3, 4, 5
 # follows an implication, reached once every case of its antecedent held),
 # a case barrier (the position of the implication's barrier, the first
 # variable id the case did not know), or a production barrier (the tabled
-# call's generator, its Production); goals is what follows on success.
+# call's generator, its table frame); goals is what follows on success.
 _CLAUSES, _GOALS, _CASE_BARRIER, _PRODUCTION = range(4)
 
 __all__ = [
@@ -135,11 +135,11 @@ __all__ = [
 class State:
     """Everything one proof search mutates, plus its resource limits.
 
-    checkpoint()/undo_to() save and restore the trail together with the
-    signature counters; the variable id counter is deliberately left out so
-    identities stay unique for the life of the session (table keys depend
-    on that).  prove() does the same inline where it is hot: unfolding a
-    call and backtracking.
+    trail lists the variables bound, most recent last.  A checkpoint is
+    (trail length, ∇ depth): undo_to() unbinds what was bound since and
+    restores the depth.  The id counter is never rewound (terms.py).
+    prove() does the same inline where it is hot: unfolding a call and
+    backtracking.
     """
 
     __slots__ = (
@@ -164,7 +164,7 @@ class State:
         trace=None,
     ):
         self.sig = Signature()
-        self.trail = Trail()
+        self.trail = []
         self.defs = defs if defs is not None else DefSet()
         self.tables = {}
         self.tab_stack = []
@@ -175,13 +175,11 @@ class State:
         self.trace = trace
 
     def checkpoint(self):
-        return (self.trail.mark(), self.sig.next_global, self.sig.nabla_depth)
+        return (len(self.trail), self.sig.nabla_depth)
 
     def undo_to(self, cp):
-        mark, next_global, nabla_depth = cp
-        self.trail.undo_to(mark)
-        self.sig.next_global = next_global
-        self.sig.nabla_depth = nabla_depth
+        undo_to(self.trail, cp[0])
+        self.sig.nabla_depth = cp[1]
 
 
 def _too_many(st):
@@ -206,12 +204,12 @@ def prove(f, st, mode=ONE, slots=()):
     and hands each level-0 atom to RIGHT0 as a dispatch of its own.
     """
     sig = st.sig
-    trail = st.trail._entries  # for checkpoints taken inline; see State
+    trail = st.trail  # for checkpoints taken inline; see State
     trace = st.trace
     max_steps = st.max_steps
     steps = st.steps  # counted here, stored back at each yield and exit
     close = logic.replace_clause_vars  # read here, so a wrapper applies
-    base = (len(trail), sig.next_global, sig.nabla_depth)
+    base = (len(trail), sig.nabla_depth)
     goals = (f, {}, slots, mode, None)
     cps = []
     try:
@@ -228,7 +226,7 @@ def prove(f, st, mode=ONE, slots=()):
                 if mode == _CASE:
                     b, imp = f
                     cps.append((_CASE_BARRIER, st.checkpoint(), imp,
-                                sig._next_id, None))
+                                sig.next_id, None))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
                     goals = (b, env, slots, ONE,
@@ -237,8 +235,8 @@ def prove(f, st, mode=ONE, slots=()):
                 barrier = cps[f]
                 if mode == _HELD:
                     floor = barrier[3]
-                    since = st.trail.bound_since(barrier[1][0])
-                    escaped = [v for v in since if v.id < floor]
+                    escaped = [v for v in trail[barrier[1][0]:]
+                               if v.id < floor]
                     if escaped:
                         raise OuterVariableEscape(
                             "proving the consequent instantiated "
@@ -294,7 +292,7 @@ def prove(f, st, mode=ONE, slots=()):
                         if item is not False:
                             _open_production(call, item, defn, st, cps, goals)
                     else:
-                        cp = (len(trail), sig.next_global, sig.nabla_depth)
+                        cp = (len(trail), sig.nabla_depth)
                         alts = unfold(f.pred, args, st, mode == LEFT0)
                         item = next(alts, None)
                         if item is not None:
@@ -312,7 +310,7 @@ def prove(f, st, mode=ONE, slots=()):
                 elif tf is Eq:
                     lhs = close(f.lhs, env, slots)
                     if unify(lhs, close(f.rhs, env, slots), st,
-                             instantiate_eigen=mode == LEFT0) is SUCCESS:
+                             instantiate_eigen=mode == LEFT0):
                         continue
                 elif tf is Exists:
                     if mode == LEFT0:
@@ -363,9 +361,8 @@ def prove(f, st, mode=ONE, slots=()):
             # Backtrack to the newest choice point that has an alternative.
             while cps:
                 cp = cps.pop()
-                mark, sig.next_global, sig.nabla_depth = cp[1]
-                while len(trail) > mark:
-                    trail.pop().binding = None
+                mark, sig.nabla_depth = cp[1]
+                undo_to(trail, mark)
                 kind = cp[0]
                 if kind == _CLAUSES:
                     item = next(cp[2], None)
@@ -392,20 +389,19 @@ def prove(f, st, mode=ONE, slots=()):
         for cp in reversed(cps):
             if cp[0] == _PRODUCTION:
                 cp[2].close()
-        mark, sig.next_global, sig.nabla_depth = base
-        while len(trail) > mark:
-            trail.pop().binding = None
+        mark, sig.nabla_depth = base
+        undo_to(trail, mark)
 
 
-def _open_production(call, production, defn, st, cps, goals):
+def _open_production(call, frame, defn, st, cps, goals):
     """Push a tabled call's production barrier, and above it the bodies as
     the call's clause alternatives, which failing into tries first.  Ground
     level-0 calls prove the same in either mode, so the bodies always run
     on the right and the table entry is shared."""
     cp = st.checkpoint()
-    cps.append((_PRODUCTION, cp, call, production, goals))
+    cps.append((_PRODUCTION, cp, call, frame, goals))
     body_mode = RIGHT0 if defn.level == 0 else ONE
-    cps.append((_CLAUSES, cp, production.bodies, body_mode,
+    cps.append((_CLAUSES, cp, frame.bodies, body_mode,
                 (len(cps) - 1, None, None, _PRODUCED, None)))
     if len(cps) > MAX_CHOICE_POINTS:
         raise _too_many(st)

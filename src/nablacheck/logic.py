@@ -29,7 +29,7 @@ from .nodes import (
     Var, app,
 )
 from .terms import deref, normalize
-from .unify import SUCCESS, bind, unify
+from .unify import bind, unify
 
 
 # ---------------------------------------------------------------------------
@@ -837,8 +837,8 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
             if len(env) < len(var_names):
                 _fresh_rest(env, var_names,
                             sig.fresh_eigen if left else sig.fresh_logic)
-            if unify(replace_clause_vars(pat, env), a, st,
-                     instantiate_eigen=left) is not SUCCESS:
+            if not unify(replace_clause_vars(pat, env), a, st,
+                         instantiate_eigen=left):
                 return False
         else:
             if not its:
@@ -935,12 +935,11 @@ def _fresh_rest(env, var_names, fresh):
 
 def _passes(a, sig, left):
     """Would unify bind a fresh clause variable, made now, to the
-    dereferenced non-inert argument a itself?"""
+    dereferenced non-inert argument a itself?  A variable made now comes
+    after a, so only the ∇ depth can stand in the way."""
     ta = type(a)
     if ta is NablaIndex:
         return a.index < sig.nabla_depth
     if ta is LogicVar or (left and ta is EigenVar):
-        return a.global_level < sig.next_global and a.local_level <= sig.nabla_depth
-    if ta is EigenVar:
-        return a.global_level < sig.next_global
-    return False
+        return a.local_level <= sig.nabla_depth
+    return ta is EigenVar

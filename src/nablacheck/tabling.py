@@ -8,8 +8,8 @@ fixed point admits no self-supporting proof), a coinductive loop succeeds
 (the infinite unfolding is itself the witness).
 
 A production is a frame of the prover's loop (engine.py), not a nested
-search.  tabled_prove is two-phase: it opens the call's frame and yields a
-Production, the prover runs the bodies above a barrier until the first
+search.  tabled_prove is two-phase: it opens the call's frame and yields
+it, the prover runs the frame's bodies above a barrier until the first
 proof or until none is left, and on resumption tabled_prove records the
 outcome and yields the call's one answer, if any.  A production opened
 inside another finishes before it does, so each runs once, st.tab_stack
@@ -82,20 +82,26 @@ DISPROVED = "disproved"
 
 
 class _Frame:
-    """A running call's table entry.
+    """A running call's table entry, which tabled_prove yields to the
+    prover as its request to run the call's production.
 
-    depth is its index in st.tab_stack, assumed maps each call its
-    production assumed to the status assumed, and waiting lists the
-    conditional entries whose innermost condition is this call, each as
-    (its table's entries, its key, the entry).
+    bodies is the iterator producer() returned; the prover tries the
+    bodies as the call's alternatives above a barrier, sets found when one
+    is proved, and resumes tabled_prove.  depth is the frame's index in
+    st.tab_stack, assumed maps each call its production assumed to the
+    status assumed, and waiting lists the conditional entries whose
+    innermost condition is this call, each as (its table's entries, its
+    key, the entry).
     """
 
-    __slots__ = ("depth", "assumed", "waiting")
+    __slots__ = ("depth", "assumed", "waiting", "bodies", "found")
 
     def __init__(self, depth):
         self.depth = depth
         self.assumed = {}
         self.waiting = []
+        self.bodies = None
+        self.found = False
 
 
 class _Cond:
@@ -223,21 +229,6 @@ def _wait(st, home, key, cond):
     inner.waiting.append((home, key, cond))
 
 
-class Production:
-    """A request, yielded by tabled_prove, to run a call's production.
-
-    bodies is the iterator producer() returned.  The prover tries the
-    bodies as the call's alternatives above a barrier, sets found when one
-    is proved, and resumes tabled_prove.
-    """
-
-    __slots__ = ("bodies", "found")
-
-    def __init__(self, bodies):
-        self.bodies = bodies
-        self.found = False
-
-
 def tabled_prove(st, pred, args, defn, producer):
     """Prove an eligible call through its table.
 
@@ -247,10 +238,10 @@ def tabled_prove(st, pred, args, defn, producer):
     frame is a loop and answers by the table's mode: either way this
     generator yields None once if the call holds and nothing otherwise.
     Otherwise the production runs once, in two phases: the generator
-    yields a Production, the prover looks for one proof of its bodies and
-    resumes it, and the outcome is recorded before the call yields its one
-    answer, if it has one.  Closing the generator at the Production
-    abandons the production.  The call binds nothing: its arguments carry
+    yields the call's _Frame, the prover looks for one proof of its bodies
+    and resumes it, and the outcome is recorded before the call yields its
+    one answer, if it has one.  Closing the generator at the frame abandons
+    the production.  The call binds nothing: its arguments carry
     no instantiable variable.
     """
     table = st.tables.get(pred)
@@ -275,8 +266,8 @@ def tabled_prove(st, pred, args, defn, producer):
     stack.append(frame)
     entries[key] = frame
     try:
-        production = Production(producer())
-        yield production
+        frame.bodies = producer()
+        yield frame
     except BaseException:
         # Every production above this one has dropped its entries already.
         stack.pop()
@@ -288,8 +279,7 @@ def tabled_prove(st, pred, args, defn, producer):
     # Every other assumption names a call still running below this one.
     deps = frame.assumed
     deps.pop(key, None)  # self-assumptions discharge themselves
-    found = production.found
-    status = PROVED if found else DISPROVED
+    status = PROVED if frame.found else DISPROVED
     for home, k, v in frame.waiting:
         if v.deps.pop(key) is status:
             v.deps.update(deps)
@@ -305,7 +295,7 @@ def tabled_prove(st, pred, args, defn, producer):
         stack[-1].assumed.update(deps)
     else:
         entries[key] = status
-    if found:
+    if frame.found:
         yield
 
 

@@ -1,14 +1,19 @@
 """Term-level operations: signatures, fresh variables, normal forms, equality.
 
-The (global, local) annotation discipline: a fresh variable records the
-number of quantifiers introduced before it (global level, shared counter for
-eigen- and logic variables) and the number of ∇-binders in scope (local
-level).  A variable may later depend exactly on the eigenvariables with a
-strictly smaller global level and the ∇-indices below its local level; the
-unifier enforces this.
+The (global, local) annotation discipline: a fresh variable records its
+place in the order of introductions (global level) and the number of
+∇-binders in scope (local level).  A variable may later depend exactly on
+the eigenvariables with a strictly smaller global level and the ∇-indices
+below its local level; the unifier enforces this.
 
-So under the prefix ∀x.∃Y.∇n.∀z the introductions are
-x^{0,0}, Y^{1,0}, #0, z^{2,1}.
+A quantifier's variable takes its id, from the Signature's one counter, as
+its global level.  Every level test compares two variables, or a variable
+with one made now, so only the order matters, and along a branch a later
+variable gets the larger number whether the count is rewound on
+backtracking or not.  A rewind would only reuse the numbers of variables
+that no live term can reach, so the counter never needs one.  Pruning
+copies existing levels instead (fresh_at).  So on a fresh Signature, under
+the prefix ∀x.∃Y.∇n.∀z the introductions are x^{0,0}, Y^{1,0}, #0, z^{2,1}.
 
 This module is also the reduction kernel (deref, shift, _nf, eta_contract).
 Bindings of variables are always λ-closed (the unifier abstracts pattern
@@ -67,45 +72,31 @@ DEFAULT_NORM_BUDGET = 100000
 
 
 class Signature:
-    """Mutable introduction state of one proof branch.
+    """Introduction state of one proof search.
 
-    next_global counts quantifier introductions (eigen and logic variables
-    share it, so the introduction order is totally recorded); nabla_depth is
-    the number of ∇-binders currently in scope.  Both are saved and restored
-    by the engine's checkpoints, together with the trail.  The id counter is
-    never rolled back: ids give variables a stable identity for printing.
+    next_id, the one introduction counter, gives each variable its id, and
+    a quantifier's variable its global level too; it is never rewound, so
+    ids also identify variables for printing and table keys.  nabla_depth
+    is the number of ∇-binders in scope, which checkpoints restore.
     """
 
-    __slots__ = ("next_global", "nabla_depth", "_next_id")
+    __slots__ = ("nabla_depth", "next_id")
 
     def __init__(self):
-        self.next_global = 0
         self.nabla_depth = 0
-        self._next_id = 0
-
-    def _take_id(self):
-        i = self._next_id
-        self._next_id += 1
-        return i
+        self.next_id = 0
 
     def fresh_logic(self, name="H"):
-        v = LogicVar(name, self._take_id(), self.next_global, self.nabla_depth)
-        self.next_global += 1
-        return v
+        return self.fresh_at(LogicVar, name, self.next_id, self.nabla_depth)
 
     def fresh_eigen(self, name="h"):
-        v = EigenVar(name, self._take_id(), self.next_global, self.nabla_depth)
-        self.next_global += 1
-        return v
-
-    def fresh_like(self, template, global_level, local_level, name=None):
-        """A fresh variable of the same kind with explicit levels (pruning)."""
-        cls = EigenVar if isinstance(template, EigenVar) else LogicVar
-        return self.fresh_at(cls, name or template.name, global_level, local_level)
+        return self.fresh_at(EigenVar, name, self.next_id, self.nabla_depth)
 
     def fresh_at(self, cls, name, global_level, local_level):
         """A fresh variable of class cls with explicit levels."""
-        return cls(name, self._take_id(), global_level, local_level)
+        i = self.next_id
+        self.next_id = i + 1
+        return cls(name, i, global_level, local_level)
 
 
 def deref(t):

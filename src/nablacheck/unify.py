@@ -14,9 +14,10 @@ implication performs case analysis on definitions, which may instantiate the
 sequent's eigenvariables, so there both kinds bend with the same level side
 conditions.
 
-Bindings happen in place and are logged on a trail; undo_to rewinds them in
-LIFO order.  On FAILURE, and when unify() raises, the trail is already
-rewound to the state at the call.
+Bindings happen in place and are logged on st.trail, a list of the
+variables bound (engine.State); undo_to rewinds it to an earlier length in
+LIFO order.  unify() returns True or False; when it fails, and when it
+raises, the trail is already rewound to its length at the call.
 
 Level side conditions when binding F^{g,l} := u (after abstracting F's
 pattern arguments): u contains no eigenvariable with global >= g, no ∇-index
@@ -47,93 +48,45 @@ from __future__ import annotations
 
 from .errors import NonPatternError
 from .nodes import App, Bound, Const, EigenVar, Lam, LogicVar, NablaIndex, Var, app
-from .terms import DEFAULT_NORM_BUDGET, _rebuild, deref, normalize, shift
+from .terms import _rebuild, deref, normalize, shift
 
 
-class Trail:
-    """LIFO log of variable bindings for backtracking."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries = []
-
-    def mark(self):
-        return len(self._entries)
-
-    def push(self, var):
-        self._entries.append(var)
-
-    def undo_to(self, mark):
-        entries = self._entries
-        while len(entries) > mark:
-            entries.pop().binding = None
-
-    def bound_since(self, mark):
-        """The variables bound after the given mark (most recent last)."""
-        return self._entries[mark:]
-
-    def __len__(self):
-        return len(self._entries)
-
-
-class _SuccessType:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Success"
-
-
-class _FailureType:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Failure"
-
-
-SUCCESS = _SuccessType()
-FAILURE = _FailureType()
+# unify()'s results, by name.
+SUCCESS = True
+FAILURE = False
 
 
 class _Fail(Exception):
     pass
 
 
-class UnifyCtx:
-    """Minimal state for standalone unification (tests, oracles).
-
-    The engine's State object offers the same three attributes and is passed
-    in its place.
-    """
-
-    __slots__ = ("sig", "trail", "norm_budget")
-
-    def __init__(self, sig, norm_budget=DEFAULT_NORM_BUDGET):
-        self.sig = sig
-        self.trail = Trail()
-        self.norm_budget = norm_budget
-
-
 def bind(var, value, trail):
     var.binding = value
-    trail.push(var)
+    trail.append(var)
+
+
+def undo_to(trail, mark):
+    """Unbind the variables bound since the trail was mark long."""
+    while len(trail) > mark:
+        trail.pop().binding = None
 
 
 def unify(t, s, st, instantiate_eigen=False):
-    """Unify two terms in place; returns SUCCESS or FAILURE.
+    """Unify two terms in place under the state st; True or False.
 
-    On SUCCESS the accumulated bindings form a most general unifier of the
-    level-respecting solutions.  On FAILURE, and when a problem outside the
+    On success the accumulated bindings form a most general unifier of the
+    level-respecting solutions.  On failure, and when a problem outside the
     pattern fragment raises NonPatternError or normalization runs out of
     budget, the trail has been rewound, so the state is exactly as before
     the call.
     """
     if t.inert and s.inert:
         if t is s:
-            return SUCCESS
+            return True
         if type(t) is Const and type(s) is Const:
-            return SUCCESS if t.name == s.name else FAILURE
-    mark = st.trail.mark()
+            return t.name == s.name
+    trail = st.trail
+    mark = len(trail)
     budget = st.norm_budget
     try:
         _unify(
@@ -142,12 +95,12 @@ def unify(t, s, st, instantiate_eigen=False):
             st,
             instantiate_eigen,
         )
-        return SUCCESS
+        return True
     except _Fail:
-        st.trail.undo_to(mark)
-        return FAILURE
+        undo_to(trail, mark)
+        return False
     except BaseException:
-        st.trail.undo_to(mark)
+        undo_to(trail, mark)
         raise
 
 
@@ -395,8 +348,9 @@ def _prune_flex(h, hargs, f, fargs, depth, st, lhs, rhs):
     )
     if within_levels and len(survivors) == len(hargs):
         return app(h, tuple(tr for _, tr in survivors))
-    hp = st.sig.fresh_like(
-        h,
+    hp = st.sig.fresh_at(
+        type(h),
+        h.name,
         min(f.global_level, h.global_level),
         min(f.local_level, h.local_level),
     )
@@ -420,7 +374,7 @@ def _same_var(f, targs, sargs, st, lhs, rhs):
     ]
     if len(kept) == n:
         return  # identical flex terms, nothing to do
-    k = st.sig.fresh_like(f, f.global_level, f.local_level)
+    k = st.sig.fresh_at(type(f), f.name, f.global_level, f.local_level)
     body = app(k, tuple(Bound(n - 1 - i) for i in kept))
     bind(f, _wrap_lams(body, n), st.trail)
 
@@ -441,8 +395,8 @@ def _flex_flex(f, targs, h, sargs, st, lhs, rhs):
     _check_pattern_args(h, sargs, lhs, rhs)
     g = min(f.global_level, h.global_level)
     l = min(f.local_level, h.local_level)
-    template = f if isinstance(f, LogicVar) else h
-    k = st.sig.fresh_like(template, g, l, name=f.name)
+    cls = LogicVar if type(f) is LogicVar else type(h)
+    k = st.sig.fresh_at(cls, f.name, g, l)
     tkeys = [_atom_key(a) for a in targs]
     skeys = [_atom_key(a) for a in sargs]
     sel = []

@@ -92,6 +92,23 @@ def test_include_cycle_is_reported(tmp_path):
     assert "include cycle" in out
 
 
+def test_a_long_include_chain_needs_no_interpreter_stack(tmp_path):
+    # Each file includes the next; the files being loaded wait on
+    # load_file's own stack, so the chain proves under a recursion limit
+    # far below its length.
+    n = 2000
+    for i in range(n):
+        write(tmp_path, f"f{i}.def", f'#include "f{i + 1}.def".\n')
+    write(tmp_path, f"f{n}.def", "p a.\n")
+    script = ("import sys; from nablacheck.cli import main; "
+              "sys.setrecursionlimit(200); "
+              f"sys.exit(main([{str(tmp_path / 'f0.def')!r}, '-q', 'p a']))")
+    proc = run_child(["-c", script])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "% proved" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 def test_worst_exit_code_wins(tmp_path):
     f = write(
         tmp_path, "mixed.def",

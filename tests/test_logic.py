@@ -478,18 +478,18 @@ def test_first_occurrence_heads_make_fresh_variables_only_for_body_names():
     s = st.sig.fresh_logic("S")
     c = st.sig.fresh_logic("C")
     one, zero = Const("1"), Const("0")
-    before = st.sig._next_id
+    before = st.sig.next_id
     bodies = 0
     for body, env, _ in unfold("full_adder", (one, zero, one, s, c), st):
         bodies += 1
-        assert st.sig._next_id == before
+        assert st.sig.next_id == before
         body = replace_clause_vars_formula(body, env)
         terms = list(logic.formula_terms(body))
         assert any(t is c for t in terms) and any(t is one for t in terms)
     assert bodies == 1
     for body, _, _ in unfold("tri", (one, c), st):
         bodies += 1
-        assert st.sig._next_id == before + 1
+        assert st.sig.next_id == before + 1
     assert bodies == 2
     assert deref(s) is s and deref(c) is c
 

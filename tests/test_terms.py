@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from nablacheck.engine import State
 from nablacheck.errors import NormalizationDepthExceeded
 from nablacheck.logic import replace_clause_vars
 from nablacheck.nodes import App, Bound, ClauseVar, Const, Lam, NablaIndex, app
 from nablacheck.terms import (
     Signature,
+    deref,
     equal_modulo,
     has_unbound_logic_var,
     has_unbound_var,
@@ -17,7 +19,7 @@ from nablacheck.terms import (
     shift,
     struct_eq,
 )
-from nablacheck.unify import SUCCESS, UnifyCtx, _abstract, unify
+from nablacheck.unify import SUCCESS, _abstract, unify
 
 a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
 
@@ -35,14 +37,23 @@ def test_levels_follow_the_quantifier_prefix():
     assert len({x.id, y.id, z.id}) == 3
 
 
-def test_ids_survive_counter_rewind():
-    sig = Signature()
-    saved = sig.next_global
-    v1 = sig.fresh_logic()
-    sig.next_global = saved  # what a checkpoint undo does
-    v2 = sig.fresh_logic()
-    assert v1.id != v2.id
-    assert v1.global_level == v2.global_level
+def test_variables_made_after_a_rewind_or_a_pruning_come_last():
+    # A variable's global level is its id, so one made after a checkpoint
+    # is restored, or after unify prunes a variable to lower levels, is
+    # above every variable made before it.
+    st = State()
+    x = st.sig.fresh_logic("X")
+    cp = st.checkpoint()
+    dead = st.sig.fresh_eigen("d")
+    st.undo_to(cp)
+    y = st.sig.fresh_logic("Y")
+    assert unify(x, app(f, (y,)), st) is SUCCESS
+    pruned = deref(y)
+    assert pruned is not y and pruned.global_level == x.global_level
+    z = st.sig.fresh_logic("Z")
+    for v, older in ((y, (x, dead)), (z, (x, dead, y, pruned))):
+        assert v.global_level == v.id
+        assert all(v.global_level > u.global_level for u in older)
 
 
 def test_beta_reduction_basics():
@@ -256,13 +267,13 @@ def test_size_dependent_passes_return_inert_terms_unchanged():
         assert normalize_eta(t) is t
         assert shift(t, 3) is t
         assert replace_clause_vars(t, {}, (b,)) is t
-        st = UnifyCtx(Signature())
+        st = State()
         v = st.sig.fresh_logic("X")
         assert _abstract(t, v, [], 0, st, False, v, t) is t
 
 
 def test_binding_to_an_inert_list_stores_the_list_itself():
-    st = UnifyCtx(Signature())
+    st = State()
     v = st.sig.fresh_logic("L")
     lst = _list(1000)
     assert unify(v, lst, st) is SUCCESS

@@ -9,7 +9,6 @@ from nablacheck.engine import State
 from nablacheck.errors import NonPatternError
 from nablacheck.nodes import App, Bound, Const, Lam, LogicVar, NablaIndex, app
 from nablacheck.terms import (
-    Signature,
     deref,
     equal_modulo,
     iter_free_vars,
@@ -17,17 +16,13 @@ from nablacheck.terms import (
     struct_eq,
 )
 from nablacheck import unify as unify_mod
-from nablacheck.unify import FAILURE, SUCCESS, Trail, UnifyCtx, unify
+from nablacheck.unify import FAILURE, SUCCESS, undo_to, unify
 
 a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
 
 
-def ctx():
-    return UnifyCtx(Signature())
-
-
 def test_logic_var_binds_to_earlier_eigenvariable():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_eigen("x")      # global 0
     y = st.sig.fresh_logic("Y")      # global 1: may depend on x
     assert unify(y, x, st) is SUCCESS
@@ -35,7 +30,7 @@ def test_logic_var_binds_to_earlier_eigenvariable():
 
 
 def test_logic_var_rejects_later_eigenvariable():
-    st = ctx()
+    st = State()
     y = st.sig.fresh_logic("Y")      # global 0
     st.sig.fresh_eigen("x")
     z = st.sig.fresh_eigen("z")      # global 2: introduced after Y
@@ -44,7 +39,7 @@ def test_logic_var_rejects_later_eigenvariable():
 
 
 def test_local_level_guards_nabla_indices():
-    st = ctx()
+    st = State()
     before = st.sig.fresh_logic("F")          # local 0: #0 is invisible
     st.sig.nabla_depth = 1
     after = st.sig.fresh_logic("G")           # local 1: #0 is visible
@@ -54,7 +49,7 @@ def test_local_level_guards_nabla_indices():
 
 
 def test_flex_rigid_abstracts_the_pattern_arguments():
-    st = ctx()
+    st = State()
     fv = st.sig.fresh_logic("F")              # knows neither x nor #0
     x = st.sig.fresh_eigen("x")
     st.sig.nabla_depth = 1
@@ -68,21 +63,21 @@ def test_flex_rigid_abstracts_the_pattern_arguments():
 
 
 def test_occurs_check_fails():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     assert unify(x, app(f, (x,)), st) is FAILURE
     assert deref(x) is x
 
 
 def test_rigid_occurrence_of_invisible_eigen_fails():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     y = st.sig.fresh_eigen("y")               # later: invisible to X
     assert unify(x, app(f, (y,)), st) is FAILURE
 
 
 def test_flex_occurrence_is_pruned_not_failed():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")               # global 0
     st.sig.fresh_eigen("x")
     later = st.sig.fresh_logic("Y")           # global 2, too permissive
@@ -95,7 +90,7 @@ def test_flex_occurrence_is_pruned_not_failed():
 
 
 def test_rigid_rigid_decomposition_and_clash():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     assert unify(app(f, (x, b)), app(f, (a, b)), st) is SUCCESS
     assert struct_eq(deref(x), a)
@@ -104,13 +99,13 @@ def test_rigid_rigid_decomposition_and_clash():
 
 
 def test_eta_expansion_bridges_lam_and_atom():
-    st = ctx()
+    st = State()
     assert unify(Lam(app(f, (Bound(0),))), f, st) is SUCCESS
     assert unify(Lam(app(f, (Bound(0),))), g, st) is FAILURE
 
 
 def test_same_var_arity_mismatch_is_non_pattern():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     st.sig.nabla_depth = 2
     with pytest.raises(NonPatternError):
@@ -118,7 +113,7 @@ def test_same_var_arity_mismatch_is_non_pattern():
 
 
 def test_constant_argument_is_non_pattern():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     with pytest.raises(NonPatternError) as e:
         unify(app(x, (a,)), a, st)
@@ -127,7 +122,7 @@ def test_constant_argument_is_non_pattern():
 
 def test_identical_non_pattern_terms_stay_non_pattern():
     # Only inert terms unify by identity; F (s z) is outside the fragment.
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("F")
     t = app(x, (app(Const("s"), (Const("z"),)),))
     with pytest.raises(NonPatternError):
@@ -135,7 +130,7 @@ def test_identical_non_pattern_terms_stay_non_pattern():
 
 
 def test_repeated_argument_is_non_pattern():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     st.sig.nabla_depth = 1
     with pytest.raises(NonPatternError):
@@ -143,7 +138,7 @@ def test_repeated_argument_is_non_pattern():
 
 
 def test_same_var_positional_intersection():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     st.sig.nabla_depth = 2
     i0, i1 = NablaIndex(0), NablaIndex(1)
@@ -154,7 +149,7 @@ def test_same_var_positional_intersection():
 
 
 def test_same_var_keeps_agreeing_positions():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     st.sig.nabla_depth = 3
     i0, i1, i2 = NablaIndex(0), NablaIndex(1), NablaIndex(2)
@@ -165,7 +160,7 @@ def test_same_var_keeps_agreeing_positions():
 
 
 def test_different_vars_keep_common_arguments():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     y = st.sig.fresh_logic("Y")
     st.sig.nabla_depth = 1
@@ -175,7 +170,7 @@ def test_different_vars_keep_common_arguments():
 
 
 def test_flex_flex_bare_variables_alias():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     y = st.sig.fresh_logic("Y")
     assert unify(x, y, st) is SUCCESS
@@ -183,22 +178,22 @@ def test_flex_flex_bare_variables_alias():
 
 
 def test_bare_variables_bind_only_the_one_at_higher_levels():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     y = st.sig.fresh_logic("Y")
     for lhs, rhs in ((x, y), (y, x)):
-        mark = st.trail.mark()
+        mark = len(st.trail)
         assert unify(lhs, rhs, st) is SUCCESS
-        assert st.trail.bound_since(mark) == [y]
+        assert st.trail[mark:] == [y]
         assert deref(y) is x and x.binding is None
-        st.trail.undo_to(mark)
+        undo_to(st.trail, mark)
     # Incomparable levels: each may see something the other may not, so
     # both are bound to a new variable at the lower levels.
-    u = st.sig.fresh_like(x, 1, 0)
-    v = st.sig.fresh_like(x, 0, 1)
-    mark = st.trail.mark()
+    u = st.sig.fresh_at(LogicVar, "X", 1, 0)
+    v = st.sig.fresh_at(LogicVar, "X", 0, 1)
+    mark = len(st.trail)
     assert unify(u, v, st) is SUCCESS
-    assert len(st.trail.bound_since(mark)) == 2
+    assert len(st.trail[mark:]) == 2
     k = deref(u)
     assert k is deref(v) and (k.global_level, k.local_level) == (0, 0)
 
@@ -217,7 +212,7 @@ def _count_normalize(monkeypatch):
 
 def test_each_side_is_normalized_at_most_once(monkeypatch):
     calls = _count_normalize(monkeypatch)
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     y = st.sig.fresh_logic("Y")
     z = st.sig.fresh_logic("Z")
@@ -239,7 +234,7 @@ def test_each_side_is_normalized_at_most_once(monkeypatch):
 
 def test_redex_exposed_by_a_sibling_binding_is_normalized(monkeypatch):
     calls = _count_normalize(monkeypatch)
-    st = ctx()
+    st = State()
     fv = st.sig.fresh_logic("F")
     lhs = app(f, (fv, app(fv, (a,))))
     two = Lam(app(g, (Bound(0), Bound(0))))
@@ -254,7 +249,7 @@ def test_redex_exposed_by_a_sibling_binding_is_normalized(monkeypatch):
 def test_pattern_argument_exposed_as_a_redex_is_normalized():
     # The first argument binds X to an application K e of a new variable
     # K, the second binds K to the identity, so F X is the pattern F e.
-    st = ctx()
+    st = State()
     fv = st.sig.fresh_logic("F")
     h = st.sig.fresh_logic("H")
     e = st.sig.fresh_eigen("e")
@@ -266,7 +261,7 @@ def test_pattern_argument_exposed_as_a_redex_is_normalized():
 
 
 def test_eigenvariables_are_rigid_unless_asked():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_eigen("x")
     assert unify(x, a, st) is FAILURE
     assert unify(x, a, st, instantiate_eigen=True) is SUCCESS
@@ -274,7 +269,7 @@ def test_eigenvariables_are_rigid_unless_asked():
 
 
 def test_instantiable_eigens_unify_with_each_other():
-    st = ctx()
+    st = State()
     r = st.sig.fresh_eigen("r")
     t = st.sig.fresh_eigen("t")
     assert unify(r, t, st, instantiate_eigen=True) is SUCCESS
@@ -282,21 +277,21 @@ def test_instantiable_eigens_unify_with_each_other():
 
 
 def test_trail_undo_restores_everything():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     y = st.sig.fresh_logic("Y")
-    mark = st.trail.mark()
+    mark = len(st.trail)
     assert unify(app(f, (x, y)), app(f, (a, b)), st) is SUCCESS
-    assert st.trail.bound_since(mark)
-    st.trail.undo_to(mark)
+    assert st.trail[mark:]
+    undo_to(st.trail, mark)
     assert deref(x) is x and deref(y) is y
     assert len(st.trail) == mark
 
 
 def test_failure_leaves_no_bindings():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
-    mark = st.trail.mark()
+    mark = len(st.trail)
     # X binds to a first, then b clashes; the trail must be rewound
     assert unify(app(f, (x, x)), app(f, (a, b)), st) is FAILURE
     assert len(st.trail) == mark
@@ -304,10 +299,10 @@ def test_failure_leaves_no_bindings():
 
 
 def test_non_pattern_leaves_no_bindings():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     y = st.sig.fresh_logic("Y")
-    mark = st.trail.mark()
+    mark = len(st.trail)
     with pytest.raises(NonPatternError):
         unify(app(f, (x, app(y, (a,)))), app(f, (b, b)), st)
     assert len(st.trail) == mark
@@ -315,7 +310,7 @@ def test_non_pattern_leaves_no_bindings():
 
 
 def test_beta_redexes_normalize_before_unification():
-    st = ctx()
+    st = State()
     x = st.sig.fresh_logic("X")
     lhs = app(Lam(app(f, (Bound(0),))), (x,))
     assert unify(lhs, app(f, (a,)), st) is SUCCESS
@@ -341,18 +336,18 @@ def _ground():
 @settings(max_examples=200, deadline=None)
 @given(_ground(), _ground(), hs.integers(0, 2))
 def test_unify_postconditions(lhs_g, rhs_g, nvars):
-    st = ctx()
+    st = State()
     st.sig.nabla_depth = 1
     xs = [st.sig.fresh_logic(f"X{i}") for i in range(nvars)]
     lhs = app(f, (lhs_g, *xs))
     rhs = app(f, (rhs_g, *(reversed(xs))))
-    mark = st.trail.mark()
+    mark = len(st.trail)
     r = unify(lhs, rhs, st)
     if r is SUCCESS:
         assert equal_modulo(lhs, rhs)
     else:
         assert len(st.trail) == mark
-    st.trail.undo_to(mark)
+    undo_to(st.trail, mark)
 
 
 @pytest.mark.parametrize("n", [10, 2000])
