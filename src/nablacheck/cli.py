@@ -176,20 +176,22 @@ def check_definitions(st, out, warned):
 
 
 def run_interaction(text, st, out, inp):
-    """One interactive statement: a directive, or a query stepped with `;`."""
+    """One interactive statement: a directive, or a query stepped with `;`.
+    Returns the exit code and the reply to `more (;) ?`, if it was neither
+    `;` nor blank: the first line of the next statement, or None."""
     try:
         stmt = parse_interaction(text)
     except ParseError as e:
         out.write(f"error: {e}\n")
-        return INCONCLUSIVE
+        return INCONCLUSIVE, None
     if type(stmt) is IncludeDirective:
-        return load_file(stmt.path, st, out)
+        return load_file(stmt.path, st, out), None
     if not isinstance(stmt, Formula):
         try:
-            return apply_directive(stmt, st, out)
+            return apply_directive(stmt, st, out), None
         except NablaCheckError as e:
             out.write(f"error: {e}\n")
-            return INCONCLUSIVE
+            return INCONCLUSIVE, None
     st.defs.register_formula(stmt)
     st.steps = 0
     count = 0
@@ -201,13 +203,13 @@ def run_interaction(text, st, out, inp):
             out.write("more (;) ? ")
             out.flush()
             line = inp.readline()
-            if not line or not line.strip().startswith(";"):
-                return OK
+            if not line.strip().startswith(";"):
+                return OK, line if line.strip() else None
         out.write("no more.\n" if count else "no.\n")
-        return OK if count else WRONG
+        return (OK if count else WRONG), None
     except NablaCheckError as e:
         out.write(f"error: {e}\n")
-        return INCONCLUSIVE
+        return INCONCLUSIVE, None
     finally:
         gen.close()
 
@@ -216,21 +218,24 @@ def repl(st, out, inp):
     """Read statements to a closing dot; EOF ends the session."""
     worst = OK
     buf = []
+    line = None  # a line read already, as the reply to `more (;) ?`
     while True:
-        out.write("?= " if not buf else "   ")
-        out.flush()
-        line = inp.readline()
-        if not line:
-            break
+        if line is None:
+            out.write("?= " if not buf else "   ")
+            out.flush()
+            line = inp.readline()
+            if not line:
+                break
         bare = line.split("%", 1)[0].rstrip()
-        if not bare and not buf:
-            continue
-        buf.append(line)
+        if bare or buf:
+            buf.append(line)
+        line = None
         if not bare.endswith("."):
             continue
         text = "".join(buf)
         buf = []
-        worst = max(worst, run_interaction(text, st, out, inp))
+        code, line = run_interaction(text, st, out, inp)
+        worst = max(worst, code)
     out.write("\n")
     return worst
 

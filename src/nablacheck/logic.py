@@ -23,13 +23,13 @@ arguments of an atom or an equation from them when it is dispatched.
 
 from __future__ import annotations
 
-from .errors import IllFormedFormula, LevelError
+from .errors import IllFormedFormula, LevelError, UndefinedPredicate
 from .nodes import (
     App, Bound, ClauseVar, Const, EigenVar, Lam, LogicVar, NablaIndex, Term,
     Var, app,
 )
 from .terms import deref, normalize
-from .unify import bind, unify
+from .unify import bind, undo_to, unify
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +48,15 @@ class Top(Formula):
 
 
 class Atom(Formula):
-    __slots__ = ("pred", "args")
+    """pred applied to args; defn is the Definition classify linked it to
+    when DefSet.check() or a query ran (see engine.py)."""
+
+    __slots__ = ("pred", "args", "defn")
 
     def __init__(self, pred: str, args=()):
         self.pred = pred
         self.args = tuple(args)
+        self.defn = None
 
     def __repr__(self):
         return f"Atom({self.pred}, {list(self.args)})"
@@ -183,17 +187,22 @@ def antecedent_preds(f, acc=None):
 # Level classification
 # ---------------------------------------------------------------------------
 
-def classify(f, level_of=None, strict=True) -> int:
+def classify(f, level_of=None, strict=True, defs=None) -> int:
     """The least level (0 or 1) whose grammar generates f.
 
     level_of maps predicate names to their level (missing names count as 0).
     With strict on, an implication whose antecedent is not level 0 raises
     IllFormedFormula; with strict off it is tolerated so level inference can
     iterate to its fixed point before complaining.
+
+    With defs, a DefSet's map from names to Definitions, in place of
+    level_of, an atom's level is its Definition's and the walk links the
+    atom to it (Atom.defn).  A name defs lacks raises UndefinedPredicate,
+    the alphabetically first such name, before any IllFormedFormula.
     """
     getter = {}.get if level_of is None else level_of.get
-    if type(f) is Atom:
-        return getter(f.pred, 0)
+    unknown = []
+    ill = False
     # Walked in the order of a left-to-right recursion, on a stack whose
     # entries are a formula, or an implication whose antecedent's level
     # is the last entry of levels.
@@ -203,17 +212,24 @@ def classify(f, level_of=None, strict=True) -> int:
         g = stack.pop()
         tg = type(g)
         if tg is tuple:  # an antecedent was walked
-            if levels.pop() != 0 and strict:
-                raise IllFormedFormula(
-                    "the antecedent of an implication must be a level-0 formula"
-                )
+            if levels.pop() != 0:
+                ill = True
             levels[-1] = 1
             stack.append(g[0].right)
         elif tg is Top or tg is Eq:
             pass
         elif tg is Atom:
-            if getter(g.pred, 0):
-                levels[-1] = 1
+            if defs is None:
+                if getter(g.pred, 0):
+                    levels[-1] = 1
+            else:
+                d = defs.get(g.pred)
+                if d is None:
+                    unknown.append(g.pred)
+                else:
+                    g.defn = d
+                    if d.level:
+                        levels[-1] = 1
         elif tg is And or tg is Or:
             stack.append(g.right)
             stack.append(g.left)
@@ -228,6 +244,11 @@ def classify(f, level_of=None, strict=True) -> int:
             levels.append(0)
         else:
             raise TypeError(f"not a formula: {g!r}")
+    if unknown:
+        raise UndefinedPredicate(min(unknown))
+    if ill and strict:
+        raise IllFormedFormula(
+            "the antecedent of an implication must be a level-0 formula")
     return levels[0]
 
 
@@ -261,7 +282,8 @@ class Clause:
     The index tells clauses apart by the first argument's head constant
     only, and sieve marks the ones an inert first argument can still rule
     out below it (_rules_out), as s z rules out fib (s (s N)).  The plan
-    and every walk over it keep their place on explicit stacks.
+    and every walk over it keep their place on explicit stacks.  The atoms
+    of body are linked to their Definitions by each DefSet.check().
     """
 
     __slots__ = ("head_args", "body", "var_names", "line", "plan", "sieve")
@@ -276,58 +298,68 @@ class Clause:
 
 
 class Definition:
-    """The clauses of one predicate, with a first-argument index.
+    """The clauses of one predicate, with a first-argument index per arity.
 
     A clause is keyed by the constant name c when its first head argument
     is the constant c, or an application headed by c that contains no
     β-redex; every other clause (first argument a clause variable, a
     flexible application, a λ or a redex, or no argument at all) is open.
-    The index maps each key c to the clauses keyed c or open, in source
-    order, and keeps the open clauses alone for names no clause is keyed
-    by.  candidates() builds it on first use, together with the head plan
-    of every clause (see Clause), so loading does no extra work;
+    The index holds, per arity, the clauses of that arity and a map from
+    each key c to those keyed c or open, in source order, with the open
+    clauses alone for names no clause is keyed by; a call meets only its
+    own arity.  candidates() builds it on first use, together with the
+    head plan of every clause (see Clause), so loading does no extra work;
     add_clause() drops it, since the REPL can #include more clauses after
-    queries have run.
+    queries have run.  owner is the DefSet whose check() links atoms to
+    this Definition, and stamp the owner's version at the last clause or
+    table mode that arrived.
     """
 
     __slots__ = (
-        "pred", "clauses", "declared_level", "level", "table_mode", "_index"
+        "pred", "clauses", "declared_level", "level", "table_mode", "_index",
+        "owner", "stamp",
     )
 
-    def __init__(self, pred):
+    def __init__(self, pred, owner=None):
         self.pred = pred
         self.clauses = []
         self.declared_level = None
         self.level = 0
         self.table_mode = None  # None | "inductive" | "coinductive"
-        self._index = None  # (key -> clauses, open clauses, arities)
+        self._index = None  # arity -> (key -> clauses, open clauses, clauses)
+        self.owner = owner
+        self.stamp = 0
 
     def add_clause(self, clause):
         self.clauses.append(clause)
         self._index = None
 
     def candidates(self, args, budget):
-        """The clauses whose head can match a call with these arguments,
-        and the first argument normalized, or None if it was not.
+        """The clauses of the call's arity whose head can match a call with
+        these arguments, and the first argument normalized, or None if it
+        was not.
 
-        The first argument is normalized only when there is one, some clause
-        is keyed and some clause has the call's arity, which is exactly when
-        trying every clause would normalize it too, so a normalization error
-        surfaces where it always did.  A clause left out is keyed by a
-        constant other than the head constant of the normalized first
-        argument.
+        The first argument is normalized only when some clause of the
+        call's arity is keyed: trying that clause would normalize it too,
+        so a normalization error surfaces where it always did.  A clause
+        left out has another arity, or is keyed by a constant other than
+        the head constant of the normalized first argument.
         """
-        if self._index is None:
-            self._index = _build_index(self.clauses)
-        keyed, open_, arities = self._index
-        if not (keyed and args) or len(args) not in arities:
-            return self.clauses, None
+        index = self._index
+        if index is None:
+            index = self._index = _build_index(self.clauses)
+        entry = index.get(len(args))
+        if entry is None:
+            return (), None
+        keyed, open_, clauses = entry
+        if not keyed:
+            return clauses, None
         first = deref(args[0])
         if not first.inert:
             first = normalize(first, budget)
         head = first.head if type(first) is App else first
         if type(head) is not Const:
-            return self.clauses, first
+            return clauses, first
         return keyed.get(head.name, open_), first
 
 
@@ -416,9 +448,7 @@ def _clause_var_names(t):
 
 
 def _build_index(clauses):
-    keyed = {}
-    open_ = []
-    arities = set()
+    index = {}
     for clause in clauses:
         if clause.plan is None:
             clause.plan = _head_plan(clause)
@@ -427,7 +457,9 @@ def _build_index(clauses):
                     if step is not _FIRST:
                         clause.sieve = step is not _VALUE and step is not _OTHER
                         break
-        arities.add(len(clause.head_args))
+        keyed, open_, all_ = index.setdefault(
+            len(clause.head_args), ({}, [], []))
+        all_.append(clause)
         key = None
         if clause.plan and (
                 clause.plan[0] is _CONST or type(clause.plan[0]) is _Struct):
@@ -442,7 +474,7 @@ def _build_index(clauses):
             if bucket is None:
                 bucket = keyed[key] = list(open_)
             bucket.append(clause)
-    return keyed, open_, arities
+    return index
 
 
 class DefSet:
@@ -452,12 +484,17 @@ class DefSet:
     assertion, directive) is registered here, including ones that never get
     a clause: those unfold to the empty stream, which is how `false` works.
     Unregistered names are rejected at query time as probable typos.
+
+    version counts the clauses and table modes that arrived, and each
+    Definition's stamp is the version of its last change: the engine
+    drops the tables a change may have made stale (tabling.py).
     """
 
     def __init__(self):
         self.defs: dict[str, Definition] = {}
         self.warnings: list[str] = []
         self._checked = False
+        self.version = 0
         # The canonical empty predicate: `g => false` is how negation is
         # written, so it is predeclared with no clauses.
         self.ensure("false")
@@ -465,19 +502,18 @@ class DefSet:
     def ensure(self, pred) -> Definition:
         d = self.defs.get(pred)
         if d is None:
-            d = Definition(pred)
+            d = Definition(pred, self)
             self.defs[pred] = d
         return d
-
-    def known(self, pred) -> bool:
-        return pred in self.defs
 
     def register_formula(self, f):
         for p in formula_preds(f):
             self.ensure(p)
 
     def add_clause(self, pred, head_args, body, var_names, line=None):
-        self.ensure(pred).add_clause(Clause(head_args, body, var_names, line))
+        d = self.ensure(pred)
+        d.add_clause(Clause(head_args, body, var_names, line))
+        d.stamp = self.version = self.version + 1
         self.register_formula(body)
         self._checked = False
 
@@ -490,7 +526,9 @@ class DefSet:
     def set_table(self, pred, mode):
         if mode not in ("inductive", "coinductive"):
             raise LevelError(f"unknown table mode: {mode}")
-        self.ensure(pred).table_mode = mode
+        d = self.ensure(pred)
+        d.table_mode = mode
+        d.stamp = self.version = self.version + 1
 
     def level(self, pred) -> int:
         return self.defs[pred].level if pred in self.defs else 0
@@ -498,12 +536,30 @@ class DefSet:
     def levels(self) -> dict:
         return {p: d.level for p, d in self.defs.items()}
 
+    def affected(self, since):
+        """The names whose definitions reach, through clause bodies, one
+        that a clause or a table mode arrived for after version since."""
+        callers = {}
+        for d in self.defs.values():
+            for c in d.clauses:
+                for q in formula_preds(c.body):
+                    callers.setdefault(q, set()).add(d.pred)
+        todo = [p for p, d in self.defs.items() if d.stamp > since]
+        seen = set(todo)
+        while todo:
+            new = callers.get(todo.pop(), set()) - seen
+            seen |= new
+            todo.extend(new)
+        return seen
+
     def check(self):
         """Infer levels, verify clause bodies fit their heads, gather warnings.
 
         Level inference runs the obvious fixed point: levels start at the
         declared value (or 0) and only ever grow, so at most two passes
-        change anything.
+        change anything.  The strict pass links every atom of every clause
+        body to its Definition (classify), so a clause added since the last
+        check is linked before any query runs.
         """
         if self._checked:
             return
@@ -538,11 +594,10 @@ class DefSet:
                     )
                     break
         # Final strict pass: antecedents must have settled at level 0.
-        lv = self.levels()
         for d in self.defs.values():
             for c in d.clauses:
                 try:
-                    classify(c.body, lv, strict=True)
+                    classify(c.body, strict=True, defs=self.defs)
                 except IllFormedFormula as e:
                     raise LevelError(
                         f"clause of {d.pred} (line {c.line}): {e}"
@@ -648,9 +703,9 @@ def unfold(pred, args, st, left=False):
     do not count and are not tried: they would fail without a trace.
 
     Clauses are tried in source order, only the candidates of the
-    definition's first-argument index.  The first argument is normalized
-    as unify would see it, and if its head is a constant only the clauses
-    keyed by that name or open take part.  A clause skipped this way is
+    definition's index for the call's arity.  The first argument is
+    normalized as unify would see it, and if its head is a constant only
+    the clauses keyed by that name or open take part.  A clause skipped this way is
     exactly one whose head unification would return FAILURE at the
     rigid-rigid head-name check: its first head argument is a redex-free
     term headed by another constant, so its normalization cannot fail and
@@ -708,32 +763,35 @@ def unfold(pred, args, st, left=False):
     defn = st.defs.defs.get(pred)
     if defn is None:
         return
-    fresh = st.sig.fresh_eigen if left else st.sig.fresh_logic
-    arity = len(args)
+    sig = st.sig
+    fresh = sig.fresh_eigen if left else sig.fresh_logic
     clauses, first = defn.candidates(args, st.norm_budget)
+    if not clauses:
+        return
     if first is not None:
         args = (first, *args[1:])
     # The first clause needs no check: none comes before it to be the last.
     last = len(clauses) - 1
     while last > 0:
         clause = clauses[last]
-        if len(clause.head_args) == arity and not (
-                clause.sieve
+        if not (clause.sieve
                 and _rules_out(clause.plan, clause.head_args, args)):
             break
         last -= 1
-    final = clauses[last] if clauses else None
-    mark = st.checkpoint()
+    final = clauses[last]
+    trail = st.trail  # checkpoints taken inline; see engine.State
+    mark = len(trail)
+    depth = sig.nabla_depth
     for clause in clauses:
-        if len(clause.head_args) == arity:
-            var_names = clause.var_names
-            env = {}
-            if _match(clause.plan, clause.head_args, args, first, env, st,
-                      left, var_names):
-                if len(env) < len(var_names):
-                    _fresh_rest(env, var_names, fresh)
-                yield clause.body, env, clause is final
-            st.undo_to(mark)
+        var_names = clause.var_names
+        env = {}
+        if _match(clause.plan, clause.head_args, args, first, env, st,
+                  left, var_names):
+            if len(env) < len(var_names):
+                _fresh_rest(env, var_names, fresh)
+            yield clause.body, env, clause is final
+        undo_to(trail, mark)
+        sig.nabla_depth = depth
         if clause is final:
             return
 

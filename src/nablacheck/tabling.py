@@ -47,6 +47,9 @@ waiting list, and only settled entries remain.
 
 Entries persist across queries, so a finished table is a reusable
 certificate of everything it settled; the CLI dumps it in source syntax.
+A table is dropped before the next query once a clause or a table mode
+arrives for its predicate or for one its definition reaches
+(drop_stale_tables): its rows may no longer hold.
 Eligibility: the outcome of a call must be a single bit, so no unbound
 logic variable may remain in the arguments, and for a level-0 predicate no
 unbound variable at all (on the left of an implication eigenvariables are
@@ -146,10 +149,13 @@ class Table:
 
 
 def eligible(args, level):
-    """May a call with these arguments be tabled?"""
-    if level == 0:
-        return not any(has_unbound_var(a) for a in args)
-    return not any(has_unbound_logic_var(a) for a in args)
+    """May a call with these arguments be tabled?  An inert argument holds
+    no variable, so a call whose arguments are all inert walks nothing."""
+    unbound = has_unbound_var if level == 0 else has_unbound_logic_var
+    for a in args:
+        if not a.inert and unbound(a):
+            return False
+    return True
 
 
 def canonical_key(pred, args, budget=None):
@@ -164,13 +170,13 @@ def canonical_key(pred, args, budget=None):
     """
     parts = [pred]
     for a in args:
-        a = normalize_eta(a, budget)
-        if not a.inert:
-            parts.append(parser.print_term(a, prec=parser.ATOM, keyed=True))
-        elif type(a) is Const:
-            parts.append(a.name)
-        else:
-            parts.append(_canonical(a))
+        if not a.inert:  # an inert term is its own βη-short form
+            a = normalize_eta(a, budget)
+            if not a.inert:
+                parts.append(
+                    parser.print_term(a, prec=parser.ATOM, keyed=True))
+                continue
+        parts.append(a.name if type(a) is Const else _canonical(a))
     return tuple(parts)
 
 
@@ -302,6 +308,18 @@ def tabled_prove(st, pred, args, defn, producer):
 def clear_tables(st):
     st.tables.clear()
     del st.tab_stack[:]
+
+
+def drop_stale_tables(st):
+    """Drop the tables of the predicates whose definitions reach one that
+    a clause or a table mode arrived for since the last check."""
+    defs = st.defs
+    if st.tables_version != defs.version:
+        if st.tables:
+            stale = defs.affected(st.tables_version)
+            for pred in [p for p in st.tables if p in stale]:
+                del st.tables[pred]
+        st.tables_version = defs.version
 
 
 def table_report(st, pred=None):

@@ -397,10 +397,16 @@ def iter_free_vars(t):
 
 
 def has_unbound_logic_var(t):
+    t = deref(t)
+    if t.inert or type(t) is EigenVar:
+        return False
     return any(isinstance(v, LogicVar) for v in iter_free_vars(t))
 
 
 def has_unbound_var(t):
+    t = deref(t)
+    if t.inert:
+        return False
     for _ in iter_free_vars(t):
         return True
     return False

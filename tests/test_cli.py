@@ -1,5 +1,6 @@
 """The nabla-check command: batch runs, queries, the interactive loop."""
 
+import io
 import os
 import pathlib
 import shlex
@@ -9,6 +10,8 @@ import sys
 import pytest
 
 import nablacheck
+from nablacheck.cli import repl
+from nablacheck.engine import State
 
 from conftest import run_child, run_cli
 
@@ -272,6 +275,64 @@ def test_declared_level_conflicts_are_errors(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Tables after a definition changes
+# ---------------------------------------------------------------------------
+
+REACH_AB = """edge a b.
+reach X Y := edge X Y.
+reach X Y := edge X Z /\\ reach Z Y.
+#table inductive reach.
+#assert_not reach a c.
+"""
+
+
+def test_a_clause_after_a_table_drops_the_stale_rows(tmp_path):
+    f = write(tmp_path, "reach.def",
+              REACH_AB + "edge b c.\n#assert reach a c.\n")
+    code, out = run_cli([f])
+    assert code == 0, out
+    assert out.count("... ok") == 2
+
+
+def test_a_table_mode_after_a_table_drops_the_table(tmp_path):
+    # loop b was never asked before: the stale part is the table's mode.
+    f = write(tmp_path, "loop.def", """loop X := loop X.
+#table inductive loop.
+#assert_not loop a.
+#table coinductive loop.
+#assert loop a.
+#assert loop b.
+""")
+    code, out = run_cli([f])
+    assert code == 0, out
+    assert out.count("... ok") == 3
+
+
+def test_a_later_file_drops_the_tables_its_clauses_change(tmp_path):
+    t1 = write(tmp_path, "t1.def", REACH_AB)
+    t2 = write(tmp_path, "t2.def", "edge b c.\n")
+    code, out = run_cli([t1, t2, "-q", "reach a c"])
+    assert code == 0, out
+    assert "% proved (1 answer)" in out
+
+
+def test_an_interactive_include_drops_the_tables_it_changes(tmp_path):
+    t1 = write(tmp_path, "t1.def", REACH_AB)
+    t2 = write(tmp_path, "t2.def", "edge b c.\n")
+    code, out = run_cli([], stdin_text=(
+        f'#include "{t1}".\nreach a c.\n#include "{t2}".\nreach a c.\n;\n'))
+    assert code == 1, out  # the first query, asked before edge b c
+    assert "no.\n" in out and "no more.\n" in out
+
+
+def test_unrelated_clauses_keep_a_table(tmp_path):
+    f = write(tmp_path, "keep.def", REACH_AB + "other z.\n#assert other z.\n")
+    code, out = run_cli([f, "--show-table", "reach"])
+    assert code == 0, out
+    assert "% table reach (inductive): 0 proved, 2 disproved" in out
+
+
+# ---------------------------------------------------------------------------
 # Interactive loop
 # ---------------------------------------------------------------------------
 
@@ -281,6 +342,16 @@ def test_repl_steps_through_answers():
     assert "X = a" in out and "X = b" in out
     assert out.count("more (;) ?") == 2
     assert "no more." in out
+
+
+def test_repl_runs_a_statement_given_as_the_reply_to_more():
+    # A piped session: the line after an answer is the next query, and
+    # neither ; nor empty, so it runs as a statement of its own.
+    out = io.StringIO()
+    code = repl(State(), out, io.StringIO(
+        "exists X. X = a.\nexists Y. Y = b.\n"))
+    assert code == 0
+    assert "X = a\n" in out.getvalue() and "Y = b\n" in out.getvalue()
 
 
 def test_repl_stops_when_not_asked_for_more():

@@ -106,7 +106,7 @@ def test_well_formed_programs_produce_no_warnings():
 
 def test_false_is_predeclared_and_empty():
     ds = DefSet()
-    assert ds.known("false")
+    assert "false" in ds.defs
     assert ds.defs["false"].clauses == []
 
 
@@ -368,6 +368,62 @@ def test_indexed_unfold_answers_like_trying_every_clause(clauses, q_facts):
         finally:
             engine.unfold = want_unfold
         assert _outcome(indexed, query) == want, (text, query)
+
+
+_ARITY_HEADS = ["a", "b", "z", "(s a)", "(s X)", "(X::L)", "(f X Y)", "X",
+                "Y"]
+
+
+def _call_arg(name, st):
+    if name == "V":
+        return st.sig.fresh_logic("V")
+    if name.startswith("s "):
+        return App(Const("s"), (Const(name[2:]),))
+    return Const(name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hs.lists(hs.lists(hs.sampled_from(_ARITY_HEADS), max_size=3),
+             min_size=1, max_size=10),
+    hs.lists(hs.sampled_from(["a", "b", "z", "c", "s a", "s z", "V"]),
+             max_size=3),
+)
+def test_unfold_meets_exactly_the_clauses_of_the_calls_arity(heads, call):
+    # Mixed arities, keyed and open clauses: unfold yields the clauses,
+    # order and last flags it yields from a definition holding only the
+    # clauses of the call's arity.
+    text = "".join(f"p {' '.join(h)} := q c{i}.\n"
+                   for i, h in enumerate(heads))
+    mixed = state_from(text)
+    alone = state_from("".join(
+        line + "\n" for line, h in zip(text.splitlines(), heads)
+        if len(h) == len(call)) + "q c.\n")
+
+    def trace(st):
+        args = tuple(_call_arg(n, st) for n in call)
+        return [(print_formula(body), last)
+                for body, _, last in unfold("p", args, st)]
+
+    assert trace(mixed) == trace(alone), text
+
+
+def test_one_goal_follows_each_defset_it_is_solved_under():
+    # The goal's atoms, and a clause body two DefSets share, are linked
+    # to the Definitions of the DefSet that runs them.  q is level 0 in
+    # the first and level 1 in the second: followed into the first, a link
+    # to the second's q would meet a level-1 predicate in a level-0 proof.
+    goal = parse_formula("exists X. p X")
+    shared = parse_file("p X := q X.\n", "<shared>")[0]
+    states = []
+    for fact in ("q a.\n", "q b := forall x. x = x.\n"):
+        st = state_from(fact)
+        st.defs.add_clause(shared.pred, shared.head_args, shared.body,
+                           shared.var_names)
+        states.append(st)
+    for st, want in [*zip(states, "ab"), *zip(states, "ab")]:
+        r = engine.solve(goal, st)
+        assert [a.text() for a in r.answers] == [f"X = {want}"], r.error
 
 
 def test_index_is_rebuilt_after_clauses_are_added():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as hs
 
 from nablacheck import parser, tabling
 from nablacheck.engine import State
-from nablacheck.nodes import App, Bound, Const, Lam, NablaIndex
+from nablacheck.nodes import App, Bound, Const, Lam, LogicVar, NablaIndex
 from nablacheck.tabling import (
     Table,
     canonical_key,
@@ -17,7 +17,15 @@ from nablacheck.tabling import (
     eligible,
     table_report,
 )
-from nablacheck.terms import Signature, app, normalize_eta, struct_eq
+from nablacheck.terms import (
+    Signature,
+    app,
+    has_unbound_logic_var,
+    has_unbound_var,
+    iter_free_vars,
+    normalize_eta,
+    struct_eq,
+)
 
 from conftest import run, state_from
 from oracles import gfp_bisim, gfp_sim, parity_walks, transitive_closure
@@ -180,6 +188,59 @@ def test_keys_are_equal_exactly_when_the_arguments_are(two_states, data):
         struct_eq(normalize_eta(a), normalize_eta(b))
         for a, b in zip(args1, args2))
     assert (canonical_key("p", args1) == canonical_key("p", args2)) == same
+
+
+# Unbound variables for the eligibility property; nothing binds them.
+_OPEN = {("logic", 0): _SIG.fresh_logic("X"), ("eigen", 0): _EIGEN[0],
+         ("eigen", 1): _EIGEN[1]}
+_MIXED = _LEAVES + [("logic", 0)]
+
+
+def _mixed(spec, rnd):
+    """The term of a spec over _MIXED leaves, with now and then a subterm
+    (never one with a loose index) behind a bound variable of either kind."""
+    kind, x = spec[0], spec[1]
+    if spec in _OPEN:
+        t = _OPEN[spec]
+    elif kind == "app":
+        t = app(Const(x), [_mixed(k, rnd) for k in spec[2]])
+    elif kind == "eta":
+        t = Lam(app(_mixed(x, rnd), (Bound(0),)), "x")
+    elif kind == "lam":
+        t = Lam(app(Const("f"), (Bound(0), _mixed(x, rnd))), "x")
+    else:
+        t = _build(spec, None)
+    if rnd.random() < 0.3:
+        v = (_SIG.fresh_logic if rnd.random() < 0.5 else _SIG.fresh_eigen)()
+        v.binding = t
+        t = v
+    return t
+
+
+@settings(max_examples=400, deadline=None)
+@given(hs.lists(hs.one_of(_specs(_CONSTS, False), _specs(_MIXED, True)),
+                max_size=4), hs.randoms())
+def test_inert_fast_paths_agree_with_full_walks(specs, rnd):
+    # References: every argument walked for its free variables, and every
+    # argument normalized before it is keyed, as before inert arguments
+    # skipped both.
+    args = tuple(_mixed(s, rnd) for s in specs)
+    free = [list(iter_free_vars(a)) for a in args]
+    for a, vs in zip(args, free):
+        assert has_unbound_var(a) == bool(vs)
+        assert has_unbound_logic_var(a) == any(
+            isinstance(v, LogicVar) for v in vs)
+    assert eligible(args, 0) == (not any(free))
+    assert eligible(args, 1) == (not any(
+        isinstance(v, LogicVar) for vs in free for v in vs))
+    parts = ["p"]
+    for a in args:
+        a = normalize_eta(a)
+        if not a.inert:
+            parts.append(parser.print_term(a, prec=parser.ATOM, keyed=True))
+        else:
+            parts.append(a.name if type(a) is Const else tabling._canonical(a))
+    assert canonical_key("p", args) == tuple(parts)
 
 
 def test_key_of_a_50000_deep_numeral_needs_no_recursion():
