@@ -177,8 +177,9 @@ def check_definitions(st, out, warned):
 
 def run_interaction(text, st, out, inp):
     """One interactive statement: a directive, or a query stepped with `;`.
-    Returns the exit code and the reply to `more (;) ?`, if it was neither
-    `;` nor blank: the first line of the next statement, or None."""
+    Returns the exit code and the reply to `more (;) ?` if it was not `;`
+    but a statement of its own, ending with a dot (the next query of a
+    piped session), else None."""
     try:
         stmt = parse_interaction(text)
     except ParseError as e:
@@ -204,7 +205,8 @@ def run_interaction(text, st, out, inp):
             out.flush()
             line = inp.readline()
             if not line.strip().startswith(";"):
-                return OK, line if line.strip() else None
+                bare = line.split("%", 1)[0].rstrip()
+                return OK, line if bare.endswith(".") else None
         out.write("no more.\n" if count else "no.\n")
         return (OK if count else WRONG), None
     except NablaCheckError as e:
@@ -218,24 +220,23 @@ def repl(st, out, inp):
     """Read statements to a closing dot; EOF ends the session."""
     worst = OK
     buf = []
-    line = None  # a line read already, as the reply to `more (;) ?`
     while True:
-        if line is None:
-            out.write("?= " if not buf else "   ")
-            out.flush()
-            line = inp.readline()
-            if not line:
-                break
+        out.write("?= " if not buf else "   ")
+        out.flush()
+        line = inp.readline()
+        if not line:
+            break
         bare = line.split("%", 1)[0].rstrip()
-        if bare or buf:
-            buf.append(line)
-        line = None
+        if not bare and not buf:
+            continue
+        buf.append(line)
         if not bare.endswith("."):
             continue
         text = "".join(buf)
         buf = []
-        code, line = run_interaction(text, st, out, inp)
-        worst = max(worst, code)
+        while text is not None:  # a statement given as a reply runs next
+            code, text = run_interaction(text, st, out, inp)
+            worst = max(worst, code)
     out.write("\n")
     return worst
 

@@ -19,12 +19,10 @@ unfold filled for the clause the formula belongs to, and the values of the
 formula binders entered on the way down from the clause body (or the
 query) to the formula, innermost first: ∃, ∀ and ∇ add a slot and copy
 nothing.  Only when an atom or an equation is dispatched are its arguments
-built: a bare clause variable is its value in env, an inert argument is
-itself, and any other is closed over the environment in one walk
-(logic.replace_clause_vars).  An atom's Definition is its link, Atom.defn,
-set by DefSet.check() in clause bodies and by solve_iter in the query;
-an unlinked atom is found by name.  The choice-point stack holds what to
-try on backtracking, each entry with the checkpoint it restores: the remaining
+built, in one walk that closes the stored terms over the environment
+(logic.replace_clause_vars, which returns a clause variable's value or an
+inert term at once).  The choice-point stack holds what to try on
+backtracking, each entry with the checkpoint it restores: the remaining
 clauses of a call, the right side of a disjunction, an implication's
 barrier (reached once every case of its antecedent held), the barrier of
 the case being checked (reached when its consequent fails) and a tabled
@@ -78,7 +76,7 @@ from .logic import (
     formula_terms,
     unfold,
 )
-from .nodes import App, ClauseVar, Const, Lam, NablaIndex, Var
+from .nodes import Const, NablaIndex, Lam, App, Var
 from .terms import (
     DEFAULT_NORM_BUDGET,
     Signature,
@@ -149,7 +147,7 @@ class State:
         "trail",
         "defs",
         "tables",
-        "tables_version",
+        "tables_seen",
         "tab_stack",
         "steps",
         "max_steps",
@@ -170,7 +168,7 @@ class State:
         self.trail = []
         self.defs = defs if defs is not None else DefSet()
         self.tables = {}
-        self.tables_version = 0  # the defs.version the tables fit
+        self.tables_seen = 0  # how many of defs.changed the tables have seen
         self.tab_stack = []
         self.steps = 0
         self.max_steps = max_steps
@@ -213,7 +211,6 @@ def prove(f, st, mode=ONE, slots=()):
     max_steps = st.max_steps
     steps = st.steps  # counted here, stored back at each yield and exit
     close = logic.replace_clause_vars  # read here, so a wrapper applies
-    defs = st.defs
     base = (len(trail), sig.nabla_depth)
     goals = (f, {}, slots, mode, None)
     cps = []
@@ -268,11 +265,9 @@ def prove(f, st, mode=ONE, slots=()):
                                 f" {parser.print_formula(f_closed)}\n")
                 tf = type(f)
                 if tf is Atom:
-                    defn = f.defn
-                    if defn is None or defn.owner is not defs:  # unlinked
-                        defn = f.defn = defs.defs.get(f.pred)
-                        if defn is None:
-                            raise UndefinedPredicate(f.pred)
+                    defn = st.defs.defs.get(f.pred)
+                    if defn is None:
+                        raise UndefinedPredicate(f.pred)
                     if defn.level == 0:
                         if mode == ONE:
                             goals = (f, env, slots, RIGHT0, goals)
@@ -284,10 +279,7 @@ def prove(f, st, mode=ONE, slots=()):
                         )
                     args = f.args
                     if env or slots:  # else the stored atom is closed
-                        args = tuple([
-                            env[a.name] if type(a) is ClauseVar
-                            else a if a.inert else close(a, env, slots)
-                            for a in args])
+                        args = tuple([close(a, env, slots) for a in args])
                     if (st.tabling_enabled and defn.table_mode is not None
                             and tabling.eligible(args, defn.level)):
                         # The producer unfolds directly; routing back
@@ -520,8 +512,8 @@ def solve_iter(goal, st):
     solve() below folds them into a Result.  Neither the prover nor any
     term walker recurses, so no term or proof is too deep for the
     interpreter's stack.  Tables a changed definition may have made stale
-    are dropped first, and one walk over the goal finds its level and
-    links its atoms (classify).
+    are dropped first, and one walk over the goal finds its level and its
+    first unknown name (classify).
     """
     st.defs.check()
     tabling.drop_stale_tables(st)

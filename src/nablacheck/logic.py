@@ -48,15 +48,11 @@ class Top(Formula):
 
 
 class Atom(Formula):
-    """pred applied to args; defn is the Definition classify linked it to
-    when DefSet.check() or a query ran (see engine.py)."""
-
-    __slots__ = ("pred", "args", "defn")
+    __slots__ = ("pred", "args")
 
     def __init__(self, pred: str, args=()):
         self.pred = pred
         self.args = tuple(args)
-        self.defn = None
 
     def __repr__(self):
         return f"Atom({self.pred}, {list(self.args)})"
@@ -196,9 +192,9 @@ def classify(f, level_of=None, strict=True, defs=None) -> int:
     iterate to its fixed point before complaining.
 
     With defs, a DefSet's map from names to Definitions, in place of
-    level_of, an atom's level is its Definition's and the walk links the
-    atom to it (Atom.defn).  A name defs lacks raises UndefinedPredicate,
-    the alphabetically first such name, before any IllFormedFormula.
+    level_of, an atom's level is its Definition's, and a name defs lacks
+    raises UndefinedPredicate, the alphabetically first such name, before
+    any IllFormedFormula.
     """
     getter = {}.get if level_of is None else level_of.get
     unknown = []
@@ -226,10 +222,8 @@ def classify(f, level_of=None, strict=True, defs=None) -> int:
                 d = defs.get(g.pred)
                 if d is None:
                     unknown.append(g.pred)
-                else:
-                    g.defn = d
-                    if d.level:
-                        levels[-1] = 1
+                elif d.level:
+                    levels[-1] = 1
         elif tg is And or tg is Or:
             stack.append(g.right)
             stack.append(g.left)
@@ -282,8 +276,7 @@ class Clause:
     The index tells clauses apart by the first argument's head constant
     only, and sieve marks the ones an inert first argument can still rule
     out below it (_rules_out), as s z rules out fib (s (s N)).  The plan
-    and every walk over it keep their place on explicit stacks.  The atoms
-    of body are linked to their Definitions by each DefSet.check().
+    and every walk over it keep their place on explicit stacks.
     """
 
     __slots__ = ("head_args", "body", "var_names", "line", "plan", "sieve")
@@ -310,25 +303,20 @@ class Definition:
     own arity.  candidates() builds it on first use, together with the
     head plan of every clause (see Clause), so loading does no extra work;
     add_clause() drops it, since the REPL can #include more clauses after
-    queries have run.  owner is the DefSet whose check() links atoms to
-    this Definition, and stamp the owner's version at the last clause or
-    table mode that arrived.
+    queries have run.
     """
 
     __slots__ = (
-        "pred", "clauses", "declared_level", "level", "table_mode", "_index",
-        "owner", "stamp",
+        "pred", "clauses", "declared_level", "level", "table_mode", "_index"
     )
 
-    def __init__(self, pred, owner=None):
+    def __init__(self, pred):
         self.pred = pred
         self.clauses = []
         self.declared_level = None
         self.level = 0
         self.table_mode = None  # None | "inductive" | "coinductive"
         self._index = None  # arity -> (key -> clauses, open clauses, clauses)
-        self.owner = owner
-        self.stamp = 0
 
     def add_clause(self, clause):
         self.clauses.append(clause)
@@ -485,16 +473,18 @@ class DefSet:
     a clause: those unfold to the empty stream, which is how `false` works.
     Unregistered names are rejected at query time as probable typos.
 
-    version counts the clauses and table modes that arrived, and each
-    Definition's stamp is the version of its last change: the engine
-    drops the tables a change may have made stale (tabling.py).
+    changed lists the predicate of each clause and table mode that
+    arrived, in order, and callers maps each name to the predicates whose
+    clause bodies call it: from both the engine finds the tables a change
+    may have made stale (tabling.py).
     """
 
     def __init__(self):
         self.defs: dict[str, Definition] = {}
         self.warnings: list[str] = []
         self._checked = False
-        self.version = 0
+        self.changed: list[str] = []
+        self.callers: dict[str, set] = {}
         # The canonical empty predicate: `g => false` is how negation is
         # written, so it is predeclared with no clauses.
         self.ensure("false")
@@ -502,7 +492,7 @@ class DefSet:
     def ensure(self, pred) -> Definition:
         d = self.defs.get(pred)
         if d is None:
-            d = Definition(pred, self)
+            d = Definition(pred)
             self.defs[pred] = d
         return d
 
@@ -511,10 +501,11 @@ class DefSet:
             self.ensure(p)
 
     def add_clause(self, pred, head_args, body, var_names, line=None):
-        d = self.ensure(pred)
-        d.add_clause(Clause(head_args, body, var_names, line))
-        d.stamp = self.version = self.version + 1
-        self.register_formula(body)
+        self.ensure(pred).add_clause(Clause(head_args, body, var_names, line))
+        self.changed.append(pred)
+        for p in formula_preds(body):
+            self.ensure(p)
+            self.callers.setdefault(p, set()).add(pred)
         self._checked = False
 
     def declare_level(self, pred, level):
@@ -526,9 +517,8 @@ class DefSet:
     def set_table(self, pred, mode):
         if mode not in ("inductive", "coinductive"):
             raise LevelError(f"unknown table mode: {mode}")
-        d = self.ensure(pred)
-        d.table_mode = mode
-        d.stamp = self.version = self.version + 1
+        self.ensure(pred).table_mode = mode
+        self.changed.append(pred)
 
     def level(self, pred) -> int:
         return self.defs[pred].level if pred in self.defs else 0
@@ -536,18 +526,13 @@ class DefSet:
     def levels(self) -> dict:
         return {p: d.level for p, d in self.defs.items()}
 
-    def affected(self, since):
-        """The names whose definitions reach, through clause bodies, one
-        that a clause or a table mode arrived for after version since."""
-        callers = {}
-        for d in self.defs.values():
-            for c in d.clauses:
-                for q in formula_preds(c.body):
-                    callers.setdefault(q, set()).add(d.pred)
-        todo = [p for p, d in self.defs.items() if d.stamp > since]
-        seen = set(todo)
+    def affected(self, names):
+        """names and the names whose definitions reach one of them through
+        clause bodies: a walk over callers from names only."""
+        seen = set(names)
+        todo = list(seen)
         while todo:
-            new = callers.get(todo.pop(), set()) - seen
+            new = self.callers.get(todo.pop(), set()) - seen
             seen |= new
             todo.extend(new)
         return seen
@@ -557,9 +542,7 @@ class DefSet:
 
         Level inference runs the obvious fixed point: levels start at the
         declared value (or 0) and only ever grow, so at most two passes
-        change anything.  The strict pass links every atom of every clause
-        body to its Definition (classify), so a clause added since the last
-        check is linked before any query runs.
+        change anything.
         """
         if self._checked:
             return

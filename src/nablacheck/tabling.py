@@ -149,13 +149,12 @@ class Table:
 
 
 def eligible(args, level):
-    """May a call with these arguments be tabled?  An inert argument holds
-    no variable, so a call whose arguments are all inert walks nothing."""
-    unbound = has_unbound_var if level == 0 else has_unbound_logic_var
-    for a in args:
-        if not a.inert and unbound(a):
-            return False
-    return True
+    """May a call with these arguments be tabled?  (has_unbound_* return
+    at an inert argument, so a call whose arguments are all inert walks
+    nothing.)"""
+    if level == 0:
+        return not any(has_unbound_var(a) for a in args)
+    return not any(has_unbound_logic_var(a) for a in args)
 
 
 def canonical_key(pred, args, budget=None):
@@ -312,14 +311,14 @@ def clear_tables(st):
 
 def drop_stale_tables(st):
     """Drop the tables of the predicates whose definitions reach one that
-    a clause or a table mode arrived for since the last check."""
-    defs = st.defs
-    if st.tables_version != defs.version:
+    a clause or a table mode arrived for since the last call."""
+    changed = st.defs.changed
+    if st.tables_seen != len(changed):
         if st.tables:
-            stale = defs.affected(st.tables_version)
+            stale = st.defs.affected(changed[st.tables_seen:])
             for pred in [p for p in st.tables if p in stale]:
                 del st.tables[pred]
-        st.tables_version = defs.version
+        st.tables_seen = len(changed)
 
 
 def table_report(st, pred=None):

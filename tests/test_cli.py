@@ -361,6 +361,15 @@ def test_repl_stops_when_not_asked_for_more():
     assert "no more." not in out
 
 
+def test_repl_moves_on_at_a_reply_that_is_not_a_statement():
+    # stop has no closing dot, so it is not read as a statement: the
+    # query after it runs on its own.
+    code, out = run_cli([], stdin_text="X = a \\/ X = b.\nstop\na = a.\n")
+    assert code == 0
+    assert "X = b" not in out and "error" not in out
+    assert out.count("yes") == 1
+
+
 def test_repl_reports_no_for_disproved():
     code, out = run_cli([], stdin_text="a = b.\n")
     assert code == 1

@@ -409,10 +409,9 @@ def test_unfold_meets_exactly_the_clauses_of_the_calls_arity(heads, call):
 
 
 def test_one_goal_follows_each_defset_it_is_solved_under():
-    # The goal's atoms, and a clause body two DefSets share, are linked
-    # to the Definitions of the DefSet that runs them.  q is level 0 in
-    # the first and level 1 in the second: followed into the first, a link
-    # to the second's q would meet a level-1 predicate in a level-0 proof.
+    # The goal, and a clause body two DefSets share, run under the
+    # Definitions of the DefSet that runs them: q is level 0 in the first
+    # and level 1 in the second, so nothing may carry one's over.
     goal = parse_formula("exists X. p X")
     shared = parse_file("p X := q X.\n", "<shared>")[0]
     states = []
