@@ -217,7 +217,8 @@ def run_interaction(text, st, out, inp):
 
 
 def repl(st, out, inp):
-    """Read statements to a closing dot; EOF ends the session."""
+    """Read statements to a closing dot; EOF ends the session, and text
+    still waiting for its dot there is an error."""
     worst = OK
     buf = []
     while True:
@@ -225,6 +226,9 @@ def repl(st, out, inp):
         out.flush()
         line = inp.readline()
         if not line:
+            if buf:
+                out.write("\nerror: incomplete statement (no closing dot)")
+                worst = INCONCLUSIVE
             break
         bare = line.split("%", 1)[0].rstrip()
         if not bare and not buf:

@@ -29,7 +29,7 @@ from .nodes import (
     Var, app,
 )
 from .terms import deref, normalize
-from .unify import bind, undo_to, unify
+from .unify import bind, fits, is_flex, undo_to, unify
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +324,14 @@ class Definition:
 
     def candidates(self, args, budget):
         """The clauses of the call's arity whose head can match a call with
-        these arguments, and the first argument normalized, or None if it
-        was not.
+        these arguments, and the first argument as unify would see it,
+        dereferenced and normalized unless normal, or None when no clause
+        of the call's arity is keyed.
 
         The first argument is normalized only when some clause of the
-        call's arity is keyed: trying that clause would normalize it too,
-        so a normalization error surfaces where it always did.  A clause
+        call's arity is keyed and it is not normal (nodes.py): trying that
+        clause would normalize it too, so a normalization error surfaces
+        where it always did.  A clause
         left out has another arity, or is keyed by a constant other than
         the head constant of the normalized first argument.
         """
@@ -343,7 +345,7 @@ class Definition:
         if not keyed:
             return clauses, None
         first = deref(args[0])
-        if not first.inert:
+        if not first.normal:
             first = normalize(first, budget)
         head = first.head if type(first) is App else first
         if type(head) is not Const:
@@ -371,16 +373,16 @@ _CONST, _FIRST, _VALUE, _OTHER = "const", "first", "value", "other"
 
 class _Struct:
     """Head-plan step for a redex-free application c P1 … Pn: one step per
-    field.  writable says the fields hold only inert terms, first
-    occurrences and such applications, so the pattern can be built for an
-    unbound variable without unify."""
+    field.  writable says the fields hold only inert terms, clause
+    variables and such applications, so the pattern can be built for an
+    unbound variable without unify (_build)."""
 
     __slots__ = ("steps", "writable")
 
     def __init__(self, steps):
         self.steps = steps
         self.writable = all(
-            s is _CONST or s is _FIRST or (type(s) is _Struct and s.writable)
+            s is not _OTHER and (type(s) is not _Struct or s.writable)
             for s in steps
         )
 
@@ -687,49 +689,56 @@ def unfold(pred, args, st, left=False):
 
     Clauses are tried in source order, only the candidates of the
     definition's index for the call's arity.  The first argument is
-    normalized as unify would see it, and if its head is a constant only
-    the clauses keyed by that name or open take part.  A clause skipped this way is
-    exactly one whose head unification would return FAILURE at the
-    rigid-rigid head-name check: its first head argument is a redex-free
-    term headed by another constant, so its normalization cannot fail and
-    unification cannot raise NonPatternError before that check.  Every
-    clause is matched against that normalized first argument, so it is
-    normalized once per unfold, not once per clause.
+    normalized as unify would see it, unless it is normal (nodes.py), and
+    if its head is a constant only the clauses keyed by that name or open
+    take part.  A clause skipped this way is exactly one whose head
+    unification would return FAILURE at the rigid-rigid head-name check:
+    its first head argument is a redex-free term headed by another
+    constant, so its normalization cannot fail and unification cannot
+    raise NonPatternError before that check.  Every clause is matched
+    against that first argument, so it is normalized at most once per
+    unfold, not once per clause, and a list with a variable tail, being
+    normal, not at all.
 
     Each clause's head plan (see Clause) is walked left to right, fields
     depth first, and each step does what renaming the clause apart and
-    unifying would do:
+    unifying would do.  A value that is not normal is normalized first,
+    as unify would; a normal one is taken as it is.
 
-    - an inert pattern meets an inert argument by comparing structure,
-      and an unbound instantiable variable by binding it to the pattern
-      itself on the trail;
-    - the first occurrence of a clause variable takes the dereferenced
-      argument itself as its value where unify would bind a fresh
-      variable to that very term: an inert term, a ∇-index in scope, an
-      eigenvariable introduced before (right mode), or an unbound
-      instantiable variable at or below the current levels;
-    - a later occurrence meets the value taken before: two inert terms
+    - An inert pattern meets an inert argument, or an application
+      normalized as unify would see it that is then inert, by comparing
+      structure, and an unbound instantiable variable by binding it to
+      the pattern itself on the trail; a rigid eigenvariable or a
+      ∇-index fails the clause.
+    - The first occurrence of a clause variable takes any normal argument
+      other than a λ whose local and ∇ bounds fit the current ∇ depth as
+      its value: a fresh variable made now would be bound to exactly that
+      term.  (unify binds a variable to a λ's η-expansion, whose binders
+      print under other names.)
+    - A later occurrence meets the value taken before: two inert terms
       by comparing their structure, an inert term and an unbound
-      instantiable variable, on either side, by binding the variable;
-    - c P1 … Pn, in read mode, meets an application, normalized as unify
-      would, by comparing the head constant and the arity and then
-      matching the fields in order with the field steps: the order in
-      which unify._unify takes two rigid applications' arguments, so the
-      first failure and any error come from the same field as before.  In write mode it meets an unbound
-      instantiable variable a, if the fields hold only constants, first
-      occurrences and such applications, by binding a to c Y1 … Yn, with
-      a new variable, of the kind fresh variables have, for each first
-      occurrence, at a's global level and the lesser of a's local level
-      and the ∇ depth: the levels unify's pruning step gives.  A
-      constant, a rigid eigenvariable, a ∇-index or an application with
-      a rigid head other than c fails the clause;
-    - anything else (a λ, a flexible application, a later occurrence or
-      a first occurrence that meets any other term, a pattern that is not
-      writable) first makes fresh variables, in var_names order, for the
-      clause variables that have no value yet, then unifies the renamed
-      pattern with that argument or field, so pattern and normalization
-      errors surface as they always did and clause variables keep their
-      relative levels.
+      instantiable variable, on either side, by binding the variable.
+    - c P1 … Pn, in read mode, meets an application with a constant head
+      by comparing the head constant and the arity and then matching the
+      fields in order with the field steps: the order in which
+      unify._unify takes two rigid applications' arguments, so the first
+      failure and any error come from the same field as before.  In write
+      mode it meets an unbound instantiable variable a, if the fields hold
+      only constants, clause variables and such applications, by binding
+      a to c Y1 … Yn (_build): a new variable, of the kind fresh variables
+      have, for each first occurrence, at a's global level and the lesser
+      of a's local level and the ∇ depth, the levels unify's pruning step
+      gives, and for each later occurrence its value, when that fits a's
+      levels or is one of the new variables.  A constant, a rigid
+      eigenvariable, a ∇-index or an application with a rigid head other
+      than c fails the clause.
+    - Anything else (a λ, a flexible application, a later occurrence
+      where neither side is inert, a value that does not fit in write
+      mode, a pattern that is not writable) first makes fresh variables,
+      in var_names order, for the clause variables that have no value
+      yet, then unifies the renamed pattern with that argument or field,
+      so pattern and normalization errors surface as they always did and
+      clause variables keep their relative levels.
 
     Clause variables that occur only in the body become fresh variables
     after the head matched.  Fresh variables are logic variables normally
@@ -779,27 +788,29 @@ def unfold(pred, args, st, left=False):
             return
 
 
-def _match(steps, pats, values, normal, env, st, left, var_names):
+def _match(steps, pats, values, first, env, st, left, var_names):
     """Walk plan steps over head patterns and the values they meet,
     binding on the trail and filling env; False when the clause fails.
 
-    At the top the values are the atom's arguments and normal is the one
-    of them candidates() normalized, or None: a _Struct step normalizes
-    any other application that is not inert, as unify would.  For fields
-    normal is True: they belong to an application this walk normalized,
-    and a binding made since can have exposed a redex only at the head of
-    a field whose head variable it bound, which is the case unify's _whnf
-    normalizes again.  The walk keeps a stack of zip iterators, one per
-    application being matched: a _Struct step met by an application starts
-    on its fields, and an exhausted iterator resumes the one below it.
+    first is the argument candidates() normalized, or None.  Every other
+    value that is not normal (nodes.py) is normalized, as unify would,
+    before a step reads it; a normal one is read as it is, and its fields
+    get the same test when they are reached, which normalizes again the
+    one kind of application a binding made since can have turned into a
+    redex.  A _CONST step normalizes a normal application too, as its
+    bindings may make it inert.  The walk keeps a stack of zip iterators, one per application
+    being matched: a _Struct step met by an application starts on its
+    fields, and an exhausted iterator resumes the one below it.
     """
     sig = st.sig
     trail = st.trail
-    its = []  # (iterator, normal) of the applications suspended
+    its = []  # the iterators of the applications suspended
     it = zip(steps, pats, values)
     while True:
         for step, pat, value in it:
             a = deref(value) if isinstance(value, Var) else value
+            if not a.normal and a is not first and step is not _OTHER:
+                a = normalize(a, st.norm_budget)
             ta = type(a)
             if step is _CONST:
                 if ta is Const:
@@ -809,6 +820,9 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
                 if ta is LogicVar or (left and ta is EigenVar):
                     bind(a, pat, trail)
                     continue
+                if ta is App and a.normal and not a.inert:
+                    # Read as it is above; its bindings may make it inert.
+                    a = normalize(a, st.norm_budget)
                 if a.inert:
                     if a is pat or _same_inert(a, pat):
                         continue
@@ -817,19 +831,12 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
                 # the rigid-rigid check.
                 if ta is EigenVar or ta is NablaIndex:
                     return False
-                # An application, normalized as a _Struct step would: if
-                # that leaves it inert, its structure decides.
-                if ta is App and a is not normal and (
-                    normal is not True
-                    or isinstance(a.head, Var) and a.head.binding is not None
-                ):
-                    a = normalize(a, st.norm_budget)
-                    if a.inert:
-                        if _same_inert(a, pat):
-                            continue
-                        return False
             elif step is _FIRST:
-                if pat.name not in env and (a.inert or _passes(a, sig, left)):
+                # A λ is left to unify, which binds a variable to its
+                # η-expansion: the binder names printed stay unify's.
+                if pat.name not in env and (a.inert or (
+                        a.normal and ta is not Lam
+                        and a.lbound <= sig.nabla_depth)):
                     env[pat.name] = a
                     continue
             elif step is _VALUE:
@@ -839,42 +846,33 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
                         if v is a or _same_inert(v, a):
                             continue
                         return False
-                    tv = type(v)
-                    if tv is LogicVar or (left and tv is EigenVar):
+                    if is_flex(v, left):
                         bind(v, a, trail)
                         continue
-                elif v.inert and (ta is LogicVar or (left and ta is EigenVar)):
+                elif v.inert and is_flex(a, left):
                     bind(a, v, trail)
                     continue
-            elif step is not _OTHER:  # a _Struct step
-                if ta is App and not a.inert and a is not normal and (
-                    normal is not True
-                    or isinstance(a.head, Var) and a.head.binding is not None
-                ):
-                    a = normalize(a, st.norm_budget)
-                    ta = type(a)
-                if ta is App:
-                    head = a.head
-                    if type(head) is Const:
-                        if (head.name != pat.head.name
-                                or len(a.args) != len(pat.args)):
-                            return False
-                        its.append((it, normal))
-                        it = zip(step.steps, pat.args, a.args)
-                        normal = True
-                        break
-                    if not (type(head) is LogicVar
-                            or (left and type(head) is EigenVar)):
+            elif step is _OTHER:
+                pass
+            elif ta is App:  # a _Struct step
+                head = a.head
+                if type(head) is Const:
+                    if (head.name != pat.head.name
+                            or len(a.args) != len(pat.args)):
                         return False
-                elif ta is LogicVar or (left and ta is EigenVar):
-                    if step.writable:
-                        g = a.global_level
-                        l = min(a.local_level, sig.nabla_depth)
-                        kind = EigenVar if left else LogicVar
-                        bind(a, _build(step, pat, env, sig, kind, g, l), trail)
-                        continue
-                elif ta is not Lam:
+                    its.append(it)
+                    it = zip(step.steps, pat.args, a.args)
+                    break
+                if not is_flex(head, left):
                     return False
+            elif is_flex(a, left):
+                if step.writable:
+                    t = _build(step, pat, env, sig, left, a)
+                    if t is not None:
+                        bind(a, t, trail)
+                        continue
+            elif ta is not Lam:
+                return False
             if len(env) < len(var_names):
                 _fresh_rest(env, var_names,
                             sig.fresh_eigen if left else sig.fresh_logic)
@@ -884,7 +882,7 @@ def _match(steps, pats, values, normal, env, st, left, var_names):
         else:
             if not its:
                 return True
-            it, normal = its.pop()
+            it = its.pop()
 
 
 def _rules_out(steps, pats, values):
@@ -938,13 +936,21 @@ def _same_inert(t, s):
     return True
 
 
-def _build(step, pat, env, sig, kind, g, l):
-    """The term unify binds an unbound variable to when it meets the
-    pattern of a writable _Struct step: pat with a new variable of class
-    kind at levels (g, l) for each first occurrence.  Such a name has no
-    other occurrence yet, so a fresh variable made for it before is
-    referenced by env alone and is replaced.  Fields are built left to
-    right on _match's stack of zip iterators."""
+def _build(step, pat, env, sig, left, a):
+    """The term unify binds the unbound variable a to when it meets the
+    pattern of a writable _Struct step, or None when unify is needed.
+    Each first occurrence becomes a new variable at a's global level and
+    the lesser of a's local level and the ∇ depth, the levels unify's
+    pruning step gives; such a name has no other occurrence yet, so a
+    fresh variable made for it before is referenced by env alone and is
+    replaced.  A later occurrence stands as its value when that is one of
+    these new variables or fits a (unify.fits); any other value returns
+    None.  Fields are built left to right on _match's stack of zip
+    iterators."""
+    kind = EigenVar if left else LogicVar
+    g = a.global_level
+    l = min(a.local_level, sig.nabla_depth)
+    made = set()  # the names given a new variable here
     its = []  # (iterator, pattern) of the applications suspended
     it = zip(step.steps, pat.args)
     done = []
@@ -952,6 +958,12 @@ def _build(step, pat, env, sig, kind, g, l):
         for sub, p in it:
             if sub is _FIRST:
                 p = env[p.name] = sig.fresh_at(kind, p.name, g, l)
+                made.add(p.name)
+            elif sub is _VALUE:
+                name = p.name
+                p = deref(env[name])
+                if name not in made and not fits(p, a):
+                    return None
             elif sub is not _CONST:
                 its.append((it, pat))
                 it = zip(sub.steps, p.args)
@@ -972,15 +984,3 @@ def _fresh_rest(env, var_names, fresh):
     for name in var_names:
         if name not in env:
             env[name] = fresh(name)
-
-
-def _passes(a, sig, left):
-    """Would unify bind a fresh clause variable, made now, to the
-    dereferenced non-inert argument a itself?  A variable made now comes
-    after a, so only the ∇ depth can stand in the way."""
-    ta = type(a)
-    if ta is NablaIndex:
-        return a.index < sig.nabla_depth
-    if ta is LogicVar or (left and ta is EigenVar):
-        return a.local_level <= sig.nabla_depth
-    return ta is EigenVar

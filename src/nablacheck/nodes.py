@@ -35,6 +35,45 @@ cannot go stale for the same reason the flag cannot: an inert node never
 changes and holds no Var, so the structure it was canonicalised for is the
 structure it has for life.
 A representative never has its own slot set, so no node refers to itself.
+
+Level bounds and the normal flag.  Every node also carries, fixed when it
+is built, upper bounds on what its variables may reach: gbound, the
+largest global level of a variable it contains (-1 if none), and lbound,
+the ∇ depth it needs, the largest of its variables' local levels and one
+more than each free ∇-index it holds (0 if none).  A variable counts by
+its own levels, bound or not, and an inert node has the trivial bounds
+(-1, 0).  normal says that no application in the node is headed by a λ or
+by a variable; leaves are normal, and a ClauseVar is not.
+
+The bounds cannot go stale.  Every binding site respects levels: the
+unifier's pruning step, head matching's write mode (logic._build) and the
+paths that store a term as it is, which check these bounds first.  An
+eigenvariable is visible to a variable only when it is below it at both
+levels (unify._visible_to), since one at a higher local level may yet be
+bound, on the left of an implication, to a term holding a ∇-index the
+variable cannot see.  So whatever a variable is ever bound to holds no
+variable above its levels and no ∇-index at or above its local level,
+and the bounds, taken from the variable's own levels, stay upper bounds
+as bindings come and go.
+
+normal describes the node's own structure only: a variable is normal
+whatever it is bound to, and a binding may hold an application headed by
+a variable (X := H e is a pattern binding).  So a normal node is
+β-normal, and its flexible applications are patterns, only modulo
+bindings: through one it may reach an application whose head variable
+has been bound since, a redex, or whose arguments have been, which may
+leave the pattern fragment (H a, once e := a).  The walkers that read a
+normal term as it is (unify._whnf, logic._match) normalize a redex again
+where they reach its head.  The paths that store a normal term without a
+walk (logic._match's first occurrences, and write mode where unify.fits
+holds) do not look inside bindings, and so skip the pattern check: with
+the clause q Y., the goal
+exists H. forall e. exists X. X = H e /\\ (e = a => q (f X))
+proves, Y taking f X as it is, where renaming the clause and unifying
+meets a variable applied to a and ends inconclusive with NonPatternError.  Where no
+binding holds an application headed by a variable, as in first-order
+programs, normalize returns a normal term with only its bindings
+followed.
 """
 
 from __future__ import annotations
@@ -43,6 +82,9 @@ from __future__ import annotations
 class Term:
     __slots__ = ()
     inert = False
+    normal = False
+    gbound = -1
+    lbound = 0
 
 
 class Const(Term):
@@ -50,6 +92,7 @@ class Const(Term):
 
     __slots__ = ("name",)
     inert = True
+    normal = True
 
     def __init__(self, name: str):
         self.name = name
@@ -62,6 +105,7 @@ class Bound(Term):
     """A λ-bound variable as a de Bruijn index (0 = innermost binder)."""
 
     __slots__ = ("index",)
+    normal = True
 
     def __init__(self, index: int):
         self.index = index
@@ -73,10 +117,12 @@ class Bound(Term):
 class NablaIndex(Term):
     """The index-th ∇-bound name, counted from the outside in (0-based)."""
 
-    __slots__ = ("index",)
+    __slots__ = ("index", "lbound")
+    normal = True
 
     def __init__(self, index: int):
         self.index = index
+        self.lbound = index + 1
 
     def __repr__(self):
         return f"#{self.index}"
@@ -96,6 +142,7 @@ class Var(Term):
     """
 
     __slots__ = ("name", "id", "global_level", "local_level", "binding")
+    normal = True
 
     def __init__(self, name: str, vid: int, global_level: int, local_level: int):
         self.name = name
@@ -113,6 +160,12 @@ class Var(Term):
         )
 
 
+# A variable's bounds are its own levels: the slots themselves, read
+# under the names every node answers to.
+Var.gbound = Var.global_level
+Var.lbound = Var.local_level
+
+
 class EigenVar(Var):
     __slots__ = ()
 
@@ -124,11 +177,14 @@ class LogicVar(Var):
 class Lam(Term):
     """λ-abstraction.  hint is a printing name only; equality ignores it."""
 
-    __slots__ = ("body", "hint")
+    __slots__ = ("body", "hint", "gbound", "lbound", "normal")
 
     def __init__(self, body: Term, hint: str | None = None):
         self.body = body
         self.hint = hint
+        self.gbound = body.gbound
+        self.lbound = body.lbound
+        self.normal = body.normal
 
     def __repr__(self):
         return f"Lam({self.body!r})"
@@ -137,18 +193,30 @@ class Lam(Term):
 class App(Term):
     # canon (None until keyed) and __weakref__ serve canonical nodes; see
     # the module docstring.
-    __slots__ = ("head", "args", "inert", "canon", "__weakref__")
+    __slots__ = ("head", "args", "inert", "normal", "gbound", "lbound",
+                 "canon", "__weakref__")
 
     def __init__(self, head: Term, args: tuple):
         self.head = head
         self.args = args
-        inert = type(head) is Const
-        if inert:
-            for a in args:
-                if not a.inert:
-                    inert = False
-                    break
+        th = type(head)
+        inert = th is Const
+        normal = inert or th is Bound or th is NablaIndex
+        g = head.gbound
+        l = head.lbound
+        for a in args:
+            if not a.inert:
+                inert = False
+                if not a.normal:
+                    normal = False
+                if a.gbound > g:
+                    g = a.gbound
+                if a.lbound > l:
+                    l = a.lbound
         self.inert = inert
+        self.normal = normal
+        self.gbound = g
+        self.lbound = l
         self.canon = None
 
     def __repr__(self):

@@ -20,8 +20,8 @@ LIFO order.  unify() returns True or False; when it fails, and when it
 raises, the trail is already rewound to its length at the call.
 
 Level side conditions when binding F^{g,l} := u (after abstracting F's
-pattern arguments): u contains no eigenvariable with global >= g, no ∇-index
-at or above l, and no occurrence of F.  A variable H^{g',l'} inside u with
+pattern arguments): u contains no rigid eigenvariable with global >= g or
+local > l, no ∇-index at or above l, and no occurrence of F.  A variable H^{g',l'} inside u with
 g' > g or l' > l is not rejected but lowered: H is bound to a fresh variable
 over the arguments that survive F's horizon, the standard pruning step.
 
@@ -104,7 +104,9 @@ def unify(t, s, st, instantiate_eigen=False):
         raise
 
 
-def _is_flex(h, left):
+def is_flex(h, left):
+    """Is h an unbound variable unification may bind (left: on the left
+    of an implication, where eigenvariables bend too)?"""
     if not isinstance(h, Var) or h.binding is not None:
         return False
     return isinstance(h, LogicVar) or (left and isinstance(h, EigenVar))
@@ -162,8 +164,8 @@ def _unify(t, s, st, left):
             continue
         th, targs = _spine(t)
         sh, sargs = _spine(s)
-        tflex = _is_flex(th, left)
-        sflex = _is_flex(sh, left)
+        tflex = is_flex(th, left)
+        sflex = is_flex(sh, left)
         if tflex and sflex:
             if th is sh:
                 _same_var(th, targs, sargs, st, t, s)
@@ -236,13 +238,17 @@ def _check_pattern_args(f, args, lhs, rhs):
 
 
 def _visible_to(v, atom):
-    """May atom occur in a binding of v under the level discipline?"""
+    """May atom occur in a binding of v under the level discipline?  An
+    eigenvariable must be below v at both levels: one at a higher local
+    level may yet be bound, on the left of an implication, to a term
+    holding a ∇-index v cannot see."""
     ta = type(atom)
     if ta is Bound:
         return False
     if ta is NablaIndex:
         return atom.index < v.local_level
-    return atom.global_level < v.global_level
+    return (atom.global_level < v.global_level
+            and atom.local_level <= v.local_level)
 
 
 def _position(atom, args):
@@ -257,6 +263,15 @@ def _wrap_lams(body, n):
     for _ in range(n):
         body = Lam(body)
     return body
+
+
+def fits(u, v):
+    """May the closed term u be bound to the variable v as it is, with no
+    walk (head matching's write mode, logic._build)?  Yes when u is
+    normal and its bounds (nodes.py) are strictly below v's levels: then
+    u holds no ∇-index and no variable that v cannot see, and not v
+    itself, so _abstract would return u unchanged."""
+    return u.normal and u.gbound < v.global_level and u.lbound <= v.local_level
 
 
 def _bind_flex(f, fargs, rigid, st, left, flex_term):
@@ -296,7 +311,7 @@ def _abstract(u, f, fargs, depth, st, left, lhs, rhs):
             todo.append(u.body)
             continue
         head, args = _spine(u)
-        if _is_flex(head, left):
+        if is_flex(head, left):
             if head is f:
                 raise _Fail  # occurs check
             done.append(_prune_flex(head, args, f, fargs, depth, st, lhs, rhs))

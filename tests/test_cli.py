@@ -370,6 +370,16 @@ def test_repl_moves_on_at_a_reply_that_is_not_a_statement():
     assert out.count("yes") == 1
 
 
+def test_repl_reports_a_statement_left_without_its_dot_at_the_end():
+    # The input ends inside a statement: an error, not a silent exit 0.
+    code, out = run_cli([], stdin_text="a = b")
+    assert code == 2
+    assert "error: incomplete statement (no closing dot)" in out
+    assert "no." not in out
+    code, out = run_cli([], stdin_text="a = a.\nexists X.\n  X = a")
+    assert code == 2 and "yes" in out and "incomplete statement" in out
+
+
 def test_repl_reports_no_for_disproved():
     code, out = run_cli([], stdin_text="a = b.\n")
     assert code == 1

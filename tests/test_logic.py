@@ -7,6 +7,7 @@ from conftest import run, state_from
 
 import nablacheck.engine as engine
 import nablacheck.logic as logic
+import nablacheck.terms as terms_mod
 import nablacheck.unify as unify_mod
 from nablacheck.errors import IllFormedFormula, LevelError
 from nablacheck.logic import (
@@ -22,7 +23,7 @@ from nablacheck.logic import (
     replace_clause_vars_formula,
     unfold,
 )
-from nablacheck.nodes import App, Bound, Const
+from nablacheck.nodes import App, Bound, Const, Lam, NablaIndex
 from nablacheck.parser import parse_file, parse_formula, print_formula
 from nablacheck.terms import deref, struct_eq
 from nablacheck.unify import FAILURE, unify
@@ -276,9 +277,10 @@ _NESTED = ["X::L", "X::X::L", "s (s X)", "f (g X) X", "f X (g Y)", "f (x\\ X)"]
 _HEADS = ["a", "b", "c", "f a", "f X", "g X b", "f (x\\ x)", "(x\\ f x) a",
           "g ((x\\ x x) (x\\ x x)) a", "X", "Y", "X a", "x\\ f x",
           "x\\ a"] + _NESTED
-_SECONDS = ["a", "b", "X", "Y", "f Y"] + _NESTED
+_SECONDS = ["a", "b", "X", "Y", "f Y", "f X", "a::nil", "X::Y"] + _NESTED
 _BODIES = ["", " := q X", " := q Y", " := X = Y", " := q a"]
-_QUERY_FIRSTS = ["a", "b", "d", "f", "f a", "f b", "g a b", "x\\ f x"]
+_QUERY_FIRSTS = ["a", "b", "d", "f", "f a", "f b", "g a b", "x\\ f x",
+                 "(x\\ f x) a", "a::nil"]
 
 
 def _query_texts():
@@ -337,6 +339,40 @@ def _query_texts():
     yield "exists Z. forall x. p Z (x::x::nil) => false"
     yield "exists Z. nabla n. p (f n (g Z)) a => false"
     yield "forall x. exists Z. p (a::Z) (f (x\\ x)) => false"
+    # Level bounds and the normal flag: first occurrences meeting a list
+    # with a variable tail, a λ, a ∇-index, a flexible application and a
+    # redex; later occurrences meeting inert lists, variables at lower or
+    # higher levels than their partner (pruning), and the variable itself
+    # (occurs); write mode for X::X::L and f (g X) X with X bound or not.
+    yield "exists B. p a (a::B)"
+    yield "exists B Y. p (a::B) Y"
+    yield "exists B. p (a::B) (a::nil)"
+    yield "exists B. p (a::nil) (a::B)"
+    yield "exists B C. p (a::B) (C::nil)"
+    yield "exists Y. p a (x\\ f x)"
+    yield "exists Y. p (x\\ x) (x\\ x)"
+    yield "nabla n. exists Y. p (f n) Y"
+    yield "nabla n. exists Y. p n (s (s n))"
+    yield "exists Y. nabla n. p Y (f n)"
+    yield "exists Y. nabla n. p (f n) Y"
+    yield "exists Y. nabla n. p (n::Y) Y"
+    yield "exists F Y. p (F a) Y"
+    yield "nabla n. exists F Y. p (f (F n)) Y"
+    yield "exists Z. p Z (f Z)"
+    yield "exists Z. p (f Z) Z"
+    yield "exists Z. p (Z::Z) Z"
+    yield "exists Z. forall x. p Z x"
+    yield "exists Z. forall x. p x Z"
+    yield "exists Z. forall x. exists Y. p (f Y) Z"
+    yield "forall x. exists Z. exists Y. p Z (f Y)"
+    yield "exists Z Y. p Z Y /\\ Z = Y"
+    yield "exists M. p (a::a::M) M"
+    yield "exists M. p (b::a::M) (a::nil)"
+    yield "exists X M. p (X::X::M) (f (g X) X)"
+    yield "exists X M. X = a /\\ p (X::X::M) (f (g X) X)"
+    yield "exists Z. forall x. p Z (x::x::nil)"
+    yield "exists Z. p (s (s Z)) (s Z)"
+    yield "forall x. exists Z. p (x::Z) (f (g Z) x) => false"
 
 
 def _outcome(st, text):
@@ -613,13 +649,57 @@ def test_write_mode_builds_at_the_variables_levels():
     assert run(st, "nabla x. exists Y. append Y nil (x::nil)").proved
 
 
+def test_first_occurrence_takes_an_argument_only_within_the_nabla_depth():
+    # A fresh variable made at ∇ depth 1 cannot see #1, so unify fails
+    # there; at depth 2 the argument itself becomes the value.
+    st = state_from("p X.\n")
+    arg = App(Const("f"), (NablaIndex(1),))
+    st.sig.nabla_depth = 1
+    assert list(unfold("p", (arg,), st)) == []
+    st.sig.nabla_depth = 2
+    [(_, env, _)] = unfold("p", (arg,), st)
+    assert env["X"] is arg
+
+
+def test_write_mode_builds_later_occurrences_without_unify(monkeypatch):
+    calls = _count_head_unify(monkeypatch)
+    st = state_from(LISTS + "dup X (X::X::L).\nsame X X.\n")
+    # A later occurrence in write mode: X::X::L built around X's value.
+    r = run(st, "exists V. dup (f a) V")
+    assert [a.text() for a in r.answers] == ["V = f a::f a::?0"]
+    r = run(st, "exists B V. dup (a::B) V")
+    assert [a.text() for a in r.answers] == ["B = ?0, V = (a::?0)::(a::?0)::?1"]
+    assert calls[0] == 0
+    # V's value is V itself: not built, and unify's occurs check fails it.
+    assert run(st, "exists V. dup V V").disproved
+    assert calls[0] == 1
+    # A later occurrence where neither side is inert goes to unify: the
+    # variable itself (occurs), a name it cannot see, a variable tail.
+    assert run(st, "exists Z. same Z (f Z)").disproved
+    assert run(st, "exists Z. forall x. same Z (f x)").disproved
+    assert run(st, "exists B. same (a::B) (a::b::nil)").proved
+    assert calls[0] == 4
+
+
+def test_a_first_occurrence_takes_a_binding_past_the_pattern_check():
+    # X := H e is a pattern binding; once e := a, f X reaches H a, which
+    # is not a pattern.  The first occurrence of Y takes f X as it is,
+    # without a walk, so the goal proves where renaming the clause and
+    # unifying ends inconclusive with NonPatternError (nodes.py).  q
+    # holds of every term, so the proof is sound.
+    st = state_from("q Y.\n")
+    r = run(st, "exists H. forall e. exists X. X = H e /\\ (e = a => q (f X))")
+    assert [a.text() for a in r.answers] == ["H = ?0"]
+    assert r.proved
+
+
 def test_first_argument_is_normalized_once_per_unfold(monkeypatch):
-    # One timeline of unfold starts and normalizations.  A normal term
-    # comes back from normalization as itself, so the first argument one
-    # unfold normalized can reach the next unfold as the same object
-    # (through a binding that _abstract stores uncopied); each unfold is
-    # therefore charged only the normalizations of its own first argument
-    # made between its start and the next unfold's.
+    # One timeline of unfold starts and normalizations; each unfold is
+    # charged the normalizations of its own first argument made between
+    # its start and the next unfold's.  A normal first argument (a list
+    # with a variable tail) is never normalized; one holding a redex is
+    # normalized by the unfold that meets it, once, and the tails it
+    # passes on are normal.
     events = []  # ("unfold", dereferenced first argument) or ("norm", term)
 
     real_unfold = engine.unfold
@@ -639,16 +719,86 @@ def test_first_argument_is_normalized_once_per_unfold(monkeypatch):
     monkeypatch.setattr(logic, "normalize", counting(logic.normalize))
     monkeypatch.setattr(unify_mod, "normalize", counting(unify_mod.normalize))
     st = state_from(LISTS)
-    r = run(st, "exists N T. len (a::b::T) N", max_answers=3)
-    assert [a.text() for a in r.answers] == [
-        "N = s (s z), T = nil",
-        "N = s (s (s z)), T = ?0::nil",
-        "N = s (s (s (s z))), T = ?0::?1::nil",
-    ]
-    starts = [i for i, (kind, _) in enumerate(events) if kind == "unfold"]
-    assert len(starts) >= 5
-    counts = [
-        sum(kind == "norm" and t is events[i][1] for kind, t in events[i:j])
-        for i, j in zip(starts, starts[1:] + [len(events)])
-    ]
-    assert counts == [1] * len(starts)
+
+    def counts(query):
+        del events[:]
+        r = run(st, query, max_answers=3)
+        assert [a.text() for a in r.answers] == [
+            "N = s (s z), T = nil",
+            "N = s (s (s z)), T = ?0::nil",
+            "N = s (s (s (s z))), T = ?0::?1::nil",
+        ]
+        starts = [i for i, (kind, _) in enumerate(events) if kind == "unfold"]
+        assert len(starts) >= 5
+        return [
+            sum(kind == "norm" and t is events[i][1]
+                for kind, t in events[i:j])
+            for i, j in zip(starts, starts[1:] + [len(events)])
+        ]
+
+    normal = counts("exists N T. len (a::b::T) N")
+    assert normal == [0] * len(normal)
+    redex = counts("exists N T. len ((x\\ x) a::b::T) N")
+    assert redex == [1] + [0] * (len(redex) - 1)
+
+
+def _walk_size(t):
+    """The nodes a normalizing walk of t visits: through bindings, and
+    stopping at inert nodes."""
+    n = 0
+    todo = [t]
+    while todo:
+        u = deref(todo.pop())
+        n += 1
+        if type(u) is Lam:
+            todo.append(u.body)
+        elif type(u) is App and not u.inert:
+            todo.append(u.head)
+            todo.extend(u.args)
+    return n
+
+
+@pytest.mark.parametrize("query, sizes", [
+    # A list with a variable tail, bound at the end.
+    ("exists N T. len ({}T) N /\\ T = nil", (100, 200, 400)),
+    # A term that grows by one node at each step.
+    ("exists X Y. build {} X Y", (100, 200, 400)),
+])
+def test_terms_with_variables_cost_work_linear_in_their_size(
+        monkeypatch, query, sizes):
+    # Node visits of normalization and of the unifier's abstraction walk,
+    # and head unifications: each unfold normalized the whole list and
+    # unify copied it into a binding, which made these grow as n squared.
+    work = {"nf": 0, "abstract": 0, "head unify": 0}
+    real_nf, real_abstract = terms_mod._nf, unify_mod._abstract
+    real_unify = logic.unify
+
+    def nf(t, fuel):
+        work["nf"] += _walk_size(t)
+        return real_nf(t, fuel)
+
+    def abstract(u, *rest):
+        work["abstract"] += _walk_size(u)
+        return real_abstract(u, *rest)
+
+    def head_unify(*args, **kwargs):
+        work["head unify"] += 1
+        return real_unify(*args, **kwargs)
+
+    monkeypatch.setattr(terms_mod, "_nf", nf)
+    monkeypatch.setattr(unify_mod, "_abstract", abstract)
+    monkeypatch.setattr(logic, "unify", head_unify)
+    st = state_from(LISTS + "build z X X.\nbuild (s N) X Y := "
+                    "build N (g X b) Y.\n")
+    counts = []
+    for n in sizes:
+        arg = ("a::" * n if "len" in query
+               else "(s " * n + "z" + ")" * n)
+        for k in work:
+            work[k] = 0
+        r = run(st, query.format(arg), max_answers=1)
+        assert r.proved, r.error
+        counts.append(dict(work))
+    for small, large in zip(counts, counts[1:]):
+        for k in work:
+            assert large[k] <= 2.2 * small[k] + 10, (k, counts)

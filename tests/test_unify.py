@@ -1,13 +1,15 @@
 """Pattern unification: level side conditions, abstraction, pruning, trail."""
 
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from conftest import run
 
 from nablacheck.engine import State
 from nablacheck.errors import NonPatternError
-from nablacheck.nodes import App, Bound, Const, Lam, LogicVar, NablaIndex, app
+from nablacheck.nodes import (
+    App, Bound, Const, EigenVar, Lam, LogicVar, NablaIndex, Var, app,
+)
 from nablacheck.terms import (
     deref,
     equal_modulo,
@@ -367,3 +369,104 @@ def test_a_variable_meets_a_chain_of_lambdas_with_one_shift(monkeypatch, n):
     assert shifts == [n]
     # The η case stays: a variable equals its own η-expansion.
     assert run(State(), "exists X. X = (y\\ X y)").proved
+
+
+# ---------------------------------------------------------------------------
+# Level bounds and the normal flag (nodes.py) under random unifications
+# ---------------------------------------------------------------------------
+
+_SHAPES = hs.recursive(
+    hs.one_of(
+        hs.tuples(hs.just("c"), hs.sampled_from("ab")),
+        hs.tuples(hs.just("v"), hs.integers(0, 5)),
+        hs.tuples(hs.just("n"), hs.integers(0, 2)),
+        hs.tuples(hs.just("b"), hs.integers(0, 1)),
+    ),
+    lambda sub: hs.one_of(
+        hs.tuples(hs.just("lam"), sub),
+        hs.tuples(hs.just("app"), hs.sampled_from("fg"),
+                  hs.lists(sub, min_size=1, max_size=2)),
+    ),
+    max_leaves=6,
+)
+
+
+def _from_shape(shape, pool, lams=0):
+    """A closed term: constants, λs, ∇-indices and the pool's variables."""
+    kind = shape[0]
+    if kind == "c":
+        return Const(shape[1])
+    if kind == "v":
+        return pool[shape[1] % len(pool)]
+    if kind == "n":
+        return NablaIndex(shape[1])
+    if kind == "b":
+        return Bound(shape[1] % lams) if lams else a
+    if kind == "lam":
+        return Lam(_from_shape(shape[1], pool, lams + 1))
+    return App(Const(shape[1]),
+               tuple(_from_shape(s, pool, lams) for s in shape[2]))
+
+
+def _walked_bounds(t):
+    """(gbound, lbound) of t recomputed by a walk through bindings."""
+    t = deref(t)
+    if isinstance(t, Var):
+        return t.global_level, t.local_level
+    if type(t) is NablaIndex:
+        return -1, t.index + 1
+    if type(t) is Lam:
+        return _walked_bounds(t.body)
+    if type(t) is App:
+        parts = [_walked_bounds(u) for u in (t.head, *t.args)]
+        return max(g for g, _ in parts), max(l for _, l in parts)
+    return -1, 0
+
+
+def _nodes(t):
+    """Every node reachable from t, through bindings too."""
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        yield u
+        if isinstance(u, Var) and u.binding is not None:
+            todo.append(u.binding)
+        elif type(u) is Lam:
+            todo.append(u.body)
+        elif type(u) is App:
+            todo.append(u.head)
+            todo.extend(u.args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hs.lists(hs.tuples(hs.booleans(), hs.integers(0, 6), hs.integers(0, 2)),
+             min_size=1, max_size=6),
+    hs.lists(hs.tuples(_SHAPES, _SHAPES, hs.booleans()),
+             min_size=1, max_size=6),
+)
+# A logic variable meeting a rigid eigenvariable below it globally but
+# above it locally: binding one to the other would break the bounds.
+@example([(False, 5, 0), (True, 3, 2)], [(("v", 0), ("v", 1), False)])
+def test_bounds_and_normal_flag_hold_under_any_bindings(levels, problems):
+    # Variables at random levels, eigen- or logic, and random unifications
+    # in either mode.  After each one, every node's cached bounds are at
+    # least those a walk through the bindings finds, and a node flagged
+    # normal normalizes to itself with only its bindings followed.
+    st = State()
+    pool = [st.sig.fresh_at(EigenVar if eigen else LogicVar, f"V{i}", g, l)
+            for i, (eigen, g, l) in enumerate(levels)]
+    terms = []
+    for lhs, rhs, left in problems:
+        t, s = _from_shape(lhs, pool), _from_shape(rhs, pool)
+        terms += [t, s]
+        try:
+            unify(t, s, st, instantiate_eigen=left)
+        except NonPatternError:
+            pass
+        for root in terms:
+            for u in _nodes(root):
+                g, l = _walked_bounds(u)
+                assert u.gbound >= g and u.lbound >= l, u
+                if u.normal:
+                    assert struct_eq(normalize(u), u), u
