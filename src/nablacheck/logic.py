@@ -706,17 +706,17 @@ def unfold(pred, args, st, left=False):
     as unify would; a normal one is taken as it is.
 
     - An inert pattern meets an inert argument, or an application
-      normalized as unify would see it that is then inert, by comparing
-      structure, and an unbound instantiable variable by binding it to
-      the pattern itself on the trail; a rigid eigenvariable or a
-      ∇-index fails the clause.
+      normalized as unify would see it that is then inert, by identity
+      (equal inert terms are one node, nodes.py), and an unbound
+      instantiable variable by binding it to the pattern itself on the
+      trail; a rigid eigenvariable or a ∇-index fails the clause.
     - The first occurrence of a clause variable takes any normal argument
       other than a λ whose local and ∇ bounds fit the current ∇ depth as
       its value: a fresh variable made now would be bound to exactly that
       term.  (unify binds a variable to a λ's η-expansion, whose binders
       print under other names.)
     - A later occurrence meets the value taken before: two inert terms
-      by comparing their structure, an inert term and an unbound
+      by identity, an inert term and an unbound
       instantiable variable, on either side, by binding the variable.
     - c P1 … Pn, in read mode, meets an application with a constant head
       by comparing the head constant and the arity and then matching the
@@ -813,10 +813,6 @@ def _match(steps, pats, values, first, env, st, left, var_names):
                 a = normalize(a, st.norm_budget)
             ta = type(a)
             if step is _CONST:
-                if ta is Const:
-                    if type(pat) is not Const or a.name != pat.name:
-                        return False
-                    continue
                 if ta is LogicVar or (left and ta is EigenVar):
                     bind(a, pat, trail)
                     continue
@@ -824,7 +820,7 @@ def _match(steps, pats, values, first, env, st, left, var_names):
                     # Read as it is above; its bindings may make it inert.
                     a = normalize(a, st.norm_budget)
                 if a.inert:
-                    if a is pat or _same_inert(a, pat):
+                    if a is pat:
                         continue
                     return False
                 # A rigid eigenvariable or a ∇-index: unify would fail at
@@ -843,7 +839,7 @@ def _match(steps, pats, values, first, env, st, left, var_names):
                 v = deref(env[pat.name])
                 if a.inert:
                     if v.inert:
-                        if v is a or _same_inert(v, a):
+                        if v is a:
                             continue
                         return False
                     if is_flex(v, left):
@@ -857,8 +853,7 @@ def _match(steps, pats, values, first, env, st, left, var_names):
             elif ta is App:  # a _Struct step
                 head = a.head
                 if type(head) is Const:
-                    if (head.name != pat.head.name
-                            or len(a.args) != len(pat.args)):
+                    if head is not pat.head or len(a.args) != len(pat.args):
                         return False
                     its.append(it)
                     it = zip(step.steps, pat.args, a.args)
@@ -900,13 +895,10 @@ def _rules_out(steps, pats, values):
             if not a.inert or step is _VALUE or step is _OTHER:
                 return None
             if step is _CONST:
-                if type(a) is Const:
-                    if type(pat) is not Const or a.name != pat.name:
-                        return True
-                elif a is not pat and not _same_inert(a, pat):
+                if a is not pat:
                     return True
             elif step is not _FIRST:  # a _Struct step
-                if (type(a) is not App or a.head.name != pat.head.name
+                if (type(a) is not App or a.head is not pat.head
                         or len(a.args) != len(pat.args)):
                     return True
                 its.append(it)
@@ -916,24 +908,6 @@ def _rules_out(steps, pats, values):
             if not its:
                 return False
             it = its.pop()
-
-
-def _same_inert(t, s):
-    """Do two inert terms have one structure?  This is unify's verdict on
-    them, reached without recursion or trail."""
-    stack = [(t, s)]
-    while stack:
-        t, s = stack.pop()
-        if t is s:
-            continue
-        if type(t) is Const or type(s) is Const:
-            if type(t) is not type(s) or t.name != s.name:
-                return False
-        elif t.head.name != s.head.name or len(t.args) != len(s.args):
-            return False
-        else:
-            stack.extend(zip(t.args, s.args))
-    return True
 
 
 def _build(step, pat, env, sig, left, a):

@@ -28,13 +28,20 @@ The flag cannot go stale.  Nodes are never mutated after construction, and
 the only mutable cell, Var.binding, lives in a node that is never inert, so
 no binding made or undone later can change what an inert node contains.
 
-Canonical nodes.  An inert App may carry, in its `canon` slot, the one
-process-wide representative of its structure (built by the tabling module
-for table keys); the slot is None until the node is first keyed.  It
-cannot go stale for the same reason the flag cannot: an inert node never
-changes and holds no Var, so the structure it was canonicalised for is the
-structure it has for life.
-A representative never has its own slot set, so no node refers to itself.
+One node per inert term.  Equal inert terms are the same object: Const
+finds or makes the one constant of its name, and App the one inert
+application of its head and arguments, so two inert terms are equal
+exactly when they are identical, and every comparison of inert terms,
+whatever their size, is an `is` test.  The table that finds them (_NODES)
+maps a constant's name, or the ids of an inert application's head and
+arguments, to a weak reference to the node, so it keeps no node alive:
+a node goes as soon as nothing else holds it.  An entry cannot answer
+wrongly.  While its node lives, the node holds the children whose ids
+make the key, so no other object has those ids; once the node is gone,
+the entry's reference is dead, and the next lookup of that key makes a
+new node in its place.  Dead entries are swept whenever the table has
+doubled since the last sweep.  Applications that are not inert hold a
+variable, an index or a λ, and each is a node of its own.
 
 Level bounds and the normal flag.  Every node also carries, fixed when it
 is built, upper bounds on what its variables may reach: gbound, the
@@ -78,6 +85,8 @@ followed.
 
 from __future__ import annotations
 
+import weakref
+
 
 class Term:
     __slots__ = ()
@@ -87,15 +96,43 @@ class Term:
     lbound = 0
 
 
-class Const(Term):
-    """A constant (object-level constructor or defined-predicate symbol)."""
+# The one-node table (see the module docstring): a constant's name, or
+# the ids of an inert application's head and arguments, to a weak
+# reference to the node.  It is a function of structure alone, so every
+# State may share it.
+_NODES = {}
+_sweep_at = 0  # the size at which the dead entries are swept next
+_new = object.__new__
+_ref = weakref.ref
 
-    __slots__ = ("name",)
+
+def _sweep():
+    global _sweep_at
+    for k in [k for k, r in _NODES.items() if r() is None]:
+        del _NODES[k]
+    _sweep_at = 2 * len(_NODES)
+
+
+class Const(Term):
+    """A constant (object-level constructor or defined-predicate symbol),
+    one node per name."""
+
+    __slots__ = ("name", "__weakref__")
     inert = True
     normal = True
 
-    def __init__(self, name: str):
-        self.name = name
+    def __new__(cls, name: str):
+        ref = _NODES.get(name)
+        if ref is not None:
+            c = ref()
+            if c is not None:
+                return c
+        c = _new(cls)
+        c.name = name
+        _NODES[name] = _ref(c)
+        if len(_NODES) > _sweep_at:
+            _sweep()
+        return c
 
     def __repr__(self):
         return f"Const({self.name!r})"
@@ -191,14 +228,12 @@ class Lam(Term):
 
 
 class App(Term):
-    # canon (None until keyed) and __weakref__ serve canonical nodes; see
-    # the module docstring.
-    __slots__ = ("head", "args", "inert", "normal", "gbound", "lbound",
-                 "canon", "__weakref__")
+    """An application in spine form, one node per inert structure."""
 
-    def __init__(self, head: Term, args: tuple):
-        self.head = head
-        self.args = args
+    __slots__ = ("head", "args", "inert", "normal", "gbound", "lbound",
+                 "__weakref__")
+
+    def __new__(cls, head: Term, args: tuple):
         th = type(head)
         inert = th is Const
         normal = inert or th is Bound or th is NablaIndex
@@ -213,11 +248,30 @@ class App(Term):
                     g = a.gbound
                 if a.lbound > l:
                     l = a.lbound
-        self.inert = inert
-        self.normal = normal
-        self.gbound = g
-        self.lbound = l
-        self.canon = None
+        if inert:
+            # Spelled out for one and two arguments, the common cases, as
+            # building the key is most of the cost of finding the node.
+            n = len(args)
+            key = ((id(head), id(args[0])) if n == 1 else
+                   (id(head), id(args[0]), id(args[1])) if n == 2 else
+                   (id(head), *map(id, args)))
+            ref = _NODES.get(key)
+            if ref is not None:
+                t = ref()
+                if t is not None:
+                    return t
+        t = _new(cls)
+        t.head = head
+        t.args = args
+        t.inert = inert
+        t.normal = normal
+        t.gbound = g
+        t.lbound = l
+        if inert:
+            _NODES[key] = _ref(t)
+            if len(_NODES) > _sweep_at:
+                _sweep()
+        return t
 
     def __repr__(self):
         return f"App({self.head!r}, {list(self.args)!r})"

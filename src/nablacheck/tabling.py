@@ -58,26 +58,20 @@ injective renaming of indices or eigenvariables get distinct keys, which
 costs sharing, never soundness.
 
 Keys.  A call is keyed by the tuple (pred, part, ...), one part per
-βη-short argument: a constant by its name, any other variable-free
-argument by its canonical node, and an argument holding a variable, a
-∇-index or a λ by its printed text (variables spelled by kind and id).
-Canonical nodes are hash-consed: one process-wide representative per
-structure, shared by all equal terms and compared by identity, and each
-keyed App caches its representative (nodes.py).  Keying a call whose
-arguments extend already keyed terms therefore costs one lookup per new
-node, not a walk of the whole term.  No constant name contains `@`, `#`
-or a backslash, and no printed part lacks one, so parts of different kinds
-never coincide.  Row text for a table dump is printed from the parts only
-when the table is shown.
+βη-short argument: an inert argument, one built from constants alone, by
+its node, which is the one node of its structure (nodes.py), so equal
+parts are identical and a key is hashed and compared by identity with no
+walk of the term; an argument holding a variable, a ∇-index or a λ by its
+printed text (variables spelled by kind and id).  A node and a string
+never coincide, so parts of different kinds never do either.  Row text
+for a table dump is printed from the parts only when the table is shown.
 """
 
 from __future__ import annotations
 
-import weakref
 from operator import attrgetter
 
 from . import parser
-from .nodes import App, Const
 from .terms import has_unbound_logic_var, has_unbound_var, normalize_eta
 
 PROVED = "proved"
@@ -160,70 +154,20 @@ def eligible(args, level):
 def canonical_key(pred, args, budget=None):
     """The key of a call: (pred, part, ...) over βη-short arguments.
 
-    A constant argument is its name, another inert one its canonical node,
-    and any other its printed text, where variables print by kind and id in
-    a form no constant can spell; so a call on an eigenvariable never shares
-    a key with a call on a constant.  Equal keys mean structurally equal
-    arguments; the converse fails only for λs whose binder names differ,
-    which costs sharing, never soundness.
+    An inert argument is its node, and any other its printed text, where
+    variables print by kind and id; so a call on an eigenvariable never
+    shares a key with a call on a constant.  Equal keys mean structurally
+    equal arguments; the converse fails only for λs whose binder names
+    differ, which costs sharing, never soundness.
     """
     parts = [pred]
     for a in args:
         if not a.inert:  # an inert term is its own βη-short form
             a = normalize_eta(a, budget)
             if not a.inert:
-                parts.append(
-                    parser.print_term(a, prec=parser.ATOM, keyed=True))
-                continue
-        parts.append(a.name if type(a) is Const else _canonical(a))
+                a = parser.print_term(a, prec=parser.ATOM, keyed=True)
+        parts.append(a)
     return tuple(parts)
-
-
-# (head name, child parts...) -> the representative App of that structure.
-# A child part is a constant's name or a child's representative, so the
-# keys of a term's representatives keep its children's alive; an entry
-# lives while anything holds its representative.  The table is a function
-# of structure alone, so every State may share it.
-_CANON = weakref.WeakValueDictionary()
-
-
-def _canonical(t):
-    """The representative of an inert App, found or built bottom-up.
-
-    Walks, with an explicit stack, only the nodes not canonicalised yet,
-    and caches each one's representative in its canon slot.
-    """
-    rep = t.canon
-    if rep is not None:
-        return rep
-    done = []  # parts of finished nodes, in walk order
-    todo = [t]
-    while todo:
-        u = todo.pop()
-        if type(u) is tuple:  # all children of u are done
-            u = u[0]
-            m = len(done) - len(u.args)
-            kids = done[m:]
-            del done[m:]
-            key = (u.head.name, *kids)
-            rep = _CANON.get(key)
-            if rep is None:
-                rep = App(u.head, tuple(
-                    k if type(k) is App else a for k, a in zip(kids, u.args)))
-                _CANON[key] = rep
-            if rep is not u:  # a representative passed back in keeps none
-                u.canon = rep
-            done.append(rep)
-        elif type(u) is Const:
-            done.append(u.name)
-        else:
-            rep = u.canon
-            if rep is not None:
-                done.append(rep)
-            else:
-                todo.append((u,))
-                todo.extend(reversed(u.args))
-    return done[0]
 
 
 def _wait(st, home, key, cond):

@@ -44,7 +44,6 @@ from .nodes import (
     App,
     Bound,
     ClauseVar,
-    Const,
     EigenVar,
     Lam,
     LogicVar,
@@ -354,9 +353,9 @@ def struct_eq(t, s):
         if t is s:
             continue
         tt = type(t)
-        if tt is not type(s):
-            return False
-        if tt is Const or tt is ClauseVar:
+        if tt is not type(s) or t.inert and s.inert:
+            return False  # equal inert terms are one node (nodes.py)
+        if tt is ClauseVar:
             if t.name != s.name:
                 return False
         elif tt is Bound or tt is NablaIndex:

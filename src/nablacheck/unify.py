@@ -28,15 +28,16 @@ over the arguments that survive F's horizon, the standard pruning step.
 Inert terms (nodes.py) contain no variable, λ-index or ∇-index, so the
 occurs, level and ∇ checks are all vacuous on them: _abstract returns an
 inert subterm as it is, and a binding to an inert term stores that very
-object, whatever its size.  Two identical inert terms unify at once.  That
-shortcut is kept to inert terms on purpose: F (s z) = F (s z) is outside
-the pattern fragment and must stay an error, not become a proof.  The flag
-is fixed when a node is built and no binding can reach inside an inert
-node, so it never goes stale as bindings come and go.
+object, whatever its size.  Equal inert terms are one node (nodes.py), so
+two inert terms unify at once when they are that node and fail at once
+otherwise.  That shortcut is kept to inert terms on purpose: F (s z) =
+F (s z) is outside the pattern fragment and must stay an error, not become
+a proof.  The flag is fixed when a node is built and no binding can reach
+inside an inert node, so it never goes stale as bindings come and go.
 
 Normalization.  unify() normalizes each side once, and not at all when
-the side is inert; two identical inert terms or two constants are answered
-without entering the unifier.  Below that, a subterm of a normal term is
+the side is inert; two inert terms are answered by identity without
+entering the unifier.  Below that, a subterm of a normal term is
 normal, so _unify only dereferences each subterm it visits (_whnf).  The
 one way a binding made by a sibling subproblem can expose a redex is by
 binding the head variable of an application, and only then is that
@@ -81,10 +82,7 @@ def unify(t, s, st, instantiate_eigen=False):
     the call.
     """
     if t.inert and s.inert:
-        if t is s:
-            return True
-        if type(t) is Const and type(s) is Const:
-            return t.name == s.name
+        return t is s
     trail = st.trail
     mark = len(trail)
     budget = st.norm_budget
@@ -149,8 +147,10 @@ def _unify(t, s, st, left):
         t, s = todo.pop()
         t = _whnf(t, st)
         s = _whnf(s, st)
-        if t is s and t.inert:
-            continue
+        if t.inert and s.inert:
+            if t is s:
+                continue
+            raise _Fail
         tl, sl = type(t), type(s)
         if tl is Lam and sl is Lam:
             todo.append((t.body, s.body))
@@ -182,10 +182,7 @@ def _unify(t, s, st, left):
             if tt is Bound or tt is NablaIndex:
                 if th.index != sh.index:
                     raise _Fail
-            elif isinstance(th, Var):
-                if th is not sh:
-                    raise _Fail
-            elif th.name != sh.name:  # Const
+            elif th is not sh:  # a variable or a constant
                 raise _Fail
             todo.extend(zip(reversed(targs), reversed(sargs)))
 
@@ -209,7 +206,7 @@ def _check_pattern_args(f, args, lhs, rhs):
         if ta is Bound:
             pass
         elif ta is NablaIndex:
-            if a.index < f.local_level:
+            if _visible_to(f, a):
                 raise NonPatternError(
                     lhs,
                     rhs,
@@ -217,7 +214,7 @@ def _check_pattern_args(f, args, lhs, rhs):
                     % (a.index, f.name, f.local_level),
                 )
         elif isinstance(a, EigenVar) and a.binding is None:
-            if a.global_level <= f.global_level:
+            if _visible_to(f, a):
                 raise NonPatternError(
                     lhs,
                     rhs,

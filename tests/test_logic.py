@@ -172,7 +172,7 @@ def test_unfold_marks_the_last_candidate_clause():
     # choice point.  A trailing clause whose head an inert argument rules
     # out before anything is bound does not count, and is not tried.
     st = state_from("fib z.\nfib (s z).\nfib (s (s N)) := fib (s N) /\\ fib N.\n"
-                    "p a.\np b.")
+                    "p a.\np b.\nq (c X (f b)).\nq (c X (f a)).")
     one = App(Const("s"), (Const("z"),))
     assert [last for _, _, last in unfold("fib", (one,), st)] == [True]
     x = st.sig.fresh_logic("X")
@@ -181,6 +181,10 @@ def test_unfold_marks_the_last_candidate_clause():
     assert [last for _, _, last in unfold("p", (x,), st)] == [False, True]
     assert [last for _, _, last in unfold("p", (Const("a"),), st)] == [True]
     assert list(unfold("p", (Const("c"),), st)) == []
+    # An inert field that is not the pattern's node rules a clause out.
+    f, k = Const("f"), Const("k")
+    cfb = App(Const("c"), (k, App(f, (Const("b"),))))
+    assert [last for _, _, last in unfold("q", (cfb,), st)] == [True]
     assert deref(x) is x
 
 
@@ -622,6 +626,8 @@ def test_constructor_heads_match_field_by_field_without_unify(monkeypatch):
     assert run(st, "fibtree (s (s (s (s z))))").proved
     assert run(st, "rev (a::b::c::nil) (c::b::a::nil)").proved
     assert run(st, "rev (a::b::nil) (a::b::nil)").disproved
+    # A rigid head that is no constant fails a constructor pattern.
+    assert run(st, "forall e. memb a (e a)").disproved
     # Outputs built in write mode.
 
     def answers(query):

@@ -7,7 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from nablacheck import parser, tabling
+from nablacheck import nodes, parser, tabling
 from nablacheck.engine import State
 from nablacheck.nodes import App, Bound, Const, Lam, LogicVar, NablaIndex
 from nablacheck.tabling import (
@@ -67,11 +67,11 @@ def test_canonical_key_is_eta_short_printed_text():
     key = canonical_key("p", (app(f, (Const("a"),)),))
     assert key == canonical_key("p", (app(f, (Const("a"),)),))
     # λx. f x collapses to f, so the key cannot depend on the spelling
-    assert canonical_key("p", (Lam(App(f, (Bound(0),))),)) == ("p", "f")
+    assert canonical_key("p", (Lam(App(f, (Bound(0),))),)) == ("p", f)
     # the dump prints a key back as the call's text
     table = Table("p", "inductive")
     table.entries[key] = "proved"
-    table.entries[("p", "f")] = "disproved"
+    table.entries[("p", f)] = "disproved"
     assert table.rows() == ["disproved p f.", "proved p (f a)."]
 
 
@@ -239,7 +239,7 @@ def test_inert_fast_paths_agree_with_full_walks(specs, rnd):
         if not a.inert:
             parts.append(parser.print_term(a, prec=parser.ATOM, keyed=True))
         else:
-            parts.append(a.name if type(a) is Const else tabling._canonical(a))
+            parts.append(a)
     assert canonical_key("p", args) == tuple(parts)
 
 
@@ -456,10 +456,11 @@ def test_entry_resting_on_two_running_calls(monkeypatch, rescue, status,
     filings = _record_filings(monkeypatch)
     st = state_from(TWO_CONDITIONS.format(rescue=rescue))
     assert run(st, "p a").status == status
+    a, b, c = map(Const, "abc")  # the key parts of p a, p b and p c
     assert filings == [
-        (("p", "c"), {("p", "a"): "disproved", ("p", "b"): "disproved"}),
-        (("p", "c"), {("p", "a"): "disproved"}),
-        (("p", "b"), {("p", "a"): "disproved"}),
+        (("p", c), {("p", a): "disproved", ("p", b): "disproved"}),
+        (("p", c), {("p", a): "disproved"}),
+        (("p", b), {("p", a): "disproved"}),
     ]
     assert st.tables["p"].rows() == rows
     assert set(st.tables["p"].entries.values()) <= {"proved", "disproved"}
@@ -484,9 +485,10 @@ def test_budget_abort_drops_the_entries_an_outer_call_holds(monkeypatch):
         max_steps=300,
     )
     assert run(st, "p a").inconclusive
-    assert filings == [(("p", "b"), {("p", "a"): "disproved"})]
+    a, b, d = map(Const, "abd")  # the key parts of p a, p b and p d
+    assert filings == [(("p", b), {("p", a): "disproved"})]
     assert st.tab_stack == []
-    assert st.tables["p"].entries == {("p", "d"): "proved"}
+    assert st.tables["p"].entries == {("p", d): "proved"}
 
 
 def test_conditional_entries_are_filed_a_linear_number_of_times(monkeypatch):
@@ -601,8 +603,9 @@ def test_tabling_collapses_shared_subproblems():
 
 
 def test_tabled_fib_keys_print_nothing_and_grow_linearly(monkeypatch):
-    # Printing each key cost O(n) per call and O(n²) per fib n; canonical
-    # nodes cost a lookup per node not seen before.
+    # Printing each key cost O(n) per call and O(n²) per fib n.  A key part
+    # is the argument's one node, and each inert node built costs one
+    # lookup in the one-node table (nodes.py).
     printed = []
     print_term = parser.print_term
 
@@ -610,20 +613,26 @@ def test_tabled_fib_keys_print_nothing_and_grow_linearly(monkeypatch):
         printed.append(args[0])
         return print_term(*args, **kwargs)
 
-    class CountingCanon(weakref.WeakValueDictionary):
+    class CountingNodes(dict):
         lookups = 0
 
         def get(self, key, default=None):
-            CountingCanon.lookups += 1
-            return super().get(key, default)
+            CountingNodes.lookups += 1
+            return dict.get(self, key, default)
 
     monkeypatch.setattr(parser, "print_term", counting_print)
     lookups = []
-    for n in (100, 200, 400):
-        monkeypatch.setattr(tabling, "_CANON", CountingCanon())
-        CountingCanon.lookups = 0
-        assert run(state_from(TREE), f"cost {_peano(n)}").proved
-        lookups.append(CountingCanon.lookups)
+    original = nodes._NODES
+    with monkeypatch.context() as m:
+        # Seeded with every entry, so the nodes made before stay the one
+        # node of their structure.
+        m.setattr(nodes, "_NODES", CountingNodes(original))
+        for n in (100, 200, 400):
+            CountingNodes.lookups = 0
+            assert run(state_from(TREE), f"cost {_peano(n)}").proved
+            lookups.append(CountingNodes.lookups)
+        table = nodes._NODES
+    original.update(table)  # and so do the nodes made meanwhile
     assert printed == []
     assert lookups[1] <= 2.1 * lookups[0] and lookups[2] <= 2.1 * lookups[1], \
         lookups

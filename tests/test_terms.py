@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from nablacheck.engine import State
+from nablacheck.engine import State, _snap
 from nablacheck.errors import NormalizationDepthExceeded
-from nablacheck.logic import replace_clause_vars
+from nablacheck.logic import Top, replace_clause_vars, unfold
 from nablacheck.nodes import App, Bound, ClauseVar, Const, Lam, NablaIndex, app
 from nablacheck.terms import (
     Signature,
@@ -19,7 +19,8 @@ from nablacheck.terms import (
     shift,
     struct_eq,
 )
-from nablacheck.unify import SUCCESS, _abstract, unify
+from nablacheck.parser import parse_term
+from nablacheck.unify import SUCCESS, _abstract, bind, unify
 
 a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
 
@@ -283,3 +284,95 @@ def test_binding_to_an_inert_list_stores_the_list_itself():
     tail = st.sig.fresh_logic("T")
     assert unify(app(Const("::"), (x, tail)), lst, st) is SUCCESS
     assert tail.binding is lst.args[1]
+
+
+# Inert terms as specs: a constant's name, or (functor, spec, ...).
+_INERT_SPECS = hs.recursive(
+    hs.sampled_from(["a", "b"]),
+    lambda sub: hs.one_of(
+        hs.tuples(hs.just("f"), sub), hs.tuples(hs.just("g"), sub, sub)),
+    max_leaves=5,
+)
+
+
+def _paths(spec, path=()):
+    """Every position in spec, as the argument indices leading to it."""
+    yield path
+    if type(spec) is tuple:
+        for i, c in enumerate(spec[1:]):
+            yield from _paths(c, path + (i,))
+
+
+def _at(spec, path):
+    for i in path:
+        spec = spec[1 + i]
+    return spec
+
+
+def _term(spec, hole=None, filler=None, path=()):
+    """spec built with the node constructors, filler standing at hole."""
+    if path == hole:
+        return filler
+    if type(spec) is str:
+        return Const(spec)
+    return App(Const(spec[0]), tuple(
+        _term(c, hole, filler, path + (i,)) for i, c in enumerate(spec[1:])))
+
+
+def _text(spec):
+    if type(spec) is str:
+        return spec
+    return " ".join([spec[0]] + [f"({_text(c)})" for c in spec[1:]])
+
+
+def _spec(t):
+    """A term's structure, read back as a spec."""
+    if type(t) is Const:
+        return t.name
+    return (t.head.name, *map(_spec, t.args))
+
+
+def _by_route(route, spec, hole):
+    """spec built along one route; the routes that fill a hole build the
+    subterm at hole with the node constructors and the rest around it."""
+    sub = _term(_at(spec, hole))
+    if route == "nodes":
+        return _term(spec)
+    if route == "parser":
+        return parse_term(_text(spec))
+    if route == "clause variables":
+        return replace_clause_vars(_term(spec, hole, ClauseVar("X")),
+                                   {"X": sub})
+    if route == "β-redex":
+        return normalize(App(Lam(_term(spec, hole, Bound(0))), (sub,)))
+    st = State()
+    v = st.sig.fresh_logic("V")
+    if route == "answer":
+        bind(v, sub, st.trail)
+        return _snap(_term(spec, hole, v), {})
+    # Write mode: mk X P[X] met by (sub, V) binds V to P[sub] through
+    # _build, when P[X] is a constructor pattern.
+    st.defs.add_clause("mk", (ClauseVar("X"), _term(spec, hole, ClauseVar("X"))),
+                       Top(), ("X",))
+    for _ in unfold("mk", (sub, v), st):
+        return deref(v)
+
+
+_ROUTES = ["nodes", "parser", "clause variables", "β-redex", "answer",
+           "write mode"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INERT_SPECS, hs.data())
+def test_inert_terms_built_by_any_routes_are_one_node_exactly_when_equal(
+        spec, data):
+    other = data.draw(hs.one_of(hs.just(spec), _INERT_SPECS))
+    built = []
+    for s in (spec, other):
+        route = data.draw(hs.sampled_from(_ROUTES))
+        hole = data.draw(hs.sampled_from(list(_paths(s))))
+        t = _by_route(route, s, hole)
+        assert t.inert and _spec(t) == s, (route, hole)
+        built.append(t)
+    t, u = built
+    assert (t is u) == (spec == other) == struct_eq(t, u)

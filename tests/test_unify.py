@@ -139,6 +139,16 @@ def test_repeated_argument_is_non_pattern():
         unify(app(x, (NablaIndex(0), NablaIndex(0))), a, st)
 
 
+def test_eigenvariable_below_only_by_global_level_is_a_pattern_argument():
+    # e is below F by its global level but above it by its local level, so
+    # F cannot see e (_visible_to) and F e is a pattern: F := x\ a.
+    st = State()
+    fv = st.sig.fresh_at(LogicVar, "F", 5, 0)
+    e = st.sig.fresh_at(EigenVar, "e", 3, 2)
+    assert unify(app(fv, (e,)), a, st) is SUCCESS
+    assert struct_eq(deref(fv), Lam(a))
+
+
 def test_same_var_positional_intersection():
     st = State()
     x = st.sig.fresh_logic("X")
