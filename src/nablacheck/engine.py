@@ -12,16 +12,20 @@ on the left of an implication: there the sequent's eigenvariables are
 instantiable, which is what turns clause matching into case analysis.
 
 The prover is one loop over two stacks.  The goal list holds what is left
-to prove, each goal a stored formula with its environment and its mode; a
-conjunction pushes both sides and an atom pushes the body of the clause it
-unfolds to, uncopied.  A goal's environment is the clause-variable map
-unfold filled for the clause the formula belongs to, and the values of the
-formula binders entered on the way down from the clause body (or the
-query) to the formula, innermost first: ∃, ∀ and ∇ add a slot and copy
-nothing.  Only when an atom or an equation is dispatched are its arguments
-built, in one walk that closes the stored terms over the environment
-(logic.replace_clause_vars, which returns a clause variable's value or an
-inert term at once).  The choice-point stack holds what to try on
+to prove, each goal a compiled record (logic.compile_goal) with its
+environment and its mode; a conjunction pushes both sides and an atom
+pushes the compiled body of the clause it unfolds to, uncopied.  A record
+is dispatched on its small integer tag; an atom's holds its callee's
+Definition, so no predicate is looked up by name.  A goal's environment
+is the dict unfold filled for the clause the record belongs to, which maps
+its clause variables to their values, and to which each formula binder
+entered on the way down from the clause body (or the query) adds its value
+under the binder's key: ∃, ∀ and ∇ copy nothing.  Only when an atom or an
+equation is dispatched are its arguments built, each by the builder its
+record chose: a clause variable or a bound name reads the environment, an
+inert term is itself, c X1 … Xn applies c to read values, and only the
+rest are closed over the environment (logic.replace_clause_vars).  The
+choice-point stack holds what to try on
 backtracking, each entry with the checkpoint it restores: the remaining
 clauses of a call, the right side of a disjunction, an implication's
 barrier (reached once every case of its antecedent held), the barrier of
@@ -50,6 +54,8 @@ the line shows the goal closed over its environment.
 
 from __future__ import annotations
 
+from functools import partial
+
 # Called through the modules, so wrappers installed on them apply.
 from . import logic, parser, tabling
 from .errors import (
@@ -58,23 +64,10 @@ from .errors import (
     NablaCheckError,
     NonGroundAntecedent,
     OuterVariableEscape,
-    UndefinedPredicate,
 )
 from .logic import (
-    And,
-    Atom,
-    DefSet,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    Imp,
-    Nabla,
-    Or,
-    Top,
-    classify,
-    formula_terms,
-    unfold,
+    AND, APP, ATOM, EQ, EXISTS, FORALL, IMP, KEY, NABLA, OR, REST, TERM, TOP,
+    DefSet, compile_goal, formula_terms, unfold,
 )
 from .nodes import Const, NablaIndex, Lam, App, Var
 from .terms import (
@@ -99,14 +92,13 @@ MAX_CHOICE_POINTS = 10000
 # (case analysis), and level 1.  _LABEL holds each mode's --trace label.
 RIGHT0, LEFT0, ONE = 0, 1, 2
 _LABEL = ("p0 ", "p0<", "p1 ")
-# A goal-list entry is (formula, env, slots, mode, rest): env maps the
-# clause variables to their values, slots holds the values of the formula
-# binders around the formula, innermost first.  Markers on the goal list,
-# in a goal's mode slot: an antecedent answer opens its case, a consequent
-# held in its case, a production's body was proved.  The formula slot holds
-# the consequent and the position of the implication's barrier (env and
-# slots are the consequent's), or the position of the barrier the marker
-# closes.
+# A goal-list entry is (record, env, mode, rest): env maps the clause
+# variables and the keys of the binders entered to their values.  Markers
+# on the goal list, in a goal's mode slot: an antecedent answer opens its
+# case, a consequent held in its case, a production's body was proved.  The
+# record slot holds the consequent's record and the position of the
+# implication's barrier (env is the consequent's), or the position of the
+# barrier the marker closes.
 _CASE, _HELD, _PRODUCED = 3, 4, 5
 # Choice-point kinds.  An entry is (kind, checkpoint, x, y, goals): the
 # clause alternatives (unfold's generator, their mode) of a call, a goal
@@ -191,11 +183,13 @@ def _too_many(st):
     )
 
 
-def prove(f, st, mode=ONE, slots=()):
-    """Enumerate the answers of a formula in one of the three modes.
+def prove(goal, st, mode=ONE, env=None):
+    """Enumerate the answers of a compiled goal (logic.compile_goal) in one
+    of the three modes.
 
-    slots holds the values of the formula binders f lies under, innermost
-    first: solve_iter proves a query's body under its ∃ prefix this way.
+    env holds the values of the clause variables and formula binders the
+    goal reads, by key: solve_iter proves a query's body with the values of
+    its ∃ prefix this way.  Binders the goal enters add their values to it.
 
     Yields once per answer with the bindings in place; backtracking happens
     by resuming, and all bindings are undone when the generator is exhausted
@@ -212,7 +206,7 @@ def prove(f, st, mode=ONE, slots=()):
     steps = st.steps  # counted here, stored back at each yield and exit
     close = logic.replace_clause_vars  # read here, so a wrapper applies
     base = (len(trail), sig.nabla_depth)
-    goals = (f, {}, slots, mode, None)
+    goals = (goal, {} if env is None else env, mode, None)
     cps = []
     try:
         # Each pass dispatches one goal; a goal that succeeds continues with
@@ -223,18 +217,17 @@ def prove(f, st, mode=ONE, slots=()):
                 st.steps = steps
                 yield
                 steps = st.steps
-            elif goals[3] > ONE:  # a marker
-                f, env, slots, mode, goals = goals
+            elif goals[2] > ONE:  # a marker
+                g, env, mode, goals = goals
                 if mode == _CASE:
-                    b, imp = f
+                    b, imp = g
                     cps.append((_CASE_BARRIER, st.checkpoint(), imp,
                                 sig.next_id, None))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
-                    goals = (b, env, slots, ONE,
-                             (len(cps) - 1, None, None, _HELD, None))
+                    goals = (b, env, ONE, (len(cps) - 1, None, _HELD, None))
                     continue
-                barrier = cps[f]
+                barrier = cps[g]
                 if mode == _HELD:
                     floor = barrier[3]
                     escaped = [v for v in trail[barrier[1][0]:]
@@ -245,49 +238,59 @@ def prove(f, st, mode=ONE, slots=()):
                             + ", ".join(v.name for v in escaped)
                             + ", which the antecedent's answer left free"
                         )
-                    del cps[f:]
+                    del cps[g:]
                 else:  # _PRODUCED
-                    del cps[f:]
+                    del cps[g:]
                     st.undo_to(barrier[1])
                     barrier[3].found = True
                     if next(barrier[2], False) is None:
                         goals = barrier[4]
                         continue
             else:
-                f, env, slots, mode, goals = goals
+                g, env, mode, goals = goals
                 steps += 1
                 if steps > max_steps:
                     st.steps = steps
                     raise BudgetExceeded(max_steps)
+                tag = g[0]
                 if trace is not None:
-                    f_closed = logic.replace_clause_vars_formula(f, env, slots)
+                    f_closed = logic.replace_clause_vars_formula(
+                        g[1], env, _values(g[2], env))
                     trace.write(f"{'  ' * min(len(cps), 40)}{_LABEL[mode]}"
                                 f" {parser.print_formula(f_closed)}\n")
-                tf = type(f)
-                if tf is Atom:
-                    defn = st.defs.defs.get(f.pred)
-                    if defn is None:
-                        raise UndefinedPredicate(f.pred)
+                if tag == ATOM:
+                    defn = g[3]
                     if defn.level == 0:
                         if mode == ONE:
-                            goals = (f, env, slots, RIGHT0, goals)
+                            goals = (g, env, RIGHT0, goals)
                             continue
                     elif mode != ONE:
                         raise LevelError(
-                            f"level-1 predicate {f.pred} reached in a "
+                            f"level-1 predicate {defn.pred} reached in a "
                             "level-0 context"
                         )
-                    args = f.args
-                    if env or slots:  # else the stored atom is closed
-                        args = tuple([close(a, env, slots) for a in args])
+                    build = g[4]
+                    if type(build) is tuple:
+                        args = []
+                        for kind, x in build:
+                            if kind == KEY:
+                                x = env[x]
+                            elif kind == REST:
+                                x = close(x, env)
+                            elif kind == APP:
+                                x = App(x[0],
+                                        tuple(map(env.__getitem__, x[1])))
+                            args.append(x)
+                    else:  # an itemgetter: every argument reads env
+                        args = build(env)
                     if (st.tabling_enabled and defn.table_mode is not None
                             and tabling.eligible(args, defn.level)):
                         # The producer unfolds directly; routing back
                         # through the table would only meet this call's own
                         # frame.
                         call = tabling.tabled_prove(
-                            st, f.pred, args, defn,
-                            lambda p=f.pred, a=args: unfold(p, a, st))
+                            st, defn.pred, args, defn,
+                            partial(unfold, defn, args, st))
                         item = next(call, False)
                         if item is None:  # settled, or a loop: it holds
                             continue
@@ -295,7 +298,7 @@ def prove(f, st, mode=ONE, slots=()):
                             _open_production(call, item, defn, st, cps, goals)
                     else:
                         cp = (len(trail), sig.nabla_depth)
-                        alts = unfold(f.pred, args, st, mode == LEFT0)
+                        alts = unfold(defn, args, st, mode == LEFT0)
                         item = next(alts, None)
                         if item is not None:
                             body, env, last = item
@@ -303,50 +306,56 @@ def prove(f, st, mode=ONE, slots=()):
                                 cps.append((_CLAUSES, cp, alts, mode, goals))
                                 if len(cps) > MAX_CHOICE_POINTS:
                                     raise _too_many(st)
-                            goals = (body, env, (), mode, goals)
+                            goals = (body, env, mode, goals)
                             continue
-                elif tf is And:
-                    goals = (f.left, env, slots, mode,
-                             (f.right, env, slots, mode, goals))
+                elif tag == AND:
+                    goals = (g[3], env, mode, (g[4], env, mode, goals))
                     continue
-                elif tf is Eq:
-                    lhs = close(f.lhs, env, slots)
-                    if unify(lhs, close(f.rhs, env, slots), st,
-                             instantiate_eigen=mode == LEFT0):
+                elif tag == EQ:
+                    kind, x = g[3]
+                    lhs = (env[x] if kind == KEY else
+                           x if kind == TERM else close(x, env))
+                    kind, x = g[4]
+                    rhs = (env[x] if kind == KEY else
+                           x if kind == TERM else close(x, env))
+                    if unify(lhs, rhs, st, instantiate_eigen=mode == LEFT0):
                         continue
-                elif tf is Exists:
+                elif tag == EXISTS:
                     if mode == LEFT0:
-                        v = sig.fresh_eigen(f.name)
+                        env[g[3]] = sig.fresh_eigen(g[1].name)
                     else:
-                        v = sig.fresh_logic(f.name)
-                    goals = (f.body, env, (v,) + slots, mode, goals)
+                        env[g[3]] = sig.fresh_logic(g[1].name)
+                    goals = (g[4], env, mode, goals)
                     continue
-                elif tf is Or:
+                elif tag == OR:
                     cps.append((_GOALS, st.checkpoint(), None, None,
-                                (f.right, env, slots, mode, goals)))
+                                (g[4], env, mode, goals)))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
-                    goals = (f.left, env, slots, mode, goals)
+                    goals = (g[3], env, mode, goals)
                     continue
-                elif tf is Top:
+                elif tag == TOP:
                     continue
-                elif tf is Nabla:
+                elif tag == NABLA:
                     d = sig.nabla_depth
                     sig.nabla_depth = d + 1
-                    slots = (NablaIndex(d),) + slots
-                    goals = (f.body, env, slots, mode, goals)
+                    env[g[3]] = NablaIndex(d)
+                    goals = (g[4], env, mode, goals)
                     continue
-                elif mode != ONE and isinstance(f, Formula):
+                elif tag != FORALL and tag != IMP:
+                    raise TypeError(f"not a compiled goal: {g!r}")
+                elif mode != ONE:
                     raise LevelError(
-                        f"{tf.__name__} is not a level-0 connective")
-                elif tf is Forall:
-                    v = sig.fresh_eigen(f.name)
-                    goals = (f.body, env, (v,) + slots, mode, goals)
+                        f"{type(g[1]).__name__} is not a level-0 connective")
+                elif tag == FORALL:
+                    env[g[3]] = sig.fresh_eigen(g[1].name)
+                    goals = (g[4], env, mode, goals)
                     continue
-                elif tf is Imp:
+                else:  # IMP
                     # Closed for the check alone; the cases run on the
-                    # stored antecedent and its environment.
-                    a = logic.replace_clause_vars_formula(f.left, env, slots)
+                    # compiled antecedent and its environment.
+                    a = logic.replace_clause_vars_formula(
+                        g[1].left, env, _values(g[2], env))
                     for t in formula_terms(a):
                         if has_unbound_logic_var(t):
                             raise NonGroundAntecedent(a)
@@ -355,11 +364,9 @@ def prove(f, st, mode=ONE, slots=()):
                     cps.append((_GOALS, st.checkpoint(), None, None, goals))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
-                    case = ((f.right, len(cps) - 1), env, slots, _CASE, None)
-                    goals = (f.left, env, slots, LEFT0, case)
+                    case = ((g[4], len(cps) - 1), env, _CASE, None)
+                    goals = (g[3], env, LEFT0, case)
                     continue
-                else:
-                    raise TypeError(f"not a formula: {f!r}")
             # Backtrack to the newest choice point that has an alternative.
             while cps:
                 cp = cps.pop()
@@ -373,7 +380,7 @@ def prove(f, st, mode=ONE, slots=()):
                     body, env, last = item
                     if not last:
                         cps.append(cp)
-                    goals = (body, env, (), cp[3], cp[4])
+                    goals = (body, env, cp[3], cp[4])
                 elif kind == _GOALS:
                     goals = cp[4]
                 elif kind == _CASE_BARRIER:  # the consequent failed a case
@@ -395,6 +402,16 @@ def prove(f, st, mode=ONE, slots=()):
         undo_to(trail, mark)
 
 
+def _values(scope, env):
+    """The values of the formula binders around a record, innermost first,
+    as replace_clause_vars_formula reads them for its stored formula."""
+    values = []
+    while scope:
+        key, scope = scope
+        values.append(env[key])
+    return values
+
+
 def _open_production(call, frame, defn, st, cps, goals):
     """Push a tabled call's production barrier, and above it the bodies as
     the call's clause alternatives, which failing into tries first.  Ground
@@ -404,7 +421,7 @@ def _open_production(call, frame, defn, st, cps, goals):
     cps.append((_PRODUCTION, cp, call, frame, goals))
     body_mode = RIGHT0 if defn.level == 0 else ONE
     cps.append((_CLAUSES, cp, frame.bodies, body_mode,
-                (len(cps) - 1, None, None, _PRODUCED, None)))
+                (len(cps) - 1, None, _PRODUCED, None)))
     if len(cps) > MAX_CHOICE_POINTS:
         raise _too_many(st)
 
@@ -517,19 +534,19 @@ def solve_iter(goal, st):
     """
     st.defs.check()
     tabling.drop_stale_tables(st)
-    level = classify(goal, strict=True, defs=st.defs.defs)
+    level, g = compile_goal(goal, st.defs.defs)
     cp = st.checkpoint()
     names = []
     variables = []
-    g = goal
+    env = {}
     try:
-        while type(g) is Exists:
-            v = st.sig.fresh_logic(g.name)
-            names.append(g.name)
+        while g[0] == EXISTS:
+            name = g[1].name
+            v = env[g[3]] = st.sig.fresh_logic(name)
+            names.append(name)
             variables.append(v)
-            g = g.body
-        slots = tuple(reversed(variables))  # innermost first
-        for _ in prove(g, st, RIGHT0 if level == 0 else ONE, slots):
+            g = g[4]
+        for _ in prove(g, st, RIGHT0 if level == 0 else ONE, env):
             yield _reify(names, variables, st.norm_budget)
     finally:
         st.undo_to(cp)

@@ -15,18 +15,20 @@ counting formula binders and term-level λs together.
 Clause variables (implicitly ∀-quantified at the clause head) are stored as
 ClauseVar placeholder terms.  unfold() maps each one to the term it matches
 in the call or to a fresh variable, so two unfolds never share variables,
-and yields the clause's stored body with that map, copying nothing.  The
-prover keeps such an environment with each goal, together with the values
-of the formula binders it entered, and replace_clause_vars() builds the
-arguments of an atom or an equation from them when it is dispatched.
+and yields the clause's compiled body (compile_goal) with that map, copying
+nothing.  The prover keeps such an environment with each goal, adds the
+values of the formula binders it enters, and builds the arguments of an
+atom or an equation from it when it is dispatched.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import IllFormedFormula, LevelError, UndefinedPredicate
 from .nodes import (
     App, Bound, ClauseVar, Const, EigenVar, Lam, LogicVar, NablaIndex, Term,
-    Var, app,
+    app,
 )
 from .terms import deref, normalize
 from .unify import bind, fits, is_flex, undo_to, unify
@@ -196,54 +198,129 @@ def classify(f, level_of=None, strict=True, defs=None) -> int:
     raises UndefinedPredicate, the alphabetically first such name, before
     any IllFormedFormula.
     """
-    getter = {}.get if level_of is None else level_of.get
+    return compile_goal(f, defs, strict, level_of, False)[0]
+
+
+# Compiled goals.  A record is a tuple (tag, formula, scope, x, y): the
+# formula it was compiled from, the keys of the formula binders around it
+# as a chain (key, outer), innermost first, or (), and per tag: an atom's
+# Definition and argument builders, an equation's two builders, the two
+# sides' records of ∧, ∨ and ⊃, or a binder's key and its body's record.
+ATOM, AND, EQ, EXISTS, OR, TOP, NABLA, FORALL, IMP = range(9)
+_TAG = {Atom: ATOM, And: AND, Eq: EQ, Exists: EXISTS, Or: OR, Top: TOP,
+        Nabla: NABLA, Forall: FORALL, Imp: IMP}
+# Argument builders, (kind, x): KEY reads env[x], TERM is the inert term x,
+# REST closes x over env with replace_clause_vars, and APP, an atom's
+# argument c X1 … Xn only, applies c to the values of the keys x[1].
+KEY, TERM, REST, APP = range(4)
+
+
+class _Keyed(dict):
+    """replace_clause_vars' env and slots at compile time: a clause variable
+    stays, a binder i places out becomes a clause variable named by its key."""
+
+    def __init__(self, outer):
+        self.outer = outer  # the binders' keys, outermost first
+
+    def __missing__(self, k):
+        return ClauseVar(k if type(k) is str else self.outer[-1 - k])
+
+
+def _builders(ts, keys, atom=False):
+    """The builders of the terms ts, inside the binders whose keys are
+    keys; for an atom's arguments, APP where it applies, and an itemgetter
+    in place of the tuple when every argument reads env."""
+    out = []
+    for t in ts:
+        tt = type(t)
+        if t.inert:
+            out.append((TERM, t))
+        elif tt is ClauseVar:
+            out.append((KEY, t.name))
+        elif tt is Bound:
+            out.append((KEY, keys[-1 - t.index]))
+        elif atom and tt is App and type(t.head) is Const and all(
+                type(a) is ClauseVar or type(a) is Bound for a in t.args):
+            out.append((APP, (t.head, tuple([
+                a.name if type(a) is ClauseVar else keys[-1 - a.index]
+                for a in t.args]))))
+        else:
+            out.append((REST, replace_clause_vars(t, _Keyed(keys),
+                                                  _Keyed(keys))))
+    if (atom and len(out) > 1 and out[0][0] == KEY
+            and all(kind == KEY for kind, _ in out)):
+        return itemgetter(*[x for _, x in out])
+    return tuple(out)
+
+
+def compile_goal(f, defs, strict=True, level_of=None, build=True):
+    """(level, record): f's level as classify(f, level_of, strict, defs)
+    finds it, with the same errors, and f compiled, in one walk; classify
+    runs this walk without build, and the record is then None.
+
+    Each formula binder in f gets a key of its own, 0, 1, ... in walk order;
+    entering it stores its value under that key in the goal's environment,
+    beside the clause variables', and an index reaching it reads that key.
+    A binder is entered again only after backtracking past every goal that
+    read its value, so the environment grows in place, as a WAM frame holds
+    its permanent variables, and nothing is copied.  An atom's record holds
+    its callee's Definition.  The walk is terms.py's, left to right.
+    """
     unknown = []
     ill = False
-    # Walked in the order of a left-to-right recursion, on a stack whose
-    # entries are a formula, or an implication whose antecedent's level
-    # is the last entry of levels.
-    levels = [0]  # levels[-1]: the level of the antecedent being walked
-    stack = [f]
-    while stack:
-        g = stack.pop()
+    keys = []  # the keys of the binders around g, outermost first
+    scope = ()
+    count = 0  # the binders met so far
+    todo = [f]
+    done = []  # (level, record or None) of each formula walked
+    while todo:
+        g = todo.pop()
         tg = type(g)
-        if tg is tuple:  # an antecedent was walked
-            if levels.pop() != 0:
-                ill = True
-            levels[-1] = 1
-            stack.append(g[0].right)
-        elif tg is Top or tg is Eq:
-            pass
+        x = y = None
+        if tg is tuple:  # the parts of g[0] are done
+            g = g[0]
+            tg = type(g)
+            lv, y = done.pop()
+            if tg is And or tg is Or or tg is Imp:
+                left, x = done.pop()
+                ill = ill or (tg is Imp and left != 0)
+                lv = 1 if tg is Imp else max(lv, left)
+            else:  # a binder: y is its body
+                x = keys.pop()
+                scope = scope[1]
+                lv = 1 if tg is Forall else lv
         elif tg is Atom:
-            if defs is None:
-                if getter(g.pred, 0):
-                    levels[-1] = 1
-            else:
-                d = defs.get(g.pred)
-                if d is None:
-                    unknown.append(g.pred)
-                elif d.level:
-                    levels[-1] = 1
-        elif tg is And or tg is Or:
-            stack.append(g.right)
-            stack.append(g.left)
-        elif tg is Exists or tg is Nabla:
-            stack.append(g.body)
-        elif tg is Forall:
-            levels[-1] = 1
-            stack.append(g.body)
-        elif tg is Imp:
-            stack.append((g,))
-            stack.append(g.left)
-            levels.append(0)
+            x = (defs.get(g.pred) if defs is not None
+                 else level_of.get(g.pred, 0) if level_of else 0)
+            if x is None:
+                unknown.append(g.pred)
+            lv = x if defs is None else getattr(x, "level", 0)
+            if build:
+                y = _builders(g.args, keys, True)
+        elif tg is Eq:
+            lv = 0
+            if build:
+                x, y = _builders((g.lhs, g.rhs), keys)
+        elif tg is Top:
+            lv = 0
+        elif tg is And or tg is Or or tg is Imp:
+            todo += ((g,), g.right, g.left)
+            continue
+        elif tg is Exists or tg is Forall or tg is Nabla:
+            keys.append(count)
+            scope = (count, scope)
+            count += 1
+            todo += ((g,), g.body)
+            continue
         else:
             raise TypeError(f"not a formula: {g!r}")
+        done.append((lv, (_TAG[tg], g, scope, x, y) if build else None))
     if unknown:
         raise UndefinedPredicate(min(unknown))
     if ill and strict:
         raise IllFormedFormula(
             "the antecedent of an implication must be a level-0 formula")
-    return levels[0]
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +354,15 @@ class Clause:
     only, and sieve marks the ones an inert first argument can still rule
     out below it (_rules_out), as s z rules out fib (s (s N)).  The plan
     and every walk over it keep their place on explicit stacks.
+
+    code, the body compiled against the Definitions of the DefSet that made
+    the clause (compile_goal), is built with the plan and, like it, never
+    rebuilt: its atoms name Definitions, whose clauses, levels and table
+    modes the prover reads at dispatch.
     """
 
-    __slots__ = ("head_args", "body", "var_names", "line", "plan", "sieve")
+    __slots__ = ("head_args", "body", "var_names", "line", "plan", "sieve",
+                 "code")
 
     def __init__(self, head_args, body, var_names, line=None):
         self.head_args = tuple(head_args)
@@ -288,6 +371,7 @@ class Clause:
         self.line = line
         self.plan = None
         self.sieve = False
+        self.code = None
 
 
 class Definition:
@@ -300,10 +384,10 @@ class Definition:
     The index holds, per arity, the clauses of that arity and a map from
     each key c to those keyed c or open, in source order, with the open
     clauses alone for names no clause is keyed by; a call meets only its
-    own arity.  candidates() builds it on first use, together with the
-    head plan of every clause (see Clause), so loading does no extra work;
-    add_clause() drops it, since the REPL can #include more clauses after
-    queries have run.
+    own arity.  unfold() builds it on first use, together with the head
+    plan and the compiled body of every clause new to it (see Clause), so
+    loading does no extra work; add_clause() drops it, since the REPL can
+    #include more clauses after queries have run.
     """
 
     __slots__ = (
@@ -321,36 +405,6 @@ class Definition:
     def add_clause(self, clause):
         self.clauses.append(clause)
         self._index = None
-
-    def candidates(self, args, budget):
-        """The clauses of the call's arity whose head can match a call with
-        these arguments, and the first argument as unify would see it,
-        dereferenced and normalized unless normal, or None when no clause
-        of the call's arity is keyed.
-
-        The first argument is normalized only when some clause of the
-        call's arity is keyed and it is not normal (nodes.py): trying that
-        clause would normalize it too, so a normalization error surfaces
-        where it always did.  A clause
-        left out has another arity, or is keyed by a constant other than
-        the head constant of the normalized first argument.
-        """
-        index = self._index
-        if index is None:
-            index = self._index = _build_index(self.clauses)
-        entry = index.get(len(args))
-        if entry is None:
-            return (), None
-        keyed, open_, clauses = entry
-        if not keyed:
-            return clauses, None
-        first = deref(args[0])
-        if not first.normal:
-            first = normalize(first, budget)
-        head = first.head if type(first) is App else first
-        if type(head) is not Const:
-            return clauses, first
-        return keyed.get(head.name, open_), first
 
 
 def _redex_free(t):
@@ -437,10 +491,11 @@ def _clause_var_names(t):
             stack.extend(u.args)
 
 
-def _build_index(clauses):
+def _build_index(clauses, defs):
     index = {}
     for clause in clauses:
         if clause.plan is None:
+            clause.code = compile_goal(clause.body, defs, False)[1]
             clause.plan = _head_plan(clause)
             if clause.plan and type(clause.plan[0]) is _Struct:
                 for step in clause.plan[0].steps:
@@ -598,9 +653,9 @@ def replace_clause_vars(t, env, slots=(), depth=0):
     """Close a stored term: each clause variable becomes its value in env,
     and Bound(k) with k >= depth, an index that passes the depth binders
     enclosing t and reaches a formula binder, becomes that binder's value
-    slots[k - depth] (slots are innermost first).  Values are closed, so
-    nothing is shifted.  The walk is terms.py's, but builds every node that
-    is not inert anew: nearly all hold a clause variable or an index."""
+    slots[k - depth] (innermost first; compiled terms read binders from env
+    by key instead).  Values are closed, so nothing is shifted.  The walk is
+    terms.py's, but builds every node that is not inert anew."""
     tt = type(t)
     if tt is ClauseVar:
         return env[t.name]
@@ -678,20 +733,23 @@ def replace_clause_vars_formula(f, env, slots=(), depth=0):
     return done[0]
 
 
-def unfold(pred, args, st, left=False):
-    """Yield (body, env, last) for each clause whose head matches the atom:
-    the clause's stored body itself, uncopied, the environment mapping each
-    of its clause variables to its value, and whether the clause is the
-    last candidate, so that no later clause of the call's arity is left to
-    try.  Trailing clauses that the call's inert arguments rule out before
+def unfold(defn, args, st, left=False):
+    """Yield (body, env, last) for each clause of the Definition defn whose
+    head matches a call with these arguments: the clause's compiled body
+    itself (Clause.code), uncopied, the environment mapping each of its
+    clause variables to its value, and whether the clause is the last
+    candidate, so that no later clause of the call's arity is left to try.
+    Trailing clauses that the call's inert arguments rule out before
     anything is bound (_rules_out, tried on the clauses Clause.sieve marks)
     do not count and are not tried: they would fail without a trace.
 
-    Clauses are tried in source order, only the candidates of the
-    definition's index for the call's arity.  The first argument is
-    normalized as unify would see it, unless it is normal (nodes.py), and
-    if its head is a constant only the clauses keyed by that name or open
-    take part.  A clause skipped this way is exactly one whose head
+    Clauses are tried in source order, only those of the call's arity in
+    the definition's index, which the first unfold builds.  When some
+    clause of that arity is keyed, the first argument is normalized as
+    unify would see it, unless it is normal (nodes.py), so a normalization
+    error surfaces where trying that clause would raise it, and if its
+    head is a constant only the clauses keyed by that name or open take
+    part.  A clause skipped this way is exactly one whose head
     unification would return FAILURE at the rigid-rigid head-name check:
     its first head argument is a redex-free term headed by another
     constant, so its normalization cannot fail and unification cannot
@@ -752,16 +810,26 @@ def unfold(pred, args, st, left=False):
     every clause and unifying each head argument; only the ids of fresh
     variables differ.
     """
-    defn = st.defs.defs.get(pred)
-    if defn is None:
+    index = defn._index
+    if index is None:
+        index = defn._index = _build_index(defn.clauses, st.defs.defs)
+    entry = index.get(len(args))
+    if entry is None:
         return
+    keyed, open_, clauses = entry
+    first = None
+    if keyed:
+        first = deref(args[0])
+        if not first.normal:
+            first = normalize(first, st.norm_budget)
+        head = first.head if type(first) is App else first
+        if type(head) is Const:
+            clauses = keyed.get(head.name, open_)
+            if not clauses:
+                return
+        args = (first, *args[1:])
     sig = st.sig
     fresh = sig.fresh_eigen if left else sig.fresh_logic
-    clauses, first = defn.candidates(args, st.norm_budget)
-    if not clauses:
-        return
-    if first is not None:
-        args = (first, *args[1:])
     # The first clause needs no check: none comes before it to be the last.
     last = len(clauses) - 1
     while last > 0:
@@ -781,7 +849,7 @@ def unfold(pred, args, st, left=False):
                   left, var_names):
             if len(env) < len(var_names):
                 _fresh_rest(env, var_names, fresh)
-            yield clause.body, env, clause is final
+            yield clause.code, env, clause is final
         undo_to(trail, mark)
         sig.nabla_depth = depth
         if clause is final:
@@ -792,7 +860,7 @@ def _match(steps, pats, values, first, env, st, left, var_names):
     """Walk plan steps over head patterns and the values they meet,
     binding on the trail and filling env; False when the clause fails.
 
-    first is the argument candidates() normalized, or None.  Every other
+    first is the argument unfold normalized, or None.  Every other
     value that is not normal (nodes.py) is normalized, as unify would,
     before a step reads it; a normal one is read as it is, and its fields
     get the same test when they are reached, which normalizes again the
@@ -808,7 +876,7 @@ def _match(steps, pats, values, first, env, st, left, var_names):
     it = zip(steps, pats, values)
     while True:
         for step, pat, value in it:
-            a = deref(value) if isinstance(value, Var) else value
+            a = value if value.binding is None else deref(value)
             if not a.normal and a is not first and step is not _OTHER:
                 a = normalize(a, st.norm_budget)
             ta = type(a)
@@ -891,7 +959,7 @@ def _rules_out(steps, pats, values):
     it = zip(steps, pats, values)
     while True:
         for step, pat, value in it:
-            a = deref(value) if isinstance(value, Var) else value
+            a = value if value.binding is None else deref(value)
             if not a.inert or step is _VALUE or step is _OTHER:
                 return None
             if step is _CONST:

@@ -94,6 +94,7 @@ class Term:
     normal = False
     gbound = -1
     lbound = 0
+    binding = None  # set only in a Var, so deref needs no type test
 
 
 # The one-node table (see the module docstring): a constant's name, or
@@ -278,9 +279,13 @@ class App(Term):
 
 
 class ClauseVar(Term):
+    """A clause variable, read from an environment by its name.  In a term
+    compiled by logic.compile_goal the name may instead be the int key of
+    the formula binder the term's index reached."""
+
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __init__(self, name: str | int):
         self.name = name
 
     def __repr__(self):

@@ -146,9 +146,11 @@ def eligible(args, level):
     """May a call with these arguments be tabled?  (has_unbound_* return
     at an inert argument, so a call whose arguments are all inert walks
     nothing.)"""
-    if level == 0:
-        return not any(has_unbound_var(a) for a in args)
-    return not any(has_unbound_logic_var(a) for a in args)
+    has_unbound = has_unbound_var if level == 0 else has_unbound_logic_var
+    for a in args:
+        if has_unbound(a):
+            return False
+    return True
 
 
 def canonical_key(pred, args, budget=None):

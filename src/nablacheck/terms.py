@@ -100,7 +100,7 @@ class Signature:
 
 def deref(t):
     """Follow logic-variable bindings at the head of t."""
-    while isinstance(t, Var) and t.binding is not None:
+    while t.binding is not None:
         t = t.binding
     return t
 

@@ -1,9 +1,12 @@
 """Formula layer: classification, level inference, unfolding."""
 
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as hs
 
 from conftest import run, state_from
+from nablacheck.engine import State
 
 import nablacheck.engine as engine
 import nablacheck.logic as logic
@@ -152,7 +155,7 @@ def test_unfold_enumerates_clauses_in_source_order():
         x,
         Const("nil"),
     )
-    bodies = list(unfold("memb", goal_args, st))
+    bodies = list(unfold(st.defs.defs["memb"], goal_args, st))
     assert bodies == []  # nil matches neither cons-headed clause
 
 
@@ -160,8 +163,8 @@ def test_unfold_binds_and_unbinds_across_alternatives():
     st = state_from("p a.\np b.")
     x = st.sig.fresh_logic("X")
     seen = []
-    for body, _, _ in unfold("p", (x,), st):
-        assert isinstance(body, Top)
+    for body, _, _ in unfold(st.defs.defs["p"], (x,), st):
+        assert body[0] == logic.TOP and isinstance(body[1], Top)
         seen.append(deref(x))
     assert [t.name for t in seen] == ["a", "b"]
     assert deref(x) is x  # fully undone after exhaustion
@@ -173,18 +176,19 @@ def test_unfold_marks_the_last_candidate_clause():
     # out before anything is bound does not count, and is not tried.
     st = state_from("fib z.\nfib (s z).\nfib (s (s N)) := fib (s N) /\\ fib N.\n"
                     "p a.\np b.\nq (c X (f b)).\nq (c X (f a)).")
+    fib, p, q = (st.defs.defs[name] for name in ("fib", "p", "q"))
     one = App(Const("s"), (Const("z"),))
-    assert [last for _, _, last in unfold("fib", (one,), st)] == [True]
+    assert [last for _, _, last in unfold(fib, (one,), st)] == [True]
     x = st.sig.fresh_logic("X")
     sx = App(Const("s"), (x,))
-    assert [last for _, _, last in unfold("fib", (sx,), st)] == [False, True]
-    assert [last for _, _, last in unfold("p", (x,), st)] == [False, True]
-    assert [last for _, _, last in unfold("p", (Const("a"),), st)] == [True]
-    assert list(unfold("p", (Const("c"),), st)) == []
+    assert [last for _, _, last in unfold(fib, (sx,), st)] == [False, True]
+    assert [last for _, _, last in unfold(p, (x,), st)] == [False, True]
+    assert [last for _, _, last in unfold(p, (Const("a"),), st)] == [True]
+    assert list(unfold(p, (Const("c"),), st)) == []
     # An inert field that is not the pattern's node rules a clause out.
     f, k = Const("f"), Const("k")
     cfb = App(Const("c"), (k, App(f, (Const("b"),))))
-    assert [last for _, _, last in unfold("q", (cfb,), st)] == [True]
+    assert [last for _, _, last in unfold(q, (cfb,), st)] == [True]
     assert deref(x) is x
 
 
@@ -193,7 +197,7 @@ def test_unfold_shares_one_fresh_var_per_clause_variable():
     u = st.sig.fresh_logic("U")
     v = st.sig.fresh_logic("V")
     hits = 0
-    for _ in unfold("pair", (u, v), st):
+    for _ in unfold(st.defs.defs["pair"], (u, v), st):
         hits += 1
         assert deref(u) is deref(v)
     assert hits == 1
@@ -201,18 +205,18 @@ def test_unfold_shares_one_fresh_var_per_clause_variable():
 
 def test_unfold_filters_clauses_by_arity():
     st = state_from("p a.\np a b.")
-    hit = list(unfold("p", (Const("a"),), st))
+    hit = list(unfold(st.defs.defs["p"], (Const("a"),), st))
     assert len(hit) == 1
-    hit2 = list(unfold("p", (Const("a"), Const("b")), st))
+    hit2 = list(unfold(st.defs.defs["p"], (Const("a"), Const("b")), st))
     assert len(hit2) == 1
 
 
 def test_unfold_left_mode_instantiates_eigenvariables():
     st = state_from("p a.")
     e = st.sig.fresh_eigen("x")
-    assert list(unfold("p", (e,), st)) == []
+    assert list(unfold(st.defs.defs["p"], (e,), st)) == []
     got = []
-    for _ in unfold("p", (e,), st, left=True):
+    for _ in unfold(st.defs.defs["p"], (e,), st, left=True):
         got.append(deref(e))
     assert len(got) == 1 and struct_eq(got[0], Const("a"))
 
@@ -223,9 +227,9 @@ def test_clause_body_sees_head_bindings():
     z = st.sig.fresh_logic("Z")
     st.defs.ensure("r")
     hits = 0
-    for body, env, _ in unfold("q", (y, z), st):
+    for body, env, _ in unfold(st.defs.defs["q"], (y, z), st):
         hits += 1
-        body = replace_clause_vars_formula(body, env)
+        body = replace_clause_vars_formula(body[1], env)
         assert isinstance(body, Atom) and body.pred == "r"
         assert deref(body.args[0]) is deref(y)
         bound = deref(z)
@@ -240,8 +244,8 @@ def test_unfold_yields_the_stored_body_uncopied():
     conjuncts = " /\\ ".join(["q X"] * 200)
     st = state_from(f"big X := {conjuncts}.\nq a.")
     x = st.sig.fresh_logic("X")
-    (body, env, last), = unfold("big", (x,), st)
-    assert body is st.defs.defs["big"].clauses[0].body
+    (body, env, last), = unfold(st.defs.defs["big"], (x,), st)
+    assert body is st.defs.defs["big"].clauses[0].code
     assert env == {"X": x} and last
 
 
@@ -249,11 +253,8 @@ def test_unfold_yields_the_stored_body_uncopied():
 # First-argument indexing
 # ---------------------------------------------------------------------------
 
-def _every_clause(pred, args, st, left=False):
+def _every_clause(defn, args, st, left=False):
     """Reference unfold: rename and head-unify every clause, no index."""
-    defn = st.defs.defs.get(pred)
-    if defn is None:
-        return
     fresh = st.sig.fresh_eigen if left else st.sig.fresh_logic
     mark = st.checkpoint()
     for clause in defn.clauses:
@@ -268,7 +269,7 @@ def _every_clause(pred, args, st, left=False):
                 break
         if ok:
             # Never claims to be the last clause, so every clause is tried.
-            yield replace_clause_vars_formula(clause.body, env), {}, False
+            yield logic.compile_goal(clause.body, st.defs.defs)[1], env, False
         st.undo_to(mark)
 
 
@@ -442,8 +443,8 @@ def test_unfold_meets_exactly_the_clauses_of_the_calls_arity(heads, call):
 
     def trace(st):
         args = tuple(_call_arg(n, st) for n in call)
-        return [(print_formula(body), last)
-                for body, _, last in unfold("p", args, st)]
+        return [(print_formula(body[1]), last)
+                for body, _, last in unfold(st.defs.ensure("p"), args, st)]
 
     assert trace(mixed) == trace(alone), text
 
@@ -463,6 +464,54 @@ def test_one_goal_follows_each_defset_it_is_solved_under():
     for st, want in [*zip(states, "ab"), *zip(states, "ab")]:
         r = engine.solve(goal, st)
         assert [a.text() for a in r.answers] == [f"X = {want}"], r.error
+
+
+_FIRST_FILE = """
+edge a b.
+edge b c.
+path X Y := edge X Y.
+path X Y := edge X Z /\\ path Z Y.
+r a.
+q X := r X.
+top X := exists Y. q Y /\\ path X Y.
+"""
+# A clause for edge, dispatched already; a level-1 clause for r, q's
+# callee; a table for path, dispatched already.
+_SECOND_FILE = """
+edge c a.
+r b := forall z. z = z.
+#table inductive path.
+"""
+_LATER_QUERIES = ["path c a", "path a d", "exists Y. path c Y", "q b",
+                  "exists X. q X", "top a", "top d", "exists X. top X"]
+
+
+def test_compiled_bodies_follow_definitions_changed_after_queries(tmp_path):
+    # Every later query answers as in a session that loaded both files
+    # first: same verdicts, answers and steps.
+    from nablacheck.cli import load_file
+
+    first, second = tmp_path / "first.def", tmp_path / "second.def"
+    first.write_text(_FIRST_FILE)
+    second.write_text(_SECOND_FILE)
+    out = io.StringIO()
+
+    def outcome(st, query):
+        r = run(st, query, max_answers=5)
+        return r.status, [a.text() for a in r.answers], r.steps
+
+    session = State()
+    assert load_file(str(first), session, out) == 0
+    for query in ("path a c", "exists Y. path a Y", "q a", "top a"):
+        assert not run(session, query).inconclusive, query
+    assert load_file(str(second), session, out) == 0
+    fresh = State()
+    for path in (first, second):
+        assert load_file(str(path), fresh, out) == 0
+    for query in _LATER_QUERIES:
+        assert outcome(session, query) == outcome(fresh, query), query
+    assert outcome(fresh, "path a d")[0] == "disproved"
+    assert outcome(fresh, "q b")[0] == "proved"
 
 
 def test_index_is_rebuilt_after_clauses_are_added():
@@ -495,14 +544,13 @@ def test_head_unifications_grow_linearly_along_a_chain(monkeypatch):
     # Counts the clauses unfold tries, as head unification mostly happens
     # without calling unify.
     tried = [0]
-    real_candidates = logic.Definition.candidates
+    real_match = logic._match
 
-    def counted(self, args, budget):
-        clauses, first = real_candidates(self, args, budget)
-        tried[0] += len(clauses)
-        return clauses, first
+    def counted(*args):
+        tried[0] += 1
+        return real_match(*args)
 
-    monkeypatch.setattr(logic.Definition, "candidates", counted)
+    monkeypatch.setattr(logic, "_match", counted)
     counts = []
     for n in (16, 32, 64):
         edges = "".join(f"edge n{i} n{i + 1}.\n" for i in range(n - 1))
@@ -575,14 +623,15 @@ def test_first_occurrence_heads_make_fresh_variables_only_for_body_names():
     one, zero = Const("1"), Const("0")
     before = st.sig.next_id
     bodies = 0
-    for body, env, _ in unfold("full_adder", (one, zero, one, s, c), st):
+    adder = st.defs.defs["full_adder"]
+    for body, env, _ in unfold(adder, (one, zero, one, s, c), st):
         bodies += 1
         assert st.sig.next_id == before
-        body = replace_clause_vars_formula(body, env)
+        body = replace_clause_vars_formula(body[1], env)
         terms = list(logic.formula_terms(body))
         assert any(t is c for t in terms) and any(t is one for t in terms)
     assert bodies == 1
-    for body, _, _ in unfold("tri", (one, c), st):
+    for body, _, _ in unfold(st.defs.defs["tri"], (one, c), st):
         bodies += 1
         assert st.sig.next_id == before + 1
     assert bodies == 2
@@ -661,9 +710,9 @@ def test_first_occurrence_takes_an_argument_only_within_the_nabla_depth():
     st = state_from("p X.\n")
     arg = App(Const("f"), (NablaIndex(1),))
     st.sig.nabla_depth = 1
-    assert list(unfold("p", (arg,), st)) == []
+    assert list(unfold(st.defs.defs["p"], (arg,), st)) == []
     st.sig.nabla_depth = 2
-    [(_, env, _)] = unfold("p", (arg,), st)
+    [(_, env, _)] = unfold(st.defs.defs["p"], (arg,), st)
     assert env["X"] is arg
 
 
@@ -710,10 +759,10 @@ def test_first_argument_is_normalized_once_per_unfold(monkeypatch):
 
     real_unfold = engine.unfold
 
-    def unfold_len(pred, args, st, left=False):
-        if pred == "len":
+    def unfold_len(defn, args, st, left=False):
+        if defn.pred == "len":
             events.append(("unfold", deref(args[0])))
-        return real_unfold(pred, args, st, left)
+        return real_unfold(defn, args, st, left)
 
     def counting(real):
         def normalize(t, budget=None):

@@ -354,7 +354,7 @@ def _by_route(route, spec, hole):
     # _build, when P[X] is a constructor pattern.
     st.defs.add_clause("mk", (ClauseVar("X"), _term(spec, hole, ClauseVar("X"))),
                        Top(), ("X",))
-    for _ in unfold("mk", (sub, v), st):
+    for _ in unfold(st.defs.defs["mk"], (sub, v), st):
         return deref(v)
 
 
