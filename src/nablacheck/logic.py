@@ -190,8 +190,8 @@ def classify(f, level_of=None, strict=True, defs=None) -> int:
 
     level_of maps predicate names to their level (missing names count as 0).
     With strict on, an implication whose antecedent is not level 0 raises
-    IllFormedFormula; with strict off it is tolerated so level inference can
-    iterate to its fixed point before complaining.
+    IllFormedFormula; with strict off it is tolerated, so level inference
+    can find the level of a clause body before the strict pass complains.
 
     With defs, a DefSet's map from names to Definitions, in place of
     level_of, an atom's level is its Definition's, and a name defs lacks
@@ -528,7 +528,10 @@ class DefSet:
     Every predicate name that appears anywhere in loaded input (head, body,
     assertion, directive) is registered here, including ones that never get
     a clause: those unfold to the empty stream, which is how `false` works.
-    Unregistered names are rejected at query time as probable typos.
+    A query that names an unregistered predicate is rejected as a probable
+    typo (UndefinedPredicate; solve() reports it inconclusive) only for
+    library callers: the CLI registers every name a query mentions first,
+    so `nabla-check -q "exists X. typo X"` prints `% disproved`.
 
     changed lists the predicate of each clause and table mode that
     arrived, in order, and callers maps each name to the predicates whose
@@ -580,9 +583,6 @@ class DefSet:
     def level(self, pred) -> int:
         return self.defs[pred].level if pred in self.defs else 0
 
-    def levels(self) -> dict:
-        return {p: d.level for p, d in self.defs.items()}
-
     def affected(self, names):
         """names and the names whose definitions reach one of them through
         clause bodies: a walk over callers from names only."""
@@ -597,30 +597,32 @@ class DefSet:
     def check(self):
         """Infer levels, verify clause bodies fit their heads, gather warnings.
 
-        Level inference runs the obvious fixed point: levels start at the
-        declared value (or 0) and only ever grow, so at most two passes
-        change anything.
+        A predicate is level 1 when it is declared so, when a clause of its
+        own has a ∀ or an implication, or when a clause calls a level-1
+        predicate; so the level-1 predicates are those that reach one of the
+        first two kinds through clause bodies, found in one walk over
+        callers (affected).  A predicate declared level 0 among them is an
+        error, reported for the first such predicate in load order.
         """
         if self._checked:
             return
+        own = []
         for d in self.defs.values():
-            d.level = d.declared_level if d.declared_level is not None else 0
-        changed = True
-        while changed:
-            changed = False
-            lv = self.levels()
-            for d in self.defs.values():
-                for c in d.clauses:
-                    body_level = classify(c.body, lv, strict=False)
-                    if body_level > d.level:
-                        if d.declared_level is not None:
-                            raise LevelError(
-                                f"clause of {d.pred} (line {c.line}) has a level-"
-                                f"{body_level} body but {d.pred} is declared level "
-                                f"{d.declared_level}"
-                            )
-                        d.level = body_level
-                        changed = True
+            d.level = 0
+            if d.declared_level == 1 or any(
+                    classify(c.body, strict=False) for c in d.clauses):
+                own.append(d.pred)
+        for p in self.affected(own):
+            self.defs[p].level = 1
+        for d in self.defs.values():
+            if d.level and d.declared_level == 0:
+                lv = {p: e.level for p, e in self.defs.items()}
+                c = next(c for c in d.clauses
+                         if classify(c.body, lv, strict=False))
+                raise LevelError(
+                    f"clause of {d.pred} (line {c.line}) has a level-1 body "
+                    f"but {d.pred} is declared level 0"
+                )
         # Diagnose negation-through-recursion before the strict pass gets a
         # chance to reject the clause for level reasons: the warning is the
         # useful half of that error message.

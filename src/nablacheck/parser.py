@@ -30,9 +30,12 @@ A node of level L stands bare where its context asks for level L or less
 and in parentheses elsewhere.  A prefix body extends as far right as it
 can; a λ may open only a level-1 context (a whole term, the inside of
 parentheses, a λ body), a quantifier any context up to level 5.  The
-parser builds a raw tree by this table; the reader turns it into a Formula
-or a Term, refusing a node where its sort cannot stand (a λ as a formula,
-`/\\` inside a term); the printer parenthesizes by the same table.
+parser reads by this table and builds each Term or Formula in the same
+pass, as soon as its operands are read; the printer parenthesizes by the
+same table.  An operand's sort is checked when its operator takes it: a
+connective or `true` where a term stands, or a λ or a term not headed by
+a constant where a formula stands, is an error at that point, so it can
+be reported before a syntax error later in the input.
 
 Query variables (free uppercase names in a query or assertion) desugar into
 a top-level existential prefix in first-occurrence order, which is how the
@@ -65,7 +68,7 @@ MAX_NESTING = 5000
 CLAUSE, OPEN, IMP, OR, AND, EQ, CONS, APP, ATOM = range(9)
 
 # Infix operator -> (level, left operand level, right operand level).
-# Application is juxtaposition; " " names it in raw trees.
+# Application is juxtaposition; " " names it on the parser's stack.
 _INFIX = {
     ":=": (CLAUSE, APP, IMP),
     "=>": (IMP, OR, IMP),
@@ -215,11 +218,6 @@ class ClauseItem:
 # Parser
 # ---------------------------------------------------------------------------
 
-# What the reader is asked for, and, offset by _BUILD, the step that builds
-# a node once its operands are read.
-_TERM, _FORMULA, _BUILD = 0, 1, 2
-
-
 class _Parser:
     def __init__(self, tokens, filename=None):
         self.toks = tokens
@@ -250,20 +248,30 @@ class _Parser:
         t = self.toks[self.pos] if tok is None else tok
         return ParseError(message, self.filename, t.line, t.col)
 
+    def finish(self, result):
+        """result, once an optional closing dot and the end of input follow."""
+        if self.at("punct", "."):
+            self.next()
+        self.expect("eof")
+        return result
+
     # One expression -------------------------------------------------------
 
-    def expr(self, level, depth):
-        """The raw tree of the expression at the current token, in a
+    def expr(self, level, depth, want):
+        """want(node, token) of the expression at the current token, in a
         context of the given level and nesting depth.
 
-        A leaf is its Token; any other node is a tuple (operator, token,
-        left, right): (" ", head's token, head, [arguments]) for an
-        application, (binder, token, [names], body) for a λ or quantifier.
-        Parentheses leave no node.  Each open operator waits on the stack
-        for its right operand."""
+        Each operator builds its Term or Formula as soon as its operands are
+        read, taking each by its sort (term or formula), and an operand
+        comes with the token an error in it is reported at.  An application
+        stays a list, head then arguments, until what takes it reads it as
+        a term or an atom.  A binder's names are in scope (self.bound) from
+        the binder to the end of its body.  Parentheses leave no node.  Each
+        open operator waits on the stack for its right operand."""
         toks = self.toks
+        bound = self.bound
         pos = self.pos
-        stack = []  # (operator, token, left, the context's level)
+        stack = []  # (operator, token, left, left's token, context's level)
         while True:
             # An operand starts at pos.
             if depth > MAX_NESTING:
@@ -285,16 +293,18 @@ class _Parser:
                     raise self.error(f"{op} needs at least one variable name")
                 self.expect("punct", ".")
                 pos = self.pos
+                bound += left
             elif (kind == "name" or kind == "uvar") and toks[pos].text == "\\" \
                     and _BINDERS["\\"][1] >= level:
-                op, left, inner = "\\", [t.text], OPEN
+                op, left, inner = "\\", t.text, OPEN
                 pos += 1
+                bound.append(left)
             elif kind in _LEAVES or kind == "kw" and t.text == "true":
-                node, op = t, None
+                node, tok, op = self.leaf(t), t, None
             else:
                 raise self.error(f"expected a term, found {t.text!r}", t)
             if op is not None:
-                stack.append((op, t, left, level))
+                stack.append((op, t, left, None, level))
                 level = inner
                 depth += 1
                 continue
@@ -304,22 +314,20 @@ class _Parser:
                 t = toks[pos]
                 kind = t.kind
                 if (kind in _LEAVES or t.text == "(") and level <= APP:
-                    if type(node) is Token:
-                        node = (" ", node, node, [])
-                    elif node[0] != " ":
-                        node = (" ", node[1], node, [])
+                    if type(node) is not list:
+                        node = [self.term(node, tok)]
                     if kind in _LEAVES:
-                        node[3].append(t)
+                        node.append(self.leaf(t))
                         pos += 1
                         continue
-                    stack.append((" ", t, node, level))
+                    stack.append((" ", t, node, tok, level))
                     level = ATOM
                     break
                 if t.text in _INFIX:
                     op = t.text
                     row = _INFIX[op]
                     if row[0] >= level:
-                        stack.append((op, t, node, level))
+                        stack.append((op, t, node, tok, level))
                         level = row[2]
                         pos += 1
                         if op in _NESTS:
@@ -327,122 +335,92 @@ class _Parser:
                         break
                 if not stack:
                     self.pos = pos
-                    return node
-                op, tok, left, level = stack.pop()
+                    return want(node, tok)
+                op, optok, left, ltok, level = stack.pop()
                 if op == " ":
-                    left[3].append(node)
-                    node = left
+                    left.append(self.term(node, tok))
+                    node, tok = left, ltok
                     continue
-                if op != "(":
-                    node = (op, tok, left, node)
-                elif t.text != ")":
-                    raise self.error(f"expected ')', found {t.text!r}", t)
-                else:
+                if op == "(":
+                    if t.text != ")":
+                        raise self.error(f"expected ')', found {t.text!r}", t)
                     pos += 1
+                else:
+                    if op == "\\":
+                        bound.pop()
+                        node = Lam(self.term(node, tok), left)
+                    elif op in _BINDERS:
+                        del bound[len(bound) - len(left):]
+                        node = self.formula(node, tok)
+                        for name in reversed(left):
+                            node = _FORMULAS[op](name, node)
+                    else:
+                        sort = self.term if op == "=" or op == "::" \
+                            else self.formula
+                        lhs = sort(left, ltok)
+                        rhs = sort(node, tok)
+                        node = App(Const("::"), (lhs, rhs)) if op == "::" \
+                            else _FORMULAS[op](lhs, rhs)
+                    tok = optok
                 if op in _NESTS:
                     depth -= 1
 
-    # Reading a raw tree ---------------------------------------------------
+    # Operands by sort -------------------------------------------------------
 
-    def read(self, root, want):
-        """The Term (want _TERM) or Formula (want _FORMULA) a raw tree
-        stands for, read left to right on an explicit stack: binder names
-        are resolved in scope and each node is built once, after its
-        operands."""
+    def leaf(self, t):
+        """The node a name, number or true stands for, with the binders in
+        scope; a free uppercase name is a clause variable, or in a query a
+        Bound that query() closes."""
+        kind, name = t.kind, t.text
+        if kind == "kw":  # true
+            return Top()
         bound = self.bound
-        out = []
-        todo = [(root, want)]
-        while todo:
-            node, want = todo.pop()
-            if type(node) is Token:
-                kind = node.kind
-                if kind == "kw":  # true
-                    if want == _TERM:
-                        raise self.error("expected a term, found 'true'", node)
-                    out.append(Top())
-                    continue
-                if kind == "int" or kind == "name" and node.text not in bound:
-                    t = Const(node.text)
-                else:
-                    t = self.resolve(node.text)
-            elif want < _BUILD:
-                op = node[0]
-                if want == _TERM and op in _FORMULAS:
-                    raise self.error(f"expected a term, found {op!r}", node[1])
-                if want == _FORMULA and op == "\\":
-                    raise self.error("expected a formula", node[1])
-                todo.append((node, want + _BUILD))
-                if op == " ":
-                    for a in reversed(node[3]):
-                        todo.append((a, _TERM))
-                    todo.append((node[2], _TERM))
-                elif op in _BINDERS:
-                    bound.extend(node[2])
-                    todo.append((node[3], want))
-                else:
-                    sub = _TERM if op == "=" or op == "::" else _FORMULA
-                    todo.append((node[3], sub))
-                    todo.append((node[2], sub))
-                continue
-            else:
-                want -= _BUILD
-                op = node[0]
-                if op in _BINDERS:
-                    names = node[2]
-                    del bound[len(bound) - len(names):]
-                    t = out.pop()
-                    if op == "\\":
-                        t = Lam(t, names[0])
-                    else:
-                        for name in reversed(names):
-                            t = _FORMULAS[op](name, t)
-                    out.append(t)
-                    continue
-                if op == " ":
-                    n = len(node[3]) + 1
-                    head, args = out[-n], out[1 - n:]
-                    del out[-n:]
-                    if want == _FORMULA and type(head) is Const:
-                        out.append(Atom(head.name, args))
-                        continue
-                    t = app(head, args)
-                else:
-                    right = out.pop()
-                    left = out.pop()
-                    if op != "::":
-                        out.append(_FORMULAS[op](left, right))
-                        continue
-                    t = App(Const("::"), (left, right))
-                node = node[1]
-            if want == _FORMULA:  # a term in a formula's place: an atom
-                name, args = _atom_parts(t)
-                if name is None:
-                    raise self.error("expected a formula", node)
-                t = Atom(name, args)
-            out.append(t)
-        return out[0]
-
-    def resolve(self, name) -> Term:
-        bound = self.bound
+        if kind == "int" or kind == "name" and name not in bound:
+            return Const(name)
         if name in bound:
             return Bound(bound[::-1].index(name))
-        if name[0].isupper() or name[0] == "_":
-            rank = self.clause_vars.setdefault(name, len(self.clause_vars))
-            if self.query_vars is None:
-                return ClauseVar(name)
-            b = Bound(len(bound))
-            self.query_vars.append((b, rank))
-            return b
-        return Const(name)
+        rank = self.clause_vars.setdefault(name, len(self.clause_vars))
+        if self.query_vars is None:
+            return ClauseVar(name)
+        b = Bound(len(bound))
+        self.query_vars.append((b, rank))
+        return b
 
-    def query(self, node):
+    def term(self, node, tok):
+        """node as a Term: an application list is applied, a formula
+        refused."""
+        if type(node) is list:
+            return app(node[0], node[1:])
+        if isinstance(node, Formula):
+            op = "true" if type(node) is Top else _NAMES[type(node)]
+            raise self.error(f"expected a term, found {op!r}", tok)
+        return node
+
+    def formula(self, node, tok):
+        """node as a Formula: a term headed by a constant reads as an atom."""
+        if isinstance(node, Formula):
+            return node
+        name, args = _atom_parts(node)
+        if name is None:
+            raise self.error("expected a formula", tok)
+        return Atom(name, args)
+
+    def head(self, node, tok):
+        """A clause head's predicate name and arguments."""
+        name, args = _atom_parts(
+            node if type(node) is list else self.term(node, tok))
+        if name is None:
+            raise self.error("a clause head must be a predicate applied to terms")
+        return name, args
+
+    def query(self):
         """Read a formula and close its free query variables into a top-level
         ∃ prefix: each occurrence is read as a Bound at its binder depth,
         then raised by the number of later query variables, whose ∃ the
         prefix puts inside its own."""
         self.clause_vars = {}
         self.query_vars = []
-        f = self.read(node, _FORMULA)
+        f = self.expr(IMP, 1, self.formula)
         k = len(self.clause_vars)
         for b, rank in self.query_vars:
             b.index += k - 1 - rank
@@ -460,13 +438,11 @@ class _Parser:
             return self.directive()
         self.clause_vars = {}
         _, head_level, body_level = _INFIX[":="]
-        hname, hargs = _atom_parts(self.read(self.expr(head_level, 0), _TERM))
-        if hname is None:
-            raise self.error("a clause head must be a predicate applied to terms")
+        hname, hargs = self.expr(head_level, 0, self.head)
         body = Top()
         if self.at("punct", ":="):
             self.next()
-            body = self.read(self.expr(body_level, 1), _FORMULA)
+            body = self.expr(body_level, 1, self.formula)
         self.expect("punct", ".")
         return ClauseItem(hname, hargs, body, tuple(self.clause_vars), t.line)
 
@@ -485,9 +461,9 @@ class _Parser:
             self.expect("punct", ".")
             return TableDirective(mode, pred, line)
         if name in ("#assert", "#assert_not"):
-            node = self.expr(IMP, 1)
+            f = self.query()
             self.expect("punct", ".")
-            return AssertDirective(self.query(node), name == "#assert", line)
+            return AssertDirective(f, name == "#assert", line)
         if name == "#include":
             path = self.expect("string").text[1:-1]
             self.expect("punct", ".")
@@ -501,17 +477,14 @@ class _Parser:
             return ShowTableDirective(pred, line)
         raise self.error(f"unknown directive {name}")
 
-    def formula_to_eof(self):
-        """A formula's raw tree, an optional closing dot, and nothing else."""
-        node = self.expr(IMP, 1)
-        if self.at("punct", "."):
-            self.next()
-        self.expect("eof")
-        return node
 
-
-def _atom_parts(t):
-    head, args = (t.head, t.args) if type(t) is App else (t, ())
+def _atom_parts(node):
+    """The predicate name and arguments of node, a term or an application
+    list, read as an atom, or None and () when its head is no constant."""
+    head, args = (node[0], tuple(node[1:])) if type(node) is list \
+        else (node, ())
+    if type(head) is App:
+        head, args = head.head, head.args + args
     if type(head) is Const:
         return head.name, args
     return None, ()
@@ -524,21 +497,21 @@ def _atom_parts(t):
 def parse_term(text, filename=None) -> Term:
     """Parse one term.  Uppercase names become ClauseVar placeholders."""
     p = _Parser(tokenize(text, filename), filename)
-    node = p.expr(OPEN, 1)
+    t = p.expr(OPEN, 1, p.term)
     p.expect("eof")
-    return p.read(node, _TERM)
+    return t
 
 
 def parse_formula(text, filename=None) -> Formula:
     """Parse one formula; uppercase names stay ClauseVar placeholders."""
     p = _Parser(tokenize(text, filename), filename)
-    return p.read(p.formula_to_eof(), _FORMULA)
+    return p.finish(p.expr(IMP, 1, p.formula))
 
 
 def parse_query(text, filename=None) -> Formula:
     """Parse a query: free uppercase names become a top-level ∃ prefix."""
     p = _Parser(tokenize(text, filename), filename)
-    return p.query(p.formula_to_eof())
+    return p.finish(p.query())
 
 
 def parse_file(text, filename=None):
@@ -557,7 +530,7 @@ def parse_interaction(text, filename=None):
         d = p.directive()
         p.expect("eof")
         return d
-    return p.query(p.formula_to_eof())
+    return p.finish(p.query())
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,39 @@ def test_declared_level_too_low_is_an_error():
         ds.check()
 
 
+def test_level_inference_classifies_each_clause_a_bounded_number_of_times(
+        monkeypatch):
+    # p0 := p1. ... p299 := p300. p300 := forall x. x = x.  Level 1 climbs
+    # the whole chain; a fixed point over all clauses would classify every
+    # clause once per link (91,203 calls here), propagation over callers
+    # twice.
+    n = 300
+    text = "".join(f"p{i} := p{i + 1}.\n" for i in range(n))
+    ds = _defs(text + f"p{n} := forall x. x = x.\n")
+    calls = [0]
+    classify = logic.classify
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "classify", counted)
+    ds.check()
+    assert all(ds.level(f"p{i}") == 1 for i in range(n + 1))
+    assert calls[0] <= 3 * (n + 1)
+
+
+def test_a_level_conflict_names_the_first_predicate_in_load_order():
+    # Both a and b are declared level 0 and both are level 1: b by its own
+    # forall, a through b.  The error names a's clause, the first in load
+    # order, though b's is where the forall is.
+    st = state_from("a := b.\nb := forall x. x = x.\n#level b 0.\n#level a 0.\n")
+    with pytest.raises(LevelError) as exc:
+        st.defs.check()
+    assert str(exc.value) == (
+        "clause of a (line 1) has a level-1 body but a is declared level 0")
+
+
 def test_declared_level_must_be_zero_or_one():
     ds = DefSet()
     with pytest.raises(LevelError):

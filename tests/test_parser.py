@@ -225,6 +225,42 @@ def test_parse_errors_carry_location():
         parse_file("p := .")
 
 
+@pytest.mark.parametrize("parse, text, where, message", [
+    # true is a formula, never a term
+    (parse_formula, "a = true", "1:5", "expected a term, found 'true'"),
+    (parse_file, "p a.\nq (true).", "2:4", "expected a term, found 'true'"),
+    # a connective or quantifier inside a term
+    (parse_file, "p (a /\\ b).", "1:6", "expected a term, found '/\\\\'"),
+    (parse_query, "X = (a = b)", "1:8", "expected a term, found '='"),
+    (parse_term, "f (forall x. q)", "1:4", "expected a term, found 'forall'"),
+    # a λ where a formula stands, reported at its bound name
+    (parse_query, "a /\\ (x\\ b)", "1:7", "expected a formula"),
+    (parse_file, "p := q =>\n (y\\ r).", "2:3", "expected a formula"),
+    # a term whose head is not a constant where a formula stands
+    (parse_query, "exists X. X a", "1:11", "expected a formula"),
+    (parse_file, "p := X a.", "1:6", "expected a formula"),
+    (parse_formula, "(x\\ c) a", "1:2", "expected a formula"),
+    # a clause head that is not an atom, reported after the head
+    (parse_file, "X a := true.", "1:5",
+     "a clause head must be a predicate applied to terms"),
+    (parse_file, "(x\\ p) a.", "1:9",
+     "a clause head must be a predicate applied to terms"),
+])
+def test_sort_errors_carry_message_and_location(parse, text, where, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{where}: {message}"
+
+
+def test_a_sort_error_comes_before_a_later_syntax_error():
+    # The reader checks an operand's sort when its operator takes it, so
+    # the /\ inside the first argument is reported before the unclosed
+    # parenthesis at the end.
+    with pytest.raises(ParseError) as exc:
+        parse_query("p (a /\\ b) (c")
+    assert str(exc.value) == "1:6: expected a term, found '/\\\\'"
+
+
 def test_nesting_past_the_bound_is_a_parse_error():
     k = MAX_NESTING - 1  # parse_term's own level plus k parentheses
     assert parse_term("(s " * k + "z" + ")" * k).inert
