@@ -49,8 +49,16 @@ def _verdict(result, positive):
     return WRONG, f"FAILED ({result.status})"
 
 
+def register_goal(goal, st):
+    """Register the names goal calls, warning on stderr about each that no
+    loaded file gives a clause, a table mode or a level: a probable typo,
+    which would otherwise only read as an empty definition."""
+    for p in st.defs.register_formula(goal):
+        sys.stderr.write(f"% warning: {p} has no clause, #table or #level\n")
+
+
 def run_assertion(directive, st, out, filename):
-    st.defs.register_formula(directive.formula)
+    register_goal(directive.formula, st)
     kind = "assert" if directive.positive else "assert_not"
     where = f"{filename}:{directive.line}: " if filename else ""
     text = print_formula(directive.formula)
@@ -142,7 +150,7 @@ def run_query(text, st, out, max_answers=None):
     except ParseError as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE
-    st.defs.register_formula(goal)
+    register_goal(goal, st)
     result = solve(goal, st, max_answers=max_answers)
     for a in result.answers:
         out.write(a.text() + "\n")
@@ -193,7 +201,7 @@ def run_interaction(text, st, out, inp):
         except NablaCheckError as e:
             out.write(f"error: {e}\n")
             return INCONCLUSIVE, None
-    st.defs.register_formula(stmt)
+    register_goal(stmt, st)
     st.steps = 0
     count = 0
     gen = solve_iter(stmt, st)

@@ -531,7 +531,8 @@ class DefSet:
     A query that names an unregistered predicate is rejected as a probable
     typo (UndefinedPredicate; solve() reports it inconclusive) only for
     library callers: the CLI registers every name a query mentions first,
-    so `nabla-check -q "exists X. typo X"` prints `% disproved`.
+    so `nabla-check -q "exists X. typo X"` still prints `% disproved`; it
+    warns on stderr about each name register_formula finds undefined.
 
     changed lists the predicate of each clause and table mode that
     arrived, in order, and callers maps each name to the predicates whose
@@ -542,9 +543,15 @@ class DefSet:
     def __init__(self):
         self.defs: dict[str, Definition] = {}
         self.warnings: list[str] = []
-        self._checked = False
         self.changed: list[str] = []
         self.callers: dict[str, set] = {}
+        # What check() has not seen yet: the clauses, as (Definition,
+        # Clause), and the names of #level declarations that arrived since
+        # it last passed, and whether it must start over (full).
+        self._fresh = []
+        self._declared = []
+        self._full = False
+        self._warned = set()  # the predicates warnings name
         # The canonical empty predicate: `g => false` is how negation is
         # written, so it is predeclared with no clauses.
         self.ensure("false")
@@ -557,22 +564,34 @@ class DefSet:
         return d
 
     def register_formula(self, f):
+        """Register every name f calls, and return, sorted, those that have
+        no clause, no table mode and no declared level, false aside."""
+        undefined = []
         for p in formula_preds(f):
-            self.ensure(p)
+            d = self.ensure(p)
+            if not d.clauses and d.table_mode is None \
+                    and d.declared_level is None and p != "false":
+                undefined.append(p)
+        return sorted(undefined)
 
     def add_clause(self, pred, head_args, body, var_names, line=None):
-        self.ensure(pred).add_clause(Clause(head_args, body, var_names, line))
+        d = self.ensure(pred)
+        c = Clause(head_args, body, var_names, line)
+        d.add_clause(c)
+        self._fresh.append((d, c))
         self.changed.append(pred)
         for p in formula_preds(body):
             self.ensure(p)
             self.callers.setdefault(p, set()).add(pred)
-        self._checked = False
 
     def declare_level(self, pred, level):
         if level not in (0, 1):
             raise LevelError(f"level of {pred} must be 0 or 1, not {level}")
-        self.ensure(pred).declared_level = level
-        self._checked = False
+        d = self.ensure(pred)
+        if d.declared_level == 1 and level == 0:
+            self._full = True  # levels may fall, which only a new start finds
+        d.declared_level = level
+        self._declared.append(pred)
 
     def set_table(self, pred, mode):
         if mode not in ("inductive", "coinductive"):
@@ -600,51 +619,83 @@ class DefSet:
         A predicate is level 1 when it is declared so, when a clause of its
         own has a ∀ or an implication, or when a clause calls a level-1
         predicate; so the level-1 predicates are those that reach one of the
-        first two kinds through clause bodies, found in one walk over
-        callers (affected).  A predicate declared level 0 among them is an
-        error, reported for the first such predicate in load order.
+        first two kinds through clause bodies.  A predicate declared level 0
+        among them is an error, reported for the first such predicate in
+        load order.
+
+        Only what arrived since the last check that passed is looked at.
+        Levels only rise as clauses arrive, so level 1 spreads from the new
+        clauses and declarations that are level 1, the calls of level-1
+        predicates included, up callers, and stops at predicates already
+        level 1, whose callers are.  The strict pass, which needs every
+        antecedent at level 0, runs on the new clauses and on the clauses
+        of the callers of each predicate that rose.  After a check that
+        failed, or a #level 0 over a #level 1, levels may have to fall,
+        and the next check starts over from every clause.  Each check that
+        passes reports what a check of everything would.
         """
-        if self._checked:
+        if not (self._fresh or self._declared or self._full):
             return
-        own = []
-        for d in self.defs.values():
-            d.level = 0
-            if d.declared_level == 1 or any(
-                    classify(c.body, strict=False) for c in d.clauses):
-                own.append(d.pred)
-        for p in self.affected(own):
-            self.defs[p].level = 1
-        for d in self.defs.values():
-            if d.level and d.declared_level == 0:
-                lv = {p: e.level for p, e in self.defs.items()}
-                c = next(c for c in d.clauses
-                         if classify(c.body, lv, strict=False))
-                raise LevelError(
-                    f"clause of {d.pred} (line {c.line}) has a level-1 body "
-                    f"but {d.pred} is declared level 0"
-                )
+        defs = self.defs
+        fresh, declared = self._fresh, self._declared
+        if self._full:
+            for d in defs.values():
+                d.level = 0
+            fresh = [(d, c) for d in defs.values() for c in d.clauses]
+            declared = [p for p, d in defs.items()
+                        if d.declared_level is not None]
+        self._full = True  # until this check passes
+        todo = [p for p in declared if defs[p].declared_level == 1]
+        todo += [d.pred for d, c in fresh if d.level == 0 and classify(
+            c.body, strict=False, defs=defs)]
+        raised = []
+        while todo:
+            d = defs[todo.pop()]
+            if d.level == 0:
+                d.level = 1
+                raised.append(d.pred)
+                todo.extend(self.callers.get(d.pred, ()))
+        clash = {p for p in raised if defs[p].declared_level == 0}
+        clash.update(p for p in declared
+                     if defs[p].declared_level == 0 and defs[p].level)
+        if clash:
+            d = next(d for d in defs.values() if d.pred in clash)
+            lv = {p: e.level for p, e in defs.items()}
+            c = next(c for c in d.clauses
+                     if classify(c.body, lv, strict=False))
+            raise LevelError(
+                f"clause of {d.pred} (line {c.line}) has a level-1 body "
+                f"but {d.pred} is declared level 0"
+            )
         # Diagnose negation-through-recursion before the strict pass gets a
         # chance to reject the clause for level reasons: the warning is the
         # useful half of that error message.
-        self.warnings = []
-        for d in self.defs.values():
-            for c in d.clauses:
-                if d.pred in antecedent_preds(c.body):
-                    self.warnings.append(
-                        f"predicate {d.pred} occurs in the antecedent of its own "
-                        "definition; stratification is not checked"
-                    )
-                    break
+        new = {d.pred for d, c in fresh if d.pred not in self._warned
+               and d.pred in antecedent_preds(c.body)}
+        if new:
+            self._warned |= new
+            self.warnings = [
+                f"predicate {p} occurs in the antecedent of its own "
+                "definition; stratification is not checked"
+                for p in defs if p in self._warned]
         # Final strict pass: antecedents must have settled at level 0.
-        for d in self.defs.values():
-            for c in d.clauses:
-                try:
-                    classify(c.body, strict=True, defs=self.defs)
-                except IllFormedFormula as e:
-                    raise LevelError(
-                        f"clause of {d.pred} (line {c.line}): {e}"
-                    ) from None
-        self._checked = True
+        recheck = {q for p in raised for q in self.callers.get(p, ())}
+        clauses = [(d, c) for d, c in fresh if d.pred not in recheck]
+        clauses += [(defs[q], c) for q in recheck for c in defs[q].clauses]
+        ill = {}
+        for d, c in clauses:
+            try:
+                classify(c.body, strict=True, defs=defs)
+            except IllFormedFormula as e:
+                ill[c] = e
+        if ill:
+            d, c = next((d, c) for d in defs.values() for c in d.clauses
+                        if c in ill)
+            raise LevelError(
+                f"clause of {d.pred} (line {c.line}): {ill[c]}") from None
+        self._fresh = []
+        self._declared = []
+        self._full = False
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ variables; lowercase tokens are constants or predicate names, except when
 bound by forall/exists/nabla or a λ (written `x\\ body`).  `%` starts a
 comment.
 
+The lexer reads the text a line at a time, one findall per line, and
+makes no object per token: the tokens are three parallel lists, their
+texts, kinds and line numbers, and the parser holds token indices.  A
+token's column is found again, from its line's text alone, only when an
+error is reported there.
+
 Clauses, formulas and terms are one expression language, with one operator
 table (loosest first):
 
@@ -88,61 +94,76 @@ _FORMULAS = {"/\\": And, "\\/": Or, "=>": Imp, "=": Eq,
              "forall": Forall, "exists": Exists, "nabla": Nabla}
 _NAMES = {cls: op for op, cls in _FORMULAS.items()}
 _LEAVES = {"name", "uvar", "int"}  # token kinds that are operands
+_CONS = Const("::")
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
-    | (?P<directive>\#[a-z_]+)
-    | (?P<name>[a-z][A-Za-z0-9_']*)
-    | (?P<uvar>[A-Z_][A-Za-z0-9_']*)
-    | (?P<int>\d+)
-    | (?P<string>"[^"\n]*")
-    | (?P<punct>:=|::|=>|/\\|\\/|[()\\.=])
-    """,
-    re.VERBOSE,
-)
-
-
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
+# One token per match on one line: a comment, which runs to the end of the
+# line, a directive, a name, a number, a string, a two-character operator,
+# or else any one character that is not whitespace.  Every such character
+# so lands in a token, and findall skips only whitespace.
+_TOKEN = re.compile(r"""%.*|\#[a-z_]+|[A-Za-z_][A-Za-z0-9_']*|\d+|"[^"]*"|"""
+                    r""":=|::|=>|/\\|\\/|\S""")
+_findall = _TOKEN.findall
+# A token's kind by its first character.  A character missing here starts
+# a token only as a stray one, or as a number in other digits than 0-9.
+_KIND = {c: "name" for c in "abcdefghijklmnopqrstuvwxyz"}
+_KIND.update((c, "uvar") for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_KIND.update((c, "int") for c in "0123456789")
+_KIND.update((c, "punct") for c in "()\\.=:/")
+_KIND["#"] = "directive"
+_KIND['"'] = "string"
+# The first characters above that are a token alone only as a stray one:
+# no `#` without a directive name, `"` without its closing quote, `:` or `/`
+# outside an operator.
+_STRAY = {"#", '"', ":", "/"}
 
 
 def tokenize(text, filename=None):
-    tokens = []
-    line = 1
-    bol = 0  # where the current line starts
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            newlines = text.count("\n", start, pos)
-            if newlines:
-                line += newlines
-                bol = text.rindex("\n", start, pos) + 1
-        elif kind != "comment":
-            tok = m.group()
-            if kind == "name" and tok in KEYWORDS:
-                kind = "kw"
-            tokens.append(Token(kind, tok, line, start - bol + 1))
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", filename,
-                         line, pos - bol + 1)
-    tokens.append(Token("eof", "", line, pos - bol + 1))
-    return tokens
+    """The tokens of text as three parallel lists, (texts, kinds, lines):
+    each token's text, its kind (name, uvar, kw, int, string, punct,
+    directive) and its line, with an "eof" token last.  Comments and
+    whitespace leave no token.  A stray character is a ParseError, raised
+    before any parsing, at the first one in the text."""
+    texts = []
+    lines = []
+    n = 0
+    for line in text.split("\n"):
+        n += 1
+        found = _findall(line)
+        if found:
+            if found[-1][0] == "%":
+                found.pop()
+            texts += found
+            lines += [n] * len(found)
+    kind = _KIND.get
+    kinds = [kind(t[0]) for t in texts]
+    if None in kinds or not _STRAY.isdisjoint(texts):
+        for i, t in enumerate(texts):
+            if kinds[i] is None and t[0].isdecimal():
+                kinds[i] = "int"
+            elif kinds[i] is None or t in _STRAY:
+                raise ParseError(f"unexpected character {t!r}", filename,
+                                 lines[i], _column(text, texts, lines, i))
+    if not KEYWORDS.isdisjoint(texts):
+        for i, t in enumerate(texts):
+            if t in KEYWORDS:
+                kinds[i] = "kw"
+    texts.append("")
+    kinds.append("eof")
+    lines.append(n)
+    return texts, kinds, lines
+
+
+def _column(text, texts, lines, i):
+    """The column of token i, found again from the text of its line alone:
+    the start of the line's match for it, or the line's end for eof."""
+    n = lines[i]
+    line = text.split("\n", n)[n - 1]
+    if not texts[i]:  # eof
+        return len(line) + 1
+    first = i
+    while first and lines[first - 1] == n:
+        first -= 1
+    return [m.start() for m in _TOKEN.finditer(line)][i - first] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +240,10 @@ class ClauseItem:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens, filename=None):
-        self.toks = tokens
-        self.pos = 0
+    def __init__(self, text, filename=None):
+        self.texts, self.kinds, self.lines = tokenize(text, filename)
+        self.text = text
+        self.pos = 0  # the index of the current token
         self.filename = filename
         self.bound: list[str] = []  # innermost binder last
         self.clause_vars: dict[str, int] = {}  # name -> first-occurrence rank
@@ -229,29 +251,32 @@ class _Parser:
 
     # Token plumbing -------------------------------------------------------
 
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
     def expect(self, kind, text=None):
-        t = self.toks[self.pos]
-        if t.kind != kind or (text is not None and t.text != text):
-            raise self.error(f"expected {text or kind!r}, found {t.text!r}")
-        return self.next()
+        """The current token's text, once it is of this kind (and text);
+        the next token becomes current."""
+        pos = self.pos
+        found = self.texts[pos]
+        if self.kinds[pos] != kind or (text is not None and found != text):
+            raise self.error(f"expected {text or kind!r}, found {found!r}")
+        self.pos = pos + 1
+        return found
 
     def at(self, kind, text=None):
-        t = self.toks[self.pos]
-        return t.kind == kind and (text is None or t.text == text)
+        pos = self.pos
+        return self.kinds[pos] == kind and (text is None
+                                            or self.texts[pos] == text)
 
-    def error(self, message, tok=None):
-        t = self.toks[self.pos] if tok is None else tok
-        return ParseError(message, self.filename, t.line, t.col)
+    def error(self, message, i=None):
+        """A ParseError at token i, by default the current one."""
+        if i is None:
+            i = self.pos
+        return ParseError(message, self.filename, self.lines[i],
+                          _column(self.text, self.texts, self.lines, i))
 
     def finish(self, result):
         """result, once an optional closing dot and the end of input follow."""
         if self.at("punct", "."):
-            self.next()
+            self.pos += 1
         self.expect("eof")
         return result
 
@@ -263,30 +288,36 @@ class _Parser:
 
         Each operator builds its Term or Formula as soon as its operands are
         read, taking each by its sort (term or formula), and an operand
-        comes with the token an error in it is reported at.  An application
-        stays a list, head then arguments, until what takes it reads it as
-        a term or an atom.  A binder's names are in scope (self.bound) from
-        the binder to the end of its body.  Parentheses leave no node.  Each
-        open operator waits on the stack for its right operand."""
-        toks = self.toks
+        comes with the index of the token an error in it is reported at.
+        An application stays a list, head then arguments, until what takes
+        it reads it as a term or an atom.  A binder's names are in scope
+        (self.bound) from the binder to the end of its body.  Parentheses
+        leave no node.  Each open operator waits on the stack for its right
+        operand."""
+        texts = self.texts
+        kinds = self.kinds
         bound = self.bound
+        leaf = self.leaf
+        term = self.term
+        infix = _INFIX.get
         pos = self.pos
         stack = []  # (operator, token, left, left's token, context's level)
         while True:
             # An operand starts at pos.
             if depth > MAX_NESTING:
                 raise self.error(f"nested more than {MAX_NESTING} levels deep",
-                                 toks[pos])
-            t = toks[pos]
-            kind = t.kind
+                                 pos)
+            t = pos
+            kind = kinds[pos]
+            text = texts[pos]
             pos += 1
-            if t.text == "(":
+            if text == "(":
                 op, left, inner = "(", None, OPEN
-            elif kind == "kw" and t.text != "true" \
-                    and _BINDERS[t.text][1] >= level:
-                op, left, inner = t.text, [], _BINDERS[t.text][0]
-                while toks[pos].kind == "name" or toks[pos].kind == "uvar":
-                    left.append(toks[pos].text)
+            elif kind == "kw" and text != "true" \
+                    and _BINDERS[text][1] >= level:
+                op, left, inner = text, [], _BINDERS[text][0]
+                while kinds[pos] == "name" or kinds[pos] == "uvar":
+                    left.append(texts[pos])
                     pos += 1
                 self.pos = pos
                 if not left:
@@ -294,15 +325,15 @@ class _Parser:
                 self.expect("punct", ".")
                 pos = self.pos
                 bound += left
-            elif (kind == "name" or kind == "uvar") and toks[pos].text == "\\" \
+            elif (kind == "name" or kind == "uvar") and texts[pos] == "\\" \
                     and _BINDERS["\\"][1] >= level:
-                op, left, inner = "\\", t.text, OPEN
+                op, left, inner = "\\", text, OPEN
                 pos += 1
                 bound.append(left)
-            elif kind in _LEAVES or kind == "kw" and t.text == "true":
-                node, tok, op = self.leaf(t), t, None
+            elif kind in _LEAVES or kind == "kw" and text == "true":
+                node, tok, op = leaf(kind, text), t, None
             else:
-                raise self.error(f"expected a term, found {t.text!r}", t)
+                raise self.error(f"expected a term, found {text!r}", t)
             if op is not None:
                 stack.append((op, t, left, None, level))
                 level = inner
@@ -311,67 +342,64 @@ class _Parser:
             # The operand so far is node: extend it by what binds at level or
             # tighter, and close what waits for it.
             while True:
-                t = toks[pos]
-                kind = t.kind
-                if (kind in _LEAVES or t.text == "(") and level <= APP:
+                kind = kinds[pos]
+                text = texts[pos]
+                if (kind in _LEAVES or text == "(") and level <= APP:
                     if type(node) is not list:
-                        node = [self.term(node, tok)]
+                        node = [term(node, tok)]
                     if kind in _LEAVES:
-                        node.append(self.leaf(t))
+                        node.append(leaf(kind, text))
                         pos += 1
                         continue
-                    stack.append((" ", t, node, tok, level))
+                    stack.append((" ", pos, node, tok, level))
                     level = ATOM
                     break
-                if t.text in _INFIX:
-                    op = t.text
-                    row = _INFIX[op]
-                    if row[0] >= level:
-                        stack.append((op, t, node, tok, level))
-                        level = row[2]
-                        pos += 1
-                        if op in _NESTS:
-                            depth += 1
-                        break
+                row = infix(text)
+                if row is not None and row[0] >= level:
+                    stack.append((text, pos, node, tok, level))
+                    level = row[2]
+                    pos += 1
+                    if text in _NESTS:
+                        depth += 1
+                    break
                 if not stack:
                     self.pos = pos
                     return want(node, tok)
                 op, optok, left, ltok, level = stack.pop()
+                if op == "::":
+                    node = App(_CONS, (term(left, ltok), term(node, tok)))
+                    tok = optok
+                    continue
                 if op == " ":
-                    left.append(self.term(node, tok))
+                    left.append(term(node, tok))
                     node, tok = left, ltok
                     continue
                 if op == "(":
-                    if t.text != ")":
-                        raise self.error(f"expected ')', found {t.text!r}", t)
+                    if text != ")":
+                        raise self.error(f"expected ')', found {text!r}", pos)
                     pos += 1
                 else:
                     if op == "\\":
                         bound.pop()
-                        node = Lam(self.term(node, tok), left)
+                        node = Lam(term(node, tok), left)
                     elif op in _BINDERS:
                         del bound[len(bound) - len(left):]
                         node = self.formula(node, tok)
                         for name in reversed(left):
                             node = _FORMULAS[op](name, node)
                     else:
-                        sort = self.term if op == "=" or op == "::" \
-                            else self.formula
-                        lhs = sort(left, ltok)
-                        rhs = sort(node, tok)
-                        node = App(Const("::"), (lhs, rhs)) if op == "::" \
-                            else _FORMULAS[op](lhs, rhs)
+                        sort = term if op == "=" else self.formula
+                        node = _FORMULAS[op](sort(left, ltok), sort(node, tok))
                     tok = optok
                 if op in _NESTS:
                     depth -= 1
 
     # Operands by sort -------------------------------------------------------
 
-    def leaf(self, t):
+    def leaf(self, kind, name):
         """The node a name, number or true stands for, with the binders in
         scope; a free uppercase name is a clause variable, or in a query a
         Bound that query() closes."""
-        kind, name = t.kind, t.text
         if kind == "kw":  # true
             return Top()
         bound = self.bound
@@ -433,31 +461,30 @@ class _Parser:
 
     def item(self):
         """One clause, directive, or query, consuming the closing dot."""
-        t = self.toks[self.pos]
-        if t.kind == "directive":
+        if self.kinds[self.pos] == "directive":
             return self.directive()
+        line = self.lines[self.pos]
         self.clause_vars = {}
         _, head_level, body_level = _INFIX[":="]
         hname, hargs = self.expr(head_level, 0, self.head)
         body = Top()
         if self.at("punct", ":="):
-            self.next()
+            self.pos += 1
             body = self.expr(body_level, 1, self.formula)
         self.expect("punct", ".")
-        return ClauseItem(hname, hargs, body, tuple(self.clause_vars), t.line)
+        return ClauseItem(hname, hargs, body, tuple(self.clause_vars), line)
 
     def directive(self):
-        t = self.next()
-        line = t.line
-        name = t.text
+        line = self.lines[self.pos]
+        name = self.expect("directive")
         if name == "#level":
-            pred = self.expect("name").text
-            level = int(self.expect("int").text)
+            pred = self.expect("name")
+            level = int(self.expect("int"))
             self.expect("punct", ".")
             return LevelDirective(pred, level, line)
         if name == "#table":
-            mode = self.expect("name").text
-            pred = self.expect("name").text
+            mode = self.expect("name")
+            pred = self.expect("name")
             self.expect("punct", ".")
             return TableDirective(mode, pred, line)
         if name in ("#assert", "#assert_not"):
@@ -465,14 +492,14 @@ class _Parser:
             self.expect("punct", ".")
             return AssertDirective(f, name == "#assert", line)
         if name == "#include":
-            path = self.expect("string").text[1:-1]
+            path = self.expect("string")[1:-1]
             self.expect("punct", ".")
             return IncludeDirective(path, line)
         if name == "#clear_tables":
             self.expect("punct", ".")
             return ClearTablesDirective(line)
         if name == "#show_table":
-            pred = self.expect("name").text
+            pred = self.expect("name")
             self.expect("punct", ".")
             return ShowTableDirective(pred, line)
         raise self.error(f"unknown directive {name}")
@@ -496,7 +523,7 @@ def _atom_parts(node):
 
 def parse_term(text, filename=None) -> Term:
     """Parse one term.  Uppercase names become ClauseVar placeholders."""
-    p = _Parser(tokenize(text, filename), filename)
+    p = _Parser(text, filename)
     t = p.expr(OPEN, 1, p.term)
     p.expect("eof")
     return t
@@ -504,28 +531,28 @@ def parse_term(text, filename=None) -> Term:
 
 def parse_formula(text, filename=None) -> Formula:
     """Parse one formula; uppercase names stay ClauseVar placeholders."""
-    p = _Parser(tokenize(text, filename), filename)
+    p = _Parser(text, filename)
     return p.finish(p.expr(IMP, 1, p.formula))
 
 
 def parse_query(text, filename=None) -> Formula:
     """Parse a query: free uppercase names become a top-level ∃ prefix."""
-    p = _Parser(tokenize(text, filename), filename)
+    p = _Parser(text, filename)
     return p.finish(p.query())
 
 
 def parse_file(text, filename=None):
     """Parse a definition file into a list of clause and directive items."""
-    p = _Parser(tokenize(text, filename), filename)
+    p = _Parser(text, filename)
     items = []
-    while not p.at("eof"):
+    while p.kinds[p.pos] != "eof":
         items.append(p.item())
     return items
 
 
 def parse_interaction(text, filename=None):
     """Parse one REPL input: either a directive or a query formula."""
-    p = _Parser(tokenize(text, filename), filename)
+    p = _Parser(text, filename)
     if p.at("directive"):
         d = p.directive()
         p.expect("eof")
@@ -651,10 +678,15 @@ def print_term(t, prec=OPEN, keyed=False) -> str:
     set they print as name@E<id> (eigenvariables) or name@L<id> (logic
     variables) instead, a form no constant can spell; table keys use it, so
     a variable and a constant such as x_0 never share a key.
+
+    Binders take names no constant of the term spells (_const_names).  An
+    inert term holds no λ, so it skips that walk.
     """
     t = deref(t)
     if type(t) is Const:
         return t.name
+    if t.inert:
+        return _render(t, prec, (), keyed)
     return _render(t, prec, _const_names((t,)), keyed)
 
 

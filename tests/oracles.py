@@ -434,3 +434,58 @@ def adder3_expected(a, b):
 def bits3(v):
     """(b2, b1, b0) of a value < 8."""
     return ((v >> 2) & 1, (v >> 1) & 1, v & 1)
+
+
+# ---------------------------------------------------------------------------
+# Lexer positions
+# ---------------------------------------------------------------------------
+
+# One alternation per token kind, whitespace and comments included, matched
+# one after another over the whole text.
+_REFERENCE_TOKEN = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<comment>%[^\n]*)
+    | (?P<directive>\#[a-z_]+)
+    | (?P<name>[a-z][A-Za-z0-9_']*)
+    | (?P<uvar>[A-Z_][A-Za-z0-9_']*)
+    | (?P<int>\d+)
+    | (?P<string>"[^"\n]*")
+    | (?P<punct>:=|::|=>|/\\|\\/|[()\\.=])
+    """,
+    re.VERBOSE,
+)
+_REFERENCE_KEYWORDS = {"forall", "exists", "nabla", "true"}
+
+
+def reference_tokens(text):
+    """(tokens, error): the tokens of text as (kind, text, line, column),
+    an ("eof", "", line, column) token last, by one pass of matches over the
+    whole text that counts the newlines in each run of whitespace, and
+    error, None or the (message, line, column) of the first character no
+    token starts with, where the tokens stop."""
+    tokens = []
+    line = 1
+    bol = 0  # where the current line starts
+    pos = 0
+    for m in _REFERENCE_TOKEN.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "ws":
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                bol = text.rindex("\n", start, pos) + 1
+        elif kind != "comment":
+            tok = m.group()
+            if kind == "name" and tok in _REFERENCE_KEYWORDS:
+                kind = "kw"
+            tokens.append((kind, tok, line, start - bol + 1))
+    if pos < len(text):
+        return tokens, (f"unexpected character {text[pos]!r}", line,
+                        pos - bol + 1)
+    tokens.append(("eof", "", line, pos - bol + 1))
+    return tokens, None

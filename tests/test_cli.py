@@ -163,6 +163,25 @@ def test_disproved_query_is_exit_one(tmp_path):
     assert "% disproved" in out
 
 
+def test_a_name_nothing_defines_is_warned_about_on_stderr(tmp_path, capsys):
+    f = write(tmp_path, "m.def", MEMB + "#table inductive tab.\n"
+              "#assert_not exists X. memb X nil /\\ tab X /\\ typo2 X.\n")
+    code, out = run_cli([f, "-q", "exists X. typo X \\/ memb X nil",
+                         "-q", "memb a nil => false"])
+    assert code == 1
+    assert out.splitlines() == [
+        f"{f}:4: assert_not exists X. memb X nil /\\ tab X /\\ typo2 X ... ok",
+        "% disproved",
+        "yes",
+        "% proved (1 answer)",
+    ]
+    # One line per name, in the order of the goals; memb has clauses, tab
+    # a table mode, and false is the empty predicate on purpose.
+    assert capsys.readouterr().err == (
+        "% warning: typo2 has no clause, #table or #level\n"
+        "% warning: typo has no clause, #table or #level\n")
+
+
 def test_max_answers_limits_enumeration(tmp_path):
     f = write(tmp_path, "m.def", MEMB)
     code, out = run_cli(

@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from conftest import run, state_from
+from conftest import run, run_cli, state_from
 from nablacheck.engine import State
 
 import nablacheck.engine as engine
@@ -104,6 +104,50 @@ def test_level_inference_classifies_each_clause_a_bounded_number_of_times(
     ds.check()
     assert all(ds.level(f"p{i}") == 1 for i in range(n + 1))
     assert calls[0] <= 3 * (n + 1)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_checks_between_clauses_classify_only_what_arrived(
+        monkeypatch, tmp_path, n):
+    # e0 a. #assert e0 a. e1 a. #assert e1 a. ...  Each assertion checks
+    # the definitions first; a check of every clause made n(n+1) classify
+    # calls here (1,001,000 at n = 1,000), one of what arrived a few per
+    # clause.
+    text = "".join(f"e{i} a.\n#assert e{i} a.\n" for i in range(n))
+    calls = [0]
+    classify = logic.classify
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "classify", counted)
+    path = tmp_path / "alternating.def"
+    path.write_text(text)
+    code, out = run_cli([str(path)])
+    assert code == 0
+    assert out.count(" ... ok\n") == n
+    assert calls[0] <= 3 * n
+
+
+def test_a_check_after_new_clauses_finds_what_a_full_check_finds():
+    # Level 1 reaches an old caller through a clause that arrives later,
+    # and a #level 0 over a #level 1 lets levels fall again.
+    ds = state_from("q := r.\np := (q => false).\n").defs
+    ds.check()
+    assert ds.level("q") == 0
+    ds.add_clause("r", (), Forall("x", Top()), (), 3)
+    with pytest.raises(LevelError, match=r"clause of p \(line 2\): the ant"):
+        ds.check()
+    with pytest.raises(LevelError):  # the same error, from a new start
+        ds.check()
+    assert ds.level("q") == 1
+    ds = _defs("s := t.\n#level t 1.\n")
+    ds.check()
+    assert ds.level("s") == 1
+    ds.declare_level("t", 0)
+    ds.check()
+    assert ds.level("s") == ds.level("t") == 0
 
 
 def test_a_level_conflict_names_the_first_predicate_in_load_order():

@@ -28,6 +28,7 @@ from nablacheck.parser import (
 )
 from nablacheck.terms import struct_eq
 
+import oracles
 from conftest import run_child
 
 
@@ -223,6 +224,74 @@ def test_parse_errors_carry_location():
         parse_term("f (a")
     with pytest.raises(ParseError):
         parse_file("p := .")
+
+
+def test_the_end_of_input_is_reported_after_the_last_line():
+    # eof stands after the last character: on a line of its own after a
+    # trailing newline, and past a trailing comment.
+    with pytest.raises(ParseError) as exc:
+        parse_file("p a.\nq b\n")
+    assert str(exc.value) == "3:1: expected '.', found ''"
+    with pytest.raises(ParseError) as exc:
+        parse_file("p a.\nq b % no dot\n% last")
+    assert str(exc.value) == "3:7: expected '.', found ''"
+    with pytest.raises(ParseError) as exc:
+        parse_term("f (a %c")
+    assert str(exc.value) == "1:8: expected ')', found ''"
+
+
+# Pieces of input: every kind of token, whitespace and line breaks, blank
+# lines, comments, strings, and characters no token starts with.
+_PIECES = [
+    "p", "memb", "x", "f", "a", "nil", "z", "s", "X", "Y", "_acc", "x'",
+    "0", "12", "\u0663", "forall", "exists", "nabla", "true",
+    "(", ")", "\\", ".", "=", ":=", "::", "=>", "/\\", "\\/",
+    "#assert", "#assert_not", "#table", "#level", "#include", "#show_table",
+    "#clear_tables", "#bogus", "inductive", '"lib.def"', '""', '"a % b"',
+    "% a comment", "%", "\n", "\n\n", "\n  \n", " ", "\t", "\r\n",
+    ":", "/", "#", "#A", '"x', "@", "\u00e9",
+    "p a.\n", "memb X (X::L).\n", "q := forall x. p x => false.\n",
+    "#assert exists X. memb X (a::nil).\n",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(hs.lists(hs.tuples(hs.sampled_from(_PIECES),
+                          hs.sampled_from(["", " ", "\n"])), max_size=24))
+def test_tokens_and_error_positions_agree_with_the_reference_lexer(pieces):
+    # tests/oracles.py keeps the lexer that made a Token per match over the
+    # whole text.  Token texts, kinds and lines must be its own, and every
+    # ParseError, the lexer's or the parser's, must stand where the
+    # reference puts the token it names.
+    text = "".join(piece + sep for piece, sep in pieces)
+    tokens, error = oracles.reference_tokens(text)
+    blamed = []
+    column = parser._column
+
+    def recorded(text, texts, lines, i):
+        blamed.append(i)
+        return column(text, texts, lines, i)
+
+    parser._column = recorded
+    try:
+        if error is not None:
+            with pytest.raises(ParseError) as exc:
+                parser.tokenize(text, "t.def")
+            message, line, col = error
+            assert str(exc.value) == f"t.def:{line}:{col}: {message}"
+            return
+        texts, kinds, lines = parser.tokenize(text, "t.def")
+        assert list(zip(kinds, texts, lines)) == [t[:3] for t in tokens]
+        for parse in (parse_file, parse_query, parse_term, parse_formula,
+                      parse_interaction):
+            blamed.clear()
+            try:
+                parse(text, "t.def")
+            except ParseError as e:
+                _, _, line, col = tokens[blamed[-1]]
+                assert (e.line, e.column) == (line, col)
+    finally:
+        parser._column = column
 
 
 @pytest.mark.parametrize("parse, text, where, message", [
