@@ -19,7 +19,7 @@ from .parser import (
     print_formula,
     print_term,
 )
-from .terms import BACKEND, Signature, equal_modulo, normalize
+from .terms import BACKEND, equal_modulo, normalize
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "DefSet",
     "Answer",
     "Result",
-    "Signature",
     "State",
     "__version__",
     "classify",

@@ -102,6 +102,9 @@ def _open(path, paths, files, out):
     except (OSError, ParseError) as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE
+    except ValueError as e:  # text that is not UTF-8, or a NUL in the path
+        out.write(f"error: {path}: {e}\n")
+        return INCONCLUSIVE
     paths.append(path)
     files.append(iter(items))
     return OK
@@ -202,7 +205,6 @@ def run_interaction(text, st, out, inp):
             out.write(f"error: {e}\n")
             return INCONCLUSIVE, None
     register_goal(stmt, st)
-    st.steps = 0
     count = 0
     gen = solve_iter(stmt, st)
     try:
@@ -313,6 +315,19 @@ def main(argv=None):
         tabling=not args.no_tabling,
         trace=sys.stderr if args.trace else None,
     )
+    try:
+        worst = _run(args, st, out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone: point stdout at devnull, so that
+        # the flush at exit stays silent (the signal module's docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return INCONCLUSIVE
+    return worst
+
+
+def _run(args, st, out):
+    """main's work once its options are read; returns the exit code."""
     worst = OK
     warned = set()
     for path in args.files:

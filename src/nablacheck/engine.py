@@ -69,10 +69,9 @@ from .logic import (
     AND, APP, ATOM, EQ, EXISTS, FORALL, IMP, KEY, NABLA, OR, REST, TERM, TOP,
     DefSet, compile_goal, formula_terms, unfold,
 )
-from .nodes import Const, NablaIndex, Lam, App, Var
+from .nodes import App, Const, EigenVar, Lam, LogicVar, NablaIndex, Var
 from .terms import (
     DEFAULT_NORM_BUDGET,
-    Signature,
     _rebuild,
     deref,
     has_unbound_logic_var,
@@ -127,15 +126,30 @@ __all__ = [
 class State:
     """Everything one proof search mutates, plus its resource limits.
 
+    The level discipline: a fresh variable records its place in the order
+    of introductions (global level) and nabla_depth, the number of
+    ∇-binders in scope (local level).  It may later depend exactly on the
+    eigenvariables of a smaller global level and the ∇-indices below its
+    local level; the unifier enforces this.  next_id, the one introduction
+    counter, gives each variable its id and a quantifier's variable
+    (fresh_logic, fresh_eigen) its global level too; pruning copies
+    existing levels (fresh_at).  Level tests only compare two variables,
+    and along a branch a later variable gets the larger number whether the
+    count is rewound or not: a rewind would only reuse the numbers of
+    variables no live term reaches, so none is made, and ids also name
+    variables for printing and table keys.  Under ∀x.∃Y.∇n.∀z a fresh
+    State introduces x^{0,0}, Y^{1,0}, #0, z^{2,1}.
+
     trail lists the variables bound, most recent last.  A checkpoint is
-    (trail length, ∇ depth): undo_to() unbinds what was bound since and
-    restores the depth.  The id counter is never rewound (terms.py).
-    prove() does the same inline where it is hot: unfolding a call and
-    backtracking.
+    (trail length, nabla_depth): undo_to() unbinds what was bound since and
+    restores the depth, and nothing else lowers it; prove() does the same
+    inline when it unfolds a call and when it backtracks.  steps counts the
+    current query's dispatches against max_steps, from 0 (solve_iter).
     """
 
     __slots__ = (
-        "sig",
+        "nabla_depth",
+        "next_id",
         "trail",
         "defs",
         "tables",
@@ -156,7 +170,8 @@ class State:
         tabling=True,
         trace=None,
     ):
-        self.sig = Signature()
+        self.nabla_depth = 0
+        self.next_id = 0
         self.trail = []
         self.defs = defs if defs is not None else DefSet()
         self.tables = {}
@@ -168,12 +183,24 @@ class State:
         self.tabling_enabled = tabling
         self.trace = trace
 
+    def fresh_logic(self, name="H"):
+        return self.fresh_at(LogicVar, name, self.next_id, self.nabla_depth)
+
+    def fresh_eigen(self, name="h"):
+        return self.fresh_at(EigenVar, name, self.next_id, self.nabla_depth)
+
+    def fresh_at(self, cls, name, global_level, local_level):
+        """A fresh variable of class cls with explicit levels."""
+        i = self.next_id
+        self.next_id = i + 1
+        return cls(name, i, global_level, local_level)
+
     def checkpoint(self):
-        return (len(self.trail), self.sig.nabla_depth)
+        return (len(self.trail), self.nabla_depth)
 
     def undo_to(self, cp):
         undo_to(self.trail, cp[0])
-        self.sig.nabla_depth = cp[1]
+        self.nabla_depth = cp[1]
 
 
 def _too_many(st):
@@ -199,13 +226,12 @@ def prove(goal, st, mode=ONE, env=None):
     antecedent's own quantifiers universally.  ONE adds ∀ and implication,
     and hands each level-0 atom to RIGHT0 as a dispatch of its own.
     """
-    sig = st.sig
     trail = st.trail  # for checkpoints taken inline; see State
     trace = st.trace
     max_steps = st.max_steps
     steps = st.steps  # counted here, stored back at each yield and exit
     close = logic.replace_clause_vars  # read here, so a wrapper applies
-    base = (len(trail), sig.nabla_depth)
+    base = (len(trail), st.nabla_depth)
     goals = (goal, {} if env is None else env, mode, None)
     cps = []
     try:
@@ -222,7 +248,7 @@ def prove(goal, st, mode=ONE, env=None):
                 if mode == _CASE:
                     b, imp = g
                     cps.append((_CASE_BARRIER, st.checkpoint(), imp,
-                                sig.next_id, None))
+                                st.next_id, None))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
                     goals = (b, env, ONE, (len(cps) - 1, None, _HELD, None))
@@ -297,7 +323,7 @@ def prove(goal, st, mode=ONE, env=None):
                         if item is not False:
                             _open_production(call, item, defn, st, cps, goals)
                     else:
-                        cp = (len(trail), sig.nabla_depth)
+                        cp = (len(trail), st.nabla_depth)
                         alts = unfold(defn, args, st, mode == LEFT0)
                         item = next(alts, None)
                         if item is not None:
@@ -322,9 +348,9 @@ def prove(goal, st, mode=ONE, env=None):
                         continue
                 elif tag == EXISTS:
                     if mode == LEFT0:
-                        env[g[3]] = sig.fresh_eigen(g[1].name)
+                        env[g[3]] = st.fresh_eigen(g[1].name)
                     else:
-                        env[g[3]] = sig.fresh_logic(g[1].name)
+                        env[g[3]] = st.fresh_logic(g[1].name)
                     goals = (g[4], env, mode, goals)
                     continue
                 elif tag == OR:
@@ -337,8 +363,8 @@ def prove(goal, st, mode=ONE, env=None):
                 elif tag == TOP:
                     continue
                 elif tag == NABLA:
-                    d = sig.nabla_depth
-                    sig.nabla_depth = d + 1
+                    d = st.nabla_depth
+                    st.nabla_depth = d + 1
                     env[g[3]] = NablaIndex(d)
                     goals = (g[4], env, mode, goals)
                     continue
@@ -348,7 +374,7 @@ def prove(goal, st, mode=ONE, env=None):
                     raise LevelError(
                         f"{type(g[1]).__name__} is not a level-0 connective")
                 elif tag == FORALL:
-                    env[g[3]] = sig.fresh_eigen(g[1].name)
+                    env[g[3]] = st.fresh_eigen(g[1].name)
                     goals = (g[4], env, mode, goals)
                     continue
                 else:  # IMP
@@ -370,7 +396,7 @@ def prove(goal, st, mode=ONE, env=None):
             # Backtrack to the newest choice point that has an alternative.
             while cps:
                 cp = cps.pop()
-                mark, sig.nabla_depth = cp[1]
+                mark, st.nabla_depth = cp[1]
                 undo_to(trail, mark)
                 kind = cp[0]
                 if kind == _CLAUSES:
@@ -398,8 +424,7 @@ def prove(goal, st, mode=ONE, env=None):
         for cp in reversed(cps):
             if cp[0] == _PRODUCTION:
                 cp[2].close()
-        mark, sig.nabla_depth = base
-        undo_to(trail, mark)
+        st.undo_to(base)
 
 
 def _values(scope, env):
@@ -530,8 +555,10 @@ def solve_iter(goal, st):
     term walker recurses, so no term or proof is too deep for the
     interpreter's stack.  Tables a changed definition may have made stale
     are dropped first, and one walk over the goal finds its level and its
-    first unknown name (classify).
+    first unknown name (classify).  Each query has a step budget of its
+    own: st.steps counts from 0 here.
     """
+    st.steps = 0
     st.defs.check()
     tabling.drop_stale_tables(st)
     level, g = compile_goal(goal, st.defs.defs)
@@ -542,7 +569,7 @@ def solve_iter(goal, st):
     try:
         while g[0] == EXISTS:
             name = g[1].name
-            v = env[g[3]] = st.sig.fresh_logic(name)
+            v = env[g[3]] = st.fresh_logic(name)
             names.append(name)
             variables.append(v)
             g = g[4]
@@ -559,7 +586,6 @@ def solve(goal, st, max_answers=None):
     exhausted with none.  inconclusive: the search hit a resource limit or
     left the decidable fragment, with the offending error attached.
     """
-    st.steps = 0
     answers = []
     error = None
     gen = solve_iter(goal, st)

@@ -147,25 +147,26 @@ def formula_terms(f):
 
 
 def formula_preds(f, acc=None):
-    """All predicate names occurring in f."""
-    acc = set() if acc is None else acc
+    """All predicate names occurring in f, as dict keys in source order,
+    left before right, so that DefSet.defs keeps load order."""
+    acc = {} if acc is None else acc
     stack = [f]
     while stack:
         g = stack.pop()
         tg = type(g)
         if tg is Atom:
-            acc.add(g.pred)
+            acc[g.pred] = None
         elif tg is And or tg is Or or tg is Imp:
-            stack.append(g.left)
             stack.append(g.right)
+            stack.append(g.left)
         elif tg is Exists or tg is Forall or tg is Nabla:
             stack.append(g.body)
     return acc
 
 
 def antecedent_preds(f, acc=None):
-    """Predicate names occurring inside some implication antecedent of f."""
-    acc = set() if acc is None else acc
+    """formula_preds of the implication antecedents inside f."""
+    acc = {} if acc is None else acc
     stack = [f]
     while stack:
         g = stack.pop()
@@ -858,7 +859,9 @@ def unfold(defn, args, st, left=False):
     when the clause does not match and when the consumer moves on to the
     next clause, not when the generator is dropped: a consumer that stops
     early restores its own checkpoint, so the prover may drop the
-    generator once the last candidate is yielded.
+    generator once the last candidate is yielded.  The ∇ depth is left to
+    the consumer, which restores it with its checkpoint before it resumes
+    the generator; matching never moves it.
     Verdicts, answers, their order and step counts are those of renaming
     every clause and unifying each head argument; only the ids of fresh
     variables differ.
@@ -881,8 +884,7 @@ def unfold(defn, args, st, left=False):
             if not clauses:
                 return
         args = (first, *args[1:])
-    sig = st.sig
-    fresh = sig.fresh_eigen if left else sig.fresh_logic
+    fresh = st.fresh_eigen if left else st.fresh_logic
     # The first clause needs no check: none comes before it to be the last.
     last = len(clauses) - 1
     while last > 0:
@@ -894,7 +896,6 @@ def unfold(defn, args, st, left=False):
     final = clauses[last]
     trail = st.trail  # checkpoints taken inline; see engine.State
     mark = len(trail)
-    depth = sig.nabla_depth
     for clause in clauses:
         var_names = clause.var_names
         env = {}
@@ -904,7 +905,6 @@ def unfold(defn, args, st, left=False):
                 _fresh_rest(env, var_names, fresh)
             yield clause.code, env, clause is final
         undo_to(trail, mark)
-        sig.nabla_depth = depth
         if clause is final:
             return
 
@@ -923,7 +923,6 @@ def _match(steps, pats, values, first, env, st, left, var_names):
     being matched: a _Struct step met by an application starts on its
     fields, and an exhausted iterator resumes the one below it.
     """
-    sig = st.sig
     trail = st.trail
     its = []  # the iterators of the applications suspended
     it = zip(steps, pats, values)
@@ -953,7 +952,7 @@ def _match(steps, pats, values, first, env, st, left, var_names):
                 # η-expansion: the binder names printed stay unify's.
                 if pat.name not in env and (a.inert or (
                         a.normal and ta is not Lam
-                        and a.lbound <= sig.nabla_depth)):
+                        and a.lbound <= st.nabla_depth)):
                     env[pat.name] = a
                     continue
             elif step is _VALUE:
@@ -983,7 +982,7 @@ def _match(steps, pats, values, first, env, st, left, var_names):
                     return False
             elif is_flex(a, left):
                 if step.writable:
-                    t = _build(step, pat, env, sig, left, a)
+                    t = _build(step, pat, env, st, left, a)
                     if t is not None:
                         bind(a, t, trail)
                         continue
@@ -991,7 +990,7 @@ def _match(steps, pats, values, first, env, st, left, var_names):
                 return False
             if len(env) < len(var_names):
                 _fresh_rest(env, var_names,
-                            sig.fresh_eigen if left else sig.fresh_logic)
+                            st.fresh_eigen if left else st.fresh_logic)
             if not unify(replace_clause_vars(pat, env), a, st,
                          instantiate_eigen=left):
                 return False
@@ -1031,7 +1030,7 @@ def _rules_out(steps, pats, values):
             it = its.pop()
 
 
-def _build(step, pat, env, sig, left, a):
+def _build(step, pat, env, st, left, a):
     """The term unify binds the unbound variable a to when it meets the
     pattern of a writable _Struct step, or None when unify is needed.
     Each first occurrence becomes a new variable at a's global level and
@@ -1044,7 +1043,7 @@ def _build(step, pat, env, sig, left, a):
     iterators."""
     kind = EigenVar if left else LogicVar
     g = a.global_level
-    l = min(a.local_level, sig.nabla_depth)
+    l = min(a.local_level, st.nabla_depth)
     made = set()  # the names given a new variable here
     its = []  # (iterator, pattern) of the applications suspended
     it = zip(step.steps, pat.args)
@@ -1052,7 +1051,7 @@ def _build(step, pat, env, sig, left, a):
     while True:
         for sub, p in it:
             if sub is _FIRST:
-                p = env[p.name] = sig.fresh_at(kind, p.name, g, l)
+                p = env[p.name] = st.fresh_at(kind, p.name, g, l)
                 made.add(p.name)
             elif sub is _VALUE:
                 name = p.name

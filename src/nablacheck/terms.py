@@ -1,21 +1,9 @@
-"""Term-level operations: signatures, fresh variables, normal forms, equality.
+"""The term kernel: reduction, normal forms, equality, free variables.
 
-The (global, local) annotation discipline: a fresh variable records its
-place in the order of introductions (global level) and the number of
-∇-binders in scope (local level).  A variable may later depend exactly on
-the eigenvariables with a strictly smaller global level and the ∇-indices
-below its local level; the unifier enforces this.
+The reduction kernel is deref, shift, _nf and eta_contract.  It holds no
+state: fresh variables, their levels and the ∇ depth belong to the proof
+search (engine.State).
 
-A quantifier's variable takes its id, from the Signature's one counter, as
-its global level.  Every level test compares two variables, or a variable
-with one made now, so only the order matters, and along a branch a later
-variable gets the larger number whether the count is rewound on
-backtracking or not.  A rewind would only reuse the numbers of variables
-that no live term can reach, so the counter never needs one.  Pruning
-copies existing levels instead (fresh_at).  So on a fresh Signature, under
-the prefix ∀x.∃Y.∇n.∀z the introductions are x^{0,0}, Y^{1,0}, #0, z^{2,1}.
-
-This module is also the reduction kernel (deref, shift, _nf, eta_contract).
 Bindings of variables are always λ-closed (the unifier abstracts pattern
 arguments before binding), so shift and _subst_fuel treat every Var
 atomically.
@@ -53,7 +41,6 @@ from .nodes import (
 )
 
 __all__ = [
-    "Signature",
     "DEFAULT_NORM_BUDGET",
     "normalize",
     "normalize_eta",
@@ -68,34 +55,6 @@ __all__ = [
 
 BACKEND = "pure"  # stamped on benchmark results; the only reduction kernel
 DEFAULT_NORM_BUDGET = 100000
-
-
-class Signature:
-    """Introduction state of one proof search.
-
-    next_id, the one introduction counter, gives each variable its id, and
-    a quantifier's variable its global level too; it is never rewound, so
-    ids also identify variables for printing and table keys.  nabla_depth
-    is the number of ∇-binders in scope, which checkpoints restore.
-    """
-
-    __slots__ = ("nabla_depth", "next_id")
-
-    def __init__(self):
-        self.nabla_depth = 0
-        self.next_id = 0
-
-    def fresh_logic(self, name="H"):
-        return self.fresh_at(LogicVar, name, self.next_id, self.nabla_depth)
-
-    def fresh_eigen(self, name="h"):
-        return self.fresh_at(EigenVar, name, self.next_id, self.nabla_depth)
-
-    def fresh_at(self, cls, name, global_level, local_level):
-        """A fresh variable of class cls with explicit levels."""
-        i = self.next_id
-        self.next_id = i + 1
-        return cls(name, i, global_level, local_level)
 
 
 def deref(t):

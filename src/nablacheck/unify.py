@@ -360,7 +360,7 @@ def _prune_flex(h, hargs, f, fargs, depth, st, lhs, rhs):
     )
     if within_levels and len(survivors) == len(hargs):
         return app(h, tuple(tr for _, tr in survivors))
-    hp = st.sig.fresh_at(
+    hp = st.fresh_at(
         type(h),
         h.name,
         min(f.global_level, h.global_level),
@@ -386,7 +386,7 @@ def _same_var(f, targs, sargs, st, lhs, rhs):
     ]
     if len(kept) == n:
         return  # identical flex terms, nothing to do
-    k = st.sig.fresh_at(type(f), f.name, f.global_level, f.local_level)
+    k = st.fresh_at(type(f), f.name, f.global_level, f.local_level)
     body = app(k, tuple(Bound(n - 1 - i) for i in kept))
     bind(f, _wrap_lams(body, n), st.trail)
 
@@ -408,7 +408,7 @@ def _flex_flex(f, targs, h, sargs, st, lhs, rhs):
     g = min(f.global_level, h.global_level)
     l = min(f.local_level, h.local_level)
     cls = LogicVar if type(f) is LogicVar else type(h)
-    k = st.sig.fresh_at(cls, f.name, g, l)
+    k = st.fresh_at(cls, f.name, g, l)
     tkeys = [_atom_key(a) for a in targs]
     skeys = [_atom_key(a) for a in sargs]
     sel = []

@@ -214,9 +214,9 @@ def _unification_universe(st, x_var, y_var):
 
 def test_criterion_3_unification_matches_ground_oracle():
     st = State()
-    x_var = st.sig.fresh_logic("X")
-    y_var = st.sig.fresh_logic("Y")
-    st.sig.nabla_depth = 1  # #0 exists but predates neither variable
+    x_var = st.fresh_logic("X")
+    y_var = st.fresh_logic("Y")
+    st.nabla_depth = 1  # #0 exists but predates neither variable
     terms = _unification_universe(st, x_var, y_var)
     pairs = list(itertools.product(terms, repeat=2))
 

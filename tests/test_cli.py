@@ -62,6 +62,38 @@ def test_missing_file(tmp_path):
     assert out.startswith("error:")
 
 
+def test_a_file_that_is_not_utf8_is_an_error(tmp_path):
+    (tmp_path / "bad.def").write_bytes(b"p a.\n\xff\xfe\n")
+    code, out = run_cli([str(tmp_path / "bad.def")])
+    assert code == 2
+    assert out.startswith(f"error: {tmp_path / 'bad.def'}: 'utf-8' codec")
+
+
+def test_an_include_that_is_not_utf8_is_an_error_and_the_includer_goes_on(
+        tmp_path):
+    (tmp_path / "bad.def").write_bytes(b"p a.\n\xff\xfe\n")
+    f = write(tmp_path, "inc.def", '#include "bad.def".\n#assert a = a.\n')
+    code, out = run_cli([f])
+    assert code == 2
+    assert out.startswith(f"error: {tmp_path / 'bad.def'}: 'utf-8' codec")
+    assert f"{f}:2: assert a = a ... ok" in out
+
+
+def test_an_include_path_with_a_nul_byte_is_an_error(tmp_path):
+    f = write(tmp_path, "nul.def", '#include "a\0b.def".\n#assert a = a.\n')
+    code, out = run_cli([f])
+    assert code == 2
+    assert "embedded null byte" in out
+    assert f"{f}:2: assert a = a ... ok" in out
+
+
+def test_an_out_of_range_level_skips_the_rest_of_its_file(tmp_path):
+    f = write(tmp_path, "f.def", "#level p 2.\n#assert a = a.\n")
+    code, out = run_cli([f])
+    assert code == 2
+    assert out == f"error: {f}:1: level of p must be 0 or 1, not 2\n"
+
+
 def test_parse_error_reports_location(tmp_path):
     f = write(tmp_path, "syn.def", "p a.\nq :=\n")
     code, out = run_cli([f])
@@ -154,6 +186,23 @@ def test_python_dash_m_nablacheck_runs_the_command(tmp_path):
     assert proc.stdout == out
     assert "X = b" in out and "% disproved" in out
     assert proc.stderr == ""
+
+
+def test_a_closed_stdout_is_exit_two_without_a_traceback(tmp_path):
+    f = write(tmp_path, "p.def", "p a.\n")
+    r, w = os.pipe()
+    os.close(r)  # nobody reads: the first write meets a broken pipe
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nablacheck", f, "-q", "p X"],
+            stdout=w, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_disproved_query_is_exit_one(tmp_path):
@@ -293,6 +342,24 @@ def test_declared_level_conflicts_are_errors(tmp_path):
     assert code == 2 and "error:" in out
 
 
+def test_a_level_conflict_names_the_first_predicate_under_any_hash_seed(
+        tmp_path):
+    # b and c are first met in a's body; the one in load order is b.
+    f = write(tmp_path, "seed.def",
+              "a := b /\\ c.\nb := forall x. x = x.\nc := forall x. x = x.\n"
+              "#level b 0.\n#level c 0.\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
+    for seed in range(1, 7):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nablacheck", f], capture_output=True,
+            text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ("error: clause of b (line 2) has a level-1 "
+                               "body but b is declared level 0\n"), seed
+
+
 # ---------------------------------------------------------------------------
 # Tables after a definition changes
 # ---------------------------------------------------------------------------
@@ -424,6 +491,12 @@ def test_repl_skips_comment_lines():
     code, out = run_cli([], stdin_text="% just a comment\na = a.\n;\n")
     assert code == 0
     assert "no more." in out
+
+
+def test_repl_reports_an_out_of_range_level():
+    code, out = run_cli([], stdin_text="#level p 2.\n")
+    assert code == 2
+    assert "error: level of p must be 0 or 1, not 2\n" in out
 
 
 def test_repl_error_statement_is_exit_two():

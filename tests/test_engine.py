@@ -438,6 +438,33 @@ def test_open_choice_points_are_bounded():
     assert r.steps <= engine.MAX_CHOICE_POINTS + 2
 
 
+# Each program below opens choice points of one kind only, or, for an
+# implication, its barrier and then its case's barrier, so the bound is
+# met where that kind of choice point is pushed.
+@pytest.mark.parametrize("program, query, bound", [
+    ("d := d \\/ a = a.", "d", 5),  # a disjunction's right side
+    ("i := a = a => i.", "i", 2),  # an implication's barrier
+    ("i := a = a => i.", "i", 1),  # a case's barrier
+    ("#table inductive t.\nt X := t (s X).", "t z", 5),  # a production
+])
+def test_every_kind_of_choice_point_is_bounded(
+        monkeypatch, program, query, bound):
+    monkeypatch.setattr(engine, "MAX_CHOICE_POINTS", bound)
+    r = run(state_from(program), query)
+    assert r.inconclusive
+    assert isinstance(r.error, BudgetExceeded)
+    assert "choice points" in str(r.error)
+
+
+def test_each_query_of_solve_iter_has_a_budget_of_its_own():
+    # The query takes 32 steps: five runs on one budget of 100 all prove.
+    st = state_from("nat z.\nnat (s X) := nat X.", max_steps=100)
+    goal = parse_query("nat " + "(s " * 30 + "z" + ")" * 30)
+    for _ in range(5):
+        assert len(list(solve_iter(goal, st))) == 1
+        assert st.steps == 32
+
+
 def test_deterministic_descent_keeps_no_choice_point_and_ends_at_the_budget():
     # One clause: every call is deterministic, so the descent is bounded by
     # the step budget alone, however deep it goes.

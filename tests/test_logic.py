@@ -193,7 +193,7 @@ def test_false_is_predeclared_and_empty():
 
 def test_formula_preds():
     f = parse_formula("forall X. p X a => q X \\/ r b")
-    assert formula_preds(f) == {"p", "q", "r"}
+    assert list(formula_preds(f)) == ["p", "q", "r"]  # source order
 
 
 # Closing a stored clause body: (body of `c Y := ...`, how many of its
@@ -227,7 +227,7 @@ def test_closing_reads_binder_slots_and_keeps_inner_indices():
 
 def test_unfold_enumerates_clauses_in_source_order():
     st = state_from("memb X (X::L).\nmemb X (Y::L) := memb X L.")
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     goal_args = (
         x,
         Const("nil"),
@@ -238,7 +238,7 @@ def test_unfold_enumerates_clauses_in_source_order():
 
 def test_unfold_binds_and_unbinds_across_alternatives():
     st = state_from("p a.\np b.")
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     seen = []
     for body, _, _ in unfold(st.defs.defs["p"], (x,), st):
         assert body[0] == logic.TOP and isinstance(body[1], Top)
@@ -256,7 +256,7 @@ def test_unfold_marks_the_last_candidate_clause():
     fib, p, q = (st.defs.defs[name] for name in ("fib", "p", "q"))
     one = App(Const("s"), (Const("z"),))
     assert [last for _, _, last in unfold(fib, (one,), st)] == [True]
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     sx = App(Const("s"), (x,))
     assert [last for _, _, last in unfold(fib, (sx,), st)] == [False, True]
     assert [last for _, _, last in unfold(p, (x,), st)] == [False, True]
@@ -271,8 +271,8 @@ def test_unfold_marks_the_last_candidate_clause():
 
 def test_unfold_shares_one_fresh_var_per_clause_variable():
     st = state_from("pair X X.")
-    u = st.sig.fresh_logic("U")
-    v = st.sig.fresh_logic("V")
+    u = st.fresh_logic("U")
+    v = st.fresh_logic("V")
     hits = 0
     for _ in unfold(st.defs.defs["pair"], (u, v), st):
         hits += 1
@@ -290,7 +290,7 @@ def test_unfold_filters_clauses_by_arity():
 
 def test_unfold_left_mode_instantiates_eigenvariables():
     st = state_from("p a.")
-    e = st.sig.fresh_eigen("x")
+    e = st.fresh_eigen("x")
     assert list(unfold(st.defs.defs["p"], (e,), st)) == []
     got = []
     for _ in unfold(st.defs.defs["p"], (e,), st, left=True):
@@ -300,8 +300,8 @@ def test_unfold_left_mode_instantiates_eigenvariables():
 
 def test_clause_body_sees_head_bindings():
     st = state_from("q X (f X) := r X.")
-    y = st.sig.fresh_logic("Y")
-    z = st.sig.fresh_logic("Z")
+    y = st.fresh_logic("Y")
+    z = st.fresh_logic("Z")
     st.defs.ensure("r")
     hits = 0
     for body, env, _ in unfold(st.defs.defs["q"], (y, z), st):
@@ -320,7 +320,7 @@ def test_unfold_yields_the_stored_body_uncopied():
     # closes each atom's arguments when it dispatches the atom.
     conjuncts = " /\\ ".join(["q X"] * 200)
     st = state_from(f"big X := {conjuncts}.\nq a.")
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     (body, env, last), = unfold(st.defs.defs["big"], (x,), st)
     assert body is st.defs.defs["big"].clauses[0].code
     assert env == {"X": x} and last
@@ -332,7 +332,7 @@ def test_unfold_yields_the_stored_body_uncopied():
 
 def _every_clause(defn, args, st, left=False):
     """Reference unfold: rename and head-unify every clause, no index."""
-    fresh = st.sig.fresh_eigen if left else st.sig.fresh_logic
+    fresh = st.fresh_eigen if left else st.fresh_logic
     mark = st.checkpoint()
     for clause in defn.clauses:
         if len(clause.head_args) != len(args):
@@ -494,7 +494,7 @@ _ARITY_HEADS = ["a", "b", "z", "(s a)", "(s X)", "(X::L)", "(f X Y)", "X",
 
 def _call_arg(name, st):
     if name == "V":
-        return st.sig.fresh_logic("V")
+        return st.fresh_logic("V")
     if name.startswith("s "):
         return App(Const("s"), (Const(name[2:]),))
     return Const(name)
@@ -695,22 +695,22 @@ def test_constant_heads_and_first_occurrences_match_without_unify(monkeypatch):
 def test_first_occurrence_heads_make_fresh_variables_only_for_body_names():
     st = state_from(ADDER + "tri X Y := edge X Z /\\ edge Z Y.\n")
     st.defs.ensure("edge")
-    s = st.sig.fresh_logic("S")
-    c = st.sig.fresh_logic("C")
+    s = st.fresh_logic("S")
+    c = st.fresh_logic("C")
     one, zero = Const("1"), Const("0")
-    before = st.sig.next_id
+    before = st.next_id
     bodies = 0
     adder = st.defs.defs["full_adder"]
     for body, env, _ in unfold(adder, (one, zero, one, s, c), st):
         bodies += 1
-        assert st.sig.next_id == before
+        assert st.next_id == before
         body = replace_clause_vars_formula(body[1], env)
         terms = list(logic.formula_terms(body))
         assert any(t is c for t in terms) and any(t is one for t in terms)
     assert bodies == 1
     for body, _, _ in unfold(st.defs.defs["tri"], (one, c), st):
         bodies += 1
-        assert st.sig.next_id == before + 1
+        assert st.next_id == before + 1
     assert bodies == 2
     assert deref(s) is s and deref(c) is c
 
@@ -786,9 +786,9 @@ def test_first_occurrence_takes_an_argument_only_within_the_nabla_depth():
     # there; at depth 2 the argument itself becomes the value.
     st = state_from("p X.\n")
     arg = App(Const("f"), (NablaIndex(1),))
-    st.sig.nabla_depth = 1
+    st.nabla_depth = 1
     assert list(unfold(st.defs.defs["p"], (arg,), st)) == []
-    st.sig.nabla_depth = 2
+    st.nabla_depth = 2
     [(_, env, _)] = unfold(st.defs.defs["p"], (arg,), st)
     assert env["X"] is arg
 

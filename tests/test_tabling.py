@@ -18,7 +18,6 @@ from nablacheck.tabling import (
     table_report,
 )
 from nablacheck.terms import (
-    Signature,
     app,
     has_unbound_logic_var,
     has_unbound_var,
@@ -51,8 +50,8 @@ edge a c.
 
 def test_eligibility_by_level(st):
     ground = app(Const("f"), (Const("a"),))
-    eigen = st.sig.fresh_eigen("n")
-    logic = st.sig.fresh_logic("X")
+    eigen = st.fresh_eigen("n")
+    logic = st.fresh_logic("X")
     assert eligible((ground, Const("b")), 0)
     assert eligible((NablaIndex(0),), 0)
     assert not eligible((ground, eigen), 0)
@@ -87,8 +86,8 @@ def test_eigenvariable_key_never_collides_with_a_constant():
 
 # Arguments are drawn as specs and built into terms, so one spec can be
 # built fresh, with shared subterms, or behind a binding made in a State.
-_SIG = Signature()
-_EIGEN = (_SIG.fresh_eigen("x"), _SIG.fresh_eigen("x"))  # x@E0, x@E1
+_ST = State()
+_EIGEN = (_ST.fresh_eigen("x"), _ST.fresh_eigen("x"))  # x@E0, x@E1
 
 _CONSTS = [("const", c) for c in ("a", "z", "nil", "x", "x_0", "x_1")]
 _LEAVES = _CONSTS + [("eigen", 0), ("eigen", 1), ("nabla", 0), ("nabla", 1)]
@@ -178,7 +177,7 @@ def test_keys_are_equal_exactly_when_the_arguments_are(two_states, data):
         args = tuple(_build(s, shared if how == "shared" else None)
                      for s in specs)
         if how == "bound":  # the arguments as bindings made in a State
-            vs = tuple(st.sig.fresh_logic("X") for _ in args)
+            vs = tuple(st.fresh_logic("X") for _ in args)
             for v, a in zip(vs, args):
                 v.binding = a
             args = vs
@@ -191,7 +190,7 @@ def test_keys_are_equal_exactly_when_the_arguments_are(two_states, data):
 
 
 # Unbound variables for the eligibility property; nothing binds them.
-_OPEN = {("logic", 0): _SIG.fresh_logic("X"), ("eigen", 0): _EIGEN[0],
+_OPEN = {("logic", 0): _ST.fresh_logic("X"), ("eigen", 0): _EIGEN[0],
          ("eigen", 1): _EIGEN[1]}
 _MIXED = _LEAVES + [("logic", 0)]
 
@@ -211,7 +210,7 @@ def _mixed(spec, rnd):
     else:
         t = _build(spec, None)
     if rnd.random() < 0.3:
-        v = (_SIG.fresh_logic if rnd.random() < 0.5 else _SIG.fresh_eigen)()
+        v = (_ST.fresh_logic if rnd.random() < 0.5 else _ST.fresh_eigen)()
         v.binding = t
         t = v
     return t

@@ -8,7 +8,6 @@ from nablacheck.errors import NormalizationDepthExceeded
 from nablacheck.logic import Top, replace_clause_vars, unfold
 from nablacheck.nodes import App, Bound, ClauseVar, Const, Lam, NablaIndex, app
 from nablacheck.terms import (
-    Signature,
     deref,
     equal_modulo,
     has_unbound_logic_var,
@@ -27,11 +26,11 @@ a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
 
 def test_levels_follow_the_quantifier_prefix():
     # Introductions under the prefix: forall x, exists Y, nabla, forall z.
-    sig = Signature()
-    x = sig.fresh_eigen("x")
-    y = sig.fresh_logic("Y")
-    sig.nabla_depth += 1
-    z = sig.fresh_eigen("z")
+    st = State()
+    x = st.fresh_eigen("x")
+    y = st.fresh_logic("Y")
+    st.nabla_depth += 1
+    z = st.fresh_eigen("z")
     assert (x.global_level, x.local_level) == (0, 0)
     assert (y.global_level, y.local_level) == (1, 0)
     assert (z.global_level, z.local_level) == (2, 1)
@@ -43,15 +42,15 @@ def test_variables_made_after_a_rewind_or_a_pruning_come_last():
     # is restored, or after unify prunes a variable to lower levels, is
     # above every variable made before it.
     st = State()
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     cp = st.checkpoint()
-    dead = st.sig.fresh_eigen("d")
+    dead = st.fresh_eigen("d")
     st.undo_to(cp)
-    y = st.sig.fresh_logic("Y")
+    y = st.fresh_logic("Y")
     assert unify(x, app(f, (y,)), st) is SUCCESS
     pruned = deref(y)
     assert pruned is not y and pruned.global_level == x.global_level
-    z = st.sig.fresh_logic("Z")
+    z = st.fresh_logic("Z")
     for v, older in ((y, (x, dead)), (z, (x, dead, y, pruned))):
         assert v.global_level == v.id
         assert all(v.global_level > u.global_level for u in older)
@@ -80,6 +79,16 @@ def test_divergent_term_hits_the_budget_and_reports_itself():
         normalize(loop, budget=500)
     assert exc.value.term is loop
     assert "x\\ x x" in str(exc.value)
+
+
+def test_a_substitution_larger_than_the_budget_hits_it():
+    # One β-step leaves 2 units of 3, and substituting into f x x x x
+    # visits more nodes than that.
+    t = app(Lam(app(f, (Bound(0),) * 4)), (a,))
+    with pytest.raises(NormalizationDepthExceeded) as exc:
+        normalize(t, budget=3)
+    assert exc.value.term is t
+    assert struct_eq(normalize(t, budget=7), app(f, (a,) * 4))
 
 
 def test_eta_contraction_to_canonical_form():
@@ -111,17 +120,17 @@ def test_equal_modulo_alpha_beta_eta():
 
 
 def test_struct_eq_variables_by_identity():
-    sig = Signature()
-    x1 = sig.fresh_logic("X")
-    x2 = sig.fresh_logic("X")
+    st = State()
+    x1 = st.fresh_logic("X")
+    x2 = st.fresh_logic("X")
     assert struct_eq(x1, x1)
     assert not struct_eq(x1, x2)
 
 
 def test_unbound_variable_queries():
-    sig = Signature()
-    x = sig.fresh_logic("X")
-    e = sig.fresh_eigen("x")
+    st = State()
+    x = st.fresh_logic("X")
+    e = st.fresh_eigen("x")
     t = app(f, (x, e))
     assert has_unbound_var(t)
     assert has_unbound_logic_var(t)
@@ -135,8 +144,8 @@ def test_unbound_variable_queries():
 
 
 def test_binding_is_transparent_to_normalize():
-    sig = Signature()
-    x = sig.fresh_logic("X")
+    st = State()
+    x = st.fresh_logic("X")
     x.binding = Lam(Bound(0))
     t = normalize(app(x, (a,)))
     assert struct_eq(t, a)
@@ -215,7 +224,7 @@ def _subterms(t):
 
 
 def _var_leaf(bound):
-    v = Signature().fresh_logic("X")
+    v = State().fresh_logic("X")
     if bound:
         v.binding = a  # bound to an inert term, still not inert itself
     return v
@@ -269,19 +278,19 @@ def test_size_dependent_passes_return_inert_terms_unchanged():
         assert shift(t, 3) is t
         assert replace_clause_vars(t, {}, (b,)) is t
         st = State()
-        v = st.sig.fresh_logic("X")
+        v = st.fresh_logic("X")
         assert _abstract(t, v, [], 0, st, False, v, t) is t
 
 
 def test_binding_to_an_inert_list_stores_the_list_itself():
     st = State()
-    v = st.sig.fresh_logic("L")
+    v = st.fresh_logic("L")
     lst = _list(1000)
     assert unify(v, lst, st) is SUCCESS
     assert v.binding is lst
     # inside a head match, the tail is bound without a copy as well
-    x = st.sig.fresh_logic("X")
-    tail = st.sig.fresh_logic("T")
+    x = st.fresh_logic("X")
+    tail = st.fresh_logic("T")
     assert unify(app(Const("::"), (x, tail)), lst, st) is SUCCESS
     assert tail.binding is lst.args[1]
 
@@ -346,7 +355,7 @@ def _by_route(route, spec, hole):
     if route == "β-redex":
         return normalize(App(Lam(_term(spec, hole, Bound(0))), (sub,)))
     st = State()
-    v = st.sig.fresh_logic("V")
+    v = st.fresh_logic("V")
     if route == "answer":
         bind(v, sub, st.trail)
         return _snap(_term(spec, hole, v), {})

@@ -25,26 +25,26 @@ a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
 
 def test_logic_var_binds_to_earlier_eigenvariable():
     st = State()
-    x = st.sig.fresh_eigen("x")      # global 0
-    y = st.sig.fresh_logic("Y")      # global 1: may depend on x
+    x = st.fresh_eigen("x")      # global 0
+    y = st.fresh_logic("Y")      # global 1: may depend on x
     assert unify(y, x, st) is SUCCESS
     assert deref(y) is x
 
 
 def test_logic_var_rejects_later_eigenvariable():
     st = State()
-    y = st.sig.fresh_logic("Y")      # global 0
-    st.sig.fresh_eigen("x")
-    z = st.sig.fresh_eigen("z")      # global 2: introduced after Y
+    y = st.fresh_logic("Y")      # global 0
+    st.fresh_eigen("x")
+    z = st.fresh_eigen("z")      # global 2: introduced after Y
     assert unify(y, z, st) is FAILURE
     assert deref(y) is y
 
 
 def test_local_level_guards_nabla_indices():
     st = State()
-    before = st.sig.fresh_logic("F")          # local 0: #0 is invisible
-    st.sig.nabla_depth = 1
-    after = st.sig.fresh_logic("G")           # local 1: #0 is visible
+    before = st.fresh_logic("F")          # local 0: #0 is invisible
+    st.nabla_depth = 1
+    after = st.fresh_logic("G")           # local 1: #0 is visible
     assert unify(before, NablaIndex(0), st) is FAILURE
     assert unify(after, NablaIndex(0), st) is SUCCESS
     assert struct_eq(deref(after), NablaIndex(0))
@@ -52,9 +52,9 @@ def test_local_level_guards_nabla_indices():
 
 def test_flex_rigid_abstracts_the_pattern_arguments():
     st = State()
-    fv = st.sig.fresh_logic("F")              # knows neither x nor #0
-    x = st.sig.fresh_eigen("x")
-    st.sig.nabla_depth = 1
+    fv = st.fresh_logic("F")              # knows neither x nor #0
+    x = st.fresh_eigen("x")
+    st.nabla_depth = 1
     lhs = app(fv, (x, NablaIndex(0)))
     rhs = app(g, (x, x, NablaIndex(0)))
     assert unify(lhs, rhs, st) is SUCCESS
@@ -66,23 +66,23 @@ def test_flex_rigid_abstracts_the_pattern_arguments():
 
 def test_occurs_check_fails():
     st = State()
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     assert unify(x, app(f, (x,)), st) is FAILURE
     assert deref(x) is x
 
 
 def test_rigid_occurrence_of_invisible_eigen_fails():
     st = State()
-    x = st.sig.fresh_logic("X")
-    y = st.sig.fresh_eigen("y")               # later: invisible to X
+    x = st.fresh_logic("X")
+    y = st.fresh_eigen("y")               # later: invisible to X
     assert unify(x, app(f, (y,)), st) is FAILURE
 
 
 def test_flex_occurrence_is_pruned_not_failed():
     st = State()
-    x = st.sig.fresh_logic("X")               # global 0
-    st.sig.fresh_eigen("x")
-    later = st.sig.fresh_logic("Y")           # global 2, too permissive
+    x = st.fresh_logic("X")               # global 0
+    st.fresh_eigen("x")
+    later = st.fresh_logic("Y")           # global 2, too permissive
     assert unify(x, app(f, (later,)), st) is SUCCESS
     t = deref(x)
     assert type(t) is App and t.head is f
@@ -93,7 +93,7 @@ def test_flex_occurrence_is_pruned_not_failed():
 
 def test_rigid_rigid_decomposition_and_clash():
     st = State()
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     assert unify(app(f, (x, b)), app(f, (a, b)), st) is SUCCESS
     assert struct_eq(deref(x), a)
     assert unify(app(f, (a,)), app(g, (a,)), st) is FAILURE
@@ -108,15 +108,15 @@ def test_eta_expansion_bridges_lam_and_atom():
 
 def test_same_var_arity_mismatch_is_non_pattern():
     st = State()
-    x = st.sig.fresh_logic("X")
-    st.sig.nabla_depth = 2
+    x = st.fresh_logic("X")
+    st.nabla_depth = 2
     with pytest.raises(NonPatternError):
         unify(app(x, (NablaIndex(0), NablaIndex(1))), app(x, (NablaIndex(0),)), st)
 
 
 def test_constant_argument_is_non_pattern():
     st = State()
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     with pytest.raises(NonPatternError) as e:
         unify(app(x, (a,)), a, st)
     assert e.value.lhs is not None and e.value.rhs is not None
@@ -125,7 +125,7 @@ def test_constant_argument_is_non_pattern():
 def test_identical_non_pattern_terms_stay_non_pattern():
     # Only inert terms unify by identity; F (s z) is outside the fragment.
     st = State()
-    x = st.sig.fresh_logic("F")
+    x = st.fresh_logic("F")
     t = app(x, (app(Const("s"), (Const("z"),)),))
     with pytest.raises(NonPatternError):
         unify(t, t, st)
@@ -133,8 +133,8 @@ def test_identical_non_pattern_terms_stay_non_pattern():
 
 def test_repeated_argument_is_non_pattern():
     st = State()
-    x = st.sig.fresh_logic("X")
-    st.sig.nabla_depth = 1
+    x = st.fresh_logic("X")
+    st.nabla_depth = 1
     with pytest.raises(NonPatternError):
         unify(app(x, (NablaIndex(0), NablaIndex(0))), a, st)
 
@@ -143,16 +143,16 @@ def test_eigenvariable_below_only_by_global_level_is_a_pattern_argument():
     # e is below F by its global level but above it by its local level, so
     # F cannot see e (_visible_to) and F e is a pattern: F := x\ a.
     st = State()
-    fv = st.sig.fresh_at(LogicVar, "F", 5, 0)
-    e = st.sig.fresh_at(EigenVar, "e", 3, 2)
+    fv = st.fresh_at(LogicVar, "F", 5, 0)
+    e = st.fresh_at(EigenVar, "e", 3, 2)
     assert unify(app(fv, (e,)), a, st) is SUCCESS
     assert struct_eq(deref(fv), Lam(a))
 
 
 def test_same_var_positional_intersection():
     st = State()
-    x = st.sig.fresh_logic("X")
-    st.sig.nabla_depth = 2
+    x = st.fresh_logic("X")
+    st.nabla_depth = 2
     i0, i1 = NablaIndex(0), NablaIndex(1)
     assert unify(app(x, (i0, i1)), app(x, (i1, i0)), st) is SUCCESS
     assert equal_modulo(app(x, (i0, i1)), app(x, (i1, i0)))
@@ -162,8 +162,8 @@ def test_same_var_positional_intersection():
 
 def test_same_var_keeps_agreeing_positions():
     st = State()
-    x = st.sig.fresh_logic("X")
-    st.sig.nabla_depth = 3
+    x = st.fresh_logic("X")
+    st.nabla_depth = 3
     i0, i1, i2 = NablaIndex(0), NablaIndex(1), NablaIndex(2)
     assert unify(app(x, (i0, i1)), app(x, (i0, i2)), st) is SUCCESS
     # the disagreeing second argument is dropped, the first survives
@@ -173,9 +173,9 @@ def test_same_var_keeps_agreeing_positions():
 
 def test_different_vars_keep_common_arguments():
     st = State()
-    x = st.sig.fresh_logic("X")
-    y = st.sig.fresh_logic("Y")
-    st.sig.nabla_depth = 1
+    x = st.fresh_logic("X")
+    y = st.fresh_logic("Y")
+    st.nabla_depth = 1
     i0 = NablaIndex(0)
     assert unify(app(x, (i0,)), app(y, (i0,)), st) is SUCCESS
     assert equal_modulo(app(x, (i0,)), app(y, (i0,)))
@@ -183,16 +183,16 @@ def test_different_vars_keep_common_arguments():
 
 def test_flex_flex_bare_variables_alias():
     st = State()
-    x = st.sig.fresh_logic("X")
-    y = st.sig.fresh_logic("Y")
+    x = st.fresh_logic("X")
+    y = st.fresh_logic("Y")
     assert unify(x, y, st) is SUCCESS
     assert deref(x) is deref(y)
 
 
 def test_bare_variables_bind_only_the_one_at_higher_levels():
     st = State()
-    x = st.sig.fresh_logic("X")
-    y = st.sig.fresh_logic("Y")
+    x = st.fresh_logic("X")
+    y = st.fresh_logic("Y")
     for lhs, rhs in ((x, y), (y, x)):
         mark = len(st.trail)
         assert unify(lhs, rhs, st) is SUCCESS
@@ -201,8 +201,8 @@ def test_bare_variables_bind_only_the_one_at_higher_levels():
         undo_to(st.trail, mark)
     # Incomparable levels: each may see something the other may not, so
     # both are bound to a new variable at the lower levels.
-    u = st.sig.fresh_at(LogicVar, "X", 1, 0)
-    v = st.sig.fresh_at(LogicVar, "X", 0, 1)
+    u = st.fresh_at(LogicVar, "X", 1, 0)
+    v = st.fresh_at(LogicVar, "X", 0, 1)
     mark = len(st.trail)
     assert unify(u, v, st) is SUCCESS
     assert len(st.trail[mark:]) == 2
@@ -225,9 +225,9 @@ def _count_normalize(monkeypatch):
 def test_each_side_is_normalized_at_most_once(monkeypatch):
     calls = _count_normalize(monkeypatch)
     st = State()
-    x = st.sig.fresh_logic("X")
-    y = st.sig.fresh_logic("Y")
-    z = st.sig.fresh_logic("Z")
+    x = st.fresh_logic("X")
+    y = st.fresh_logic("Y")
+    z = st.fresh_logic("Z")
     lhs = app(f, (x, app(g, (y, a)), y))
     rhs = app(f, (app(g, (b,)), app(g, (z, a)), app(g, (b,))))
     assert unify(lhs, rhs, st) is SUCCESS
@@ -235,7 +235,7 @@ def test_each_side_is_normalized_at_most_once(monkeypatch):
     assert equal_modulo(lhs, rhs)
     # An inert side is not normalized; two constants need no normalization.
     calls[0] = 0
-    w = st.sig.fresh_logic("W")
+    w = st.fresh_logic("W")
     assert unify(w, app(g, (a, b)), st) is SUCCESS
     assert calls[0] == 1
     calls[0] = 0
@@ -247,7 +247,7 @@ def test_each_side_is_normalized_at_most_once(monkeypatch):
 def test_redex_exposed_by_a_sibling_binding_is_normalized(monkeypatch):
     calls = _count_normalize(monkeypatch)
     st = State()
-    fv = st.sig.fresh_logic("F")
+    fv = st.fresh_logic("F")
     lhs = app(f, (fv, app(fv, (a,))))
     two = Lam(app(g, (Bound(0), Bound(0))))
     assert unify(lhs, app(f, (two, app(g, (a, b)))), st) is FAILURE
@@ -262,10 +262,10 @@ def test_pattern_argument_exposed_as_a_redex_is_normalized():
     # The first argument binds X to an application K e of a new variable
     # K, the second binds K to the identity, so F X is the pattern F e.
     st = State()
-    fv = st.sig.fresh_logic("F")
-    h = st.sig.fresh_logic("H")
-    e = st.sig.fresh_eigen("e")
-    x = st.sig.fresh_logic("X")
+    fv = st.fresh_logic("F")
+    h = st.fresh_logic("H")
+    e = st.fresh_eigen("e")
+    x = st.fresh_logic("X")
     lhs = app(f, (x, h, app(fv, (x,))))
     rhs = app(f, (app(h, (e,)), Lam(Bound(0)), app(fv, (e,))))
     assert unify(lhs, rhs, st) is SUCCESS
@@ -274,7 +274,7 @@ def test_pattern_argument_exposed_as_a_redex_is_normalized():
 
 def test_eigenvariables_are_rigid_unless_asked():
     st = State()
-    x = st.sig.fresh_eigen("x")
+    x = st.fresh_eigen("x")
     assert unify(x, a, st) is FAILURE
     assert unify(x, a, st, instantiate_eigen=True) is SUCCESS
     assert struct_eq(deref(x), a)
@@ -282,16 +282,16 @@ def test_eigenvariables_are_rigid_unless_asked():
 
 def test_instantiable_eigens_unify_with_each_other():
     st = State()
-    r = st.sig.fresh_eigen("r")
-    t = st.sig.fresh_eigen("t")
+    r = st.fresh_eigen("r")
+    t = st.fresh_eigen("t")
     assert unify(r, t, st, instantiate_eigen=True) is SUCCESS
     assert deref(r) is deref(t)
 
 
 def test_trail_undo_restores_everything():
     st = State()
-    x = st.sig.fresh_logic("X")
-    y = st.sig.fresh_logic("Y")
+    x = st.fresh_logic("X")
+    y = st.fresh_logic("Y")
     mark = len(st.trail)
     assert unify(app(f, (x, y)), app(f, (a, b)), st) is SUCCESS
     assert st.trail[mark:]
@@ -302,7 +302,7 @@ def test_trail_undo_restores_everything():
 
 def test_failure_leaves_no_bindings():
     st = State()
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     mark = len(st.trail)
     # X binds to a first, then b clashes; the trail must be rewound
     assert unify(app(f, (x, x)), app(f, (a, b)), st) is FAILURE
@@ -312,8 +312,8 @@ def test_failure_leaves_no_bindings():
 
 def test_non_pattern_leaves_no_bindings():
     st = State()
-    x = st.sig.fresh_logic("X")
-    y = st.sig.fresh_logic("Y")
+    x = st.fresh_logic("X")
+    y = st.fresh_logic("Y")
     mark = len(st.trail)
     with pytest.raises(NonPatternError):
         unify(app(f, (x, app(y, (a,)))), app(f, (b, b)), st)
@@ -323,7 +323,7 @@ def test_non_pattern_leaves_no_bindings():
 
 def test_beta_redexes_normalize_before_unification():
     st = State()
-    x = st.sig.fresh_logic("X")
+    x = st.fresh_logic("X")
     lhs = app(Lam(app(f, (Bound(0),))), (x,))
     assert unify(lhs, app(f, (a,)), st) is SUCCESS
     assert struct_eq(deref(x), a)
@@ -349,8 +349,8 @@ def _ground():
 @given(_ground(), _ground(), hs.integers(0, 2))
 def test_unify_postconditions(lhs_g, rhs_g, nvars):
     st = State()
-    st.sig.nabla_depth = 1
-    xs = [st.sig.fresh_logic(f"X{i}") for i in range(nvars)]
+    st.nabla_depth = 1
+    xs = [st.fresh_logic(f"X{i}") for i in range(nvars)]
     lhs = app(f, (lhs_g, *xs))
     rhs = app(f, (rhs_g, *(reversed(xs))))
     mark = len(st.trail)
@@ -464,7 +464,7 @@ def test_bounds_and_normal_flag_hold_under_any_bindings(levels, problems):
     # least those a walk through the bindings finds, and a node flagged
     # normal normalizes to itself with only its bindings followed.
     st = State()
-    pool = [st.sig.fresh_at(EigenVar if eigen else LogicVar, f"V{i}", g, l)
+    pool = [st.fresh_at(EigenVar if eigen else LogicVar, f"V{i}", g, l)
             for i, (eigen, g, l) in enumerate(levels)]
     terms = []
     for lhs, rhs, left in problems:
