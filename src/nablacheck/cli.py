@@ -33,6 +33,7 @@ from .parser import (
     parse_interaction,
     parse_query,
     print_formula,
+    print_substitution,
 )
 from .tabling import clear_tables, table_report
 from .terms import DEFAULT_NORM_BUDGET
@@ -49,21 +50,19 @@ def _verdict(result, positive):
     return WRONG, f"FAILED ({result.status})"
 
 
-def register_goal(goal, st):
-    """Register the names goal calls, warning on stderr about each that no
-    loaded file gives a clause, a table mode or a level: a probable typo,
-    which would otherwise only read as an empty definition."""
-    for p in st.defs.register_formula(goal):
-        sys.stderr.write(f"% warning: {p} has no clause, #table or #level\n")
+def _warn(pred):
+    """Warn on stderr about a name a goal calls that no loaded file gives a
+    clause, a table mode or a level: a probable typo, which would otherwise
+    only read as the empty definition solve registers (compile_goal)."""
+    sys.stderr.write(f"% warning: {pred} has no clause, #table or #level\n")
 
 
 def run_assertion(directive, st, out, filename):
-    register_goal(directive.formula, st)
     kind = "assert" if directive.positive else "assert_not"
     where = f"{filename}:{directive.line}: " if filename else ""
     text = print_formula(directive.formula)
     limit = 1 if directive.positive else None
-    result = solve(directive.formula, st, max_answers=limit)
+    result = solve(directive.formula, st, max_answers=limit, warn=_warn)
     code, verdict = _verdict(result, directive.positive)
     out.write(f"{where}{kind} {text} ... {verdict}\n")
     return code
@@ -147,16 +146,16 @@ def load_file(path, st, out, include_stack=()):
 
 
 def run_query(text, st, out, max_answers=None):
-    """Run one --query goal, printing every answer and a status line."""
+    """Run one --query goal, printing every answer and a status line; the
+    module's parse_query and solve are called, so wrappers on them apply."""
     try:
         goal = parse_query(text)
     except ParseError as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE
-    register_goal(goal, st)
-    result = solve(goal, st, max_answers=max_answers)
+    result = solve(goal, st, max_answers=max_answers, warn=_warn)
     for a in result.answers:
-        out.write(a.text() + "\n")
+        out.write(print_substitution(a.bindings) + "\n")
     if result.inconclusive:
         out.write(f"% inconclusive: {result.error}\n")
         return INCONCLUSIVE
@@ -204,9 +203,8 @@ def run_interaction(text, st, out, inp):
         except NablaCheckError as e:
             out.write(f"error: {e}\n")
             return INCONCLUSIVE, None
-    register_goal(stmt, st)
     count = 0
-    gen = solve_iter(stmt, st)
+    gen = solve_iter(stmt, st, _warn)
     try:
         for answer in gen:
             count += 1
@@ -342,7 +340,11 @@ def _run(args, st, out):
     for pred in args.show_table:
         out.write(table_report(st, pred) + "\n")
     if not args.files and not args.query:
-        worst = max(worst, repl(st, out, sys.stdin))
+        inp = sys.stdin  # read as UTF-8 whatever the locale, stray bytes
+        if hasattr(inp, "buffer"):  # escaped; a StringIO is read as it is
+            inp = open(inp.fileno(), encoding="utf-8",
+                       errors="surrogateescape", closefd=False)
+        worst = max(worst, repl(st, out, inp))
     return worst
 
 

@@ -67,14 +67,13 @@ from .errors import (
 )
 from .logic import (
     AND, APP, ATOM, EQ, EXISTS, FORALL, IMP, KEY, NABLA, OR, REST, TERM, TOP,
-    DefSet, compile_goal, formula_terms, unfold,
+    DefSet, compile_goal, unfold,
 )
 from .nodes import App, Const, EigenVar, Lam, LogicVar, NablaIndex, Var
 from .terms import (
     DEFAULT_NORM_BUDGET,
     _rebuild,
     deref,
-    has_unbound_logic_var,
     normalize_eta,
 )
 from .unify import undo_to, unify
@@ -231,7 +230,7 @@ def prove(goal, st, mode=ONE, env=None):
     max_steps = st.max_steps
     steps = st.steps  # counted here, stored back at each yield and exit
     close = logic.replace_clause_vars  # read here, so a wrapper applies
-    base = (len(trail), st.nabla_depth)
+    base, base_depth = len(trail), st.nabla_depth
     goals = (goal, {} if env is None else env, mode, None)
     cps = []
     try:
@@ -307,10 +306,13 @@ def prove(goal, st, mode=ONE, env=None):
                                 x = App(x[0],
                                         tuple(map(env.__getitem__, x[1])))
                             args.append(x)
+                    elif type(build) is list:  # every argument is inert
+                        args = build
                     else:  # an itemgetter: every argument reads env
                         args = build(env)
                     if (st.tabling_enabled and defn.table_mode is not None
-                            and tabling.eligible(args, defn.level)):
+                            and (type(build) is list
+                                 or tabling.eligible(args, defn.level))):
                         # The producer unfolds directly; routing back
                         # through the table would only meet this call's own
                         # frame.
@@ -378,13 +380,13 @@ def prove(goal, st, mode=ONE, env=None):
                     goals = (g[4], env, mode, goals)
                     continue
                 else:  # IMP
-                    # Closed for the check alone; the cases run on the
-                    # compiled antecedent and its environment.
-                    a = logic.replace_clause_vars_formula(
-                        g[1].left, env, _values(g[2], env))
-                    for t in formula_terms(a):
-                        if has_unbound_logic_var(t):
-                            raise NonGroundAntecedent(a)
+                    # The antecedent must be ground, its values read where
+                    # they are; it is closed only for the error.
+                    slots = _values(g[2], env)
+                    if not logic.closes_ground(g[1].left, env, slots):
+                        raise NonGroundAntecedent(
+                            logic.replace_clause_vars_formula(
+                                g[1].left, env, slots))
                     # Every answer of the antecedent opens a case; the
                     # barrier is reached once all of them held.
                     cps.append((_GOALS, st.checkpoint(), None, None, goals))
@@ -424,7 +426,9 @@ def prove(goal, st, mode=ONE, env=None):
         for cp in reversed(cps):
             if cp[0] == _PRODUCTION:
                 cp[2].close()
-        st.undo_to(base)
+        while len(trail) > base:
+            trail.pop().binding = None
+        st.nabla_depth = base_depth
 
 
 def _values(scope, env):
@@ -481,34 +485,32 @@ class Answer:
         return None
 
 
-class Result:
-    """The outcome of one query: proved, disproved, or inconclusive."""
+_YES = Answer(())  # the one answer of a query without variables
 
-    __slots__ = ("status", "answers", "error", "steps")
+
+class Result:
+    """The outcome of one query, flagged: proved, disproved or inconclusive."""
+
+    __slots__ = ("status", "answers", "error", "steps", "proved", "disproved",
+                 "inconclusive")
 
     def __init__(self, status, answers, error, steps):
         self.status = status
         self.answers = answers
         self.error = error
         self.steps = steps
-
-    @property
-    def proved(self):
-        return self.status == "proved"
-
-    @property
-    def disproved(self):
-        return self.status == "disproved"
-
-    @property
-    def inconclusive(self):
-        return self.status == "inconclusive"
+        self.proved = status == "proved"
+        self.disproved = status == "disproved"
+        self.inconclusive = status == "inconclusive"
 
     def __repr__(self):
         return f"Result({self.status}, {len(self.answers)} answers)"
 
 
 def _reify(names, variables, budget):
+    """The query variables' snapshot; _YES when there are none."""
+    if not names:
+        return _YES
     placeholders = {}
     return Answer(
         (name, _snap(normalize_eta(v, budget), placeholders))
@@ -546,7 +548,7 @@ def _snap(t, placeholders):
     return done[0]
 
 
-def solve_iter(goal, st):
+def solve_iter(goal, st, warn=None):
     """Yield reified answers of a query, lazily.
 
     The top-level ∃ prefix names the query variables reported in each
@@ -555,40 +557,43 @@ def solve_iter(goal, st):
     term walker recurses, so no term or proof is too deep for the
     interpreter's stack.  Tables a changed definition may have made stale
     are dropped first, and one walk over the goal finds its level and its
-    first unknown name (classify).  Each query has a step budget of its
-    own: st.steps counts from 0 here.
+    first unknown name, or with warn registers the names it calls
+    (compile_goal).  st.steps counts each query's own budget from 0, and
+    the prover's restore suffices, as the ∃ prefix binds nothing.
     """
     st.steps = 0
     st.defs.check()
-    tabling.drop_stale_tables(st)
-    level, g = compile_goal(goal, st.defs.defs)
-    cp = st.checkpoint()
+    if st.tables_seen != len(st.defs.changed):
+        tabling.drop_stale_tables(st)
+    level, g = compile_goal(goal, st.defs.defs, warn=warn)
     names = []
     variables = []
     env = {}
+    while g[0] == EXISTS:
+        name = g[1].name
+        v = env[g[3]] = st.fresh_logic(name)
+        names.append(name)
+        variables.append(v)
+        g = g[4]
+    proofs = prove(g, st, RIGHT0 if level == 0 else ONE, env)
     try:
-        while g[0] == EXISTS:
-            name = g[1].name
-            v = env[g[3]] = st.fresh_logic(name)
-            names.append(name)
-            variables.append(v)
-            g = g[4]
-        for _ in prove(g, st, RIGHT0 if level == 0 else ONE, env):
+        for _ in proofs:
             yield _reify(names, variables, st.norm_budget)
     finally:
-        st.undo_to(cp)
+        proofs.close()
 
 
-def solve(goal, st, max_answers=None):
+def solve(goal, st, max_answers=None, warn=None):
     """Run a query to completion (or to max_answers) and report.
 
     proved: at least one answer was found.  disproved: the search space was
     exhausted with none.  inconclusive: the search hit a resource limit or
-    left the decidable fragment, with the offending error attached.
+    left the decidable fragment, with the offending error attached.  warn
+    is solve_iter's.
     """
     answers = []
     error = None
-    gen = solve_iter(goal, st)
+    gen = solve_iter(goal, st, warn)
     try:
         for a in gen:
             answers.append(a)
@@ -598,10 +603,6 @@ def solve(goal, st, max_answers=None):
         error = e
     finally:
         gen.close()
-    if error is not None:
-        status = "inconclusive"
-    elif answers:
-        status = "proved"
-    else:
-        status = "disproved"
+    status = ("inconclusive" if error is not None
+              else "proved" if answers else "disproved")
     return Result(status, answers, error, st.steps)

@@ -23,14 +23,14 @@ atom or an equation from it when it is dispatched.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import IllFormedFormula, LevelError, UndefinedPredicate
 from .nodes import (
     App, Bound, ClauseVar, Const, EigenVar, Lam, LogicVar, NablaIndex, Term,
-    app,
+    Var, app,
 )
-from .terms import deref, normalize
+from .terms import deref, has_unbound_logic_var, normalize
 from .unify import bind, fits, is_flex, undo_to, unify
 
 
@@ -214,6 +214,7 @@ _TAG = {Atom: ATOM, And: AND, Eq: EQ, Exists: EXISTS, Or: OR, Top: TOP,
 # REST closes x over env with replace_clause_vars, and APP, an atom's
 # argument c X1 … Xn only, applies c to the values of the keys x[1].
 KEY, TERM, REST, APP = range(4)
+_INERT = attrgetter("inert")
 
 
 class _Keyed(dict):
@@ -229,8 +230,10 @@ class _Keyed(dict):
 
 def _builders(ts, keys, atom=False):
     """The builders of the terms ts, inside the binders whose keys are
-    keys; for an atom's arguments, APP where it applies, and an itemgetter
-    in place of the tuple when every argument reads env."""
+    keys; for an atom's arguments, APP where it applies, and in place of
+    the tuple an itemgetter when every one reads env, or them as a list."""
+    if atom and all(map(_INERT, ts)):
+        return list(ts)
     out = []
     for t in ts:
         tt = type(t)
@@ -254,10 +257,13 @@ def _builders(ts, keys, atom=False):
     return tuple(out)
 
 
-def compile_goal(f, defs, strict=True, level_of=None, build=True):
+def compile_goal(f, defs, strict=True, level_of=None, build=True, warn=None):
     """(level, record): f's level as classify(f, level_of, strict, defs)
     finds it, with the same errors, and f compiled, in one walk; classify
-    runs this walk without build, and the record is then None.
+    runs this walk without build, and the record is then None.  With warn,
+    the walk also registers the names f calls: one defs lacks becomes an
+    empty Definition, not an error, and warn gets, sorted, each name f calls
+    that has no clause, table mode or declared level, false aside.
 
     Each formula binder in f gets a key of its own, 0, 1, ... in walk order;
     entering it stores its value under that key in the goal's environment,
@@ -267,7 +273,7 @@ def compile_goal(f, defs, strict=True, level_of=None, build=True):
     its permanent variables, and nothing is copied.  An atom's record holds
     its callee's Definition.  The walk is terms.py's, left to right.
     """
-    unknown = []
+    unknown = []  # the names defs lacks, or with warn the undefined ones
     ill = False
     keys = []  # the keys of the binders around g, outermost first
     scope = ()
@@ -293,7 +299,13 @@ def compile_goal(f, defs, strict=True, level_of=None, build=True):
         elif tg is Atom:
             x = (defs.get(g.pred) if defs is not None
                  else level_of.get(g.pred, 0) if level_of else 0)
-            if x is None:
+            if warn is not None:
+                if x is None:
+                    x = defs[g.pred] = Definition(g.pred)
+                if not x.clauses and x.table_mode is None \
+                        and x.declared_level is None and g.pred != "false":
+                    unknown.append(g.pred)
+            elif x is None:
                 unknown.append(g.pred)
             lv = x if defs is None else getattr(x, "level", 0)
             if build:
@@ -316,8 +328,10 @@ def compile_goal(f, defs, strict=True, level_of=None, build=True):
         else:
             raise TypeError(f"not a formula: {g!r}")
         done.append((lv, (_TAG[tg], g, scope, x, y) if build else None))
-    if unknown:
+    if unknown and warn is None:
         raise UndefinedPredicate(min(unknown))
+    for p in sorted(set(unknown)) if unknown else ():
+        warn(p)
     if ill and strict:
         raise IllFormedFormula(
             "the antecedent of an implication must be a level-0 formula")
@@ -531,9 +545,9 @@ class DefSet:
     a clause: those unfold to the empty stream, which is how `false` works.
     A query that names an unregistered predicate is rejected as a probable
     typo (UndefinedPredicate; solve() reports it inconclusive) only for
-    library callers: the CLI registers every name a query mentions first,
-    so `nabla-check -q "exists X. typo X"` still prints `% disproved`; it
-    warns on stderr about each name register_formula finds undefined.
+    library callers: the CLI's queries register every name they call as
+    they compile (compile_goal's warn), so `nabla-check -q "exists X. typo
+    X"` still prints `% disproved`, and warn on stderr about each undefined.
 
     changed lists the predicate of each clause and table mode that
     arrived, in order, and callers maps each name to the predicates whose
@@ -568,12 +582,8 @@ class DefSet:
         """Register every name f calls, and return, sorted, those that have
         no clause, no table mode and no declared level, false aside."""
         undefined = []
-        for p in formula_preds(f):
-            d = self.ensure(p)
-            if not d.clauses and d.table_mode is None \
-                    and d.declared_level is None and p != "false":
-                undefined.append(p)
-        return sorted(undefined)
+        compile_goal(f, self.defs, False, build=False, warn=undefined.append)
+        return undefined
 
     def add_clause(self, pred, head_args, body, var_names, line=None):
         d = self.ensure(pred)
@@ -785,6 +795,34 @@ def replace_clause_vars_formula(f, env, slots=(), depth=0):
         else:
             done.append(f)
     return done[0]
+
+
+def closes_ground(f, env, slots=()):
+    """Would replace_clause_vars_formula(f, env, slots) hold no unbound
+    logic variable?  Each value is read where it is, nothing is built, and
+    an index bound inside f reads nothing, so env's stale values under the
+    keys of binders inside f are never read."""
+    todo = [f]
+    depth = 0  # the λs and binders of f around the node visited
+    while todo:
+        t = todo.pop()
+        tt = type(t)
+        if t is None:  # the end of a binder's scope
+            depth -= 1
+        elif tt is ClauseVar or tt is Bound and t.index >= depth:
+            if has_unbound_logic_var(env[t.name] if tt is ClauseVar
+                                     else slots[t.index - depth]):
+                return False
+        elif tt is Atom or tt is App and not t.inert:
+            todo += t.args if tt is Atom else (t.head, *t.args)
+        elif tt is Lam or tt is Exists or tt is Forall or tt is Nabla:
+            depth += 1
+            todo += (None, t.body)
+        elif tt is Eq or tt is And or tt is Or or tt is Imp:
+            todo += (t.lhs, t.rhs) if tt is Eq else (t.left, t.right)
+        elif isinstance(t, Var) and has_unbound_logic_var(t):
+            return False
+    return True
 
 
 def unfold(defn, args, st, left=False):

@@ -51,6 +51,7 @@ engine knows to report their witnesses.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .errors import ParseError
 from .logic import (
@@ -96,12 +97,12 @@ _NAMES = {cls: op for op, cls in _FORMULAS.items()}
 _LEAVES = {"name", "uvar", "int"}  # token kinds that are operands
 _CONS = Const("::")
 
-# One token per match on one line: a comment, which runs to the end of the
-# line, a directive, a name, a number, a string, a two-character operator,
-# or else any one character that is not whitespace.  Every such character
-# so lands in a token, and findall skips only whitespace.
-_TOKEN = re.compile(r"""%.*|\#[a-z_]+|[A-Za-z_][A-Za-z0-9_']*|\d+|"[^"]*"|"""
-                    r""":=|::|=>|/\\|\\/|\S""")
+# One token per match on one line, the commonest kinds first: a name, a
+# number, a two-character operator, a comment, which runs to the end of the
+# line, a directive, a string, or else any one character that is not
+# whitespace, so findall skips only whitespace.
+_TOKEN = re.compile(r"""[A-Za-z_][A-Za-z0-9_']*|\d+|:=|::|=>|/\\|\\/|"""
+                    r"""%.*|\#[a-z_]+|"[^"]*"|\S""")
 _findall = _TOKEN.findall
 # A token's kind by its first character.  A character missing here starts
 # a token only as a stray one, or as a number in other digits than 0-9.
@@ -115,6 +116,7 @@ _KIND['"'] = "string"
 # no `#` without a directive name, `"` without its closing quote, `:` or `/`
 # outside an operator.
 _STRAY = {"#", '"', ":", "/"}
+_MARKED = _STRAY | KEYWORDS  # texts the kind of their first character misses
 
 
 def tokenize(text, filename=None):
@@ -134,18 +136,17 @@ def tokenize(text, filename=None):
                 found.pop()
             texts += found
             lines += [n] * len(found)
-    kind = _KIND.get
-    kinds = [kind(t[0]) for t in texts]
-    if None in kinds or not _STRAY.isdisjoint(texts):
+    kinds = list(map(_KIND.get, map(itemgetter(0), texts)))
+    if None in kinds or not _MARKED.isdisjoint(texts):
         for i, t in enumerate(texts):
             if kinds[i] is None and t[0].isdecimal():
                 kinds[i] = "int"
             elif kinds[i] is None or t in _STRAY:
-                raise ParseError(f"unexpected character {t!r}", filename,
+                what = (f"byte {ord(t) - 0xDC00:#04x}"  # read surrogateescaped
+                        if "\udc80" <= t <= "\udcff" else f"character {t!r}")
+                raise ParseError(f"unexpected {what}", filename,
                                  lines[i], _column(text, texts, lines, i))
-    if not KEYWORDS.isdisjoint(texts):
-        for i, t in enumerate(texts):
-            if t in KEYWORDS:
+            elif t in KEYWORDS:
                 kinds[i] = "kw"
     texts.append("")
     kinds.append("eof")
@@ -261,11 +262,6 @@ class _Parser:
         self.pos = pos + 1
         return found
 
-    def at(self, kind, text=None):
-        pos = self.pos
-        return self.kinds[pos] == kind and (text is None
-                                            or self.texts[pos] == text)
-
     def error(self, message, i=None):
         """A ParseError at token i, by default the current one."""
         if i is None:
@@ -275,9 +271,10 @@ class _Parser:
 
     def finish(self, result):
         """result, once an optional closing dot and the end of input follow."""
-        if self.at("punct", "."):
+        if self.texts[self.pos] == "." and self.kinds[self.pos] == "punct":
             self.pos += 1
-        self.expect("eof")
+        if self.kinds[self.pos] != "eof":
+            self.expect("eof")  # raises
         return result
 
     # One expression -------------------------------------------------------
@@ -289,11 +286,11 @@ class _Parser:
         Each operator builds its Term or Formula as soon as its operands are
         read, taking each by its sort (term or formula), and an operand
         comes with the index of the token an error in it is reported at.
-        An application stays a list, head then arguments, until what takes
-        it reads it as a term or an atom.  A binder's names are in scope
-        (self.bound) from the binder to the end of its body.  Parentheses
-        leave no node.  Each open operator waits on the stack for its right
-        operand."""
+        An application stays a list, head then arguments, and a free
+        lowercase name its text, until what takes it reads it as a term or
+        an atom (a predicate's name makes no constant).  A binder's names are
+        in scope (self.bound) from the binder to the end of its body, and
+        parentheses leave no node; an open operator waits on the stack."""
         texts = self.texts
         kinds = self.kinds
         bound = self.bound
@@ -330,6 +327,8 @@ class _Parser:
                 op, left, inner = "\\", text, OPEN
                 pos += 1
                 bound.append(left)
+            elif kind == "name" and text not in bound:
+                node, tok, op = text, t, None
             elif kind in _LEAVES or kind == "kw" and text == "true":
                 node, tok, op = leaf(kind, text), t, None
             else:
@@ -346,9 +345,11 @@ class _Parser:
                 text = texts[pos]
                 if (kind in _LEAVES or text == "(") and level <= APP:
                     if type(node) is not list:
-                        node = [term(node, tok)]
+                        node = [node if type(node) is str
+                                else term(node, tok)]
                     if kind in _LEAVES:
-                        node.append(leaf(kind, text))
+                        node.append(Const(text) if kind == "name" and text
+                                    not in bound else leaf(kind, text))
                         pos += 1
                         continue
                     stack.append((" ", pos, node, tok, level))
@@ -398,8 +399,9 @@ class _Parser:
 
     def leaf(self, kind, name):
         """The node a name, number or true stands for, with the binders in
-        scope; a free uppercase name is a clause variable, or in a query a
-        Bound that query() closes."""
+        scope (expr keeps a free lowercase name as its text); a free
+        uppercase name is a clause variable, or in a query a Bound that
+        query() closes."""
         if kind == "kw":  # true
             return Top()
         bound = self.bound
@@ -415,10 +417,13 @@ class _Parser:
         return b
 
     def term(self, node, tok):
-        """node as a Term: an application list is applied, a formula
-        refused."""
+        """node as a Term: a name's text is its constant, an application
+        list is applied, a formula refused."""
+        if type(node) is str:
+            return Const(node)
         if type(node) is list:
-            return app(node[0], node[1:])
+            head = node[0]
+            return app(Const(head) if type(head) is str else head, node[1:])
         if isinstance(node, Formula):
             op = "true" if type(node) is Top else _NAMES[type(node)]
             raise self.error(f"expected a term, found {op!r}", tok)
@@ -453,7 +458,7 @@ class _Parser:
         for b, rank in self.query_vars:
             b.index += k - 1 - rank
         self.query_vars = None
-        for name in reversed(list(self.clause_vars)):
+        for name in reversed(self.clause_vars):
             f = Exists(name, f)
         return f
 
@@ -468,7 +473,7 @@ class _Parser:
         _, head_level, body_level = _INFIX[":="]
         hname, hargs = self.expr(head_level, 0, self.head)
         body = Top()
-        if self.at("punct", ":="):
+        if self.texts[self.pos] == ":=":  # only an operator spells it
             self.pos += 1
             body = self.expr(body_level, 1, self.formula)
         self.expect("punct", ".")
@@ -479,37 +484,32 @@ class _Parser:
         name = self.expect("directive")
         if name == "#level":
             pred = self.expect("name")
-            level = int(self.expect("int"))
-            self.expect("punct", ".")
-            return LevelDirective(pred, level, line)
-        if name == "#table":
+            d = LevelDirective(pred, int(self.expect("int")), line)
+        elif name == "#table":
             mode = self.expect("name")
-            pred = self.expect("name")
-            self.expect("punct", ".")
-            return TableDirective(mode, pred, line)
-        if name in ("#assert", "#assert_not"):
-            f = self.query()
-            self.expect("punct", ".")
-            return AssertDirective(f, name == "#assert", line)
-        if name == "#include":
-            path = self.expect("string")[1:-1]
-            self.expect("punct", ".")
-            return IncludeDirective(path, line)
-        if name == "#clear_tables":
-            self.expect("punct", ".")
-            return ClearTablesDirective(line)
-        if name == "#show_table":
-            pred = self.expect("name")
-            self.expect("punct", ".")
-            return ShowTableDirective(pred, line)
-        raise self.error(f"unknown directive {name}")
+            d = TableDirective(mode, self.expect("name"), line)
+        elif name in ("#assert", "#assert_not"):
+            d = AssertDirective(self.query(), name == "#assert", line)
+        elif name == "#include":
+            d = IncludeDirective(self.expect("string")[1:-1], line)
+        elif name == "#clear_tables":
+            d = ClearTablesDirective(line)
+        elif name == "#show_table":
+            d = ShowTableDirective(self.expect("name"), line)
+        else:
+            raise self.error(f"unknown directive {name}")
+        self.expect("punct", ".")
+        return d
 
 
 def _atom_parts(node):
-    """The predicate name and arguments of node, a term or an application
-    list, read as an atom, or None and () when its head is no constant."""
+    """The predicate name and arguments of node, a term, a name's text or
+    an application list, read as an atom, or None and () when its head is
+    no constant."""
     head, args = (node[0], tuple(node[1:])) if type(node) is list \
         else (node, ())
+    if type(head) is str:
+        return head, args
     if type(head) is App:
         head, args = head.head, head.args + args
     if type(head) is Const:
@@ -553,7 +553,7 @@ def parse_file(text, filename=None):
 def parse_interaction(text, filename=None):
     """Parse one REPL input: either a directive or a query formula."""
     p = _Parser(text, filename)
-    if p.at("directive"):
+    if p.kinds[p.pos] == "directive":
         d = p.directive()
         p.expect("eof")
         return d

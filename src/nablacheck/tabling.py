@@ -143,12 +143,11 @@ class Table:
 
 
 def eligible(args, level):
-    """May a call with these arguments be tabled?  (has_unbound_* return
-    at an inert argument, so a call whose arguments are all inert walks
-    nothing.)"""
+    """May a call with these arguments be tabled?  An inert argument holds
+    no variable, so a call whose arguments are all inert walks nothing."""
     has_unbound = has_unbound_var if level == 0 else has_unbound_logic_var
     for a in args:
-        if has_unbound(a):
+        if not a.inert and has_unbound(a):
             return False
     return True
 
@@ -257,14 +256,13 @@ def clear_tables(st):
 
 def drop_stale_tables(st):
     """Drop the tables of the predicates whose definitions reach one that
-    a clause or a table mode arrived for since the last call."""
+    a clause or a table mode arrived for since st.tables_seen."""
     changed = st.defs.changed
-    if st.tables_seen != len(changed):
-        if st.tables:
-            stale = st.defs.affected(changed[st.tables_seen:])
-            for pred in [p for p in st.tables if p in stale]:
-                del st.tables[pred]
-        st.tables_seen = len(changed)
+    if st.tables:
+        stale = st.defs.affected(changed[st.tables_seen:])
+        for pred in [p for p in st.tables if p in stale]:
+            del st.tables[pred]
+    st.tables_seen = len(changed)
 
 
 def table_report(st, pred=None):

@@ -1,5 +1,6 @@
 """The nabla-check command: batch runs, queries, the interactive loop."""
 
+import gc
 import io
 import os
 import pathlib
@@ -10,8 +11,9 @@ import sys
 import pytest
 
 import nablacheck
-from nablacheck.cli import repl
+from nablacheck.cli import load_file, repl, run_assertion, run_query
 from nablacheck.engine import State
+from nablacheck.parser import parse_file
 
 from conftest import run_child, run_cli
 
@@ -418,6 +420,54 @@ def test_unrelated_clauses_keep_a_table(tmp_path):
     assert "% table reach (inductive): 0 proved, 2 disproved" in out
 
 
+def _python_calls(fn, *args):
+    """The names of the Python-level functions fn(*args) calls, fn itself
+    included, as sys.setprofile sees them (a generator counts once per
+    resumption); the garbage collector, which may run finalizers, is off
+    meanwhile."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls
+
+
+def test_a_settled_query_costs_few_python_calls(tmp_path):
+    # A ground query that one settled table entry answers should cost
+    # little more than its lookup.  The counts do not depend on the
+    # machine, so they guard the query path where timings cannot: the
+    # query made 54 calls and the assertion 42 before the path was cut
+    # down (reader, registration, solve, table hit, answer printing).
+    # Registering the names a goal calls is compile_goal's walk, not a
+    # walk of its own (formula_preds).
+    st = State()
+    f = write(tmp_path, "r.def", REACH_AB + "edge b c.\n")
+    assert load_file(f, st, io.StringIO()) == 0
+    assert run_query("reach a c", st, io.StringIO()) == 0  # settles it
+    out = io.StringIO()
+    calls = _python_calls(run_query, "reach a c", st, out)
+    assert out.getvalue() == "yes\n% proved (1 answer)\n"
+    assert len(calls) <= 26, calls
+    assert "formula_preds" not in calls and calls.count("compile_goal") == 1
+    directive = parse_file("#assert reach a c.\n")[0]
+    out = io.StringIO()
+    calls = _python_calls(run_assertion, directive, st, out, "r.def")
+    assert out.getvalue() == "r.def:1: assert reach a c ... ok\n"
+    assert len(calls) <= 23, calls
+    assert "formula_preds" not in calls and calls.count("compile_goal") == 1
+
+
 # ---------------------------------------------------------------------------
 # Interactive loop
 # ---------------------------------------------------------------------------
@@ -503,6 +553,25 @@ def test_repl_error_statement_is_exit_two():
     code, out = run_cli([], stdin_text="(X = a) => X = a.\n")
     assert code == 2
     assert "error:" in out
+
+
+@pytest.mark.parametrize("env", [
+    {"PYTHONIOENCODING": "utf-8"},  # a strict stdin, as on a UTF-8 desktop
+    {"LC_ALL": "C", "PYTHONIOENCODING": ""},  # the POSIX locale
+], ids=["utf8", "posix"])
+def test_a_byte_that_is_not_utf8_at_the_repl_is_an_error(env):
+    # The REPL decodes its input as UTF-8 whatever the locale, and the
+    # tokenizer names the stray byte; the statements around it still run.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nablacheck.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nablacheck"],
+        input=b"\xff = a.\na = a.\n", capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, **env),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout.decode() == (
+        "?= error: 1:1: unexpected byte 0xff\n?= yes\nmore (;) ? ?= \n")
+    assert proc.stderr == b""
 
 
 # ---------------------------------------------------------------------------

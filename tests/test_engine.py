@@ -20,7 +20,7 @@ from nablacheck.errors import (
     UndefinedPredicate,
 )
 from nablacheck.logic import Atom, Forall, Imp, Top
-from nablacheck.parser import parse_query, print_term
+from nablacheck.parser import parse_query, print_formula, print_term
 
 from conftest import load_corpus, run, run_child, state_from
 
@@ -115,6 +115,44 @@ def test_antecedent_with_logic_variable_is_an_error():
     r = run(st, "(memb Y (a::nil)) => memb Y (a::nil)")
     assert r.inconclusive
     assert isinstance(r.error, NonGroundAntecedent)
+
+
+def test_an_antecedent_is_checked_for_groundness_without_closing_it(
+        monkeypatch):
+    # The implication rule reads the antecedent's values where they are:
+    # an untraced proof closes no formula, inside a clause body or not.
+    calls = []
+    real = logic.replace_clause_vars_formula
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(logic, "replace_clause_vars_formula", counted)
+    st = state_from(MEMB + "sub L M := forall x. memb x L => memb x M.\n")
+    assert run(st, "sub (a::b::nil) (b::a::c::nil)").proved
+    assert run(st, "sub (a::d::nil) (b::a::c::nil)").disproved
+    assert run(st, "forall x. memb x (a::nil) => "
+                   "(exists y. nabla n. memb y (x::nil))").proved
+    assert calls == []
+
+
+def test_a_non_ground_antecedent_under_a_binder_is_reported_as_before():
+    # The error still carries the antecedent closed over its values.
+    defs = ("p X (f Y) := Y = X.\n"
+            "q Z := (exists y. nabla n. p y (g Z n)) => true.\n")
+    for query, antecedent in (
+        ("exists X. (exists y. nabla n. p y (g X n)) => true",
+         "exists y. nabla n. p y (g X_0 n)"),
+        ("exists X. q X", "exists y. nabla n. p y (g X_0 n)"),
+        ("exists X. X = a /\\ q (h X W)",
+         "exists y. nabla n. p y (g (h X_1 W_0) n)"),
+    ):
+        r = run(state_from(defs), query)
+        assert r.inconclusive and isinstance(r.error, NonGroundAntecedent)
+        assert str(r.error) == (
+            "unbound logic variable on the left of an implication")
+        assert print_formula(r.error.formula) == antecedent
 
 
 def test_consequent_may_not_pin_outer_variables():
