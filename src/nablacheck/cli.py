@@ -195,8 +195,10 @@ def run_interaction(text, st, out, inp):
     except ParseError as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE, None
-    if type(stmt) is IncludeDirective:
-        return load_file(stmt.path, st, out), None
+    if type(stmt) is IncludeDirective:  # checked as a batch load is
+        warned = set(st.defs.warnings)
+        code = load_file(stmt.path, st, out)
+        return max(code, check_definitions(st, out, warned)), None
     if not isinstance(stmt, Formula):
         try:
             return apply_directive(stmt, st, out), None

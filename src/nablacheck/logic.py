@@ -146,42 +146,6 @@ def formula_terms(f):
             stack.append(g.body)
 
 
-def formula_preds(f, acc=None):
-    """All predicate names occurring in f, as dict keys in source order,
-    left before right, so that DefSet.defs keeps load order."""
-    acc = {} if acc is None else acc
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        tg = type(g)
-        if tg is Atom:
-            acc[g.pred] = None
-        elif tg is And or tg is Or or tg is Imp:
-            stack.append(g.right)
-            stack.append(g.left)
-        elif tg is Exists or tg is Forall or tg is Nabla:
-            stack.append(g.body)
-    return acc
-
-
-def antecedent_preds(f, acc=None):
-    """formula_preds of the implication antecedents inside f."""
-    acc = {} if acc is None else acc
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        tg = type(g)
-        if tg is Imp:
-            formula_preds(g.left, acc)
-            stack.append(g.right)
-        elif tg is And or tg is Or:
-            stack.append(g.left)
-            stack.append(g.right)
-        elif tg is Exists or tg is Forall or tg is Nabla:
-            stack.append(g.body)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Level classification
 # ---------------------------------------------------------------------------
@@ -191,8 +155,7 @@ def classify(f, level_of=None, strict=True, defs=None) -> int:
 
     level_of maps predicate names to their level (missing names count as 0).
     With strict on, an implication whose antecedent is not level 0 raises
-    IllFormedFormula; with strict off it is tolerated, so level inference
-    can find the level of a clause body before the strict pass complains.
+    IllFormedFormula; with strict off it is tolerated.
 
     With defs, a DefSet's map from names to Definitions, in place of
     level_of, an atom's level is its Definition's, and a name defs lacks
@@ -215,6 +178,7 @@ _TAG = {Atom: ATOM, And: AND, Eq: EQ, Exists: EXISTS, Or: OR, Top: TOP,
 # argument c X1 … Xn only, applies c to the values of the keys x[1].
 KEY, TERM, REST, APP = range(4)
 _INERT = attrgetter("inert")
+_LEVEL = attrgetter("level")
 
 
 class _Keyed(dict):
@@ -374,10 +338,16 @@ class Clause:
     the clause (compile_goal), is built with the plan and, like it, never
     rebuilt: its atoms name Definitions, whose clauses, levels and table
     modes the prover reads at dispatch.
+
+    calls, ante and own, the facts the level check reads, are set by the
+    one walk over the body, on arrival (DefSet._read_body): the Definitions
+    it calls, as dict keys in source order; those it calls inside an
+    antecedent, likewise; and 1 when it has a ∀ or ⊃ of its own, 2 when one
+    sits inside an antecedent, where no levels make it well formed, else 0.
     """
 
     __slots__ = ("head_args", "body", "var_names", "line", "plan", "sieve",
-                 "code")
+                 "code", "calls", "ante", "own")
 
     def __init__(self, head_args, body, var_names, line=None):
         self.head_args = tuple(head_args)
@@ -416,10 +386,6 @@ class Definition:
         self.level = 0
         self.table_mode = None  # None | "inductive" | "coinductive"
         self._index = None  # arity -> (key -> clauses, open clauses, clauses)
-
-    def add_clause(self, clause):
-        self.clauses.append(clause)
-        self._index = None
 
 
 def _redex_free(t):
@@ -549,21 +515,21 @@ class DefSet:
     they compile (compile_goal's warn), so `nabla-check -q "exists X. typo
     X"` still prints `% disproved`, and warn on stderr about each undefined.
 
-    changed lists the predicate of each clause and table mode that
-    arrived, in order, and callers maps each name to the predicates whose
-    clause bodies call it: from both the engine finds the tables a change
-    may have made stale (tabling.py).
+    changed logs each clause and table mode that arrived, in order, as
+    (Definition, Clause or None); callers maps each name to the predicates
+    whose clause bodies call it.  From both the engine finds the tables a
+    change may have made stale (tabling.py); check() reads changed too.
     """
 
     def __init__(self):
         self.defs: dict[str, Definition] = {}
         self.warnings: list[str] = []
-        self.changed: list[str] = []
+        self.changed: list[tuple] = []
         self.callers: dict[str, set] = {}
-        # What check() has not seen yet: the clauses, as (Definition,
-        # Clause), and the names of #level declarations that arrived since
+        # What check() has not seen yet: the arrivals in changed from
+        # _seen on and the names of #level declarations that arrived since
         # it last passed, and whether it must start over (full).
-        self._fresh = []
+        self._seen = 0
         self._declared = []
         self._full = False
         self._warned = set()  # the predicates warnings name
@@ -588,12 +554,44 @@ class DefSet:
     def add_clause(self, pred, head_args, body, var_names, line=None):
         d = self.ensure(pred)
         c = Clause(head_args, body, var_names, line)
-        d.add_clause(c)
-        self._fresh.append((d, c))
-        self.changed.append(pred)
-        for p in formula_preds(body):
-            self.ensure(p)
-            self.callers.setdefault(p, set()).add(pred)
+        d.clauses.append(c)
+        d._index = None
+        self.changed.append((d, c))
+        self._read_body(pred, c)
+
+    def _read_body(self, pred, c):
+        """The one walk over the body of pred's new clause c: set its facts
+        (see Clause), register each name it calls and record pred among
+        that name's callers."""
+        defs = self.defs
+        calls = {}
+        ante = {}
+        own = 0
+        inside = 0  # the antecedents around the node visited
+        todo = [c.body]
+        while todo:
+            g = todo.pop()
+            tg = type(g)
+            if tg is Atom:
+                e = defs.get(g.pred) or self.ensure(g.pred)
+                calls[e] = None
+                if inside:
+                    ante[e] = None
+            elif tg is And or tg is Or:
+                todo += (g.right, g.left)
+            elif tg is Imp:  # None ends the antecedent, which is walked first
+                own = 2 if inside else own or 1
+                inside += 1
+                todo += (g.right, None, g.left)
+            elif tg is Exists or tg is Forall or tg is Nabla:
+                if tg is Forall:
+                    own = 2 if inside else own or 1
+                todo.append(g.body)
+            elif g is None:
+                inside -= 1
+        c.calls, c.ante, c.own = calls, ante, own
+        for e in calls:
+            self.callers.setdefault(e.pred, set()).add(pred)
 
     def declare_level(self, pred, level):
         if level not in (0, 1):
@@ -607,8 +605,9 @@ class DefSet:
     def set_table(self, pred, mode):
         if mode not in ("inductive", "coinductive"):
             raise LevelError(f"unknown table mode: {mode}")
-        self.ensure(pred).table_mode = mode
-        self.changed.append(pred)
+        d = self.ensure(pred)
+        d.table_mode = mode
+        self.changed.append((d, None))
 
     def level(self, pred) -> int:
         return self.defs[pred].level if pred in self.defs else 0
@@ -632,33 +631,36 @@ class DefSet:
         predicate; so the level-1 predicates are those that reach one of the
         first two kinds through clause bodies.  A predicate declared level 0
         among them is an error, reported for the first such predicate in
-        load order.
+        load order; so is a clause whose antecedent is not level 0.
 
-        Only what arrived since the last check that passed is looked at.
-        Levels only rise as clauses arrive, so level 1 spreads from the new
-        clauses and declarations that are level 1, the calls of level-1
-        predicates included, up callers, and stops at predicates already
-        level 1, whose callers are.  The strict pass, which needs every
-        antecedent at level 0, runs on the new clauses and on the clauses
-        of the callers of each predicate that rose.  After a check that
-        failed, or a #level 0 over a #level 1, levels may have to fall,
-        and the next check starts over from every clause.  Each check that
-        passes reports what a check of everything would.
+        Only what arrived since the last check that passed is looked at,
+        through the facts each clause got on arrival (Clause).  Levels only
+        rise as clauses arrive, so level 1 spreads from the new clauses and
+        declarations that are level 1, the calls of level-1 predicates
+        included, up callers, and stops at predicates already level 1, whose
+        callers are.  The strict pass, which needs every antecedent at level
+        0, runs on the new clauses and on the clauses of the callers of each
+        predicate that rose.  After a check that failed, or a #level 0 over
+        a #level 1, levels may have to fall, and the next check starts over
+        from every clause.  Each check that passes reports what a check of
+        everything would.
         """
-        if not (self._fresh or self._declared or self._full):
+        changed = self.changed
+        if self._seen == len(changed) and not (self._declared or self._full):
             return
         defs = self.defs
-        fresh, declared = self._fresh, self._declared
-        if self._full:
+        declared = self._declared
+        if self._full:  # every clause is in changed
             for d in defs.values():
                 d.level = 0
-            fresh = [(d, c) for d in defs.values() for c in d.clauses]
             declared = [p for p, d in defs.items()
                         if d.declared_level is not None]
+        fresh = [(d, c) for d, c in changed[0 if self._full else self._seen:]
+                 if c is not None]
         self._full = True  # until this check passes
         todo = [p for p in declared if defs[p].declared_level == 1]
-        todo += [d.pred for d, c in fresh if d.level == 0 and classify(
-            c.body, strict=False, defs=defs)]
+        todo += [d.pred for d, c in fresh if d.level == 0
+                 and (c.own or 1 in map(_LEVEL, c.calls))]
         raised = []
         while todo:
             d = defs[todo.pop()]
@@ -666,45 +668,40 @@ class DefSet:
                 d.level = 1
                 raised.append(d.pred)
                 todo.extend(self.callers.get(d.pred, ()))
-        clash = {p for p in raised if defs[p].declared_level == 0}
-        clash.update(p for p in declared
-                     if defs[p].declared_level == 0 and defs[p].level)
+        clash = {p for p in raised + declared
+                 if defs[p].declared_level == 0 and defs[p].level}
         if clash:
             d = next(d for d in defs.values() if d.pred in clash)
-            lv = {p: e.level for p, e in defs.items()}
             c = next(c for c in d.clauses
-                     if classify(c.body, lv, strict=False))
+                     if c.own or 1 in map(_LEVEL, c.calls))
             raise LevelError(
                 f"clause of {d.pred} (line {c.line}) has a level-1 body "
                 f"but {d.pred} is declared level 0"
             )
-        # Diagnose negation-through-recursion before the strict pass gets a
-        # chance to reject the clause for level reasons: the warning is the
-        # useful half of that error message.
-        new = {d.pred for d, c in fresh if d.pred not in self._warned
-               and d.pred in antecedent_preds(c.body)}
+        # Name negation through recursion before the strict pass rejects
+        # the clause: its predicate has an implication, so is level 1.
+        new = {d.pred for d, c in fresh
+               if d.pred not in self._warned and d in c.ante}
         if new:
             self._warned |= new
             self.warnings = [
                 f"predicate {p} occurs in the antecedent of its own "
-                "definition; stratification is not checked"
-                for p in defs if p in self._warned]
+                "definition" for p in defs if p in self._warned]
         # Final strict pass: antecedents must have settled at level 0.
         recheck = {q for p in raised for q in self.callers.get(p, ())}
-        clauses = [(d, c) for d, c in fresh if d.pred not in recheck]
-        clauses += [(defs[q], c) for q in recheck for c in defs[q].clauses]
-        ill = {}
-        for d, c in clauses:
-            try:
-                classify(c.body, strict=True, defs=defs)
-            except IllFormedFormula as e:
-                ill[c] = e
+        clauses = [c for _, c in fresh]
+        clauses += [c for q in recheck for c in defs[q].clauses]
+        ill = {c for c in clauses if c.own == 2 or 1 in map(_LEVEL, c.ante)}
         if ill:
             d, c = next((d, c) for d in defs.values() for c in d.clauses
                         if c in ill)
+            why = ("it holds a forall or an implication" if c.own == 2 else
+                   f"it calls {next(e.pred for e in c.ante if e.level)}, "
+                   "which is level 1")
             raise LevelError(
-                f"clause of {d.pred} (line {c.line}): {ill[c]}") from None
-        self._fresh = []
+                f"clause of {d.pred} (line {c.line}): the antecedent of an "
+                f"implication must be a level-0 formula, but {why}")
+        self._seen = len(changed)
         self._declared = []
         self._full = False
 

@@ -259,7 +259,7 @@ def drop_stale_tables(st):
     a clause or a table mode arrived for since st.tables_seen."""
     changed = st.defs.changed
     if st.tables:
-        stale = st.defs.affected(changed[st.tables_seen:])
+        stale = st.defs.affected(d.pred for d, _ in changed[st.tables_seen:])
         for pred in [p for p in st.tables if p in stale]:
             del st.tables[pred]
     st.tables_seen = len(changed)

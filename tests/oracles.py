@@ -489,3 +489,100 @@ def reference_tokens(text):
                         pos - bol + 1)
     tokens.append(("eof", "", line, pos - bol + 1))
     return tokens, None
+
+
+# ---------------------------------------------------------------------------
+# Level checking
+# ---------------------------------------------------------------------------
+
+def _subformulas(f, inside=False):
+    """(node, inside) for every node of the formula f, in source order,
+    inside saying whether the node lies in an implication's antecedent."""
+    kind = type(f).__name__
+    yield f, inside
+    if kind in ("And", "Or", "Imp"):
+        yield from _subformulas(f.left, inside or kind == "Imp")
+        yield from _subformulas(f.right, inside)
+    elif kind in ("Exists", "Forall", "Nabla"):
+        yield from _subformulas(f.body, inside)
+
+
+def _is_level_one(f, one):
+    """Does f use ∀ or ⊃, or call a predicate in the set one?"""
+    return any(type(g).__name__ in ("Forall", "Imp")
+               or type(g).__name__ == "Atom" and g.pred in one
+               for g, _ in _subformulas(f))
+
+
+class LevelOracle:
+    """A session of clauses, #level declarations and level checks, each
+    check recomputed from everything loaded: the level-1 predicates as a
+    least fixed point over all clauses, then the first predicate declared
+    level 0 among them, then the first clause with an implication whose
+    antecedent is level 1.  levels and warnings are those of the last
+    check, as a DefSet keeps them."""
+
+    def __init__(self):
+        self.order = ["false"]  # every name, in the order first met
+        self.clauses = []  # (pred, body, line), in arrival order
+        self.declared = {}
+        self.levels = {}
+        self.warnings = []
+
+    def _meet(self, name):
+        if name not in self.order:
+            self.order.append(name)
+
+    def add_clause(self, pred, body, line):
+        self._meet(pred)
+        for g, _ in _subformulas(body):
+            if type(g).__name__ == "Atom":
+                self._meet(g.pred)
+        self.clauses.append((pred, body, line))
+
+    def declare_level(self, pred, level):
+        self._meet(pred)
+        self.declared[pred] = level
+
+    def level(self, pred):
+        return self.levels.get(pred, 0)
+
+    def check(self):
+        """The message of the error a check should raise, or None."""
+        one = {p for p, lv in self.declared.items() if lv == 1}
+        while True:
+            more = {p for p, body, _ in self.clauses
+                    if p not in one and _is_level_one(body, one)}
+            if not more:
+                break
+            one |= more
+        self.levels = {p: int(p in one) for p in self.order}
+        in_order = [c for p in self.order for c in self.clauses if c[0] == p]
+        for p in self.order:
+            if self.declared.get(p) == 0 and p in one:
+                line = next(line for q, body, line in in_order
+                            if q == p and _is_level_one(body, one))
+                return (f"clause of {p} (line {line}) has a level-1 body "
+                        f"but {p} is declared level 0")
+        self.warnings = [
+            f"predicate {p} occurs in the antecedent of its own definition"
+            for p in self.order
+            if any(q == p and inside and type(g).__name__ == "Atom"
+                   and g.pred == p
+                   for q, body, _ in self.clauses
+                   for g, inside in _subformulas(body))]
+        for p, body, line in in_order:
+            nodes = list(_subformulas(body))
+            if not any(type(g).__name__ == "Imp" and _is_level_one(g.left, one)
+                       for g, _ in nodes):
+                continue
+            if any(inside and type(g).__name__ in ("Forall", "Imp")
+                   for g, inside in nodes):
+                why = "it holds a forall or an implication"
+            else:
+                callee = next(g.pred for g, inside in nodes if inside
+                              and type(g).__name__ == "Atom" and g.pred in one)
+                why = f"it calls {callee}, which is level 1"
+            return (f"clause of {p} (line {line}): the antecedent of an "
+                    f"implication must be a level-0 formula, but {why}")
+        return None

@@ -413,6 +413,24 @@ def test_an_interactive_include_drops_the_tables_it_changes(tmp_path):
     assert "no.\n" in out and "no more.\n" in out
 
 
+def test_an_interactive_include_checks_levels_as_a_batch_load_does(
+        tmp_path):
+    # The warning and the error come at the #include, as they do after a
+    # file given on the command line; a later include, whose check fails
+    # the same way, does not repeat the warning.
+    sa = write(tmp_path, "sa.def", "p X := (p X) => false.\n")
+    other = write(tmp_path, "other.def", "t a.\n")
+    warning = ("% warning: predicate p occurs in the antecedent of its own "
+               "definition\n")
+    error = ("error: clause of p (line 1): the antecedent of an implication "
+             "must be a level-0 formula, but it calls p, which is level 1\n")
+    assert run_cli([sa]) == (2, warning + error)
+    code, out = run_cli([], stdin_text=(
+        f'#include "{sa}".\nq a.\n#include "{other}".\n'))
+    assert code == 2
+    assert out == f"?= {warning}{error}?= {error}?= {error}?= \n"
+
+
 def test_unrelated_clauses_keep_a_table(tmp_path):
     f = write(tmp_path, "keep.def", REACH_AB + "other z.\n#assert other z.\n")
     code, out = run_cli([f, "--show-table", "reach"])
@@ -449,8 +467,8 @@ def test_a_settled_query_costs_few_python_calls(tmp_path):
     # machine, so they guard the query path where timings cannot: the
     # query made 54 calls and the assertion 42 before the path was cut
     # down (reader, registration, solve, table hit, answer printing).
-    # Registering the names a goal calls is compile_goal's walk, not a
-    # walk of its own (formula_preds).
+    # Registering the names a goal calls is compile_goal's walk, not the
+    # walk over arriving clause bodies (DefSet._read_body).
     st = State()
     f = write(tmp_path, "r.def", REACH_AB + "edge b c.\n")
     assert load_file(f, st, io.StringIO()) == 0
@@ -459,13 +477,13 @@ def test_a_settled_query_costs_few_python_calls(tmp_path):
     calls = _python_calls(run_query, "reach a c", st, out)
     assert out.getvalue() == "yes\n% proved (1 answer)\n"
     assert len(calls) <= 26, calls
-    assert "formula_preds" not in calls and calls.count("compile_goal") == 1
+    assert "_read_body" not in calls and calls.count("compile_goal") == 1
     directive = parse_file("#assert reach a c.\n")[0]
     out = io.StringIO()
     calls = _python_calls(run_assertion, directive, st, out, "r.def")
     assert out.getvalue() == "r.def:1: assert reach a c ... ok\n"
     assert len(calls) <= 23, calls
-    assert "formula_preds" not in calls and calls.count("compile_goal") == 1
+    assert "_read_body" not in calls and calls.count("compile_goal") == 1
 
 
 # ---------------------------------------------------------------------------

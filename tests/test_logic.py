@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from conftest import run, run_cli, state_from
+from oracles import LevelOracle
 from nablacheck.engine import State
 
 import nablacheck.engine as engine
@@ -14,14 +15,16 @@ import nablacheck.terms as terms_mod
 import nablacheck.unify as unify_mod
 from nablacheck.errors import IllFormedFormula, LevelError
 from nablacheck.logic import (
+    And,
     Atom,
     DefSet,
     Eq,
+    Exists,
     Forall,
     Imp,
+    Or,
     Top,
     classify,
-    formula_preds,
     replace_clause_vars,
     replace_clause_vars_formula,
     unfold,
@@ -84,26 +87,70 @@ def test_declared_level_too_low_is_an_error():
         ds.check()
 
 
-def test_level_inference_classifies_each_clause_a_bounded_number_of_times(
-        monkeypatch):
+def _count_body_reads(monkeypatch):
+    """A list that counts DefSet's walks over arriving clause bodies."""
+    reads = []
+    read_body = DefSet._read_body
+
+    def counted(self, pred, c):
+        reads.append(pred)
+        return read_body(self, pred, c)
+
+    monkeypatch.setattr(DefSet, "_read_body", counted)
+    return reads
+
+
+def _forbid_formula_walks_in_check(monkeypatch):
+    """Make classify and compile_goal raise when DefSet.check calls them."""
+    checking = [False]
+    check = DefSet.check
+
+    def flagged(self):
+        checking[0] = True
+        try:
+            return check(self)
+        finally:
+            checking[0] = False
+
+    def forbidden(fn):
+        def guarded(*args, **kwargs):
+            if checking[0]:
+                raise AssertionError(f"{fn.__name__} called in check")
+            return fn(*args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(DefSet, "check", flagged)
+    for name in ("classify", "compile_goal"):
+        monkeypatch.setattr(logic, name, forbidden(getattr(logic, name)))
+
+
+def test_level_inference_walks_each_clause_body_once(monkeypatch):
     # p0 := p1. ... p299 := p300. p300 := forall x. x = x.  Level 1 climbs
-    # the whole chain; a fixed point over all clauses would classify every
-    # clause once per link (91,203 calls here), propagation over callers
-    # twice.
+    # the whole chain; a fixed point over all clauses would read the
+    # callees' levels of every clause once per link, propagation over
+    # callers reads each clause's facts, saved by the one walk over its body
+    # on arrival, a bounded number of times.
     n = 300
     text = "".join(f"p{i} := p{i + 1}.\n" for i in range(n))
+    reads = _count_body_reads(monkeypatch)
     ds = _defs(text + f"p{n} := forall x. x = x.\n")
-    calls = [0]
-    classify = logic.classify
+    assert len(reads) == n + 1
+    _forbid_formula_walks_in_check(monkeypatch)
+    levels_read = []
+    level = logic._LEVEL
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return classify(*args, **kwargs)
+    def counted(d):
+        levels_read.append(d)
+        return level(d)
 
-    monkeypatch.setattr(logic, "classify", counted)
+    monkeypatch.setattr(logic, "_LEVEL", counted)
+    for d in ds.defs.values():  # check works from the facts alone
+        for c in d.clauses:
+            c.body = None
     ds.check()
     assert all(ds.level(f"p{i}") == 1 for i in range(n + 1))
-    assert calls[0] <= 3 * (n + 1)
+    assert len(reads) == n + 1
+    assert len(levels_read) <= 3 * (n + 1)
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
@@ -111,23 +158,18 @@ def test_checks_between_clauses_classify_only_what_arrived(
         monkeypatch, tmp_path, n):
     # e0 a. #assert e0 a. e1 a. #assert e1 a. ...  Each assertion checks
     # the definitions first; a check of every clause made n(n+1) classify
-    # calls here (1,001,000 at n = 1,000), one of what arrived a few per
-    # clause.
+    # calls here (1,001,000 at n = 1,000).  Now each body is walked once,
+    # as it arrives, and a check classifies nothing: it reads the facts of
+    # what arrived since the last one.
     text = "".join(f"e{i} a.\n#assert e{i} a.\n" for i in range(n))
-    calls = [0]
-    classify = logic.classify
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return classify(*args, **kwargs)
-
-    monkeypatch.setattr(logic, "classify", counted)
+    reads = _count_body_reads(monkeypatch)
+    _forbid_formula_walks_in_check(monkeypatch)
     path = tmp_path / "alternating.def"
     path.write_text(text)
     code, out = run_cli([str(path)])
     assert code == 0
     assert out.count(" ... ok\n") == n
-    assert calls[0] <= 3 * n
+    assert len(reads) == n
 
 
 def test_a_check_after_new_clauses_finds_what_a_full_check_finds():
@@ -161,6 +203,60 @@ def test_a_level_conflict_names_the_first_predicate_in_load_order():
         "clause of a (line 1) has a level-1 body but a is declared level 0")
 
 
+_PREDS = ("p", "q", "r", "s", "t")
+
+
+def _bodies(preds):
+    """Clause bodies over the names preds and false, without arguments; ∀
+    and ⊃ are the rarer connectives, so that levels often rise late in a
+    session, and false, always level 0, often makes an antecedent one."""
+    return hs.recursive(
+        hs.sampled_from((*preds, "false")).map(Atom),
+        lambda sub: hs.one_of(
+            hs.tuples(hs.sampled_from((And, Or, And, Or, Imp)), sub, sub).map(
+                lambda t: t[0](t[1], t[2])),
+            hs.tuples(hs.sampled_from((Exists, Exists, Forall)), sub).map(
+                lambda t: t[0]("x", t[1]))),
+        max_leaves=5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hs.data())
+def test_level_checks_agree_with_a_check_of_everything(data):
+    # Random sessions of clauses, #level declarations (0 over 1 among
+    # them) and checks: after every call the levels, whether a check
+    # raises and what its error names agree with an oracle that checks
+    # everything loaded from scratch (oracles.LevelOracle).
+    preds = _PREDS[:data.draw(hs.integers(2, 5))]
+    clause = hs.tuples(hs.just("clause"), hs.sampled_from(preds),
+                       _bodies(preds))
+    ops = data.draw(hs.lists(hs.one_of(
+        clause, clause,
+        hs.tuples(hs.just("level"), hs.sampled_from(preds),
+                  hs.integers(0, 1)),
+        hs.just(("check",))), max_size=16))
+    ds = DefSet()
+    oracle = LevelOracle()
+    for line, op in enumerate([*ops, ("check",)], 1):
+        if op[0] == "clause":
+            ds.add_clause(op[1], (), op[2], (), line)
+            oracle.add_clause(op[1], op[2], line)
+        elif op[0] == "level":
+            ds.declare_level(op[1], op[2])
+            oracle.declare_level(op[1], op[2])
+        else:
+            try:
+                ds.check()
+                error = None
+            except LevelError as e:
+                error = str(e)
+            assert error == oracle.check(), ops
+            assert ds.warnings == oracle.warnings, ops
+        assert list(ds.defs) == oracle.order, ops
+        assert [ds.level(p) for p in oracle.order] == [
+            oracle.level(p) for p in oracle.order], ops
+
+
 def test_declared_level_must_be_zero_or_one():
     ds = DefSet()
     with pytest.raises(LevelError):
@@ -169,9 +265,28 @@ def test_declared_level_must_be_zero_or_one():
 
 def test_self_antecedent_warns_then_errors():
     ds = _defs("p X := (p X) => false.\n")
-    with pytest.raises(LevelError):
+    with pytest.raises(LevelError, match="but it calls p, which is level 1$"):
         ds.check()
     assert any("antecedent of its own definition" in w for w in ds.warnings)
+
+
+def test_an_ill_antecedent_error_says_why():
+    # A ∀ or an implication of the antecedent's own is named before any
+    # level-1 predicate it calls; else the first level-1 callee is.
+    for text, why in (
+            ("q := r => false.\nr := s.\ns := forall x. x = x.\n",
+             "it calls r, which is level 1"),
+            ("q := (t /\\ forall x. t) => false.\nt.\n",
+             "it holds a forall or an implication"),
+            ("q := (r /\\ (t => t)) => t.\nr := forall x. t.\nt.\n",
+             "it holds a forall or an implication"),
+            ("q := (t \\/ r \\/ s) => t.\nr := forall x. t.\n"
+             "s := forall x. t.\nt.\n", "it calls r, which is level 1")):
+        with pytest.raises(LevelError) as exc:
+            state_from(text).defs.check()
+        assert str(exc.value) == (
+            "clause of q (line 1): the antecedent of an implication must "
+            f"be a level-0 formula, but {why}"), text
 
 
 def test_well_formed_programs_produce_no_warnings():
@@ -191,9 +306,16 @@ def test_false_is_predeclared_and_empty():
     assert ds.defs["false"].clauses == []
 
 
-def test_formula_preds():
-    f = parse_formula("forall X. p X a => q X \\/ r b")
-    assert list(formula_preds(f)) == ["p", "q", "r"]  # source order
+def test_defs_keep_load_order():
+    # Each clause registers its head, then the names its body calls, in
+    # source order, left before right; the arrival walk saves them too.
+    ds = _defs("s := forall X. (p X a /\\ t) => q X \\/ r b.\nt.\n")
+    assert list(ds.defs) == ["false", "s", "p", "t", "q", "r"]
+    c = ds.defs["s"].clauses[0]
+    assert [d.pred for d in c.calls] == ["p", "t", "q", "r"]
+    assert [d.pred for d in c.ante] == ["p", "t"]
+    assert c.own == 1
+    assert ds.defs["t"].clauses[0].own == 0
 
 
 # Closing a stored clause body: (body of `c Y := ...`, how many of its
