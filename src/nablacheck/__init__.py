@@ -10,7 +10,7 @@ success, and exports the finished table as a certificate.
 """
 
 from .engine import Answer, Result, State, prove, solve, solve_iter
-from .logic import DefSet, classify
+from .logic import DefSet
 from .parser import (
     parse_file,
     parse_formula,
@@ -30,7 +30,6 @@ __all__ = [
     "Result",
     "State",
     "__version__",
-    "classify",
     "equal_modulo",
     "normalize",
     "parse_file",

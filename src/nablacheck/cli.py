@@ -96,12 +96,13 @@ def _open(path, paths, files, out):
         out.write(f"error: {path}: include cycle\n")
         return INCONCLUSIVE
     try:
-        with open(path, encoding="utf-8") as fh:
+        # Decoded as the REPL decodes stdin: the tokenizer places a stray byte.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             items = parse_file(fh.read(), filename=path)
     except (OSError, ParseError) as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE
-    except ValueError as e:  # text that is not UTF-8, or a NUL in the path
+    except ValueError as e:  # a NUL in the path
         out.write(f"error: {path}: {e}\n")
         return INCONCLUSIVE
     paths.append(path)
@@ -186,7 +187,8 @@ def check_definitions(st, out, warned):
 
 
 def run_interaction(text, st, out, inp):
-    """One interactive statement: a directive, or a query stepped with `;`.
+    """One interactive statement: a directive, followed by the level check
+    that follows each batch file, or a query stepped with `;`.
     Returns the exit code and the reply to `more (;) ?` if it was not `;`
     but a statement of its own, ending with a dot (the next query of a
     piped session), else None."""
@@ -195,16 +197,16 @@ def run_interaction(text, st, out, inp):
     except ParseError as e:
         out.write(f"error: {e}\n")
         return INCONCLUSIVE, None
-    if type(stmt) is IncludeDirective:  # checked as a batch load is
-        warned = set(st.defs.warnings)
-        code = load_file(stmt.path, st, out)
-        return max(code, check_definitions(st, out, warned)), None
     if not isinstance(stmt, Formula):
+        warned = set(st.defs.warnings)
         try:
-            return apply_directive(stmt, st, out), None
+            code = (load_file(stmt.path, st, out)
+                    if type(stmt) is IncludeDirective
+                    else apply_directive(stmt, st, out))
         except NablaCheckError as e:
             out.write(f"error: {e}\n")
-            return INCONCLUSIVE, None
+            code = INCONCLUSIVE
+        return max(code, check_definitions(st, out, warned)), None
     count = 0
     gen = solve_iter(stmt, st, _warn)
     try:
@@ -331,10 +333,8 @@ def _run(args, st, out):
     worst = OK
     warned = set()
     for path in args.files:
-        worst = max(worst, load_file(path, st, out))
-        if worst == INCONCLUSIVE:
-            return worst
-        worst = max(worst, check_definitions(st, out, warned))
+        worst = max(worst, load_file(path, st, out),
+                    check_definitions(st, out, warned))
         if worst == INCONCLUSIVE:
             return worst
     for q in args.query:

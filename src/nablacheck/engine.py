@@ -556,8 +556,8 @@ def solve_iter(goal, st, warn=None):
     solve() below folds them into a Result.  Neither the prover nor any
     term walker recurses, so no term or proof is too deep for the
     interpreter's stack.  Tables a changed definition may have made stale
-    are dropped first, and one walk over the goal finds its level and its
-    first unknown name, or with warn registers the names it calls
+    are dropped first, and one walk over the goal finds its level and
+    registers the names it calls, passing warn those nothing defines
     (compile_goal).  st.steps counts each query's own budget from 0, and
     the prover's restore suffices, as the ∃ prefix binds nothing.
     """

@@ -124,12 +124,6 @@ class OuterVariableEscape(NablaCheckError):
         )
 
 
-class UndefinedPredicate(NablaCheckError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"unknown predicate: {name}")
-
-
 class LevelError(NablaCheckError):
     """A definition clause body exceeds the level its head allows."""
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from operator import attrgetter, itemgetter
 
-from .errors import IllFormedFormula, LevelError, UndefinedPredicate
+from .errors import IllFormedFormula, LevelError
 from .nodes import (
     App, Bound, ClauseVar, Const, EigenVar, Lam, LogicVar, NablaIndex, Term,
     Var, app,
@@ -147,23 +147,8 @@ def formula_terms(f):
 
 
 # ---------------------------------------------------------------------------
-# Level classification
+# Goal compilation
 # ---------------------------------------------------------------------------
-
-def classify(f, level_of=None, strict=True, defs=None) -> int:
-    """The least level (0 or 1) whose grammar generates f.
-
-    level_of maps predicate names to their level (missing names count as 0).
-    With strict on, an implication whose antecedent is not level 0 raises
-    IllFormedFormula; with strict off it is tolerated.
-
-    With defs, a DefSet's map from names to Definitions, in place of
-    level_of, an atom's level is its Definition's, and a name defs lacks
-    raises UndefinedPredicate, the alphabetically first such name, before
-    any IllFormedFormula.
-    """
-    return compile_goal(f, defs, strict, level_of, False)[0]
-
 
 # Compiled goals.  A record is a tuple (tag, formula, scope, x, y): the
 # formula it was compiled from, the keys of the formula binders around it
@@ -221,13 +206,14 @@ def _builders(ts, keys, atom=False):
     return tuple(out)
 
 
-def compile_goal(f, defs, strict=True, level_of=None, build=True, warn=None):
-    """(level, record): f's level as classify(f, level_of, strict, defs)
-    finds it, with the same errors, and f compiled, in one walk; classify
-    runs this walk without build, and the record is then None.  With warn,
-    the walk also registers the names f calls: one defs lacks becomes an
-    empty Definition, not an error, and warn gets, sorted, each name f calls
-    that has no clause, table mode or declared level, false aside.
+def compile_goal(f, defs, strict=True, warn=None):
+    """(level, record): f's level, the least (0 or 1) whose grammar
+    generates it, an atom counting at its Definition's level, and f
+    compiled, in one walk.  A name defs lacks becomes an empty Definition,
+    the definition of a predicate with no clauses, so its goals fail as
+    false's do.  With strict, an implication whose antecedent is not level
+    0 raises IllFormedFormula.  With warn, warn gets, sorted, each name f
+    calls that has no clause, table mode or declared level, false aside.
 
     Each formula binder in f gets a key of its own, 0, 1, ... in walk order;
     entering it stores its value under that key in the goal's environment,
@@ -237,13 +223,13 @@ def compile_goal(f, defs, strict=True, level_of=None, build=True, warn=None):
     its permanent variables, and nothing is copied.  An atom's record holds
     its callee's Definition.  The walk is terms.py's, left to right.
     """
-    unknown = []  # the names defs lacks, or with warn the undefined ones
+    unknown = []  # with warn, the names f calls that nothing defines
     ill = False
     keys = []  # the keys of the binders around g, outermost first
     scope = ()
     count = 0  # the binders met so far
     todo = [f]
-    done = []  # (level, record or None) of each formula walked
+    done = []  # (level, record) of each formula walked
     while todo:
         g = todo.pop()
         tg = type(g)
@@ -261,23 +247,17 @@ def compile_goal(f, defs, strict=True, level_of=None, build=True, warn=None):
                 scope = scope[1]
                 lv = 1 if tg is Forall else lv
         elif tg is Atom:
-            x = (defs.get(g.pred) if defs is not None
-                 else level_of.get(g.pred, 0) if level_of else 0)
-            if warn is not None:
-                if x is None:
-                    x = defs[g.pred] = Definition(g.pred)
-                if not x.clauses and x.table_mode is None \
-                        and x.declared_level is None and g.pred != "false":
-                    unknown.append(g.pred)
-            elif x is None:
+            x = defs.get(g.pred)
+            if x is None:
+                x = defs[g.pred] = Definition(g.pred)
+            if warn is not None and not x.clauses and x.table_mode is None \
+                    and x.declared_level is None and g.pred != "false":
                 unknown.append(g.pred)
-            lv = x if defs is None else getattr(x, "level", 0)
-            if build:
-                y = _builders(g.args, keys, True)
+            lv = x.level
+            y = _builders(g.args, keys, True)
         elif tg is Eq:
             lv = 0
-            if build:
-                x, y = _builders((g.lhs, g.rhs), keys)
+            x, y = _builders((g.lhs, g.rhs), keys)
         elif tg is Top:
             lv = 0
         elif tg is And or tg is Or or tg is Imp:
@@ -291,9 +271,7 @@ def compile_goal(f, defs, strict=True, level_of=None, build=True, warn=None):
             continue
         else:
             raise TypeError(f"not a formula: {g!r}")
-        done.append((lv, (_TAG[tg], g, scope, x, y) if build else None))
-    if unknown and warn is None:
-        raise UndefinedPredicate(min(unknown))
+        done.append((lv, (_TAG[tg], g, scope, x, y)))
     for p in sorted(set(unknown)) if unknown else ():
         warn(p)
     if ill and strict:
@@ -506,14 +484,12 @@ def _build_index(clauses, defs):
 class DefSet:
     """All definitions of a session, with level inference and checks.
 
-    Every predicate name that appears anywhere in loaded input (head, body,
-    assertion, directive) is registered here, including ones that never get
-    a clause: those unfold to the empty stream, which is how `false` works.
-    A query that names an unregistered predicate is rejected as a probable
-    typo (UndefinedPredicate; solve() reports it inconclusive) only for
-    library callers: the CLI's queries register every name they call as
-    they compile (compile_goal's warn), so `nabla-check -q "exists X. typo
-    X"` still prints `% disproved`, and warn on stderr about each undefined.
+    Every predicate name that appears anywhere in loaded input or in a
+    query (head, body, assertion, directive, goal) is registered here,
+    including ones that never get a clause: those unfold to the empty
+    stream, which is how `false` works.  A query registers the names it
+    calls as it compiles (compile_goal), so a typo reads as a goal that
+    fails, for every caller.
 
     changed logs each clause and table mode that arrived, in order, as
     (Definition, Clause or None); callers maps each name to the predicates
@@ -543,13 +519,6 @@ class DefSet:
             d = Definition(pred)
             self.defs[pred] = d
         return d
-
-    def register_formula(self, f):
-        """Register every name f calls, and return, sorted, those that have
-        no clause, no table mode and no declared level, false aside."""
-        undefined = []
-        compile_goal(f, self.defs, False, build=False, warn=undefined.append)
-        return undefined
 
     def add_clause(self, pred, head_args, body, var_names, line=None):
         d = self.ensure(pred)
@@ -608,9 +577,6 @@ class DefSet:
         d = self.ensure(pred)
         d.table_mode = mode
         self.changed.append((d, None))
-
-    def level(self, pred) -> int:
-        return self.defs[pred].level if pred in self.defs else 0
 
     def affected(self, names):
         """names and the names whose definitions reach one of them through

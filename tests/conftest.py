@@ -47,7 +47,6 @@ def state_from(text, **state_kw):
 def run(st, query_text, max_answers=None):
     """Parse and solve one query against a state."""
     goal = parse_query(query_text)
-    st.defs.register_formula(goal)
     return solve(goal, st, max_answers=max_answers)
 
 

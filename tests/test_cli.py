@@ -65,10 +65,11 @@ def test_missing_file(tmp_path):
 
 
 def test_a_file_that_is_not_utf8_is_an_error(tmp_path):
+    # A stray byte in a file is placed as one at the REPL is.
     (tmp_path / "bad.def").write_bytes(b"p a.\n\xff\xfe\n")
     code, out = run_cli([str(tmp_path / "bad.def")])
     assert code == 2
-    assert out.startswith(f"error: {tmp_path / 'bad.def'}: 'utf-8' codec")
+    assert out == f"error: {tmp_path / 'bad.def'}:2:1: unexpected byte 0xff\n"
 
 
 def test_an_include_that_is_not_utf8_is_an_error_and_the_includer_goes_on(
@@ -77,8 +78,8 @@ def test_an_include_that_is_not_utf8_is_an_error_and_the_includer_goes_on(
     f = write(tmp_path, "inc.def", '#include "bad.def".\n#assert a = a.\n')
     code, out = run_cli([f])
     assert code == 2
-    assert out.startswith(f"error: {tmp_path / 'bad.def'}: 'utf-8' codec")
-    assert f"{f}:2: assert a = a ... ok" in out
+    assert out == (f"error: {tmp_path / 'bad.def'}:2:1: unexpected byte 0xff\n"
+                   f"{f}:2: assert a = a ... ok\n")
 
 
 def test_an_include_path_with_a_nul_byte_is_an_error(tmp_path):
@@ -429,6 +430,35 @@ def test_an_interactive_include_checks_levels_as_a_batch_load_does(
         f'#include "{sa}".\nq a.\n#include "{other}".\n'))
     assert code == 2
     assert out == f"?= {warning}{error}?= {error}?= {error}?= \n"
+
+
+def test_an_interactive_level_clash_is_reported_as_a_batch_load_does(
+        tmp_path):
+    # A #level typed at the REPL is checked at once, as the same #level at
+    # the end of a file is; no query has to follow it.
+    ab = "a := b.\nb := forall x. x = x.\n"
+    error = ("error: clause of a (line 1) has a level-1 body but a is "
+             "declared level 0\n")
+    assert run_cli([write(tmp_path, "clash.def", ab + "#level a 0.\n")]) == (
+        2, error)
+    code, out = run_cli([], stdin_text=(
+        f'#include "{write(tmp_path, "ab.def", ab)}".\n#level a 0.\n'))
+    assert code == 2
+    assert out == f"?= ?= {error}?= \n"
+
+
+def test_a_file_that_ends_inconclusive_is_still_checked(tmp_path):
+    # The assertion's failed check makes the file inconclusive; the check
+    # after the file still runs, so its warning and error are printed as
+    # they are for the file without the assertion.
+    sa = "p X := (p X) => false.\n"
+    _, checked = run_cli([write(tmp_path, "sa.def", sa)])
+    f = write(tmp_path, "sa_assert.def", sa + "#assert p a.\n")
+    error = checked.splitlines()[-1].removeprefix("error: ")
+    assert run_cli([f]) == (
+        2, f"{f}:2: assert p a ... FAILED (inconclusive: {error})\n{checked}")
+    assert checked.startswith("% warning: predicate p occurs in the "
+                              "antecedent of its own definition\n")
 
 
 def test_unrelated_clauses_keep_a_table(tmp_path):

@@ -17,7 +17,6 @@ from nablacheck.errors import (
     LevelError,
     NonGroundAntecedent,
     OuterVariableEscape,
-    UndefinedPredicate,
 )
 from nablacheck.logic import Atom, Forall, Imp, Top
 from nablacheck.parser import parse_query, print_formula, print_term
@@ -441,10 +440,14 @@ def test_level_zero_modes_refuse_level_one_goals():
     assert st.checkpoint() == before == (0, 0)
 
 
-def test_undefined_predicate_detected_without_registration(st):
-    goal = parse_query("mystery a")
-    r = solve(goal, st)
-    assert r.inconclusive and isinstance(r.error, UndefinedPredicate)
+def test_an_unknown_name_is_the_empty_definition_for_every_caller(
+        st, capfd):
+    # A library solve, with no warn, reads a name nothing defines as the
+    # empty definition, as the command does, and writes no warning.
+    r = solve(parse_query("exists X. typo X"), st)
+    assert r.disproved and r.error is None
+    assert st.defs.defs["typo"].clauses == []
+    assert capfd.readouterr() == ("", "")
 
 
 def test_registered_but_clauseless_predicate_is_just_false(st):
@@ -755,7 +758,6 @@ def test_max_answers_stops_early():
 def test_solve_iter_restores_state_when_closed():
     st = state_from(MEMB)
     goal = parse_query("memb X (a::b::nil)")
-    st.defs.register_formula(goal)
     gen = solve_iter(goal, st)
     first = next(gen)
     assert print_term(first.get("X")) == "a"

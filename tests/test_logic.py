@@ -24,7 +24,6 @@ from nablacheck.logic import (
     Imp,
     Or,
     Top,
-    classify,
     replace_clause_vars,
     replace_clause_vars_formula,
     unfold,
@@ -47,22 +46,28 @@ def _defs(text):
     return ds
 
 
+def _level(f, ds):
+    """f's level as the goal compiler finds it against ds."""
+    return logic.compile_goal(f, ds.defs)[0]
+
+
 def test_classify_grammar_base_cases():
-    lv = {"p": 0, "q": 1}
-    assert classify(Top(), lv, strict=True) == 0
-    assert classify(Atom("p", (Const("a"),)), lv, strict=True) == 0
-    assert classify(Atom("q", (Const("a"),)), lv, strict=True) == 1
-    assert classify(Forall("x", Atom("p", (Bound(0),))), lv, strict=True) == 1
-    assert classify(Eq(Const("a"), Const("a")), lv, strict=True) == 0
+    ds = _defs("p a.\nq X := forall Y. p Y.\n")
+    ds.check()
+    assert _level(Top(), ds) == 0
+    assert _level(Atom("p", (Const("a"),)), ds) == 0
+    assert _level(Atom("q", (Const("a"),)), ds) == 1
+    assert _level(Forall("x", Atom("p", (Bound(0),))), ds) == 1
+    assert _level(Eq(Const("a"), Const("a")), ds) == 0
 
 
 def test_classify_rejects_level_one_antecedent():
-    lv = {"p": 0}
+    ds = _defs("p a.\n")
     bad = Imp(Forall("x", Atom("p", (Bound(0),))), Top())
     with pytest.raises(IllFormedFormula):
-        classify(bad, lv, strict=True)
+        _level(bad, ds)
     # non-strict mode still reports the formula's own level
-    assert classify(bad, lv, strict=False) == 1
+    assert logic.compile_goal(bad, ds.defs, strict=False)[0] == 1
 
 
 def test_level_inference_fixpoint_through_mutual_recursion():
@@ -75,10 +80,10 @@ def test_level_inference_fixpoint_through_mutual_recursion():
         """
     )
     ds.check()
-    assert ds.level("r") == 0
-    assert ds.level("p") == 1
-    assert ds.level("q") == 1
-    assert ds.level("s") == 1
+    assert ds.defs["r"].level == 0
+    assert ds.defs["p"].level == 1
+    assert ds.defs["q"].level == 1
+    assert ds.defs["s"].level == 1
 
 
 def test_declared_level_too_low_is_an_error():
@@ -101,7 +106,7 @@ def _count_body_reads(monkeypatch):
 
 
 def _forbid_formula_walks_in_check(monkeypatch):
-    """Make classify and compile_goal raise when DefSet.check calls them."""
+    """Make compile_goal raise when DefSet.check calls it."""
     checking = [False]
     check = DefSet.check
 
@@ -120,8 +125,7 @@ def _forbid_formula_walks_in_check(monkeypatch):
         return guarded
 
     monkeypatch.setattr(DefSet, "check", flagged)
-    for name in ("classify", "compile_goal"):
-        monkeypatch.setattr(logic, name, forbidden(getattr(logic, name)))
+    monkeypatch.setattr(logic, "compile_goal", forbidden(logic.compile_goal))
 
 
 def test_level_inference_walks_each_clause_body_once(monkeypatch):
@@ -148,7 +152,7 @@ def test_level_inference_walks_each_clause_body_once(monkeypatch):
         for c in d.clauses:
             c.body = None
     ds.check()
-    assert all(ds.level(f"p{i}") == 1 for i in range(n + 1))
+    assert all(ds.defs[f"p{i}"].level == 1 for i in range(n + 1))
     assert len(reads) == n + 1
     assert len(levels_read) <= 3 * (n + 1)
 
@@ -177,19 +181,19 @@ def test_a_check_after_new_clauses_finds_what_a_full_check_finds():
     # and a #level 0 over a #level 1 lets levels fall again.
     ds = state_from("q := r.\np := (q => false).\n").defs
     ds.check()
-    assert ds.level("q") == 0
+    assert ds.defs["q"].level == 0
     ds.add_clause("r", (), Forall("x", Top()), (), 3)
     with pytest.raises(LevelError, match=r"clause of p \(line 2\): the ant"):
         ds.check()
     with pytest.raises(LevelError):  # the same error, from a new start
         ds.check()
-    assert ds.level("q") == 1
+    assert ds.defs["q"].level == 1
     ds = _defs("s := t.\n#level t 1.\n")
     ds.check()
-    assert ds.level("s") == 1
+    assert ds.defs["s"].level == 1
     ds.declare_level("t", 0)
     ds.check()
-    assert ds.level("s") == ds.level("t") == 0
+    assert ds.defs["s"].level == ds.defs["t"].level == 0
 
 
 def test_a_level_conflict_names_the_first_predicate_in_load_order():
@@ -253,7 +257,7 @@ def test_level_checks_agree_with_a_check_of_everything(data):
             assert error == oracle.check(), ops
             assert ds.warnings == oracle.warnings, ops
         assert list(ds.defs) == oracle.order, ops
-        assert [ds.level(p) for p in oracle.order] == [
+        assert [ds.defs[p].level for p in oracle.order] == [
             oracle.level(p) for p in oracle.order], ops
 
 
