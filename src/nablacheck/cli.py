@@ -170,7 +170,8 @@ def run_query(text, st, out, max_answers=None):
 
 def check_definitions(st, out, warned):
     """Run level inference over everything loaded so far, print fresh
-    warnings, and report an error when the levels cannot be made to fit."""
+    warnings, and print the error when the levels cannot be made to fit,
+    unless its text is in warned."""
     err = None
     try:
         st.defs.check()
@@ -180,10 +181,11 @@ def check_definitions(st, out, warned):
         if w not in warned:
             warned.add(w)
             out.write(f"% warning: {w}\n")
-    if err is not None:
+    if err is None:
+        return OK
+    if str(err) not in warned:
         out.write(f"error: {err}\n")
-        return INCONCLUSIVE
-    return OK
+    return INCONCLUSIVE
 
 
 def run_interaction(text, st, out, inp):
@@ -198,7 +200,9 @@ def run_interaction(text, st, out, inp):
         out.write(f"error: {e}\n")
         return INCONCLUSIVE, None
     if not isinstance(stmt, Formula):
-        warned = set(st.defs.warnings)
+        # The error the last check raised, at a directive or a query, was
+        # printed then: print it again only when its text changes.
+        warned = {*st.defs.warnings, st.defs.error}
         try:
             code = (load_file(stmt.path, st, out)
                     if type(stmt) is IncludeDirective

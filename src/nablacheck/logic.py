@@ -509,6 +509,7 @@ class DefSet:
         self._declared = []
         self._full = False
         self._warned = set()  # the predicates warnings name
+        self.error = None  # the text of the error the last check raised
         # The canonical empty predicate: `g => false` is how negation is
         # written, so it is predeclared with no clauses.
         self.ensure("false")
@@ -609,7 +610,8 @@ class DefSet:
         predicate that rose.  After a check that failed, or a #level 0 over
         a #level 1, levels may have to fall, and the next check starts over
         from every clause.  Each check that passes reports what a check of
-        everything would.
+        everything would.  The text of the error a check raises stays in
+        error until a check passes.
         """
         changed = self.changed
         if self._seen == len(changed) and not (self._declared or self._full):
@@ -640,10 +642,9 @@ class DefSet:
             d = next(d for d in defs.values() if d.pred in clash)
             c = next(c for c in d.clauses
                      if c.own or 1 in map(_LEVEL, c.calls))
-            raise LevelError(
-                f"clause of {d.pred} (line {c.line}) has a level-1 body "
-                f"but {d.pred} is declared level 0"
-            )
+            self.error = (f"clause of {d.pred} (line {c.line}) has a level-1 "
+                          f"body but {d.pred} is declared level 0")
+            raise LevelError(self.error)
         # Name negation through recursion before the strict pass rejects
         # the clause: its predicate has an implication, so is level 1.
         new = {d.pred for d, c in fresh
@@ -664,10 +665,12 @@ class DefSet:
             why = ("it holds a forall or an implication" if c.own == 2 else
                    f"it calls {next(e.pred for e in c.ante if e.level)}, "
                    "which is level 1")
-            raise LevelError(
-                f"clause of {d.pred} (line {c.line}): the antecedent of an "
-                f"implication must be a level-0 formula, but {why}")
+            self.error = (f"clause of {d.pred} (line {c.line}): the antecedent "
+                          f"of an implication must be a level-0 formula, but "
+                          f"{why}")
+            raise LevelError(self.error)
         self._seen = len(changed)
+        self.error = None
         self._declared = []
         self._full = False
 

@@ -1,7 +1,8 @@
 """The term kernel: reduction, normal forms, equality, free variables.
 
-The reduction kernel is deref, shift, _nf and eta_contract.  It holds no
-state: fresh variables, their levels and the ∇ depth belong to the proof
+The reduction kernel is deref, shift and _nf, which computes the β-normal
+form and, for normalize_eta, the βη-normal form in the same walk.  It holds
+no state: fresh variables, their levels and the ∇ depth belong to the proof
 search (engine.State).
 
 Bindings of variables are always λ-closed (the unifier abstracts pattern
@@ -9,16 +10,15 @@ arguments before binding), so shift and _subst_fuel treat every Var
 atomically.
 
 Inert terms (see nodes.py: Const-headed, variable-free) contain no index,
-no variable and no redex, so shift, _nf, eta_contract and _uses_index
-return at an inert node without descending into it: the result is the same
-object.  This keeps the cost of passes over bound lists and numerals
-independent of their length.  The flag is fixed at construction and no
-binding can reach inside an inert node, so it never goes stale.  Every
-walker also returns an application or λ whose parts all come back
-unchanged as the same object (_rebuild), so normalizing a normal term
-builds nothing: logic.unfold keeps the first argument it normalized for
-every clause it tries, and that costs no copy of a long list with a
-variable tail.
+no variable and no redex, so shift and _nf return at an inert node without
+descending into it: the result is the same object.  This keeps the cost of
+passes over bound lists and numerals independent of their length.  The
+flag is fixed at construction and no binding can reach inside an inert
+node, so it never goes stale.  Every walker also returns an application or
+λ whose parts all come back unchanged as the same object (_rebuild), so
+normalizing a normal term builds nothing: logic.unfold keeps the first
+argument it normalized for every clause it tries, and that costs no copy of
+a long list with a variable tail.
 
 The fuel accounting in normalize charges one unit per β-step and one per
 node visited while performing the substitution, so both reduction counts and
@@ -97,7 +97,10 @@ def _rebuild(u, done):
 
 
 def shift(t, by, cutoff=0):
-    """Add `by` to every λ-index in t that is >= cutoff."""
+    """Add `by` to every λ-index in t that is >= cutoff.  With a negative
+    `by`, None when an index it would drop (one that would fall below
+    cutoff) occurs: so shift(t, -1) is t with its outermost loose binder
+    removed, or None when t uses that binder."""
     todo = [t]
     done = []
     while todo:
@@ -117,6 +120,8 @@ def shift(t, by, cutoff=0):
             cutoff += 1
             todo.append(t.body)
         elif tt is Bound and t.index >= cutoff:
+            if t.index + by < cutoff:
+                return None
             done.append(Bound(t.index + by))
         else:
             done.append(t)
@@ -141,7 +146,7 @@ def _subst_fuel(t, value, j, fuel):
             continue
         fuel[0] -= 1
         if fuel[0] < 0:
-            raise NormalizationDepthExceeded(fuel[1])
+            raise NormalizationDepthExceeded(fuel[1], fuel[2])
         if tt is App:
             todo.append((t,))
             todo.extend(t.args[::-1])
@@ -161,9 +166,15 @@ def _subst_fuel(t, value, j, fuel):
     return done[0]
 
 
-def _nf(t, fuel):
-    """β-normal form of t, bindings followed.  A λ or an application whose
-    parts all come back as the same objects is returned itself."""
+def _nf(t, fuel, eta=False):
+    """β-normal form of t, bindings followed; βη-normal with eta.  A λ or
+    an application whose parts all come back as the same objects is
+    returned itself.  fuel is [work left, the budget, the term normalized],
+    the last two for the error that reports running out.
+
+    A λ is rebuilt after its body, so with eta the body is βη-normal when
+    λx. t x is met, and contracting it to t, when x is not free in t,
+    leaves a βη-normal term: t is not a λ (t x would be a β-redex)."""
     if isinstance(t, Var):
         t = deref(t)
     if t.inert or type(t) is not App and type(t) is not Lam:
@@ -173,7 +184,13 @@ def _nf(t, fuel):
     while todo:
         t = todo.pop()
         if type(t) is tuple:
-            done.append(_rebuild(t[0], done))
+            u = _rebuild(t[0], done)
+            if eta and type(u) is Lam and type(u.body) is App:
+                body = u.body
+                last = body.args[-1]
+                if type(last) is Bound and last.index == 0:
+                    u = shift(app(body.head, body.args[:-1]), -1) or u
+            done.append(u)
             continue
         if isinstance(t, Var):
             t = deref(t)
@@ -193,7 +210,7 @@ def _nf(t, fuel):
                 if th is Lam and args:
                     fuel[0] -= 1
                     if fuel[0] < 0:
-                        raise NormalizationDepthExceeded(fuel[1])
+                        raise NormalizationDepthExceeded(fuel[1], fuel[2])
                     head = deref(_subst_fuel(head.body, args.pop(0), 0, fuel))
                 elif th is App:
                     args = list(head.args) + args
@@ -211,66 +228,6 @@ def _nf(t, fuel):
     return done[0]
 
 
-def eta_contract(t):
-    """η-short form of a β-normal term: λx.(f x) becomes f when x is unused.
-
-    β-normal input stays β-normal (the dropped argument leaves an atomic
-    head), so normalize-then-eta_contract yields a canonical βη form.
-    """
-    if isinstance(t, Var):
-        t = deref(t)
-    if t.inert or type(t) is not App and type(t) is not Lam:
-        return t
-    todo = [t]
-    done = []
-    while todo:
-        t = todo.pop()
-        if type(t) is tuple:
-            u = _rebuild(t[0], done)
-            if type(u) is Lam and type(u.body) is App:
-                body = u.body
-                last = body.args[-1]
-                if type(last) is Bound and last.index == 0:
-                    trunk = app(body.head, body.args[:-1])
-                    if not _uses_index(trunk, 0):
-                        u = shift(trunk, -1)
-            done.append(u)
-            continue
-        if isinstance(t, Var):
-            t = deref(t)
-        tt = type(t)
-        if tt is Lam:
-            todo.append((t,))
-            todo.append(t.body)
-        elif tt is App and not t.inert:
-            todo.append((t,))
-            todo.extend(t.args[::-1])
-            todo.append(t.head)
-        else:
-            done.append(t)
-    return done[0]
-
-
-def _uses_index(t, j):
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        tt = type(t)
-        if tt is tuple:  # a λ's marker
-            j -= 1
-        elif tt is Bound:
-            if t.index == j:
-                return True
-        elif tt is Lam:
-            todo.append((t,))
-            j += 1
-            todo.append(t.body)
-        elif tt is App and not t.inert:
-            todo.extend(t.args[::-1])
-            todo.append(t.head)
-    return False
-
-
 def normalize(t, budget=None):
     """β-normal form of t with all variable bindings dereferenced.
 
@@ -280,17 +237,16 @@ def normalize(t, budget=None):
     """
     if budget is None:
         budget = DEFAULT_NORM_BUDGET
-    try:
-        return _nf(t, [budget, budget])
-    except NormalizationDepthExceeded as e:
-        if e.term is None:
-            e.term = t
-        raise
+    return _nf(t, [budget, budget, t])
 
 
 def normalize_eta(t, budget=None):
-    """Canonical βη-short form; the basis of equal_modulo and table keys."""
-    return eta_contract(normalize(t, budget))
+    """Canonical βη-short form, in the one walk that β-normalizes (_nf),
+    under normalize's budget; the basis of equal_modulo, table keys and
+    answers.  A βη-normal term comes back as the same object."""
+    if budget is None:
+        budget = DEFAULT_NORM_BUDGET
+    return _nf(t, [budget, budget, t], True)
 
 
 def equal_modulo(t, s, budget=None):

@@ -417,8 +417,9 @@ def test_an_interactive_include_drops_the_tables_it_changes(tmp_path):
 def test_an_interactive_include_checks_levels_as_a_batch_load_does(
         tmp_path):
     # The warning and the error come at the #include, as they do after a
-    # file given on the command line; a later include, whose check fails
-    # the same way, does not repeat the warning.
+    # file given on the command line; the query reports the error again,
+    # and a later include, whose check fails the same way, repeats
+    # neither.
     sa = write(tmp_path, "sa.def", "p X := (p X) => false.\n")
     other = write(tmp_path, "other.def", "t a.\n")
     warning = ("% warning: predicate p occurs in the antecedent of its own "
@@ -429,7 +430,7 @@ def test_an_interactive_include_checks_levels_as_a_batch_load_does(
     code, out = run_cli([], stdin_text=(
         f'#include "{sa}".\nq a.\n#include "{other}".\n'))
     assert code == 2
-    assert out == f"?= {warning}{error}?= {error}?= {error}?= \n"
+    assert out == f"?= {warning}{error}?= {error}?= ?= \n"
 
 
 def test_an_interactive_level_clash_is_reported_as_a_batch_load_does(
@@ -445,6 +446,20 @@ def test_an_interactive_level_clash_is_reported_as_a_batch_load_does(
         f'#include "{write(tmp_path, "ab.def", ab)}".\n#level a 0.\n'))
     assert code == 2
     assert out == f"?= ?= {error}?= \n"
+
+
+def test_a_directive_does_not_reprint_a_level_error_that_has_not_changed(
+        tmp_path):
+    # The error comes after the #include that makes it, and after the query
+    # it stops, to say why that did not run; the #table between them fails
+    # the check the same way and prints nothing.
+    clash = write(tmp_path, "clash.def",
+                  "a := b.\nb := forall x. x = x.\n#level a 0.\n")
+    error = ("error: clause of a (line 1) has a level-1 body but a is "
+             "declared level 0\n")
+    assert run_cli([], stdin_text=(
+        f'#include "{clash}".\n#table inductive q.\na = a.\n')) == (
+        2, f"?= {error}?= ?= {error}?= \n")
 
 
 def test_a_file_that_ends_inconclusive_is_still_checked(tmp_path):

@@ -824,9 +824,9 @@ def test_normalization_work_grows_linearly_with_list_length(monkeypatch):
     nf = terms._nf
     calls = [0]
 
-    def counted(t, fuel):
+    def counted(t, fuel, *rest):
         calls[0] += 1
-        return nf(t, fuel)
+        return nf(t, fuel, *rest)
 
     monkeypatch.setattr(terms, "_nf", counted)
     counts = []

@@ -1031,9 +1031,9 @@ def test_terms_with_variables_cost_work_linear_in_their_size(
     real_nf, real_abstract = terms_mod._nf, unify_mod._abstract
     real_unify = logic.unify
 
-    def nf(t, fuel):
+    def nf(t, fuel, *rest):
         work["nf"] += _walk_size(t)
-        return real_nf(t, fuel)
+        return real_nf(t, fuel, *rest)
 
     def abstract(u, *rest):
         work["abstract"] += _walk_size(u)

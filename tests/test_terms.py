@@ -20,6 +20,7 @@ from nablacheck.terms import (
 )
 from nablacheck.parser import parse_term
 from nablacheck.unify import SUCCESS, _abstract, bind, unify
+from oracles import alpha_eq, nf, to_named
 
 a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
 
@@ -196,6 +197,50 @@ def test_eta_short_is_a_fixed_point(t):
     except NormalizationDepthExceeded:
         return
     assert struct_eq(normalize_eta(n1, budget=2000), n1)
+    assert normalize_eta(n1, budget=2000) is n1
+
+
+_ATOMS = [a, b, f, g, NablaIndex(0)]
+
+
+@hs.composite
+def _closed_terms(draw, depth=0, size=12):
+    """A term closed under depth binders, with η-redexes put in: chains of
+    k λs over a trunk applied to their k variables, whose trunk either
+    leaves those variables alone, so that the chain contracts, or is drawn
+    where it may use them (x\\ f x x), so that it must not."""
+    kind = draw(hs.integers(0, 4 if size > 1 else 0))
+    if kind == 0:
+        return draw(hs.sampled_from(_ATOMS + [Bound(i) for i in range(depth)]))
+    if kind == 1:
+        return Lam(draw(_closed_terms(depth + 1, size - 1)))
+    if kind == 2:
+        head = draw(_closed_terms(depth, size // 2))
+        args = draw(hs.lists(_closed_terms(depth, size // 2),
+                             min_size=1, max_size=2))
+        return app(head, tuple(args))
+    k = draw(hs.integers(1, 3))
+    if kind == 3:
+        trunk = shift(draw(_closed_terms(depth, size - 1)), k)
+    else:
+        trunk = draw(_closed_terms(depth + k, size - 1))
+    t = app(trunk, tuple(Bound(i) for i in range(k - 1, -1, -1)))
+    for _ in range(k):
+        t = Lam(t)
+    return t
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_closed_terms())
+def test_eta_short_form_matches_the_single_step_oracle(t):
+    # The oracle (tests/oracles.py) β-reduces by leftmost-outermost steps
+    # on named terms, then η-contracts one redex at a time; the kernel
+    # contracts each λ as it rebuilds it, with one shift.
+    try:
+        expected = nf(to_named(t))
+    except RuntimeError:  # no normal form within the oracle's fuel
+        return
+    assert alpha_eq(to_named(normalize_eta(t)), expected)
 
 
 # ---------------------------------------------------------------------------
