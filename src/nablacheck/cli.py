@@ -337,8 +337,11 @@ def _run(args, st, out):
     worst = OK
     warned = set()
     for path in args.files:
-        worst = max(worst, load_file(path, st, out),
-                    check_definitions(st, out, warned))
+        code = load_file(path, st, out)
+        # Only an assertion checks levels while a file loads, and it
+        # printed the error it met, which ends the run after this file.
+        warned.add(st.defs.error)
+        worst = max(worst, code, check_definitions(st, out, warned))
         if worst == INCONCLUSIVE:
             return worst
     for q in args.query:

@@ -23,7 +23,9 @@ atom or an equation from it when it is dispatched.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import attrgetter, itemgetter
+from types import FunctionType
 
 from .errors import IllFormedFormula, LevelError
 from .nodes import (
@@ -288,8 +290,8 @@ class Clause:
     """One definition clause: head arguments, body and clause variables.
 
     var_names lists the clause variables in order of first appearance,
-    head before body.  plan is the head plan unfold() walks: one step per
-    head argument, each one of
+    head before body.  plan is the head plan, one step per head argument,
+    each one of
 
     - _CONST, an inert term: a constant, or a constant applied to inert
       terms;
@@ -302,7 +304,8 @@ class Clause:
       term with a β-redex).
 
     Occurrences are counted left to right and depth first, the order the
-    walk visits them.  The plan is built with the definition's index, on
+    walk visits them.  The plan, and match, the clause's head matcher
+    compiled from it (_matcher), are built with the definition's index, on
     the first unfold, so loading a file does not pay for it; a clause whose
     first step is _CONST or a _Struct is keyed by that argument's head
     constant.  So is sieve: the first head argument is a _Struct step whose
@@ -325,7 +328,7 @@ class Clause:
     """
 
     __slots__ = ("head_args", "body", "var_names", "line", "plan", "sieve",
-                 "code", "calls", "ante", "own")
+                 "match", "code", "calls", "ante", "own")
 
     def __init__(self, head_args, body, var_names, line=None):
         self.head_args = tuple(head_args)
@@ -456,6 +459,7 @@ def _build_index(clauses, defs):
         if clause.plan is None:
             clause.code = compile_goal(clause.body, defs, False)[1]
             clause.plan = _head_plan(clause)
+            clause.match = _matcher(clause)
             if clause.plan and type(clause.plan[0]) is _Struct:
                 for step in clause.plan[0].steps:
                     if step is not _FIRST:
@@ -816,10 +820,10 @@ def unfold(defn, args, st, left=False):
     unfold, not once per clause, and a list with a variable tail, being
     normal, not at all.
 
-    Each clause's head plan (see Clause) is walked left to right, fields
-    depth first, and each step does what renaming the clause apart and
-    unifying would do.  A value that is not normal is normalized first,
-    as unify would; a normal one is taken as it is.
+    Each clause's matcher takes its head plan's steps (see Clause) left
+    to right, fields depth first, and each does what renaming the clause
+    apart and unifying would do.  A value that is not normal is normalized
+    first, as unify would; a normal one is taken as it is.
 
     - An inert pattern meets an inert argument, or an application
       normalized as unify would see it that is then inert, by identity
@@ -901,116 +905,170 @@ def unfold(defn, args, st, left=False):
     trail = st.trail  # checkpoints taken inline; see engine.State
     mark = len(trail)
     for clause in clauses:
-        var_names = clause.var_names
-        env = {}
-        if _match(clause.plan, clause.head_args, args, first, env, st,
-                  left, var_names):
-            if len(env) < len(var_names):
-                _fresh_rest(env, var_names, fresh)
+        env = clause.match(args, first, st, left)
+        if env is not None:
+            if len(env) < len(clause.var_names):
+                _fresh_rest(env, clause.var_names, fresh)
             yield clause.code, env, clause is final
         undo_to(trail, mark)
         if clause is final:
             return
 
 
-def _match(steps, pats, values, first, env, st, left, var_names):
-    """Walk plan steps over head patterns and the values they meet,
-    binding on the trail and filling env; False when the clause fails.
+# A head matcher is straight-line code: for each plan step, in walk order,
+# the lines below, which take the common cases of the walk unfold
+# describes on the value {a} met, with deref inline (a binding is None or
+# a term, and terms are true), and call a helper for the rest with the
+# context c.  P<i>, N<i>, H<i> and T<i> are step i's pattern, variable
+# name, head constant and _Struct.  A step inside a _Struct runs only
+# while its guard G<i> says the application met is read field by field,
+# so the code is flat however deep the head.  It returns env, or None.
+_LINES = {
+    _CONST: """
+    while {a}.binding: {a} = {a}.binding
+    if {a} is not P{i} and ({a}.inert or not _step(_CONST, {a}, P{i}, c)):
+        return""",
+    # An inert term is normal, is no λ and has lbound 0.
+    _FIRST: """
+    while {a}.binding: {a} = {a}.binding
+    if N{i} not in env and {a}.normal and type({a}) is not Lam and (
+            {a}.lbound <= st.nabla_depth): env[N{i}] = {a}
+    elif not _step(_FIRST, {a}, P{i}, c): return""",
+    _VALUE: """
+    while {a}.binding: {a} = {a}.binding
+    if ({a} is not env[N{i}] or not {a}.inert) and not _step(
+            _VALUE, {a}, P{i}, c): return""",
+    _OTHER: """
+    while {a}.binding: {a} = {a}.binding
+    if not _rest(P{i}, {a}, c): return""",
+    _Struct: """
+    while {a}.binding: {a} = {a}.binding
+    if not {a}.normal and {a} is not first:
+        {a} = normalize({a}, st.norm_budget)
+    if type({a}) is App and {a}.head is H{i} and len({a}.args) == {n}:
+        {fields}= {a}.args
+        G{i} = True
+    elif not _struct({a}, P{i}, T{i}, c): return""",
+}
 
-    first is the argument unfold normalized, or None.  Every other
-    value that is not normal (nodes.py) is normalized, as unify would,
-    before a step reads it; a normal one is read as it is, and its fields
-    get the same test when they are reached, which normalizes again the
-    one kind of application a binding made since can have turned into a
-    redex.  A _CONST step normalizes a normal application too, as its
-    bindings may make it inert.  The walk keeps a stack of zip iterators, one per application
-    being matched: a _Struct step met by an application starts on its
-    fields, and an exhausted iterator resumes the one below it.
-    """
-    trail = st.trail
-    its = []  # the iterators of the applications suspended
-    it = zip(steps, pats, values)
-    while True:
-        for step, pat, value in it:
-            a = value if value.binding is None else deref(value)
-            if not a.normal and a is not first and step is not _OTHER:
-                a = normalize(a, st.norm_budget)
-            ta = type(a)
-            if step is _CONST:
-                if ta is LogicVar or (left and ta is EigenVar):
-                    bind(a, pat, trail)
-                    continue
-                if ta is App and a.normal and not a.inert:
-                    # Read as it is above; its bindings may make it inert.
-                    a = normalize(a, st.norm_budget)
-                if a.inert:
-                    if a is pat:
-                        continue
-                    return False
-                # A rigid eigenvariable or a ∇-index: unify would fail at
-                # the rigid-rigid check.
-                if ta is EigenVar or ta is NablaIndex:
-                    return False
-            elif step is _FIRST:
-                # A λ is left to unify, which binds a variable to its
-                # η-expansion: the binder names printed stay unify's.
-                if pat.name not in env and (a.inert or (
-                        a.normal and ta is not Lam
-                        and a.lbound <= st.nabla_depth)):
-                    env[pat.name] = a
-                    continue
-            elif step is _VALUE:
-                v = deref(env[pat.name])
-                if a.inert:
-                    if v.inert:
-                        if v is a:
-                            continue
-                        return False
-                    if is_flex(v, left):
-                        bind(v, a, trail)
-                        continue
-                elif v.inert and is_flex(a, left):
-                    bind(a, v, trail)
-                    continue
-            elif step is _OTHER:
-                pass
-            elif ta is App:  # a _Struct step
-                head = a.head
-                if type(head) is Const:
-                    if head is not pat.head or len(a.args) != len(pat.args):
-                        return False
-                    its.append(it)
-                    it = zip(step.steps, pat.args, a.args)
-                    break
-                if not is_flex(head, left):
-                    return False
-            elif is_flex(a, left):
-                if step.writable:
-                    t = _build(step, pat, env, st, left, a)
-                    if t is not None:
-                        bind(a, t, trail)
-                        continue
-            elif ta is not Lam:
-                return False
-            if len(env) < len(var_names):
-                _fresh_rest(env, var_names,
-                            st.fresh_eigen if left else st.fresh_logic)
-            if not unify(replace_clause_vars(pat, env), a, st,
-                         instantiate_eigen=left):
-                return False
+
+def _matcher(clause):
+    """clause's head matcher: the code compiled once per plan shape (the
+    arity, then each step in walk order, a _Struct as its arity) with its
+    constants as the defaults of the parameters after the four passed."""
+    shape = [len(clause.plan)]
+    consts = [clause.var_names]
+    todo = [*zip(clause.plan, clause.head_args)][::-1]
+    while todo:
+        step, pat = todo.pop()
+        if type(step) is _Struct:
+            shape.append(len(step.steps))
+            consts += (pat, pat.head, step)
+            todo += [*zip(step.steps, pat.args)][::-1]
         else:
-            if not its:
-                return True
-            it = its.pop()
+            shape.append(step)
+            consts += ((pat, pat.name) if step is _FIRST or step is _VALUE
+                       else (pat,))
+    return FunctionType(_compile(tuple(shape)), globals(), "match",
+                        tuple(consts))
+
+
+@cache
+def _compile(shape):
+    """The code of the head matchers of plans of this shape (_matcher)."""
+    params = ["args, first, st, left, var_names"]
+    todo = [(f"A{j}", None) for j in range(shape[0] - 1, -1, -1)]
+    unpack = "".join(f"A{j}, " for j in range(shape[0]))
+    body = ["    env = {}", "    c = first, env, st, left, var_names",
+            f"    {unpack}= args" if unpack else ""]
+    for i, step in enumerate(shape[1:]):
+        v, g = todo.pop()
+        params.append(f"P{i}")
+        kind, fields = step, ""
+        if type(step) is int:
+            kind, fields = _Struct, "".join(f"F{i}_{j}, " for j in range(step))
+            todo += [(f"F{i}_{j}", f"G{i}") for j in range(step - 1, -1, -1)]
+            params += (f"H{i}", f"T{i}")
+            body.append(f"    G{i} = False")
+        elif step is _FIRST or step is _VALUE:
+            params.append(f"N{i}")
+        lines = _LINES[kind].format(a=v, i=i, n=step, fields=fields)
+        body.append(f"    if {g}:" + lines.replace("\n", "\n    ") if g
+                    else lines)
+    scope = {}
+    exec(f"def match({', '.join(params)}):\n" + "\n".join(body)
+         + "\n    return env", globals(), scope)
+    return scope["match"].__code__
+
+
+def _step(step, a, pat, c):
+    """The rest of a _CONST, _FIRST or _VALUE step on the value a, which
+    the matcher has not taken as it is (see unfold)."""
+    first, env, st, left, _ = c
+    if not a.normal and a is not first:
+        a = normalize(a, st.norm_budget)
+    ta = type(a)
+    if step is _CONST:
+        if ta is LogicVar or left and ta is EigenVar:
+            bind(a, pat, st.trail)
+            return True
+        if ta is App and a.normal and not a.inert:
+            # Read as it is above; its bindings may make it inert.
+            a = normalize(a, st.norm_budget)
+        if a.inert:
+            return a is pat
+        if ta is EigenVar or ta is NablaIndex:
+            return False
+    elif step is _FIRST:
+        if pat.name not in env and (a.inert or a.normal and ta is not Lam
+                                    and a.lbound <= st.nabla_depth):
+            env[pat.name] = a
+            return True
+    else:
+        v = deref(env[pat.name])
+        if a.inert and v.inert:
+            return a is v
+        x, y = (v, a) if a.inert else (a, v)  # bind x, flexible, to y
+        if y.inert and is_flex(x, left):
+            bind(x, y, st.trail)
+            return True
+    return _rest(pat, a, c)
+
+
+def _struct(a, pat, step, c):
+    """The rest of a _Struct step, pattern pat, on the value a, which is no
+    application of pat's constant to as many arguments."""
+    _, env, st, left, _ = c
+    ta = type(a)
+    if ta is App:
+        if not is_flex(a.head, left):
+            return False
+    elif is_flex(a, left):
+        t = _build(step, pat, env, st, left, a) if step.writable else None
+        if t is not None:
+            bind(a, t, st.trail)
+            return True
+    elif ta is not Lam:
+        return False
+    return _rest(pat, a, c)
+
+
+def _rest(pat, a, c):
+    """Make fresh variables, in var_names order, for the clause variables
+    that have no value yet, then unify the renamed pattern with a."""
+    _, env, st, left, var_names = c
+    if len(env) < len(var_names):
+        _fresh_rest(env, var_names, st.fresh_eigen if left else st.fresh_logic)
+    return unify(replace_clause_vars(pat, env), a, st, instantiate_eigen=left)
 
 
 def _rules_out(steps, pats, values):
-    """Would _match fail on these values before it normalizes, unifies or
-    binds anything?  True if so; None when the walk reaches a step that
-    could do any of that, so only inert values are read; False when it
-    passes every step.  A clause ruled out may be skipped with nothing
-    lost, and the prover keeps no choice point for it.  The walk is
-    _match's, on a stack of zip iterators."""
+    """Would the matcher fail on these values before it normalizes,
+    unifies or binds anything?  True if so; None when the walk reaches a
+    step that could do any of that, so only inert values are read; False
+    when it passes every step.  A clause ruled out may be skipped with
+    nothing lost, and the prover keeps no choice point for it.  The walk
+    is the matcher's, on a stack of zip iterators."""
     its = []
     it = zip(steps, pats, values)
     while True:
@@ -1043,8 +1101,7 @@ def _build(step, pat, env, st, left, a):
     fresh variable made for it before is referenced by env alone and is
     replaced.  A later occurrence stands as its value when that is one of
     these new variables or fits a (unify.fits); any other value returns
-    None.  Fields are built left to right on _match's stack of zip
-    iterators."""
+    None.  Fields are built left to right on a stack of zip iterators."""
     kind = EigenVar if left else LogicVar
     g = a.global_level
     l = min(a.local_level, st.nabla_depth)

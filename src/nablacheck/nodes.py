@@ -70,11 +70,11 @@ a variable (X := H e is a pattern binding).  So a normal node is
 bindings: through one it may reach an application whose head variable
 has been bound since, a redex, or whose arguments have been, which may
 leave the pattern fragment (H a, once e := a).  The walkers that read a
-normal term as it is (unify._whnf, logic._match) normalize a redex again
-where they reach its head.  The paths that store a normal term without a
-walk (logic._match's first occurrences, and write mode where unify.fits
-holds) do not look inside bindings, and so skip the pattern check: with
-the clause q Y., the goal
+normal term as it is (unify._whnf, logic's matchers) normalize a redex
+again where they reach its head.  The paths that store a normal term
+without a walk (the matchers' first occurrences, and write mode where
+unify.fits holds) do not look inside bindings, and so skip the pattern
+check: with the clause q Y., the goal
 exists H. forall e. exists X. X = H e /\\ (e = a => q (f X))
 proves, Y taking f X as it is, where renaming the clause and unifying
 meets a variable applied to a and ends inconclusive with NonPatternError.  Where no

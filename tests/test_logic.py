@@ -477,8 +477,10 @@ def _every_clause(defn, args, st, left=False):
 
 
 # Nested constructor patterns, some repeating a clause variable inside one
-# argument or across the two, and one holding a λ.
-_NESTED = ["X::L", "X::X::L", "s (s X)", "f (g X) X", "f X (g Y)", "f (x\\ X)"]
+# argument, across the two or at different depths, with nested and sibling
+# applications, and one holding a λ.
+_NESTED = ["X::L", "X::X::L", "s (s X)", "f (g X) X", "f X (g Y)",
+           "f (x\\ X)", "f (g (h X)) (g X)", "c (X::Y::L) (s (s X))"]
 # First head arguments: constants, applications (one a redex, one holding a
 # λ, one holding a redex without a normal form), clause variables, a
 # flexible head, λs and the nested patterns.
@@ -581,6 +583,17 @@ def _query_texts():
     yield "exists Z. forall x. p Z (x::x::nil)"
     yield "exists Z. p (s (s Z)) (s Z)"
     yield "forall x. exists Z. p (x::Z) (f (g Z) x) => false"
+    # The nested and sibling patterns read field by field to the deepest
+    # level, failing there or in the sibling, and met by variables below.
+    yield "exists Y. p (f (g (h a)) (g a)) Y"
+    yield "exists Y. p (f (g (h a)) (g b)) (g Y)"
+    yield "exists Z Y. p (f (g Z) (g a)) Y"
+    yield "exists Z Y. p (f (g (h Z)) Z) (c Y (s Z))"
+    yield "exists Y. p (c (a::b::nil) (s (s a))) Y"
+    yield "exists Z Y. p (c (a::Z) (s (s b))) (Z::Y)"
+    yield "exists Z Y. p (c Z (s Z)) Y"
+    yield "forall x. p (f (g (h x)) (g x)) (c nil (s (s x))) => false"
+    yield "forall x. exists Y. p (c (x::Y) (s (s x))) (f (g Y) x)"
 
 
 def _outcome(st, text):
@@ -745,15 +758,19 @@ def test_inert_head_argument_meets_a_bound_application_without_unify(
 
 def test_head_unifications_grow_linearly_along_a_chain(monkeypatch):
     # Counts the clauses unfold tries, as head unification mostly happens
-    # without calling unify.
+    # without calling unify: each clause's matcher is wrapped as it is made.
     tried = [0]
-    real_match = logic._match
+    real_matcher = logic._matcher
 
-    def counted(*args):
-        tried[0] += 1
-        return real_match(*args)
+    def counted_matcher(clause):
+        match = real_matcher(clause)
 
-    monkeypatch.setattr(logic, "_match", counted)
+        def counted(*args):
+            tried[0] += 1
+            return match(*args)
+        return counted
+
+    monkeypatch.setattr(logic, "_matcher", counted_matcher)
     counts = []
     for n in (16, 32, 64):
         edges = "".join(f"edge n{i} n{i + 1}.\n" for i in range(n - 1))
@@ -896,6 +913,29 @@ def test_constructor_heads_match_field_by_field_without_unify(monkeypatch):
     assert answers("exists R. rev (a::b::c::nil) R") == ["R = c::b::a::nil"]
     assert answers("exists X. memb X (a::b::nil)") == ["X = a", "X = b"]
     assert calls[0] == 0
+
+
+def test_head_unifications_go_through_the_modules_unify(monkeypatch):
+    # A matcher looks unify up in logic's globals when it calls it, so a
+    # wrapper installed after the matchers were built sees every call, and
+    # the counts of none above cannot pass for want of a wrapper.
+    st = state_from(LISTS)
+    query = "exists A B. append A (b::B) (a::b::c::nil)"
+    assert run(st, query).proved
+    calls = _count_head_unify(monkeypatch)
+    r = run(st, query)
+    assert [a.text() for a in r.answers] == ["A = a::nil, B = c::nil"]
+    assert calls[0] == 4
+
+
+def test_a_step_after_a_head_unification_unifies_too(monkeypatch):
+    # Once a step has left its pattern to unify, every clause variable has
+    # a fresh variable, so a later first occurrence is unified with its
+    # own, as renaming the clause and unifying each argument would do.
+    calls = _count_head_unify(monkeypatch)
+    st = state_from("p (x\\ X) Y.\n")
+    assert run(st, "p (x\\ a) b").proved
+    assert calls[0] == 2
 
 
 def test_write_mode_builds_at_the_variables_levels():
