@@ -186,10 +186,7 @@ def _nf(t, fuel, eta=False):
         if type(t) is tuple:
             u = _rebuild(t[0], done)
             if eta and type(u) is Lam and type(u.body) is App:
-                body = u.body
-                last = body.args[-1]
-                if type(last) is Bound and last.index == 0:
-                    u = shift(app(body.head, body.args[:-1]), -1) or u
+                u = _eta(u, t[0], todo)
             done.append(u)
             continue
         if isinstance(t, Var):
@@ -226,6 +223,34 @@ def _nf(t, fuel, eta=False):
         todo.extend(t.args[::-1])
         done.append(head)
     return done[0]
+
+
+def _eta(u, lam, todo):
+    """u, the λ lam rebuilt over a βη-normal application, η-contracted in
+    one shift with the λs whose markers come next on _nf's todo, each the
+    body of the next: as many layers as the trailing arguments … B1 B0
+    reach, cut at the least of them the rest uses.  Their markers go."""
+    head, args = u.body.head, u.body.args
+    k = 0
+    for a in reversed(args):
+        if type(a) is not Bound or a.index != k:
+            break
+        k += 1
+        m = todo[-k] if k <= len(todo) else None  # the marker of layer k
+        if type(m) is not tuple or getattr(m[0], "body", None) is not lam:
+            break
+        lam = m[0]
+    walk = [(a, 0) for a in (head, *args[:len(args) - k])]
+    while walk and k:
+        t, d = walk.pop()
+        if type(t) is Bound and t.index >= d:
+            k = min(k, t.index - d)
+        elif type(t) is Lam:
+            walk.append((t.body, d + 1))
+        elif type(t) is App and not t.inert:
+            walk.extend((a, d) for a in (t.head, *t.args))
+    del todo[len(todo) - k + 1:]  # nothing when k is 0 or 1
+    return shift(app(head, args[:-k]), -k) if k else u
 
 
 def normalize(t, budget=None):

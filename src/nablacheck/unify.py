@@ -7,6 +7,11 @@ global level above g, or a ∇-index at or above l.  Problems outside the
 fragment raise NonPatternError, an error surfaced to the caller, never a
 silent failure.
 
+Each flexible occurrence's arguments are read once, through _whnf and the
+pattern check, into one table from each argument's key to its position
+(_pattern).  Every flex case reads that table: abstraction, pruning and
+both flex–flex cases, so a pattern argument is found in constant time.
+
 Which variables are instantiable depends on the caller.  Everywhere except
 inside an implication's antecedent only logic variables bend
 (instantiate_eigen=False); the Level-0 prover running on the left of an
@@ -197,41 +202,29 @@ def _atom_key(a):
     return ("v", id(a))
 
 
-def _check_pattern_args(f, args, lhs, rhs):
-    """Raise NonPatternError unless args meet the pattern condition for f."""
-    seen = set()
+def _pattern(f, args, st, lhs, rhs):
+    """The arguments of the flexible f, each through _whnf, as its pattern
+    table: each one's key (_atom_key) to its position and itself, in order.
+    NonPatternError unless they meet the pattern condition for f."""
+    table = {}
     for a in args:
-        a = deref(a)
+        a = _whnf(a, st)
         ta = type(a)
-        if ta is Bound:
-            pass
-        elif ta is NablaIndex:
-            if _visible_to(f, a):
-                raise NonPatternError(
-                    lhs,
-                    rhs,
-                    "argument #%d is already visible to %s (local level %d)"
-                    % (a.index, f.name, f.local_level),
-                )
-        elif isinstance(a, EigenVar) and a.binding is None:
-            if _visible_to(f, a):
-                raise NonPatternError(
-                    lhs,
-                    rhs,
-                    "argument %s is already visible to %s (global level)"
-                    % (a.name, f.name),
-                )
-        else:
-            raise NonPatternError(
-                lhs,
-                rhs,
+        if not (ta is Bound or ta is NablaIndex or isinstance(a, EigenVar)):
+            raise NonPatternError(lhs, rhs, (
                 "argument of %s is not a λ-bound variable, eigenvariable, "
-                "or ∇-index" % f.name,
-            )
+                "or ∇-index" % f.name))
+        if _visible_to(f, a):
+            raise NonPatternError(lhs, rhs, (
+                "argument #%d is already visible to %s (local level %d)"
+                % (a.index, f.name, f.local_level) if ta is NablaIndex else
+                "argument %s is already visible to %s (global level)"
+                % (a.name, f.name)))
         k = _atom_key(a)
-        if k in seen:
+        if k in table:
             raise NonPatternError(lhs, rhs, "repeated argument of %s" % f.name)
-        seen.add(k)
+        table[k] = (len(table), a)
+    return table
 
 
 def _visible_to(v, atom):
@@ -246,14 +239,6 @@ def _visible_to(v, atom):
         return atom.index < v.local_level
     return (atom.global_level < v.global_level
             and atom.local_level <= v.local_level)
-
-
-def _position(atom, args):
-    key = _atom_key(atom)
-    for i, a in enumerate(args):
-        if _atom_key(deref(a)) == key:
-            return i
-    return None
 
 
 def _wrap_lams(body, n):
@@ -272,15 +257,13 @@ def fits(u, v):
 
 
 def _bind_flex(f, fargs, rigid, st, left, flex_term):
-    fargs = [_whnf(a, st) for a in fargs]
-    _check_pattern_args(f, fargs, flex_term, rigid)
-    n = len(fargs)
-    body = _abstract(rigid, f, fargs, 0, st, left, flex_term, rigid)
-    bind(f, _wrap_lams(body, n), st.trail)
+    table = _pattern(f, fargs, st, flex_term, rigid)
+    body = _abstract(rigid, f, table, 0, st, left, flex_term, rigid)
+    bind(f, _wrap_lams(body, len(table)), st.trail)
 
 
-def _abstract(u, f, fargs, depth, st, left, lhs, rhs):
-    """Rewrite u into the body of f's binding.
+def _abstract(u, f, table, depth, st, left, lhs, rhs):
+    """Rewrite u into the body of f's binding, table being f's pattern table.
 
     Occurrences of f's pattern arguments become λ-indices of the new binding;
     atoms f can see pass through; instantiable variables beyond f's horizon
@@ -311,9 +294,9 @@ def _abstract(u, f, fargs, depth, st, left, lhs, rhs):
         if is_flex(head, left):
             if head is f:
                 raise _Fail  # occurs check
-            done.append(_prune_flex(head, args, f, fargs, depth, st, lhs, rhs))
+            done.append(_prune_flex(head, args, f, table, depth, st, lhs, rhs))
             continue
-        h = _cross(head, f, fargs, depth)
+        h = _cross(head, f, table, depth)
         if h is None:
             raise _Fail
         done.append(h)
@@ -323,12 +306,12 @@ def _abstract(u, f, fargs, depth, st, left, lhs, rhs):
     return done[0]
 
 
-def _cross(a, f, fargs, depth):
+def _cross(a, f, table, depth):
     """Atom a, met under depth λs, as it reads inside f's binding body.
 
     a itself if f can see it (a constant, a λ bound inside the body, or an
-    atom visible at f's levels), the λ-index of the pattern argument it is,
-    or None when f can reach it neither way.
+    atom visible at f's levels), the λ-index of the pattern argument it is
+    (f's pattern table), or None when f can reach it neither way.
     """
     ta = type(a)
     if ta is Bound:
@@ -337,58 +320,58 @@ def _cross(a, f, fargs, depth):
         a = Bound(a.index - depth)
     elif ta is Const or _visible_to(f, a):
         return a
-    pos = _position(a, fargs)
-    return None if pos is None else Bound(depth + len(fargs) - 1 - pos)
+    hit = table.get(_atom_key(a))
+    return None if hit is None else Bound(depth + len(table) - 1 - hit[0])
 
 
-def _prune_flex(h, hargs, f, fargs, depth, st, lhs, rhs):
+def _bind_fresh(v, table, sel, k, trail):
+    """Bind v, whose pattern table is table, to the fresh variable k applied
+    to the atoms sel lists as (key, atom) pairs: each of v's own arguments
+    as the λ-index of its position, any other atom as itself."""
+    n = len(table)
+    out = []
+    for ka, a in sel:
+        hit = table.get(ka)
+        out.append(a if hit is None else Bound(n - 1 - hit[0]))
+    bind(v, _wrap_lams(app(k, tuple(out)), n), trail)
+
+
+def _prune_flex(h, hargs, f, table, depth, st, lhs, rhs):
     """Translate an occurrence of flex h inside f's binding body.
 
     Arguments of h that f can reach (directly visible, local λ, or one of
     f's own pattern arguments) survive; the rest force h down to a fresh
     variable over the survivors at the pointwise-minimum levels.
     """
-    hargs = [_whnf(a, st) for a in hargs]
-    _check_pattern_args(h, hargs, lhs, rhs)
-    survivors = []  # (position in hargs, translation inside f's body)
-    for i, z in enumerate(hargs):
-        tr = _cross(z, f, fargs, depth)
+    own = _pattern(h, hargs, st, lhs, rhs)
+    survivors = []  # (key in own, translation inside f's body)
+    for ka, (_, z) in own.items():
+        tr = _cross(z, f, table, depth)
         if tr is not None:
-            survivors.append((i, tr))
-    within_levels = (
-        h.global_level <= f.global_level and h.local_level <= f.local_level
-    )
-    if within_levels and len(survivors) == len(hargs):
-        return app(h, tuple(tr for _, tr in survivors))
-    hp = st.fresh_at(
-        type(h),
-        h.name,
-        min(f.global_level, h.global_level),
-        min(f.local_level, h.local_level),
-    )
-    m = len(hargs)
-    inner = tuple(Bound(m - 1 - i) for i, _ in survivors)
-    bind(h, _wrap_lams(app(hp, inner), m), st.trail)
-    return app(hp, tuple(tr for _, tr in survivors))
+            survivors.append((ka, tr))
+    translated = tuple(tr for _, tr in survivors)
+    if (len(survivors) == len(own) and h.global_level <= f.global_level
+            and h.local_level <= f.local_level):
+        return app(h, translated)
+    hp = st.fresh_at(type(h), h.name, min(f.global_level, h.global_level),
+                     min(f.local_level, h.local_level))
+    _bind_fresh(h, own, survivors, hp, st.trail)
+    return app(hp, translated)
 
 
 def _same_var(f, targs, sargs, st, lhs, rhs):
     if len(targs) != len(sargs):
         raise NonPatternError(
             lhs, rhs, "same variable applied at different arities")
-    targs = [_whnf(a, st) for a in targs]
-    sargs = [_whnf(a, st) for a in sargs]
-    _check_pattern_args(f, targs, lhs, rhs)
-    _check_pattern_args(f, sargs, lhs, rhs)
-    n = len(targs)
-    kept = [
-        i for i in range(n) if _atom_key(targs[i]) == _atom_key(sargs[i])
-    ]
-    if len(kept) == n:
+    ttable = _pattern(f, targs, st, lhs, rhs)
+    stable = _pattern(f, sargs, st, lhs, rhs)
+    # The arguments the two sides hold at the same position.
+    kept = [(ka, a) for (ka, (_, a)), kb in zip(ttable.items(), stable)
+            if ka == kb]
+    if len(kept) == len(ttable):
         return  # identical flex terms, nothing to do
     k = st.fresh_at(type(f), f.name, f.global_level, f.local_level)
-    body = app(k, tuple(Bound(n - 1 - i) for i in kept))
-    bind(f, _wrap_lams(body, n), st.trail)
+    _bind_fresh(f, ttable, kept, k, st.trail)
 
 
 def _flex_flex(f, targs, h, sargs, st, lhs, rhs):
@@ -401,37 +384,16 @@ def _flex_flex(f, targs, h, sargs, st, lhs, rhs):
         if f.global_level <= h.global_level and f.local_level <= h.local_level:
             bind(h, f, st.trail)
             return
-    targs = [_whnf(a, st) for a in targs]
-    sargs = [_whnf(a, st) for a in sargs]
-    _check_pattern_args(f, targs, lhs, rhs)
-    _check_pattern_args(h, sargs, lhs, rhs)
+    ttable = _pattern(f, targs, st, lhs, rhs)
+    stable = _pattern(h, sargs, st, lhs, rhs)
     g = min(f.global_level, h.global_level)
     l = min(f.local_level, h.local_level)
     cls = LogicVar if type(f) is LogicVar else type(h)
     k = st.fresh_at(cls, f.name, g, l)
-    tkeys = [_atom_key(a) for a in targs]
-    skeys = [_atom_key(a) for a in sargs]
-    sel = []
-    selkeys = set()
-    for a, ka in zip(targs, tkeys):
-        if ka in skeys or _visible_to(h, a):
-            sel.append(a)
-            selkeys.add(ka)
-    for a, ka in zip(sargs, skeys):
-        if ka not in selkeys and ka not in tkeys and _visible_to(f, a):
-            sel.append(a)
-            selkeys.add(ka)
-
-    def mk_binding(args, keys):
-        n = len(args)
-        out = []
-        for a in sel:
-            ka = _atom_key(a)
-            if ka in keys:
-                out.append(Bound(n - 1 - keys.index(ka)))
-            else:
-                out.append(a)
-        return _wrap_lams(app(k, tuple(out)), n)
-
-    bind(f, mk_binding(targs, tkeys), st.trail)
-    bind(h, mk_binding(sargs, skeys), st.trail)
+    # f's arguments that h shares or can see, then h's own that f can see.
+    sel = [(ka, a) for ka, (_, a) in ttable.items()
+           if ka in stable or _visible_to(h, a)]
+    sel += [(ka, a) for ka, (_, a) in stable.items()
+            if ka not in ttable and _visible_to(f, a)]
+    _bind_fresh(f, ttable, sel, k, st.trail)
+    _bind_fresh(h, stable, sel, k, st.trail)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import importlib.resources
 import io
 import os
@@ -20,6 +21,29 @@ from nablacheck.parser import (
     parse_file,
     parse_query,
 )
+
+
+def python_calls(fn, *args):
+    """The names of the Python-level functions fn(*args) calls, fn itself
+    included, as sys.setprofile sees them (a generator counts once per
+    resumption); the garbage collector, which may run finalizers, is off
+    meanwhile."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls
 
 
 def state_from(text, **state_kw):

@@ -202,51 +202,59 @@ def ground_equal(t, s, assign=None):
 
 ATOM_A = ("c", "a")
 ATOM_B = ("c", "b")
-INDEX_0 = ("c", "#0")
 
 
-def universe_for(v):
+def universe_for(v, arity=None):
     """Closed ground values a variable may legally take.
 
-    The level conditions reduce here to: a variable with local level 0 was
-    introduced before the nabla binder, so #0 must not occur in its value.
-    (The enumerated problems contain no eigenvariables, so global levels
-    do not constrain anything.)
+    The level conditions reduce here to: a variable with local level l was
+    introduced under l nabla binders, so only #0 … #(l-1) may occur in its
+    value.  (The enumerated problems contain no eigenvariables, so global
+    levels do not constrain anything.)  The atoms are a, b and those
+    indices.  By default the values are the atoms and the λs over one
+    variable whose body is an atom or that variable.  With an arity k,
+    they are the closed normal terms of the type of a function of k
+    arguments at base type, no constant taking any: k λs over an atom or
+    one of their variables.
     """
-    atoms = [ATOM_A, ATOM_B]
-    if v.local_level >= 1:
-        atoms.append(INDEX_0)
-    out = list(atoms)
-    for body in [("v", "w")] + atoms:
-        out.append(("lam", "w", body))
+    atoms = [ATOM_A, ATOM_B] + [("c", f"#{i}") for i in range(v.local_level)]
+    if arity is None:
+        return atoms + [("lam", "w", body) for body in [("v", "w")] + atoms]
+    names = [f"w{i}" for i in range(arity)]
+    out = []
+    for body in [("v", w) for w in names] + atoms:
+        for w in reversed(names):
+            body = ("lam", w, body)
+        out.append(body)
     return out
 
 
-def assignments(variables):
-    """Every ground assignment over the variables' universes."""
+def assignments(variables, arities=None):
+    """Every ground assignment over the variables' universes, arities
+    mapping a variable's id to the arity of its universe, if given."""
     variables = list(variables)
-    pools = [universe_for(v) for v in variables]
+    pools = [universe_for(v, arities and arities.get(v.id)) for v in variables]
     for combo in itertools.product(*pools):
         yield {v.id: val for v, val in zip(variables, combo)}
 
 
-def ground_unifiers(t, s, variables):
+def ground_unifiers(t, s, variables, arities=None):
     """All assignments (from the universes) making t and s equal."""
-    for a in assignments(variables):
+    for a in assignments(variables, arities):
         if ground_equal(t, s, a):
             yield a
 
 
-def factors_through(theta, sigma, residual_vars):
+def factors_through(theta, sigma, residual_vars, arities=None):
     """Does the ground unifier sigma factor through the computed mgu?
 
     theta is a list of (variable, package-term snapshot) pairs; sigma maps
     variable ids to named ground terms; residual_vars are the unbound
     variables remaining in the snapshots.  True when some ground
     instantiation rho of the residuals makes every snapshot equal to
-    sigma's value for its variable.
+    sigma's value for its variable.  arities is as for assignments.
     """
-    for rho in assignments(list(residual_vars)):
+    for rho in assignments(list(residual_vars), arities):
         if all(
             alpha_eq(nf(to_named(snap, assign=rho)), nf(sigma[v.id]))
             for (v, snap) in theta

@@ -9,6 +9,7 @@ batch runs are bit-for-bit reproducible, and ill-posed problems surface as
 errors instead of verdicts.
 """
 
+import collections
 import itertools
 import random
 import time
@@ -17,10 +18,10 @@ import pytest
 
 from nablacheck.engine import State, solve
 from nablacheck.errors import BudgetExceeded, NonPatternError
-from nablacheck.nodes import App, Bound, Const, Lam, NablaIndex
+from nablacheck.nodes import App, Bound, Const, Lam, NablaIndex, Var
 from nablacheck.parser import parse_query
 from nablacheck.tabling import table_report
-from nablacheck.terms import iter_free_vars
+from nablacheck.terms import deref, iter_free_vars
 from nablacheck.unify import FAILURE, undo_to, unify
 
 from conftest import corpus_files, load_corpus, run, run_cli, state_from
@@ -210,6 +211,60 @@ def _unification_universe(st, x_var, y_var):
     return leaves + depth2 + depth3
 
 
+def _arities(terms):
+    """Each unbound variable in terms, bindings followed, mapped to the
+    number of arguments it is applied to, or 0 where it stands alone."""
+    out = {}
+    todo = list(terms)
+    while todo:
+        t = deref(todo.pop())
+        if type(t) is Lam:
+            todo.append(t.body)
+        elif type(t) is App:
+            h = deref(t.head)
+            if isinstance(h, Var):
+                out[h.id] = len(t.args)
+            else:
+                todo.append(h)
+            todo.extend(t.args)
+        elif isinstance(t, Var):
+            out.setdefault(t.id, 0)
+    return out
+
+
+def _oracle_verdict(st, t, s, variables, typed=False):
+    """Unify t and s and check the outcome against every ground unifier
+    over the variables' universes (oracles.universe_for): a failure must
+    have none, and a success must make t and s equal and be more general
+    than each of them.  typed: each variable's universe, the residuals'
+    too, is that of the arity it is applied at.  "nonpattern", "failure"
+    or "success"; the state is left as it was."""
+    sigmas = list(ground_unifiers(t, s, variables,
+                                  _arities((t, s)) if typed else None))
+    mark = len(st.trail)
+    try:
+        r = unify(t, s, st)
+    except NonPatternError:
+        assert len(st.trail) == mark
+        return "nonpattern"
+    try:
+        if r is FAILURE:
+            assert sigmas == [], (repr(t), repr(s), sigmas[0])
+            return "failure"
+        residuals = {u for v in variables for u in iter_free_vars(v)}
+        opaque = {u.id: ("c", _fresh("k")) for u in residuals}
+        assert ground_equal(t, s, opaque), (repr(t), repr(s))
+        theta = [(v, v) for v in variables]
+        arities = _arities((t, s)) if typed else None
+        for sigma in sigmas:
+            assert factors_through(theta, sigma, list(residuals), arities), (
+                repr(t), repr(s), sigma,
+            )
+        return "success"
+    finally:
+        undo_to(st.trail, mark)
+
+
 def test_criterion_3_unification_matches_ground_oracle():
     st = State()
     x_var = st.fresh_logic("X")
@@ -219,40 +274,50 @@ def test_criterion_3_unification_matches_ground_oracle():
     pairs = list(itertools.product(terms, repeat=2))
 
     t0 = time.perf_counter()
-    nonpattern = failures = successes = 0
-    for t, s in pairs:
-        sigmas = list(ground_unifiers(t, s, [x_var, y_var]))
-        mark = len(st.trail)
-        try:
-            r = unify(t, s, st)
-        except NonPatternError:
-            nonpattern += 1
-            assert len(st.trail) == mark
-            continue
-        try:
-            if r is FAILURE:
-                failures += 1
-                assert sigmas == [], (repr(t), repr(s), sigmas[0])
-                continue
-            successes += 1
-            residuals = {
-                u for v in (x_var, y_var) for u in iter_free_vars(v)
-            }
-            opaque = {u.id: ("c", _fresh("k")) for u in residuals}
-            assert ground_equal(t, s, opaque), (repr(t), repr(s))
-            theta = [(x_var, x_var), (y_var, y_var)]
-            for sigma in sigmas:
-                assert factors_through(theta, sigma, list(residuals)), (
-                    repr(t), repr(s), sigma,
-                )
-        finally:
-            undo_to(st.trail, mark)
+    verdicts = collections.Counter(
+        _oracle_verdict(st, t, s, [x_var, y_var]) for t, s in pairs)
     elapsed = time.perf_counter() - t0
 
-    total = len(pairs)
-    assert nonpattern + failures + successes == total
-    assert nonpattern > 0 and failures > 0 and successes > 0
-    assert elapsed < 60.0, (elapsed, total)
+    assert sum(verdicts.values()) == len(pairs)
+    assert verdicts["nonpattern"] and verdicts["failure"] and verdicts["success"]
+    assert elapsed < 60.0, (elapsed, len(pairs))
+
+
+def test_criterion_3_two_argument_flex_pairs_match_ground_oracle():
+    # Two-argument patterns at ∇ depth 2, so that the flex-flex cases meet
+    # arguments in different orders, shared or not: _same_var keeps only
+    # the arguments both sides hold at the same position, and _flex_flex
+    # the arguments both variables share or the other one sees (Z sees
+    # #0).  Terms are paired with terms of their own type, and each
+    # variable ranges over every closed normal term of the arity it is
+    # applied at.
+    st = State()
+    x_var = st.fresh_logic("X")
+    y_var = st.fresh_logic("Y")
+    st.nabla_depth = 1
+    z_var = st.fresh_logic("Z")
+    st.nabla_depth = 2
+    n0, n1, x = NablaIndex(0), NablaIndex(1), Bound(0)
+    base = [
+        App(x_var, (n0, n1)), App(x_var, (n1, n0)), App(y_var, (n0, n1)),
+        App(y_var, (n1, n0)), App(x_var, (n0,)), App(y_var, (n1,)),
+        App(x_var, (n0, n0)), App(z_var, (n1,)), n0, n1, Const("a"),
+    ]
+    lams = [Lam(App(x_var, (n1, x))), Lam(App(y_var, (x, n0))),
+            Lam(App(y_var, (n1, x))), Lam(App(z_var, (x,)))]
+    pairs = [*itertools.product(base, repeat=2),
+             *itertools.product(lams, repeat=2)]
+
+    t0 = time.perf_counter()
+    verdicts = collections.Counter()
+    for t, s in pairs:
+        occurring = {u for w in (t, s) for u in iter_free_vars(w)}
+        variables = [v for v in (x_var, y_var, z_var) if v in occurring]
+        verdicts[_oracle_verdict(st, t, s, variables, typed=True)] += 1
+    elapsed = time.perf_counter() - t0
+
+    assert verdicts["nonpattern"] and verdicts["failure"] and verdicts["success"]
+    assert elapsed < 10.0, (elapsed, verdicts)
 
 
 # ---------------------------------------------------------------------------

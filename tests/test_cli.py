@@ -1,6 +1,5 @@
 """The nabla-check command: batch runs, queries, the interactive loop."""
 
-import gc
 import io
 import os
 import pathlib
@@ -15,7 +14,7 @@ from nablacheck.cli import load_file, repl, run_assertion, run_query
 from nablacheck.engine import State
 from nablacheck.parser import parse_file
 
-from conftest import run_child, run_cli
+from conftest import python_calls, run_child, run_cli
 
 MEMB = "memb X (X::L).\nmemb X (Y::L) := memb X L.\n"
 
@@ -486,29 +485,6 @@ def test_unrelated_clauses_keep_a_table(tmp_path):
     assert "% table reach (inductive): 0 proved, 2 disproved" in out
 
 
-def _python_calls(fn, *args):
-    """The names of the Python-level functions fn(*args) calls, fn itself
-    included, as sys.setprofile sees them (a generator counts once per
-    resumption); the garbage collector, which may run finalizers, is off
-    meanwhile."""
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_name)
-
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return calls
-
-
 def test_a_settled_query_costs_few_python_calls(tmp_path):
     # A ground query that one settled table entry answers should cost
     # little more than its lookup.  The counts do not depend on the
@@ -522,13 +498,13 @@ def test_a_settled_query_costs_few_python_calls(tmp_path):
     assert load_file(f, st, io.StringIO()) == 0
     assert run_query("reach a c", st, io.StringIO()) == 0  # settles it
     out = io.StringIO()
-    calls = _python_calls(run_query, "reach a c", st, out)
+    calls = python_calls(run_query, "reach a c", st, out)
     assert out.getvalue() == "yes\n% proved (1 answer)\n"
     assert len(calls) <= 26, calls
     assert "_read_body" not in calls and calls.count("compile_goal") == 1
     directive = parse_file("#assert reach a c.\n")[0]
     out = io.StringIO()
-    calls = _python_calls(run_assertion, directive, st, out, "r.def")
+    calls = python_calls(run_assertion, directive, st, out, "r.def")
     assert out.getvalue() == "r.def:1: assert reach a c ... ok\n"
     assert len(calls) <= 23, calls
     assert "_read_body" not in calls and calls.count("compile_goal") == 1
