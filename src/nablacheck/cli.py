@@ -110,16 +110,16 @@ def _open(path, paths, files, out):
     return OK
 
 
-def load_file(path, st, out, include_stack=()):
+def load_file(path, st, out):
     """Load one definition file, running directives in order.
 
     An #include loads the named file where it stands.  The files being
     loaded wait on a stack, so a chain of includes of any length uses no
-    interpreter stack; a file already on it or in include_stack is an
-    include cycle.  An error ends the file it occurs in alone.  Each file's
-    code folds into its includer's by max, so one worst code serves all.
+    interpreter stack; a file already on it is an include cycle.  An error
+    ends the file it occurs in alone.  Each file's code folds into its
+    includer's by max, so one worst code serves all.
     """
-    paths = list(include_stack)
+    paths = []
     files = []
     worst = _open(path, paths, files, out)
     while files:

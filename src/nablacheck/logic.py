@@ -129,25 +129,6 @@ class Nabla(_Binder):
     __slots__ = ()
 
 
-def formula_terms(f):
-    """Yield the argument terms of every atom and equation in f."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        tg = type(g)
-        if tg is Atom:
-            for a in g.args:
-                yield a
-        elif tg is Eq:
-            yield g.lhs
-            yield g.rhs
-        elif tg is And or tg is Or or tg is Imp:
-            stack.append(g.left)
-            stack.append(g.right)
-        elif tg is Exists or tg is Forall or tg is Nabla:
-            stack.append(g.body)
-
-
 # ---------------------------------------------------------------------------
 # Goal compilation
 # ---------------------------------------------------------------------------
@@ -208,14 +189,14 @@ def _builders(ts, keys, atom=False):
     return tuple(out)
 
 
-def compile_goal(f, defs, strict=True, warn=None):
+def compile_goal(f, defs, warn=None):
     """(level, record): f's level, the least (0 or 1) whose grammar
     generates it, an atom counting at its Definition's level, and f
     compiled, in one walk.  A name defs lacks becomes an empty Definition,
     the definition of a predicate with no clauses, so its goals fail as
-    false's do.  With strict, an implication whose antecedent is not level
-    0 raises IllFormedFormula.  With warn, warn gets, sorted, each name f
-    calls that has no clause, table mode or declared level, false aside.
+    false's do.  An implication whose antecedent is not level 0 raises
+    IllFormedFormula.  With warn, warn gets, sorted, each name f calls
+    that has no clause, table mode or declared level, false aside.
 
     Each formula binder in f gets a key of its own, 0, 1, ... in walk order;
     entering it stores its value under that key in the goal's environment,
@@ -276,7 +257,7 @@ def compile_goal(f, defs, strict=True, warn=None):
         done.append((lv, (_TAG[tg], g, scope, x, y)))
     for p in sorted(set(unknown)) if unknown else ():
         warn(p)
-    if ill and strict:
+    if ill:
         raise IllFormedFormula(
             "the antecedent of an implication must be a level-0 formula")
     return done[0]
@@ -305,20 +286,21 @@ class Clause:
 
     Occurrences are counted left to right and depth first, the order the
     walk visits them.  The plan, and match, the clause's head matcher
-    compiled from it (_matcher), are built with the definition's index, on
-    the first unfold, so loading a file does not pay for it; a clause whose
-    first step is _CONST or a _Struct is keyed by that argument's head
-    constant.  So is sieve: the first head argument is a _Struct step whose
-    fields meet a _CONST or _Struct step before any _VALUE or _OTHER one.
+    compiled from it (_matcher), are built when the clause joins its
+    definition's index, at the first unfold after it arrived, so loading a
+    file does not pay for it; a clause whose first step is _CONST or a
+    _Struct is keyed by that argument's head constant.  So is sieve: the
+    first head argument is a _Struct step whose fields meet a _CONST or
+    _Struct step before any _VALUE or _OTHER one.
     The index tells clauses apart by the first argument's head constant
     only, and sieve marks the ones an inert first argument can still rule
     out below it (_rules_out), as s z rules out fib (s (s N)).  The plan
     and every walk over it keep their place on explicit stacks.
 
     code, the body compiled against the Definitions of the DefSet that made
-    the clause (compile_goal), is built with the plan and, like it, never
-    rebuilt: its atoms name Definitions, whose clauses, levels and table
-    modes the prover reads at dispatch.
+    the clause (compile_goal), is built with the plan, inside a query whose
+    level check has passed, and like it once: its atoms name Definitions,
+    whose clauses, levels and table modes the prover reads at dispatch.
 
     calls, ante and own, the facts the level check reads, are set by the
     one walk over the body, on arrival (DefSet._read_body): the Definitions
@@ -335,9 +317,6 @@ class Clause:
         self.body = body
         self.var_names = tuple(var_names)
         self.line = line
-        self.plan = None
-        self.sieve = False
-        self.code = None
 
 
 class Definition:
@@ -350,14 +329,17 @@ class Definition:
     The index holds, per arity, the clauses of that arity and a map from
     each key c to those keyed c or open, in source order, with the open
     clauses alone for names no clause is keyed by; a call meets only its
-    own arity.  unfold() builds it on first use, together with the head
-    plan and the compiled body of every clause new to it (see Clause), so
-    loading does no extra work; add_clause() drops it, since the REPL can
-    #include more clauses after queries have run.
+    own arity.  The index is kept for good and grows as clauses arrive:
+    DefSet.add_clause() puts each new clause on _new, and the next unfold()
+    prepares those (see Clause) and appends each to its arity's buckets in
+    source order (_index_new), so loading does no extra work, and a clause
+    that arrives after queries have run, from an #include or between
+    assertions, costs what it would have cost at the start.
     """
 
     __slots__ = (
-        "pred", "clauses", "declared_level", "level", "table_mode", "_index"
+        "pred", "clauses", "declared_level", "level", "table_mode", "_index",
+        "_new",
     )
 
     def __init__(self, pred):
@@ -366,7 +348,8 @@ class Definition:
         self.declared_level = None
         self.level = 0
         self.table_mode = None  # None | "inductive" | "coinductive"
-        self._index = None  # arity -> (key -> clauses, open clauses, clauses)
+        self._index = {}  # arity -> (key -> clauses, open clauses, clauses)
+        self._new = []  # the clauses the index does not hold yet
 
 
 def _redex_free(t):
@@ -453,24 +436,23 @@ def _clause_var_names(t):
             stack.extend(u.args)
 
 
-def _build_index(clauses, defs):
-    index = {}
-    for clause in clauses:
-        if clause.plan is None:
-            clause.code = compile_goal(clause.body, defs, False)[1]
-            clause.plan = _head_plan(clause)
-            clause.match = _matcher(clause)
-            if clause.plan and type(clause.plan[0]) is _Struct:
-                for step in clause.plan[0].steps:
-                    if step is not _FIRST:
-                        clause.sieve = step is not _VALUE and step is not _OTHER
-                        break
+def _index_new(defn, defs):
+    """Prepare each clause that arrived since the last unfold (see Clause)
+    and append it, in source order, to its arity's buckets in defn's
+    index (see Definition)."""
+    index = defn._index
+    for clause in defn._new:
+        clause.code = compile_goal(clause.body, defs)[1]
+        plan = clause.plan = _head_plan(clause)
+        clause.match = _matcher(clause)
+        steps = plan[0].steps if plan and type(plan[0]) is _Struct else ()
+        step = next((s for s in steps if s is not _FIRST), _OTHER)
+        clause.sieve = step is not _VALUE and step is not _OTHER
         keyed, open_, all_ = index.setdefault(
             len(clause.head_args), ({}, [], []))
         all_.append(clause)
         key = None
-        if clause.plan and (
-                clause.plan[0] is _CONST or type(clause.plan[0]) is _Struct):
+        if plan and (plan[0] is _CONST or type(plan[0]) is _Struct):
             first = clause.head_args[0]
             key = first.name if type(first) is Const else first.head.name
         if key is None:
@@ -482,7 +464,7 @@ def _build_index(clauses, defs):
             if bucket is None:
                 bucket = keyed[key] = list(open_)
             bucket.append(clause)
-    return index
+    defn._new = []
 
 
 class DefSet:
@@ -526,10 +508,12 @@ class DefSet:
         return d
 
     def add_clause(self, pred, head_args, body, var_names, line=None):
+        """Give pred a clause, last in source order; the next unfold of
+        pred adds it to the index (see Definition)."""
         d = self.ensure(pred)
         c = Clause(head_args, body, var_names, line)
         d.clauses.append(c)
-        d._index = None
+        d._new.append(c)
         self.changed.append((d, c))
         self._read_body(pred, c)
 
@@ -806,12 +790,12 @@ def unfold(defn, args, st, left=False):
     do not count and are not tried: they would fail without a trace.
 
     Clauses are tried in source order, only those of the call's arity in
-    the definition's index, which the first unfold builds.  When some
-    clause of that arity is keyed, the first argument is normalized as
-    unify would see it, unless it is normal (nodes.py), so a normalization
-    error surfaces where trying that clause would raise it, and if its
-    head is a constant only the clauses keyed by that name or open take
-    part.  A clause skipped this way is exactly one whose head
+    the definition's index, which first takes in the clauses that arrived
+    since the last unfold.  When some clause of that arity is keyed, the
+    first argument is normalized as unify would see it, unless it is
+    normal (nodes.py), so a normalization error surfaces where trying that
+    clause would raise it, and if its head is a constant only the clauses
+    keyed by that name or open take part.  A clause skipped this way is exactly one whose head
     unification would return FAILURE at the rigid-rigid head-name check:
     its first head argument is a redex-free term headed by another
     constant, so its normalization cannot fail and unification cannot
@@ -874,10 +858,9 @@ def unfold(defn, args, st, left=False):
     every clause and unifying each head argument; only the ids of fresh
     variables differ.
     """
-    index = defn._index
-    if index is None:
-        index = defn._index = _build_index(defn.clauses, st.defs.defs)
-    entry = index.get(len(args))
+    if defn._new:
+        _index_new(defn, st.defs.defs)
+    entry = defn._index.get(len(args))
     if entry is None:
         return
     keyed, open_, clauses = entry

@@ -54,9 +54,7 @@ import re
 from operator import itemgetter
 
 from .errors import ParseError
-from .logic import (
-    And, Atom, Eq, Exists, Forall, Formula, Imp, Nabla, Or, Top, formula_terms,
-)
+from .logic import And, Atom, Eq, Exists, Forall, Formula, Imp, Nabla, Or, Top
 from .nodes import (
     App, Bound, ClauseVar, Const, EigenVar, Lam, NablaIndex, Term, Var, app,
 )
@@ -246,7 +244,8 @@ class _Parser:
         self.text = text
         self.pos = 0  # the index of the current token
         self.filename = filename
-        self.bound: list[str] = []  # innermost binder last
+        self.bound: list[str] = []  # the binders in scope, innermost last
+        self.places: dict[str, list[int]] = {}  # name -> its places in bound
         self.clause_vars: dict[str, int] = {}  # name -> first-occurrence rank
         self.query_vars = None  # [(Bound, rank)] while closing a query
 
@@ -289,11 +288,13 @@ class _Parser:
         An application stays a list, head then arguments, and a free
         lowercase name its text, until what takes it reads it as a term or
         an atom (a predicate's name makes no constant).  A binder's names are
-        in scope (self.bound) from the binder to the end of its body, and
-        parentheses leave no node; an open operator waits on the stack."""
+        in scope (self.bound, and self.places for lookups) from the binder
+        to the end of its body, and parentheses leave no node; an open
+        operator waits on the stack."""
         texts = self.texts
         kinds = self.kinds
         bound = self.bound
+        places = self.places
         leaf = self.leaf
         term = self.term
         infix = _INFIX.get
@@ -321,13 +322,16 @@ class _Parser:
                     raise self.error(f"{op} needs at least one variable name")
                 self.expect("punct", ".")
                 pos = self.pos
-                bound += left
+                for name in left:
+                    places.setdefault(name, []).append(len(bound))
+                    bound.append(name)
             elif (kind == "name" or kind == "uvar") and texts[pos] == "\\" \
                     and _BINDERS["\\"][1] >= level:
                 op, left, inner = "\\", text, OPEN
                 pos += 1
+                places.setdefault(left, []).append(len(bound))
                 bound.append(left)
-            elif kind == "name" and text not in bound:
+            elif kind == "name" and not places.get(text):
                 node, tok, op = text, t, None
             elif kind in _LEAVES or kind == "kw" and text == "true":
                 node, tok, op = leaf(kind, text), t, None
@@ -348,8 +352,8 @@ class _Parser:
                         node = [node if type(node) is str
                                 else term(node, tok)]
                     if kind in _LEAVES:
-                        node.append(Const(text) if kind == "name" and text
-                                    not in bound else leaf(kind, text))
+                        node.append(Const(text) if kind == "name" and not
+                                    places.get(text) else leaf(kind, text))
                         pos += 1
                         continue
                     stack.append((" ", pos, node, tok, level))
@@ -382,9 +386,12 @@ class _Parser:
                 else:
                     if op == "\\":
                         bound.pop()
+                        places[left].pop()
                         node = Lam(term(node, tok), left)
                     elif op in _BINDERS:
                         del bound[len(bound) - len(left):]
+                        for name in left:
+                            places[name].pop()
                         node = self.formula(node, tok)
                         for name in reversed(left):
                             node = _FORMULAS[op](name, node)
@@ -404,15 +411,15 @@ class _Parser:
         query() closes."""
         if kind == "kw":  # true
             return Top()
-        bound = self.bound
-        if kind == "int" or kind == "name" and name not in bound:
+        places = self.places.get(name)
+        if places:
+            return Bound(len(self.bound) - 1 - places[-1])
+        if kind == "int" or kind == "name":
             return Const(name)
-        if name in bound:
-            return Bound(bound[::-1].index(name))
         rank = self.clause_vars.setdefault(name, len(self.clause_vars))
         if self.query_vars is None:
             return ClauseVar(name)
-        b = Bound(len(bound))
+        b = Bound(len(self.bound))
         self.query_vars.append((b, rank))
         return b
 
@@ -565,6 +572,7 @@ def parse_interaction(text, filename=None):
 # ---------------------------------------------------------------------------
 
 def _const_names(roots):
+    """The names of the constants in roots, terms or formulas."""
     acc = set()
     stack = list(roots)
     while stack:
@@ -579,6 +587,14 @@ def _const_names(roots):
             stack.extend(t.args)
         elif isinstance(t, Var) and t.binding is not None:
             stack.append(t.binding)
+        elif tt is Atom:
+            stack.extend(t.args)
+        elif tt is Eq:
+            stack += (t.lhs, t.rhs)
+        elif tt is And or tt is Or or tt is Imp:
+            stack += (t.left, t.right)
+        elif tt is Exists or tt is Forall or tt is Nabla:
+            stack.append(t.body)
     return acc
 
 
@@ -692,7 +708,7 @@ def print_term(t, prec=OPEN, keyed=False) -> str:
 
 def print_formula(f) -> str:
     """Render a formula with the parentheses the operator table asks for."""
-    return _render(f, OPEN, _const_names(formula_terms(f)))
+    return _render(f, OPEN, _const_names((f,)))
 
 
 def print_substitution(pairs) -> str:

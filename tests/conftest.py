@@ -23,16 +23,18 @@ from nablacheck.parser import (
 )
 
 
-def python_calls(fn, *args):
-    """The names of the Python-level functions fn(*args) calls, fn itself
-    included, as sys.setprofile sees them (a generator counts once per
-    resumption); the garbage collector, which may run finalizers, is off
-    meanwhile."""
+def python_calls(fn, *args, events=("call",)):
+    """The names of the functions fn(*args) calls, fn itself included, as
+    sys.setprofile reports them: by default the Python-level ones (a
+    generator counts once per resumption), with "c_call" among events the
+    built-in ones too; the garbage collector, which may run finalizers, is
+    off meanwhile."""
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_name)
+        if event in events:
+            calls.append(frame.f_code.co_name if event == "call"
+                         else arg.__name__)
 
     collecting = gc.isenabled()
     gc.disable()

@@ -66,8 +66,6 @@ def test_classify_rejects_level_one_antecedent():
     bad = Imp(Forall("x", Atom("p", (Bound(0),))), Top())
     with pytest.raises(IllFormedFormula):
         _level(bad, ds)
-    # non-strict mode still reports the formula's own level
-    assert logic.compile_goal(bad, ds.defs, strict=False)[0] == 1
 
 
 def test_level_inference_fixpoint_through_mutual_recursion():
@@ -611,13 +609,19 @@ def _outcome(st, text):
     hs.lists(hs.sampled_from(["a", "b", "f a"]), max_size=3),
 )
 def test_indexed_unfold_answers_like_trying_every_clause(clauses, q_facts):
-    text = "".join(f"p ({h}) ({s}){b}.\n" for h, s, b in clauses)
-    text += "".join(f"q ({t}).\n" for t in q_facts)
+    # The indexed session takes p's clauses one at a time, a query after
+    # each, so its index grows between unfolds.
+    text = "".join(f"q ({t}).\n" for t in q_facts)
     indexed = state_from(text, max_steps=5000, norm_budget=500)
     indexed.defs.ensure("q")
+    queries = list(_query_texts())
+    for i, (h, s, b) in enumerate(clauses):
+        _add(indexed, f"p ({h}) ({s}){b}.")
+        _outcome(indexed, queries[i * 13 % len(queries)])
+    text += "".join(f"p ({h}) ({s}){b}.\n" for h, s, b in clauses)
     reference = state_from(text, max_steps=5000, norm_budget=500)
     reference.defs.ensure("q")
-    for query in _query_texts():
+    for query in queries:
         want_unfold = engine.unfold
         engine.unfold = _every_clause
         try:
@@ -639,6 +643,19 @@ def _call_arg(name, st):
     return Const(name)
 
 
+def _trace(st, call):
+    """The bodies and last flags unfold yields for p on call's arguments."""
+    args = tuple(_call_arg(n, st) for n in call)
+    return [(print_formula(body[1]), last)
+            for body, _, last in unfold(st.defs.ensure("p"), args, st)]
+
+
+def _add(st, text):
+    """Give st the one clause text holds."""
+    c = parse_file(text, "<test>")[0]
+    st.defs.add_clause(c.pred, c.head_args, c.body, c.var_names, c.line)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     hs.lists(hs.lists(hs.sampled_from(_ARITY_HEADS), max_size=3),
@@ -657,12 +674,41 @@ def test_unfold_meets_exactly_the_clauses_of_the_calls_arity(heads, call):
         line + "\n" for line, h in zip(text.splitlines(), heads)
         if len(h) == len(call)) + "q c.\n")
 
-    def trace(st):
-        args = tuple(_call_arg(n, st) for n in call)
-        return [(print_formula(body[1]), last)
-                for body, _, last in unfold(st.defs.ensure("p"), args, st)]
+    assert _trace(mixed, call) == _trace(alone, call), text
 
-    assert trace(mixed) == trace(alone), text
+
+# p's clauses in arrival order, two arities: keyed by a constant and by a
+# structure's head (one that the sieve reads below), open ones before and
+# after keyed ones, and c, a key first seen after calls on it.
+_ARRIVALS = ["a", "(s (s X))", "X b", "X", "a Y", "c", "(X::L)", "(f X Y) b",
+             "c X", "(s z)", "Y", "X Y", "c", "(s a) a"]
+_CALLS = [["a"], ["b"], ["c"], ["z"], ["s a"], ["s z"], ["V"], ["a", "b"],
+          ["c", "V"], ["s a", "a"], ["V", "b"], ["z", "z"]]
+
+
+def test_clauses_join_the_index_between_unfolds(monkeypatch):
+    # After each arrival, every call meets the candidates, in the order and
+    # with the last flags, of a definition that loaded the same clauses
+    # before any unfold, and each clause gets one matcher, however many
+    # unfolds its definition saw before and after it arrived.
+    made = []
+    real_matcher = logic._matcher
+
+    def counted_matcher(clause):
+        made.append(clause)
+        return real_matcher(clause)
+
+    monkeypatch.setattr(logic, "_matcher", counted_matcher)
+    growing = State()
+    lines = []
+    for i, head in enumerate(_ARRIVALS):
+        lines.append(f"p {head} := q c{i}.\n")
+        _add(growing, lines[-1])
+        at_once = state_from("".join(lines))
+        for call in _CALLS:
+            assert _trace(growing, call) == _trace(at_once, call), (i, call)
+    clauses = growing.defs.defs["p"].clauses
+    assert [sum(c is m for m in made) for c in clauses] == [1] * len(clauses)
 
 
 def test_one_goal_follows_each_defset_it_is_solved_under():
@@ -730,7 +776,7 @@ def test_compiled_bodies_follow_definitions_changed_after_queries(tmp_path):
     assert outcome(fresh, "q b")[0] == "proved"
 
 
-def test_index_is_rebuilt_after_clauses_are_added():
+def test_a_clause_added_after_a_query_joins_the_index():
     st = state_from("p a.\n")
     assert run(st, "p b").disproved
     st.defs.add_clause("p", (Const("b"),), Top(), ())
@@ -847,8 +893,13 @@ def test_first_occurrence_heads_make_fresh_variables_only_for_body_names():
     for body, env, _ in unfold(adder, (one, zero, one, s, c), st):
         bodies += 1
         assert st.next_id == before
-        body = replace_clause_vars_formula(body[1], env)
-        terms = list(logic.formula_terms(body))
+        todo, terms = [replace_clause_vars_formula(body[1], env)], []
+        while todo:  # the atoms' arguments; the body holds ∃, ∧ and atoms
+            g = todo.pop()
+            if type(g) is Atom:
+                terms += g.args
+            else:
+                todo += (g.body,) if type(g) is Exists else (g.left, g.right)
         assert any(t is c for t in terms) and any(t is one for t in terms)
     assert bodies == 1
     for body, _, _ in unfold(st.defs.defs["tri"], (one, c), st):

@@ -1,6 +1,8 @@
 """Concrete syntax: lexing, precedence, directives, pretty-printing."""
 
+import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -81,6 +83,48 @@ def test_uppercase_names_become_clause_vars():
 def test_lambda_shadowing_resolves_to_innermost():
     t = parse_term("x\\ x\\ x")
     assert struct_eq(t, Lam(Lam(Bound(0))))
+
+
+def test_a_name_resolves_to_its_innermost_binder_across_quantifiers():
+    # Shadowing inside one quantifier's names, a λ inside quantifiers, and
+    # query variables, whose indices count every binder around them.
+    f = parse_formula("forall x x. p x")
+    assert struct_eq(f.body.body.args[0], Bound(0))
+    f = parse_formula("forall x y. p (x\\ f x y) x")
+    first, second = f.body.body.args
+    assert struct_eq(first, Lam(App(Const("f"), (Bound(0), Bound(1)))))
+    assert struct_eq(second, Bound(1))
+    # exists X. exists Y. forall x. p (y\ x\ g x y X) x Y
+    f = parse_query("forall x. p (y\\ x\\ g x y X) x Y")
+    first, second, third = f.body.body.body.args
+    assert struct_eq(first, Lam(Lam(App(Const("g"),
+                                        (Bound(0), Bound(1), Bound(4))))))
+    assert struct_eq(second, Bound(0)) and struct_eq(third, Bound(1))
+
+
+def test_a_term_under_many_binders_reads_in_linear_time():
+    # Each name is found in one lookup, in a table from names to the
+    # places of their binders; a scan of the binders in scope made n =
+    # 4,000 take 14 times as long as n = 1,000.
+    def best(n):
+        xs = [f"x{i}" for i in range(n)]
+        text = ("exists X. X = (" + "".join(x + "\\ " for x in xs) + "f "
+                + " ".join(xs) + ").")
+        times = []
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(5):
+                start = time.perf_counter()
+                parse_query(text)
+                times.append(time.perf_counter() - start)
+        finally:
+            if collecting:
+                gc.enable()
+        return min(times)
+
+    small, large = best(1000), best(4000)
+    assert large < 8 * small, (small, large)
 
 
 def test_integers_are_constants():
