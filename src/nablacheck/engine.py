@@ -311,13 +311,14 @@ def prove(goal, st, mode=ONE, env=None):
                     else:  # an itemgetter: every argument reads env
                         args = build(env)
                     if (st.tabling_enabled and defn.table_mode is not None
-                            and (type(build) is list
-                                 or tabling.eligible(args, defn.level))):
+                            and (key := tabling.canonical_key(
+                                defn.pred, args, defn.level, st.norm_budget))
+                            is not None):
                         # The producer unfolds directly; routing back
                         # through the table would only meet this call's own
                         # frame.
                         call = tabling.tabled_prove(
-                            st, defn.pred, args, defn,
+                            st, defn.pred, key, defn,
                             partial(unfold, defn, args, st))
                         item = next(call, False)
                         if item is None:  # settled, or a loop: it holds

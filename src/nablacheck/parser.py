@@ -608,11 +608,14 @@ def _fresh_name(base, avoid, used, i):
     return fresh, i
 
 
-def _render(root, level, avoid, keyed=False):
+def _render(root, level, keyed=False):
     """Render a term or formula in a context of the given level, with the
     parentheses the operator table asks for, on an explicit stack.  A string
-    on the stack is output, None leaves a binder's scope."""
+    on the stack is output, None leaves a binder's scope.  Binders take
+    names no constant of root spells, read at the first binder met, so a
+    term without one is walked once."""
     out = []
+    avoid = None
     env = []  # binder names in scope, innermost last; all distinct
     names = set()
     # A binder takes the first name its base spells, base, base1, ..., that
@@ -650,6 +653,8 @@ def _render(root, level, avoid, keyed=False):
         elif tt is Lam or tt is Exists or tt is Forall or tt is Nabla:
             kw = "\\" if tt is Lam else _NAMES[tt]
             own = _BINDERS[kw][0]
+            if avoid is None:
+                avoid = _const_names((root,))
             base = (t.hint if tt is Lam else t.name) or "x"
             start = low.get(base, 0)
             name, i = _fresh_name(base, avoid, names, start)
@@ -695,20 +700,17 @@ def print_term(t, prec=OPEN, keyed=False) -> str:
     variables) instead, a form no constant can spell; table keys use it, so
     a variable and a constant such as x_0 never share a key.
 
-    Binders take names no constant of the term spells (_const_names).  An
-    inert term holds no λ, so it skips that walk.
+    Binders take names no constant of the term spells (_const_names).
     """
     t = deref(t)
     if type(t) is Const:
         return t.name
-    if t.inert:
-        return _render(t, prec, (), keyed)
-    return _render(t, prec, _const_names((t,)), keyed)
+    return _render(t, prec, keyed)
 
 
 def print_formula(f) -> str:
     """Render a formula with the parentheses the operator table asks for."""
-    return _render(f, OPEN, _const_names((f,)))
+    return _render(f, OPEN)
 
 
 def print_substitution(pairs) -> str:

@@ -50,12 +50,17 @@ certificate of everything it settled; the CLI dumps it in source syntax.
 A table is dropped before the next query once a clause or a table mode
 arrives for its predicate or for one its definition reaches
 (drop_stale_tables): its rows may no longer hold.
+
 Eligibility: the outcome of a call must be a single bit, so no unbound
 logic variable may remain in the arguments, and for a level-0 predicate no
 unbound variable at all (on the left of an implication eigenvariables are
-instantiable too).  ∇-indices are fine; two calls differing by an
-injective renaming of indices or eigenvariables get distinct keys, which
-costs sharing, never soundness.
+instantiable too).  The test reads the arguments' βη-normal forms, the
+ones the key is made of, which hold no binding: an inert one is ground,
+one whose gbound is negative holds no variable (nodes.py), and only in
+any other does a level-1 call look for a logic variable.  So a variable
+that β-reduction drops, as X in (x\\ c) X, does not count.  ∇-indices
+are fine; two calls differing by an injective renaming of indices or
+eigenvariables get distinct keys, which costs sharing, never soundness.
 
 Keys.  A call is keyed by the tuple (pred, part, ...), one part per
 βη-short argument: an inert argument, one built from constants alone, by
@@ -72,7 +77,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from . import parser
-from .terms import has_unbound_logic_var, has_unbound_var, normalize_eta
+from .terms import has_unbound_logic_var, normalize_eta
 
 PROVED = "proved"
 DISPROVED = "disproved"
@@ -142,18 +147,9 @@ class Table:
         return proved, disproved
 
 
-def eligible(args, level):
-    """May a call with these arguments be tabled?  An inert argument holds
-    no variable, so a call whose arguments are all inert walks nothing."""
-    has_unbound = has_unbound_var if level == 0 else has_unbound_logic_var
-    for a in args:
-        if not a.inert and has_unbound(a):
-            return False
-    return True
-
-
-def canonical_key(pred, args, budget=None):
-    """The key of a call: (pred, part, ...) over βη-short arguments.
+def canonical_key(pred, args, level, budget=None):
+    """The key of a call: (pred, part, ...) over βη-short arguments, or
+    None when the call may not be tabled (see Eligibility above).
 
     An inert argument is its node, and any other its printed text, where
     variables print by kind and id; so a call on an eigenvariable never
@@ -166,6 +162,9 @@ def canonical_key(pred, args, budget=None):
         if not a.inert:  # an inert term is its own βη-short form
             a = normalize_eta(a, budget)
             if not a.inert:
+                if a.gbound >= 0 and (level == 0
+                                      or has_unbound_logic_var(a)):
+                    return None
                 a = parser.print_term(a, prec=parser.ATOM, keyed=True)
         parts.append(a)
     return tuple(parts)
@@ -179,8 +178,8 @@ def _wait(st, home, key, cond):
     inner.waiting.append((home, key, cond))
 
 
-def tabled_prove(st, pred, args, defn, producer):
-    """Prove an eligible call through its table.
+def tabled_prove(st, pred, key, defn, producer):
+    """Prove a call through its table, under the key canonical_key gave it.
 
     producer is a zero-argument callable returning an iterator over the
     call's unfolding, in unfold's items (it must not route back through
@@ -199,7 +198,6 @@ def tabled_prove(st, pred, args, defn, producer):
         table = st.tables[pred] = Table(pred, defn.table_mode)
     stack = st.tab_stack
     entries = table.entries
-    key = canonical_key(pred, args, st.norm_budget)
     entry = entries.get(key)
     if type(entry) is _Frame:  # a loop, which the table's mode decides
         entry = PROVED if table.mode == "coinductive" else DISPROVED

@@ -46,9 +46,7 @@ __all__ = [
     "normalize_eta",
     "equal_modulo",
     "struct_eq",
-    "iter_free_vars",
     "has_unbound_logic_var",
-    "has_unbound_var",
     "shift",
     "deref",
 ]
@@ -315,37 +313,27 @@ def struct_eq(t, s):
     return True
 
 
-def iter_free_vars(t):
-    """Yield every unbound Var reachable in t (through bindings), once."""
-    seen = set()
+def has_unbound_logic_var(t):
+    """Does t hold an unbound logic variable, bindings followed?  The walk
+    stops at the first, and enters no subterm whose gbound is negative: a
+    node that holds no variable at all (nodes.py), inert ones included."""
+    while t.binding is not None:
+        t = t.binding
+    if t.gbound < 0 or type(t) is EigenVar:
+        return False  # no walk for a leaf, an inert term or a closed one
     stack = [t]
     while stack:
-        u = deref(stack.pop())
-        tu = type(u)
-        if tu is App:
-            if u.inert:
-                continue
-            stack.append(u.head)
-            stack.extend(u.args)
-        elif tu is Lam:
-            stack.append(u.body)
-        elif isinstance(u, Var):
-            if id(u) not in seen:
-                seen.add(id(u))
-                yield u
-
-
-def has_unbound_logic_var(t):
-    t = deref(t)
-    if t.inert or type(t) is EigenVar:
-        return False
-    return any(isinstance(v, LogicVar) for v in iter_free_vars(t))
-
-
-def has_unbound_var(t):
-    t = deref(t)
-    if t.inert:
-        return False
-    for _ in iter_free_vars(t):
-        return True
+        t = stack.pop()
+        while t.binding is not None:
+            t = t.binding
+        if t.gbound < 0:
+            continue
+        tt = type(t)
+        if tt is LogicVar:
+            return True
+        if tt is App:
+            stack.append(t.head)
+            stack.extend(t.args)
+        elif tt is Lam:
+            stack.append(t.body)
     return False

@@ -17,6 +17,7 @@ Named terms are tuples:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -72,6 +73,27 @@ def to_named(t, env=(), assign=None):
             raise ValueError(f"oracle met an uninstantiated variable: {t!r}")
         return assign[t.id]
     raise TypeError(f"not a term: {t!r}")
+
+
+def free_vars(t):
+    """The unbound variables of a package term, bindings followed, each
+    once, in order of first occurrence."""
+    found = {}
+
+    def visit(u):
+        while isinstance(u, Var) and u.binding is not None:
+            u = u.binding
+        if isinstance(u, Var):
+            found.setdefault(id(u), u)
+        elif type(u) is Lam:
+            visit(u.body)
+        elif type(u) is App:
+            visit(u.head)
+            for a in u.args:
+                visit(a)
+
+    visit(t)
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +338,33 @@ def win_set(moves, positions):
                 win.add(p)
                 changed = True
     return win
+
+
+_TTT_LINES = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7),
+              (2, 5, 8), (0, 4, 8), (2, 4, 6))
+
+
+def _ttt_line(p, board):
+    return any(all(board[i] == p for i in line) for line in _TTT_LINES)
+
+
+def _ttt_moves(p, board):
+    return [board[:i] + (p,) + board[i + 1:]
+            for i, cell in enumerate(board) if cell == "e"]
+
+
+@functools.lru_cache(maxsize=None)
+def ttt_wins(p, board):
+    """Backward induction over tictactoe.def's rules: can p, to move on
+    board (a tuple of nine cells "x", "o" or "e"), force a line?  Some move
+    either completes one, or leaves an empty cell and every reply of the
+    other player completes none and leaves a position p wins again."""
+    q = "o" if p == "x" else "x"
+    return any(
+        _ttt_line(p, b1) or "e" in b1 and all(
+            not _ttt_line(q, b2) and ttt_wins(p, b2)
+            for b2 in _ttt_moves(q, b1))
+        for b1 in _ttt_moves(p, board))
 
 
 def gfp_sim(states, trans):

@@ -21,13 +21,14 @@ from nablacheck.errors import BudgetExceeded, NonPatternError
 from nablacheck.nodes import App, Bound, Const, Lam, NablaIndex, Var
 from nablacheck.parser import parse_query
 from nablacheck.tabling import table_report
-from nablacheck.terms import deref, iter_free_vars
+from nablacheck.terms import deref
 from nablacheck.unify import FAILURE, undo_to, unify
 
 from conftest import corpus_files, load_corpus, run, run_cli, state_from
 from oracles import (
     _fresh,
     factors_through,
+    free_vars,
     gfp_bisim,
     gfp_sim,
     ground_equal,
@@ -251,7 +252,7 @@ def _oracle_verdict(st, t, s, variables, typed=False):
         if r is FAILURE:
             assert sigmas == [], (repr(t), repr(s), sigmas[0])
             return "failure"
-        residuals = {u for v in variables for u in iter_free_vars(v)}
+        residuals = {u for v in variables for u in free_vars(v)}
         opaque = {u.id: ("c", _fresh("k")) for u in residuals}
         assert ground_equal(t, s, opaque), (repr(t), repr(s))
         theta = [(v, v) for v in variables]
@@ -311,7 +312,7 @@ def test_criterion_3_two_argument_flex_pairs_match_ground_oracle():
     t0 = time.perf_counter()
     verdicts = collections.Counter()
     for t, s in pairs:
-        occurring = {u for w in (t, s) for u in iter_free_vars(w)}
+        occurring = {u for w in (t, s) for u in free_vars(w)}
         variables = [v for v in (x_var, y_var, z_var) if v in occurring]
         verdicts[_oracle_verdict(st, t, s, variables, typed=True)] += 1
     elapsed = time.perf_counter() - t0
@@ -527,6 +528,7 @@ EXTRA_TABLE_DUMPS = {
     "games.def": ["--show-table", "win"],
     "ccs_sim.def": ["--show-table", "sim", "--show-table", "bisim"],
     "pi_sim.def": ["--show-table", "sim"],
+    "tictactoe.def": ["--show-table", "wins"],
 }
 
 

@@ -1,7 +1,9 @@
 """The shipped example programs, checked against independent oracles."""
 
+import collections
 import io
 import itertools
+import re
 
 import pytest
 
@@ -19,6 +21,7 @@ from oracles import (
     sim_certificate_violations,
     table_rows,
     transitive_closure,
+    ttt_wins,
     win_certificate_violations,
     win_set,
 )
@@ -129,6 +132,27 @@ def test_win_table_is_a_checkable_strategy():
     assert set(statuses) == set(GAME_POSITIONS)
     succ = {n: [m for (x, m) in GAME_MOVES if x == n] for n in GAME_POSITIONS}
     assert win_certificate_violations(statuses, succ) == []
+
+
+# ---------------------------------------------------------------------------
+# Tic-tac-toe against backward induction
+# ---------------------------------------------------------------------------
+
+def test_tictactoe_table_matches_backward_induction():
+    # The file's assertions settle every position reachable from theirs,
+    # the empty board included; each row must agree with the oracle.
+    st = load_corpus("tictactoe.def")
+    rows = table_rows(table_report(st, "wins"))
+    statuses = collections.Counter()
+    for status, rest in rows:
+        m = re.fullmatch(r"wins ([xo]) \(((?:[xoe]::){9})nil\)", rest)
+        assert m, rest
+        board = tuple(m.group(2).split("::")[:-1])
+        assert (status == "proved") == ttt_wins(m.group(1), board), rest
+        statuses[status] += 1
+    assert ("disproved", "wins x (e::e::e::e::e::e::e::e::e::nil)") in rows
+    assert statuses["proved"] >= 713 and statuses["disproved"] >= 272, \
+        statuses
 
 
 # ---------------------------------------------------------------------------

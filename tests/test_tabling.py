@@ -1,33 +1,38 @@
 """Tables: loop handling by mode, dependency tracking, memoization, reports."""
 
+import collections
 import gc
+import inspect
 import random
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from nablacheck import nodes, parser, tabling
+from nablacheck import nodes, parser, tabling, terms
 from nablacheck.engine import State
 from nablacheck.nodes import App, Bound, Const, Lam, LogicVar, NablaIndex
 from nablacheck.tabling import (
     Table,
     canonical_key,
     clear_tables,
-    eligible,
     table_report,
 )
 from nablacheck.terms import (
     app,
     has_unbound_logic_var,
-    has_unbound_var,
-    iter_free_vars,
     normalize_eta,
     struct_eq,
 )
 
-from conftest import run, state_from
-from oracles import gfp_bisim, gfp_sim, parity_walks, transitive_closure
+from conftest import python_calls, run, state_from
+from oracles import (
+    free_vars,
+    gfp_bisim,
+    gfp_sim,
+    parity_walks,
+    transitive_closure,
+)
 
 EDGES = {("a", "b"), ("b", "a"), ("a", "c")}
 
@@ -52,21 +57,89 @@ def test_eligibility_by_level(st):
     ground = app(Const("f"), (Const("a"),))
     eigen = st.fresh_eigen("n")
     logic = st.fresh_logic("X")
-    assert eligible((ground, Const("b")), 0)
-    assert eligible((NablaIndex(0),), 0)
-    assert not eligible((ground, eigen), 0)
-    assert eligible((ground, eigen), 1)
-    assert not eligible((logic,), 0)
-    assert not eligible((logic,), 1)
+    assert canonical_key("p", (ground, Const("b")), 0) is not None
+    assert canonical_key("p", (NablaIndex(0),), 0) is not None
+    assert canonical_key("p", (ground, eigen), 0) is None
+    assert canonical_key("p", (ground, eigen), 1) is not None
+    assert canonical_key("p", (logic,), 0) is None
+    assert canonical_key("p", (logic,), 1) is None
+    # behind a binding, what the variable is bound to counts
+    bound = st.fresh_logic("Y")
+    bound.binding = app(Const("f"), (eigen,))
+    assert canonical_key("p", (bound,), 0) is None
+    assert canonical_key("p", (bound,), 1) is not None
+
+
+def test_eligibility_reads_the_normal_form(st):
+    # A variable that β-reduction drops is not in the call: p ((x\ c) X)
+    # is the call p c, and so is p (H X) with H bound to x\ c.
+    c = Const("c")
+    drop = Lam(c, "x")
+    x = st.fresh_logic("X")
+    h = st.fresh_logic("H")
+    h.binding = drop
+    for arg in (App(drop, (x,)), App(h, (x,))):
+        assert canonical_key("p", (arg,), 0) == ("p", c)
+        assert canonical_key("p", (arg,), 1) == ("p", c)
+    # A variable that stays is still seen.
+    keep = Lam(App(Const("f"), (Bound(0),)), "x")
+    assert canonical_key("p", (App(keep, (x,)),), 1) is None
+    # Through the prover the same calls settle the row of p c.
+    tabled = state_from("p c.\n#table inductive p.")
+    assert run(tabled, "exists X. p ((x\\ c) X)").proved
+    assert run(tabled, "exists H X. H = (x\\ c) /\\ p (H X)").proved
+    assert tabled.tables["p"].rows() == ["proved p c."]
+
+
+# The term walkers of the kernel and the printer: every function of
+# terms.py and parser.py but the entry points that only pass a term on and
+# the helpers called once per node.
+_WALKERS = {
+    name for module in (terms, parser)
+    for name, fn in vars(module).items()
+    if inspect.isfunction(fn) and fn.__module__ == module.__name__
+} - {"deref", "normalize_eta", "print_term", "_rebuild", "_leaf"}
+
+DISPATCH = """
+move P (e::R) (P::R).
+move P (C::R) (C::R1) := move P R R1.
+t B.
+#table inductive t.
+"""
+
+
+def _dispatch_walkers(query):
+    """The walkers a tabled call of t runs that the same call untabled
+    does not: those of its dispatch, eligibility and key included, since
+    its production unfolds as the untabled call does."""
+    counts = []
+    for tabling_enabled in (True, False):
+        st = state_from(DISPATCH)
+        st.tabling_enabled = tabling_enabled
+        calls = python_calls(run, st, query)
+        counts.append(collections.Counter(c for c in calls if c in _WALKERS))
+    tabled, untabled = counts
+    assert not untabled - tabled
+    return tabled - untabled
+
+
+def test_a_tabled_call_walks_each_argument_once_to_decide_and_key_it():
+    # A board built by move is a chain of bound variables: _nf rebuilds it
+    # into its one inert node, which is the key and shows it ground.
+    assert _dispatch_walkers("exists B. move x (o::e::o::nil) B /\\ t B") \
+        == {"_nf": 1}
+    # A ∇-argument is normalized once and printed once, in one walk: no
+    # binder, so no walk for the names binders must avoid.
+    assert _dispatch_walkers("nabla x y. t (f y x)") == {"_nf": 1, "_render": 1}
 
 
 def test_canonical_key_is_eta_short_printed_text():
     f = Const("f")
-    assert canonical_key("p", ()) == ("p",)
-    key = canonical_key("p", (app(f, (Const("a"),)),))
-    assert key == canonical_key("p", (app(f, (Const("a"),)),))
+    assert canonical_key("p", (), 0) == ("p",)
+    key = canonical_key("p", (app(f, (Const("a"),)),), 0)
+    assert key == canonical_key("p", (app(f, (Const("a"),)),), 0)
     # λx. f x collapses to f, so the key cannot depend on the spelling
-    assert canonical_key("p", (Lam(App(f, (Bound(0),))),)) == ("p", f)
+    assert canonical_key("p", (Lam(App(f, (Bound(0),))),), 0) == ("p", f)
     # the dump prints a key back as the call's text
     table = Table("p", "inductive")
     table.entries[key] = "proved"
@@ -160,7 +233,8 @@ def two_states():
 def test_keys_are_equal_exactly_when_the_arguments_are(two_states, data):
     # A collision would answer one call with another's entry: a wrong
     # verdict.  λ binders all carry the hint x, since a key spells binder
-    # names and a differing one only costs sharing.
+    # names and a differing one only costs sharing.  The calls are level 1,
+    # where an eigenvariable may be tabled.
     specs1 = data.draw(_ARGS)
     rnd = data.draw(hs.randoms())
     how2 = data.draw(hs.sampled_from(["same", "respelled", "near", "other"]))
@@ -186,7 +260,8 @@ def test_keys_are_equal_exactly_when_the_arguments_are(two_states, data):
     same = len(args1) == len(args2) and all(
         struct_eq(normalize_eta(a), normalize_eta(b))
         for a, b in zip(args1, args2))
-    assert (canonical_key("p", args1) == canonical_key("p", args2)) == same
+    assert (canonical_key("p", args1, 1)
+            == canonical_key("p", args2, 1)) == same
 
 
 # Unbound variables for the eligibility property; nothing binds them.
@@ -220,18 +295,15 @@ def _mixed(spec, rnd):
 @given(hs.lists(hs.one_of(_specs(_CONSTS, False), _specs(_MIXED, True)),
                 max_size=4), hs.randoms())
 def test_inert_fast_paths_agree_with_full_walks(specs, rnd):
-    # References: every argument walked for its free variables, and every
-    # argument normalized before it is keyed, as before inert arguments
-    # skipped both.
+    # References: every argument walked for its free variables by the
+    # oracle, and every argument normalized before it is keyed, as before
+    # inert arguments skipped both.  No spec drops a variable by
+    # β-reduction, so an argument's free variables are its normal form's.
     args = tuple(_mixed(s, rnd) for s in specs)
-    free = [list(iter_free_vars(a)) for a in args]
+    free = [free_vars(a) for a in args]
     for a, vs in zip(args, free):
-        assert has_unbound_var(a) == bool(vs)
         assert has_unbound_logic_var(a) == any(
             isinstance(v, LogicVar) for v in vs)
-    assert eligible(args, 0) == (not any(free))
-    assert eligible(args, 1) == (not any(
-        isinstance(v, LogicVar) for vs in free for v in vs))
     parts = ["p"]
     for a in args:
         a = normalize_eta(a)
@@ -239,16 +311,18 @@ def test_inert_fast_paths_agree_with_full_walks(specs, rnd):
             parts.append(parser.print_term(a, prec=parser.ATOM, keyed=True))
         else:
             parts.append(a)
-    assert canonical_key("p", args) == tuple(parts)
+    logic = any(isinstance(v, LogicVar) for vs in free for v in vs)
+    assert canonical_key("p", args, 1) == (None if logic else tuple(parts))
+    assert canonical_key("p", args, 0) == (None if any(free) else tuple(parts))
 
 
 def test_key_of_a_50000_deep_numeral_needs_no_recursion():
     t = Const("z")
     for _ in range(50_000):
         t = App(Const("s"), (t,))
-    key = canonical_key("nat", (t,))
+    key = canonical_key("nat", (t,), 0)
     # one more node is one more lookup: the part below it is reused
-    succ = canonical_key("nat", (App(Const("s"), (t,)),))
+    succ = canonical_key("nat", (App(Const("s"), (t,)),), 0)
     assert succ[1].args[0] is key[1]
     # representatives hold no reference to themselves, so they go as soon
     # as nothing uses them, without waiting for the cycle collector
@@ -305,7 +379,7 @@ def test_entry_conditioned_on_a_failed_assumption_is_discarded():
     # disproved" entry must go, because b reaches c through a.
     st = state_from(BACK_AND_FORTH)
     assert run(st, "reach a c").proved
-    key = canonical_key("reach", (Const("b"), Const("c")))
+    key = canonical_key("reach", (Const("b"), Const("c")), 0)
     assert st.tables["reach"].entries.get(key) != "disproved"
     assert run(st, "reach b c").proved
 
