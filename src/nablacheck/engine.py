@@ -141,9 +141,9 @@ class State:
 
     trail lists the variables bound, most recent last.  A checkpoint is
     (trail length, nabla_depth): undo_to() unbinds what was bound since and
-    restores the depth, and nothing else lowers it; prove() does the same
-    inline when it unfolds a call and when it backtracks.  steps counts the
-    current query's dispatches against max_steps, from 0 (solve_iter).
+    restores the depth, and nothing else lowers it; prove() and logic.unfold
+    do the same inline, with no call.  steps counts the current query's
+    dispatches against max_steps, from 0 (solve_iter).
     """
 
     __slots__ = (
@@ -183,10 +183,14 @@ class State:
         self.trace = trace
 
     def fresh_logic(self, name="H"):
-        return self.fresh_at(LogicVar, name, self.next_id, self.nabla_depth)
+        i = self.next_id
+        self.next_id = i + 1
+        return LogicVar(name, i, i, self.nabla_depth)
 
     def fresh_eigen(self, name="h"):
-        return self.fresh_at(EigenVar, name, self.next_id, self.nabla_depth)
+        i = self.next_id
+        self.next_id = i + 1
+        return EigenVar(name, i, i, self.nabla_depth)
 
     def fresh_at(self, cls, name, global_level, local_level):
         """A fresh variable of class cls with explicit levels."""
@@ -246,8 +250,8 @@ def prove(goal, st, mode=ONE, env=None):
                 g, env, mode, goals = goals
                 if mode == _CASE:
                     b, imp = g
-                    cps.append((_CASE_BARRIER, st.checkpoint(), imp,
-                                st.next_id, None))
+                    cps.append((_CASE_BARRIER, (len(trail), st.nabla_depth),
+                                imp, st.next_id, None))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
                     goals = (b, env, ONE, (len(cps) - 1, None, _HELD, None))
@@ -266,7 +270,9 @@ def prove(goal, st, mode=ONE, env=None):
                     del cps[g:]
                 else:  # _PRODUCED
                     del cps[g:]
-                    st.undo_to(barrier[1])
+                    mark, st.nabla_depth = barrier[1]
+                    while len(trail) > mark:
+                        trail.pop().binding = None
                     barrier[3].found = True
                     if next(barrier[2], False) is None:
                         goals = barrier[4]
@@ -357,8 +363,8 @@ def prove(goal, st, mode=ONE, env=None):
                     goals = (g[4], env, mode, goals)
                     continue
                 elif tag == OR:
-                    cps.append((_GOALS, st.checkpoint(), None, None,
-                                (g[4], env, mode, goals)))
+                    cps.append((_GOALS, (len(trail), st.nabla_depth), None,
+                                None, (g[4], env, mode, goals)))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
                     goals = (g[3], env, mode, goals)
@@ -390,7 +396,8 @@ def prove(goal, st, mode=ONE, env=None):
                                 g[1].left, env, slots))
                     # Every answer of the antecedent opens a case; the
                     # barrier is reached once all of them held.
-                    cps.append((_GOALS, st.checkpoint(), None, None, goals))
+                    cps.append((_GOALS, (len(trail), st.nabla_depth), None,
+                                None, goals))
                     if len(cps) > MAX_CHOICE_POINTS:
                         raise _too_many(st)
                     case = ((g[4], len(cps) - 1), env, _CASE, None)
@@ -400,7 +407,8 @@ def prove(goal, st, mode=ONE, env=None):
             while cps:
                 cp = cps.pop()
                 mark, st.nabla_depth = cp[1]
-                undo_to(trail, mark)
+                while len(trail) > mark:
+                    trail.pop().binding = None
                 kind = cp[0]
                 if kind == _CLAUSES:
                     item = next(cp[2], None)
@@ -447,7 +455,7 @@ def _open_production(call, frame, defn, st, cps, goals):
     the call's clause alternatives, which failing into tries first.  Ground
     level-0 calls prove the same in either mode, so the bodies always run
     on the right and the table entry is shared."""
-    cp = st.checkpoint()
+    cp = (len(st.trail), st.nabla_depth)
     cps.append((_PRODUCTION, cp, call, frame, goals))
     body_mode = RIGHT0 if defn.level == 0 else ONE
     cps.append((_CLAUSES, cp, frame.bodies, body_mode,

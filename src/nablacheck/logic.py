@@ -23,7 +23,7 @@ atom or an equation from it when it is dispatched.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from operator import attrgetter, itemgetter
 from types import FunctionType
 
@@ -33,7 +33,7 @@ from .nodes import (
     Var, app,
 )
 from .terms import deref, has_unbound_logic_var, normalize
-from .unify import bind, fits, is_flex, undo_to, unify
+from .unify import bind, fits, is_flex, unify
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +289,13 @@ class Clause:
     compiled from it (_matcher), are built when the clause joins its
     definition's index, at the first unfold after it arrived, so loading a
     file does not pay for it; a clause whose first step is _CONST or a
-    _Struct is keyed by that argument's head constant.  So is sieve: the
-    first head argument is a _Struct step whose fields meet a _CONST or
-    _Struct step before any _VALUE or _OTHER one.
-    The index tells clauses apart by the first argument's head constant
-    only, and sieve marks the ones an inert first argument can still rule
-    out below it (_rules_out), as s z rules out fib (s (s N)).  The plan
-    and every walk over it keep their place on explicit stacks.
+    _Struct is keyed by that argument's head constant.  sieve, None unless
+    the first head argument is a _Struct step whose fields meet a _CONST or
+    _Struct step before any _VALUE or _OTHER one, tells whether inert
+    arguments rule the clause out below that head, as s z rules out
+    fib (s (s N)) (_sieve); compiled at its first call, it costs nothing
+    for a clause alone in its bucket, which no call sieves.  The plan and
+    every walk over it keep their place on explicit stacks.
 
     code, the body compiled against the Definitions of the DefSet that made
     the clause (compile_goal), is built with the plan, inside a query whose
@@ -447,7 +447,8 @@ def _index_new(defn, defs):
         clause.match = _matcher(clause)
         steps = plan[0].steps if plan and type(plan[0]) is _Struct else ()
         step = next((s for s in steps if s is not _FIRST), _OTHER)
-        clause.sieve = step is not _VALUE and step is not _OTHER
+        clause.sieve = (None if step is _VALUE or step is _OTHER
+                        else partial(_sieve, clause))
         keyed, open_, all_ = index.setdefault(
             len(clause.head_args), ({}, [], []))
         all_.append(clause)
@@ -786,8 +787,8 @@ def unfold(defn, args, st, left=False):
     clause variables to its value, and whether the clause is the last
     candidate, so that no later clause of the call's arity is left to try.
     Trailing clauses that the call's inert arguments rule out before
-    anything is bound (_rules_out, tried on the clauses Clause.sieve marks)
-    do not count and are not tried: they would fail without a trace.
+    anything is bound (Clause.sieve) do not count and are not tried: they
+    would fail without a trace.
 
     Clauses are tried in source order, only those of the call's arity in
     the definition's index, which first takes in the clauses that arrived
@@ -866,7 +867,9 @@ def unfold(defn, args, st, left=False):
     keyed, open_, clauses = entry
     first = None
     if keyed:
-        first = deref(args[0])
+        first = args[0]
+        while first.binding:
+            first = first.binding
         if not first.normal:
             first = normalize(first, st.norm_budget)
         head = first.head if type(first) is App else first
@@ -879,13 +882,12 @@ def unfold(defn, args, st, left=False):
     # The first clause needs no check: none comes before it to be the last.
     last = len(clauses) - 1
     while last > 0:
-        clause = clauses[last]
-        if not (clause.sieve
-                and _rules_out(clause.plan, clause.head_args, args)):
+        sieve = clauses[last].sieve
+        if sieve is None or sieve(args) is not True:
             break
         last -= 1
     final = clauses[last]
-    trail = st.trail  # checkpoints taken inline; see engine.State
+    trail = st.trail  # checkpoints taken and restored inline; see State
     mark = len(trail)
     for clause in clauses:
         env = clause.match(args, first, st, left)
@@ -893,7 +895,8 @@ def unfold(defn, args, st, left=False):
             if len(env) < len(clause.var_names):
                 _fresh_rest(env, clause.var_names, fresh)
             yield clause.code, env, clause is final
-        undo_to(trail, mark)
+        while len(trail) > mark:
+            trail.pop().binding = None
         if clause is final:
             return
 
@@ -906,8 +909,18 @@ def unfold(defn, args, st, left=False):
 # name, head constant and _Struct.  A step inside a _Struct runs only
 # while its guard G<i> says the application met is read field by field,
 # so the code is flat however deep the head.  It returns env, or None.
+# A _CONST step on a field leaves binding to _step, so a deep head's
+# source, which CPython's parser pays for by the token, stays short.
 _LINES = {
     _CONST: """
+    while {a}.binding: {a} = {a}.binding
+    if {a} is not P{i}:
+        if {a}.inert: return
+        if type({a}) is LogicVar or left and type({a}) is EigenVar:
+            {a}.binding = P{i}
+            st.trail.append({a})
+        elif not _step(_CONST, {a}, P{i}, c): return""",
+    "field": """
     while {a}.binding: {a} = {a}.binding
     if {a} is not P{i} and ({a}.inert or not _step(_CONST, {a}, P{i}, c)):
         return""",
@@ -935,10 +948,26 @@ _LINES = {
 }
 
 
-def _matcher(clause):
-    """clause's head matcher: the code compiled once per plan shape (the
-    arity, then each step in walk order, a _Struct as its arity) with its
-    constants as the defaults of the parameters after the four passed."""
+# A sieve reads what a matcher of its shape reads, up to the first _VALUE
+# or _OTHER step, where it returns None, as at a head argument (None) that
+# is not inert; an inert value's fields are inert, so read as they are.
+_SIEVE = {
+    None: """
+    while {a}.binding: {a} = {a}.binding
+    if not {a}.inert: return""",
+    _CONST: """
+    if {a} is not P{i}: return True""",
+    _Struct: """
+    if type({a}) is not App or {a}.head is not H{i} or len({a}.args) != {n}:
+        return True
+    {fields}= {a}.args""",
+}
+
+
+def _shape(clause):
+    """clause's plan shape (the arity, then each step in walk order, a
+    _Struct as its arity), the key of _compile, and its constants, the
+    defaults of the parameters after those passed."""
     shape = [len(clause.plan)]
     consts = [clause.var_names]
     todo = [*zip(clause.plan, clause.head_args)][::-1]
@@ -952,18 +981,38 @@ def _matcher(clause):
             shape.append(step)
             consts += ((pat, pat.name) if step is _FIRST or step is _VALUE
                        else (pat,))
-    return FunctionType(_compile(tuple(shape)), globals(), "match",
-                        tuple(consts))
+    return tuple(shape), tuple(consts)
+
+
+def _matcher(clause):
+    """clause's head matcher, match(args, first, st, left) (_LINES)."""
+    shape, consts = _shape(clause)
+    return FunctionType(_compile(shape), globals(), "match", consts)
+
+
+def _sieve(clause, args):
+    """Clause.sieve until its first call, which compiles the sieve in its
+    place.  Would the matcher fail on args before it normalizes, unifies
+    or binds anything?  True if so, and the clause may be skipped with
+    nothing lost; None when a value is not inert or a step could do any of
+    that; False when every step passes."""
+    shape, consts = _shape(clause)
+    clause.sieve = sieve = FunctionType(_compile(shape, True), globals(),
+                                        "sieve", consts)
+    return sieve(args)
 
 
 @cache
-def _compile(shape):
-    """The code of the head matchers of plans of this shape (_matcher)."""
+def _compile(shape, sieve=False):
+    """The code of the head matchers of plans of this shape, or with
+    sieve, of their sieves (_shape)."""
     params = ["args, first, st, left, var_names"]
     todo = [(f"A{j}", None) for j in range(shape[0] - 1, -1, -1)]
     unpack = "".join(f"A{j}, " for j in range(shape[0]))
     body = ["    env = {}", "    c = first, env, st, left, var_names",
             f"    {unpack}= args" if unpack else ""]
+    reads = body[2:]  # the sieve's
+    end = None  # how the sieve returns, once a step ends it
     for i, step in enumerate(shape[1:]):
         v, g = todo.pop()
         params.append(f"P{i}")
@@ -975,13 +1024,25 @@ def _compile(shape):
             body.append(f"    G{i} = False")
         elif step is _FIRST or step is _VALUE:
             params.append(f"N{i}")
-        lines = _LINES[kind].format(a=v, i=i, n=step, fields=fields)
+        kw = {"a": v, "i": i, "n": step, "fields": fields}
+        if end is None and (step is _VALUE or step is _OTHER):
+            end = "\n    return"
+        elif end is None:
+            reads.append((("" if g else _SIEVE[None])
+                          + _SIEVE.get(kind, "")).format(**kw))
+        lines = _LINES["field" if g and kind is _CONST else kind].format(**kw)
         body.append(f"    if {g}:" + lines.replace("\n", "\n    ") if g
                     else lines)
+    if sieve:
+        params[0] = "args, var_names"
+        body = [*reads, end or "\n    return False"]
+    else:
+        body.append("\n    return env")
     scope = {}
-    exec(f"def match({', '.join(params)}):\n" + "\n".join(body)
-         + "\n    return env", globals(), scope)
-    return scope["match"].__code__
+    name = "sieve" if sieve else "match"
+    exec(f"def {name}({', '.join(params)}):\n" + "\n".join(body), globals(),
+         scope)
+    return scope[name].__code__
 
 
 def _step(step, a, pat, c):
@@ -1043,36 +1104,6 @@ def _rest(pat, a, c):
     if len(env) < len(var_names):
         _fresh_rest(env, var_names, st.fresh_eigen if left else st.fresh_logic)
     return unify(replace_clause_vars(pat, env), a, st, instantiate_eigen=left)
-
-
-def _rules_out(steps, pats, values):
-    """Would the matcher fail on these values before it normalizes,
-    unifies or binds anything?  True if so; None when the walk reaches a
-    step that could do any of that, so only inert values are read; False
-    when it passes every step.  A clause ruled out may be skipped with
-    nothing lost, and the prover keeps no choice point for it.  The walk
-    is the matcher's, on a stack of zip iterators."""
-    its = []
-    it = zip(steps, pats, values)
-    while True:
-        for step, pat, value in it:
-            a = value if value.binding is None else deref(value)
-            if not a.inert or step is _VALUE or step is _OTHER:
-                return None
-            if step is _CONST:
-                if a is not pat:
-                    return True
-            elif step is not _FIRST:  # a _Struct step
-                if (type(a) is not App or a.head is not pat.head
-                        or len(a.args) != len(pat.args)):
-                    return True
-                its.append(it)
-                it = zip(step.steps, pat.args, a.args)
-                break
-        else:
-            if not its:
-                return False
-            it = its.pop()
 
 
 def _build(step, pat, env, st, left, a):

@@ -159,6 +159,8 @@ def canonical_key(pred, args, level, budget=None):
     """
     parts = [pred]
     for a in args:
+        while a.binding:
+            a = a.binding
         if not a.inert:  # an inert term is its own βη-short form
             a = normalize_eta(a, budget)
             if not a.inert:

@@ -36,7 +36,6 @@ from .nodes import (
     Lam,
     LogicVar,
     NablaIndex,
-    Var,
     app,
 )
 
@@ -173,8 +172,8 @@ def _nf(t, fuel, eta=False):
     A λ is rebuilt after its body, so with eta the body is βη-normal when
     λx. t x is met, and contracting it to t, when x is not free in t,
     leaves a βη-normal term: t is not a λ (t x would be a β-redex)."""
-    if isinstance(t, Var):
-        t = deref(t)
+    while t.binding:
+        t = t.binding
     if t.inert or type(t) is not App and type(t) is not Lam:
         return t  # no walk for a leaf or an inert term
     todo = [t]
@@ -187,8 +186,8 @@ def _nf(t, fuel, eta=False):
                 u = _eta(u, t[0], todo)
             done.append(u)
             continue
-        if isinstance(t, Var):
-            t = deref(t)
+        while t.binding:
+            t = t.binding
         tt = type(t)
         if tt is Lam:
             todo.append((t,))

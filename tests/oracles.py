@@ -643,3 +643,40 @@ class LevelOracle:
             return (f"clause of {p} (line {line}): the antecedent of an "
                     f"implication must be a level-0 formula, but {why}")
         return None
+
+
+# ---------------------------------------------------------------------------
+# Clause sieves: the head-plan interpreter the compiled sieves replaced
+# ---------------------------------------------------------------------------
+
+def reference_rules_out(steps, pats, values):
+    """What a clause's sieve (logic._sieve) must return for its head plan
+    steps, its head arguments pats and a call's values: True when the
+    walk meets an inert value that the step rules out, None when it first
+    meets a value that is not inert or a "value" or "other" step, False
+    when it passes every step.  A step is one of the strings "const",
+    "first", "value" and "other", or a structure step, whose steps are its
+    fields'.  The walk is depth first, on a stack of zip iterators."""
+    its = []
+    it = zip(steps, pats, values)
+    while True:
+        for step, pat, value in it:
+            a = value
+            while a.binding is not None:
+                a = a.binding
+            if not a.inert or step in ("value", "other"):
+                return None
+            if step == "const":
+                if a is not pat:
+                    return True
+            elif step != "first":  # a structure step
+                if (type(a) is not App or a.head is not pat.head
+                        or len(a.args) != len(pat.args)):
+                    return True
+                its.append(it)
+                it = zip(step.steps, pat.args, a.args)
+                break
+        else:
+            if not its:
+                return False
+            it = its.pop()

@@ -5,7 +5,8 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from conftest import run, run_cli, state_from
+import oracles
+from conftest import python_calls, run, run_cli, state_from
 from oracles import LevelOracle
 from nablacheck.engine import State
 
@@ -391,6 +392,99 @@ def test_unfold_marks_the_last_candidate_clause():
     cfb = App(Const("c"), (k, App(f, (Const("b"),))))
     assert [last for _, _, last in unfold(q, (cfb,), st)] == [True]
     assert deref(x) is x
+
+
+# Sieve heads: constants, clause variables (first and later occurrences),
+# applications of s and f (structure steps, or constant steps when inert),
+# and, less often, λs and flexible applications (other steps).
+@hs.composite
+def _sieve_head(draw, depth=0):
+    """A head argument's text, at most three applications deep."""
+    kind = draw(hs.integers(0, 9))
+    if depth == 3 or kind < 4:
+        return draw(hs.sampled_from(["a", "b", "z", "X", "Y", "Z"]))
+    if kind == 9:
+        inner = draw(_sieve_head(depth + 1))
+        return draw(hs.sampled_from([f"(x\\ {inner})", f"(Y {inner})"]))
+    args = [draw(_sieve_head(depth + 1))
+            for _ in range(draw(hs.integers(1, 2)))]
+    return f"({draw(hs.sampled_from('sf'))} {' '.join(args)})"
+
+
+def _sieve_value(data, st, pat):
+    """A value for the head argument pat: most often built like it, with
+    s and f applied to as many arguments or to one more or one less, else
+    an inert constant or application, an unbound logic variable or
+    eigenvariable, a λ, or a variable bound to such a value."""
+    kind = data.draw(hs.integers(0, 9))
+    if kind < 6 and type(pat) is App and type(pat.head) is Const:
+        n = max(1, len(pat.args) + kind % 3 - 1)
+        args = [pat.args[i] if i < len(pat.args) else Const("a")
+                for i in range(n)]
+        return App(pat.head, tuple(_sieve_value(data, st, a) for a in args))
+    if kind < 6 and pat.inert:
+        return pat
+    kind = data.draw(hs.sampled_from(["a", "b", "z", "s", "f", "var",
+                                      "eigen", "lam", "bound"]))
+    if kind == "s" or kind == "f":
+        return App(Const(kind), (Const("z"),) * (1 if kind == "s" else 2))
+    if kind == "var":
+        return st.fresh_logic("V")
+    if kind == "eigen":
+        return st.fresh_eigen("e")
+    if kind == "lam":
+        return Lam(Bound(0), "x")
+    if kind == "bound":
+        v = st.fresh_logic("B")
+        v.binding = _sieve_value(data, st, pat)
+        return v
+    return Const(kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.lists(_sieve_head(), min_size=1, max_size=3), hs.data())
+def test_compiled_sieve_agrees_with_the_reference_interpreter(heads, data):
+    # On any head plan and any values, inert, bound, unbound or not inert,
+    # the compiled sieve returns what the head-plan interpreter it replaced
+    # returns: True, None or False.
+    st = state_from(f"p {' '.join(heads)}.")
+    defn = st.defs.defs["p"]
+    logic._index_new(defn, st.defs.defs)
+    clause, = defn.clauses
+    values = tuple(_sieve_value(data, st, pat) for pat in clause.head_args)
+    want = oracles.reference_rules_out(clause.plan, clause.head_args, values)
+    assert logic._sieve(clause, values) is want, (heads, values)
+    assert clause.sieve(values) is want
+
+
+_FIB = "fib z.\nfib (s z).\nfib (s (s N)) := fib (s N) /\\ fib N.\n"
+
+
+def test_a_descent_makes_one_sieve_call_per_sieved_unfold():
+    # fib (s^k z) unfolds fib once per call of its search tree; each call
+    # on s … is sieved once, by the compiled code alone (its first call
+    # compiled it), and neither the sieve nor the rewinds of the trail
+    # call a helper.
+    k = 8
+    st = state_from(_FIB)
+    query = "fib " + "(s " * k + "z" + ")" * k
+    assert run(st, query).proved
+    sieved = [0, 1]  # calls on s … in the tree of fib (s^n z), n = 0, 1
+    for _ in range(2, k + 1):
+        sieved.append(1 + sieved[-1] + sieved[-2])
+    calls = python_calls(run, st, query)
+    assert calls.count("sieve") == sieved[k] == 54
+    assert not {"_sieve", "_rules_out", "undo_to", "deref"} & set(calls)
+    assert st.defs.defs["fib"].clauses[0].sieve is None
+
+
+def test_a_constant_head_argument_binds_a_variable_inline():
+    # xor2 0 1 P binds P to 1 in the matcher, with no helper call.
+    st = state_from(ADDER)
+    assert run(st, "exists P. xor2 0 1 P").answers[0].text() == "P = 1"
+    calls = python_calls(run, st, "exists P. xor2 0 1 P")
+    assert "match" in calls
+    assert not {"_step", "bind"} & set(calls)
 
 
 def test_unfold_shares_one_fresh_var_per_clause_variable():
