@@ -25,22 +25,22 @@ equation is dispatched are its arguments built, each by the builder its
 record chose: a clause variable or a bound name reads the environment, an
 inert term is itself, c X1 … Xn applies c to read values, and only the
 rest are closed over the environment (logic.replace_clause_vars).  The
-choice-point stack holds what to try on
-backtracking, each entry with the checkpoint it restores: the remaining
-clauses of a call, the right side of a disjunction, an implication's
-barrier (reached once every case of its antecedent held), the barrier of
-the case being checked (reached when its consequent fails) and a tabled
-call's production barrier (reached when no body of the production was
-proved).  A call whose last candidate clause is being tried leaves no
-choice point, so a deterministic proof of any length holds none open.  An
-implication enumerates its antecedent's answers above its barrier, and
-each answer opens a case whose consequent runs above the case's barrier:
-the consequent's first proof cuts back below that barrier and backtracks
-into the antecedent for the next case, and failing into the case's barrier
-fails the implication.  A production runs its bodies above its barrier the
-same way (see tabling.py): the first proof cuts back below the barrier and
-hands the outcome to the table.  Since nothing nests, neither a long proof
-nor a long production uses the interpreter stack.
+choice-point stack holds what to try on backtracking, each entry with the
+checkpoint it restores: the remaining clauses of a call, the right side of
+a disjunction, an implication's barrier (reached once every case of its
+antecedent held), the barrier of the case being checked (reached when its
+consequent fails) and a tabled call's production, which holds the bodies
+not yet tried: failing into it tries the next one, and once none is left
+the call is disproved.  A call whose last candidate clause is being tried
+leaves no choice point, so a deterministic proof of any length holds none
+open.  An implication enumerates its antecedent's answers above its
+barrier, and each answer opens a case whose consequent runs above the
+case's barrier: the consequent's first proof cuts back below that barrier
+and backtracks into the antecedent for the next case, and failing into the
+case's barrier fails the implication.  A production runs each body above
+its entry the same way (see tabling.py): the first proof cuts back below
+the entry and hands the outcome to the table.  Since nothing nests,
+neither a long proof nor a long production uses the interpreter stack.
 
 The prover restores its bindings when a consumer stops early, so closing a
 generator always leaves the state as it was found.  Resource limits: every
@@ -76,14 +76,14 @@ from .terms import (
     deref,
     normalize_eta,
 )
-from .unify import undo_to, unify
+from .unify import unify
 
 DEFAULT_STEP_BUDGET = 1000000
-# The most choice points a search may hold open.  A tabled call that waits
-# on another holds one (its production's barrier), so reach around a
-# 2,000-node cycle peaks at 2,001; an untabled search that opens one per
-# step, as graph.def does without tabling, stops here after about 1.4 s
-# and 30 MB.  CHANGES.md has the measurements.
+# The most choice points a search may hold open.  A running production
+# holds one, whichever of its bodies runs, so reach around a 2,000-node
+# cycle peaks at 2,000 and 6,000 nested productions fit; an untabled
+# search that opens one per step, as graph.def does without tabling, stops
+# here after about 1.4 s and 30 MB.  CHANGES.md has the measurements.
 MAX_CHOICE_POINTS = 10000
 
 # Prover modes: level 0 on the right, level 0 on the left of an implication
@@ -103,8 +103,9 @@ _CASE, _HELD, _PRODUCED = 3, 4, 5
 # list to resume (a disjunction's right side with what follows it, or what
 # follows an implication, reached once every case of its antecedent held),
 # a case barrier (the position of the implication's barrier, the first
-# variable id the case did not know), or a production barrier (the tabled
-# call's generator, its table frame); goals is what follows on success.
+# variable id the case did not know), or a tabled call's production (its
+# generator, its table frame, whose bodies are tried in turn, and a sixth
+# field, the bodies' mode); goals is what follows on success.
 _CLAUSES, _GOALS, _CASE_BARRIER, _PRODUCTION = range(4)
 
 __all__ = [
@@ -140,10 +141,10 @@ class State:
     State introduces x^{0,0}, Y^{1,0}, #0, z^{2,1}.
 
     trail lists the variables bound, most recent last.  A checkpoint is
-    (trail length, nabla_depth): undo_to() unbinds what was bound since and
-    restores the depth, and nothing else lowers it; prove() and logic.unfold
-    do the same inline, with no call.  steps counts the current query's
-    dispatches against max_steps, from 0 (solve_iter).
+    (trail length, nabla_depth): prove() and logic.unfold restore one
+    inline, unbinding what was bound since and restoring the depth, and
+    nothing else lowers it.  steps counts the current query's dispatches
+    against max_steps, from 0 (solve_iter).
     """
 
     __slots__ = (
@@ -197,13 +198,6 @@ class State:
         i = self.next_id
         self.next_id = i + 1
         return cls(name, i, global_level, local_level)
-
-    def checkpoint(self):
-        return (len(self.trail), self.nabla_depth)
-
-    def undo_to(self, cp):
-        undo_to(self.trail, cp[0])
-        self.nabla_depth = cp[1]
 
 
 def _too_many(st):
@@ -274,9 +268,9 @@ def prove(goal, st, mode=ONE, env=None):
                     while len(trail) > mark:
                         trail.pop().binding = None
                     barrier[3].found = True
-                    if next(barrier[2], False) is None:
-                        goals = barrier[4]
-                        continue
+                    next(barrier[2])  # the call's one answer
+                    goals = barrier[4]
+                    continue
             else:
                 g, env, mode, goals = goals
                 steps += 1
@@ -329,8 +323,16 @@ def prove(goal, st, mode=ONE, env=None):
                         item = next(call, False)
                         if item is None:  # settled, or a loop: it holds
                             continue
-                        if item is not False:
-                            _open_production(call, item, defn, st, cps, goals)
+                        if item is not False:  # the production's frame
+                            # Ground level-0 calls prove the same in either
+                            # mode, so the bodies run on the right and the
+                            # table entry is shared.
+                            cps.append((_PRODUCTION,
+                                        (len(trail), st.nabla_depth), call,
+                                        item, goals,
+                                        RIGHT0 if defn.level == 0 else ONE))
+                            if len(cps) > MAX_CHOICE_POINTS:
+                                raise _too_many(st)
                     else:
                         cp = (len(trail), st.nabla_depth)
                         alts = unfold(defn, args, st, mode == LEFT0)
@@ -423,9 +425,14 @@ def prove(goal, st, mode=ONE, env=None):
                 elif kind == _CASE_BARRIER:  # the consequent failed a case
                     del cps[cp[2]:]
                     continue
-                else:  # _PRODUCTION: no body was proved
-                    next(cp[2], False)
-                    continue
+                else:  # _PRODUCTION: try the next body
+                    item = next(cp[3].bodies, None)
+                    if item is None:  # none was proved
+                        next(cp[2], False)
+                        continue
+                    cps.append(cp)
+                    goals = (item[0], item[1], cp[5],
+                             (len(cps) - 1, None, _PRODUCED, None))
                 break
             else:
                 return
@@ -448,20 +455,6 @@ def _values(scope, env):
         key, scope = scope
         values.append(env[key])
     return values
-
-
-def _open_production(call, frame, defn, st, cps, goals):
-    """Push a tabled call's production barrier, and above it the bodies as
-    the call's clause alternatives, which failing into tries first.  Ground
-    level-0 calls prove the same in either mode, so the bodies always run
-    on the right and the table entry is shared."""
-    cp = (len(st.trail), st.nabla_depth)
-    cps.append((_PRODUCTION, cp, call, frame, goals))
-    body_mode = RIGHT0 if defn.level == 0 else ONE
-    cps.append((_CLAUSES, cp, frame.bodies, body_mode,
-                (len(cps) - 1, None, _PRODUCED, None)))
-    if len(cps) > MAX_CHOICE_POINTS:
-        raise _too_many(st)
 
 
 # ---------------------------------------------------------------------------

@@ -244,8 +244,8 @@ class _Parser:
         self.text = text
         self.pos = 0  # the index of the current token
         self.filename = filename
-        self.bound: list[str] = []  # the binders in scope, innermost last
-        self.places: dict[str, list[int]] = {}  # name -> its places in bound
+        self.binders = 0  # how many binders are in scope
+        self.places: dict[str, list[int]] = {}  # name -> its binders' depths
         self.clause_vars: dict[str, int] = {}  # name -> first-occurrence rank
         self.query_vars = None  # [(Bound, rank)] while closing a query
 
@@ -288,12 +288,11 @@ class _Parser:
         An application stays a list, head then arguments, and a free
         lowercase name its text, until what takes it reads it as a term or
         an atom (a predicate's name makes no constant).  A binder's names are
-        in scope (self.bound, and self.places for lookups) from the binder
+        in scope (self.places, counted by self.binders) from the binder
         to the end of its body, and parentheses leave no node; an open
         operator waits on the stack."""
         texts = self.texts
         kinds = self.kinds
-        bound = self.bound
         places = self.places
         leaf = self.leaf
         term = self.term
@@ -323,14 +322,14 @@ class _Parser:
                 self.expect("punct", ".")
                 pos = self.pos
                 for name in left:
-                    places.setdefault(name, []).append(len(bound))
-                    bound.append(name)
+                    places.setdefault(name, []).append(self.binders)
+                    self.binders += 1
             elif (kind == "name" or kind == "uvar") and texts[pos] == "\\" \
                     and _BINDERS["\\"][1] >= level:
                 op, left, inner = "\\", text, OPEN
                 pos += 1
-                places.setdefault(left, []).append(len(bound))
-                bound.append(left)
+                places.setdefault(left, []).append(self.binders)
+                self.binders += 1
             elif kind == "name" and not places.get(text):
                 node, tok, op = text, t, None
             elif kind in _LEAVES or kind == "kw" and text == "true":
@@ -385,11 +384,11 @@ class _Parser:
                     pos += 1
                 else:
                     if op == "\\":
-                        bound.pop()
+                        self.binders -= 1
                         places[left].pop()
                         node = Lam(term(node, tok), left)
                     elif op in _BINDERS:
-                        del bound[len(bound) - len(left):]
+                        self.binders -= len(left)
                         for name in left:
                             places[name].pop()
                         node = self.formula(node, tok)
@@ -413,13 +412,13 @@ class _Parser:
             return Top()
         places = self.places.get(name)
         if places:
-            return Bound(len(self.bound) - 1 - places[-1])
+            return Bound(self.binders - 1 - places[-1])
         if kind == "int" or kind == "name":
             return Const(name)
         rank = self.clause_vars.setdefault(name, len(self.clause_vars))
         if self.query_vars is None:
             return ClauseVar(name)
-        b = Bound(len(self.bound))
+        b = Bound(self.binders)
         self.query_vars.append((b, rank))
         return b
 

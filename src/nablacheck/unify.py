@@ -40,11 +40,12 @@ F (s z) is outside the pattern fragment and must stay an error, not become
 a proof.  The flag is fixed when a node is built and no binding can reach
 inside an inert node, so it never goes stale as bindings come and go.
 
-Normalization.  unify() normalizes each side once, and not at all when
-the side is inert; two inert terms are answered by identity without
-entering the unifier.  Below that, a subterm of a normal term is
-normal, so _unify only dereferences each subterm it visits (_whnf).  The
-one way a binding made by a sibling subproblem can expose a redex is by
+Normalization.  unify() normalizes each side that is not normal (nodes.py)
+once, and reads a normal side as it is, as unfold and the head matchers
+do; two inert terms are answered by identity without entering the
+unifier.  Below that, a subterm of a normal term is normal, so _unify
+only dereferences each subterm it visits (_whnf).  The one way a binding,
+made before the call or by a sibling subproblem, can expose a redex is by
 binding the head variable of an application, and only then is that
 application normalized again.  Pattern arguments and the terms walked by
 _abstract get the same check.
@@ -93,8 +94,8 @@ def unify(t, s, st, instantiate_eigen=False):
     budget = st.norm_budget
     try:
         _unify(
-            t if t.inert else normalize(t, budget),
-            s if s.inert else normalize(s, budget),
+            t if t.normal else normalize(t, budget),
+            s if s.normal else normalize(s, budget),
             st,
             instantiate_eigen,
         )

@@ -246,15 +246,15 @@ _REACH = ("reach X Y := edge X Y.\nreach X Y := edge X Z /\\ reach Z Y.\n"
     # into its barrier records the call as disproved.
     ("edge a b.\n" + _REACH, ["reach b a"], [4], [
         "p0  reach b a",
-        "    p0  edge b a",
+        "  p0  edge b a",
         "  p0  edge b Z_0 /\\ reach Z_0 a",
         "  p0  edge b Z_0",
     ]),
     # A table hit: the second call is one step and opens nothing.
     ("edge a b.\n" + _REACH, ["reach a b", "reach a b"], [3, 1], [
         "p0  reach a b",
-        "    p0  edge a b",
-        "    p0  true",
+        "  p0  edge a b",
+        "  p0  true",
         "p0  reach a b",
     ]),
     # An inductive loop: reach a b meets its own running call, which fails
@@ -263,15 +263,15 @@ _REACH = ("reach X Y := edge X Y.\nreach X Y := edge X Z /\\ reach Z Y.\n"
      "reach X Y := edge X Y.\n#table inductive reach.\n", ["reach a b"],
      [12], [
         "p0  reach a b",
-        "    p0  edge a Z_0 /\\ reach Z_0 b",
-        "    p0  edge a Z_0",
-        "      p0  true",
-        "      p0  reach a b",
+        "  p0  edge a Z_0 /\\ reach Z_0 b",
+        "  p0  edge a Z_0",
         "    p0  true",
-        "    p0  reach b b",
-        "        p0  edge b Z_1 /\\ reach Z_1 b",
-        "        p0  edge b Z_1",
-        "      p0  edge b b",
+        "    p0  reach a b",
+        "  p0  true",
+        "  p0  reach b b",
+        "    p0  edge b Z_1 /\\ reach Z_1 b",
+        "    p0  edge b Z_1",
+        "    p0  edge b b",
         "  p0  edge a b",
         "  p0  true",
     ]),
@@ -320,13 +320,13 @@ _REACH = ("reach X Y := edge X Y.\nreach X Y := edge X Z /\\ reach Z Y.\n"
         "  p0< edge c Z_3",
         "p1  reach a c => false",
         "  p0< reach a c",
-        "      p0  edge a c",
+        "    p0  edge a c",
         "    p0  edge a Z_4 /\\ reach Z_4 c",
         "    p0  edge a Z_4",
         "    p0  true",
         "    p0  reach b c",
-        "        p0  edge b c",
-        "        p0  true",
+        "      p0  edge b c",
+        "      p0  true",
         "    p1  false",
         "    p0  false",
     ]),
@@ -427,7 +427,7 @@ def test_level_zero_modes_refuse_level_one_goals():
     # prover runs compiled goals only, and anything else is a TypeError.
     st = state_from("p := forall x. x = x.")
     st.defs.check()
-    before = st.checkpoint()
+    before = (len(st.trail), st.nabla_depth)
     for mode in (RIGHT0, LEFT0):
         for f in (Forall("x", Top()), Imp(Top(), Top()), Atom("p", ())):
             _, goal = logic.compile_goal(f, st.defs.defs)
@@ -437,7 +437,7 @@ def test_level_zero_modes_refuse_level_one_goals():
         with pytest.raises(TypeError):
             next(prove("p", st, mode))
     # The trail and the signature are restored after each error.
-    assert st.checkpoint() == before == (0, 0)
+    assert (len(st.trail), st.nabla_depth) == before == (0, 0)
 
 
 def test_an_unknown_name_is_the_empty_definition_for_every_caller(
@@ -495,6 +495,26 @@ def test_every_kind_of_choice_point_is_bounded(
     assert r.inconclusive
     assert isinstance(r.error, BudgetExceeded)
     assert "choice points" in str(r.error)
+
+
+def _nested_productions(n):
+    # r n0 opens a production that runs r n1 from its first body, and so on
+    # down the chain: n productions are running when r n(n-1) proves.
+    return ("".join(f"e n{i} n{i + 1}.\n" for i in range(n - 1))
+            + f"goal n{n - 1}.\n#table inductive r.\n"
+            "r X := e X Y /\\ r Y.\nr X := goal X.\n")
+
+
+def test_a_running_production_holds_one_choice_point(monkeypatch):
+    # Its barrier is the only entry a production keeps, whichever of its
+    # bodies is running, so 6,000 nested productions fit under the bound,
+    # and with the bound lowered to n, n of them fit and n + 1 do not.
+    r = run(state_from(_nested_productions(6000)), "r n0")
+    assert r.proved
+    monkeypatch.setattr(engine, "MAX_CHOICE_POINTS", 50)
+    assert run(state_from(_nested_productions(50)), "r n0").proved
+    r = run(state_from(_nested_productions(51)), "r n0")
+    assert r.inconclusive and "choice points" in str(r.error)
 
 
 def test_each_query_of_solve_iter_has_a_budget_of_its_own():

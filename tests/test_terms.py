@@ -17,7 +17,7 @@ from nablacheck.terms import (
     struct_eq,
 )
 from nablacheck.parser import parse_term
-from nablacheck.unify import SUCCESS, _abstract, bind, unify
+from nablacheck.unify import SUCCESS, _abstract, bind, undo_to, unify
 from oracles import alpha_eq, free_vars, nf, to_named
 
 a, b, f, g = Const("a"), Const("b"), Const("f"), Const("g")
@@ -42,9 +42,10 @@ def test_variables_made_after_a_rewind_or_a_pruning_come_last():
     # above every variable made before it.
     st = State()
     x = st.fresh_logic("X")
-    cp = st.checkpoint()
+    mark, depth = len(st.trail), st.nabla_depth
     dead = st.fresh_eigen("d")
-    st.undo_to(cp)
+    undo_to(st.trail, mark)
+    st.nabla_depth = depth
     y = st.fresh_logic("Y")
     assert unify(x, app(f, (y,)), st) is SUCCESS
     pruned = deref(y)
